@@ -11,12 +11,27 @@ Gate layouts are fixed so checkpoints stay readable across versions:
   LSTM kernel columns: (input i, forget f, candidate g, output o), each H wide.
   GRU kernel columns:  (update z, reset r, candidate n), each H wide.
 
-LSTM step:   i,f,o = sigmoid(x W_x + h W_h + b)[gates], g = tanh(...)
+LSTM step:   i,f,o = sigmoid(x W_x + b + h W_h)[gates], g = tanh(...)
              c' = f*c + i*g,  h' = o*tanh(c')
-GRU step:    z,r = sigmoid(x W_x + h W_h + b)[gates]
-             n = tanh(x Wx_n + (r*h) Wh_n + b_n),  h' = z*h + (1-z)*n
+GRU step:    z,r = sigmoid(x W_x + b + h W_h)[gates]
+             n = tanh(x Wx_n + b_n + (r*h) Wh_n),  h' = z*h + (1-z)*n
 Note the GRU candidate applies the reset gate to h before its recurrent
 matmul, and z is a "keep" gate (z = 1 preserves the old state).
+
+Only the recurrence runs inside the time loops. Forward: x W_x + b for every
+step is one GEMM before the loop, and each step adds h W_h, applies one
+sigmoid over the whole gate block, overwrites the candidate slice with tanh
+and writes the gates into the tape in place of the projection. The per-step
+gate code is shared by the scan and by step(), so sampling runs exactly the
+arithmetic training does. Backward walks the sequence in blocks of _BLOCK
+steps, last block first. Per block it first computes every factor of
+d loss / d pre-activation (da) that needs no recurrence, for all the block's
+steps at once; the loop then carries dh (and the LSTM's dc) back one step at
+a time, scales da in place, and makes the recurrent matmuls: dh = da W_h^T
+(the GRU also da_n Wh_n^T for the reset path). After the loop, dW_x, dW_h,
+db and dxs are one GEMM or reduction each over the block's B * _BLOCK rows.
+Blocking bounds the extra memory of backward to [B, _BLOCK, kH] whatever the
+sequence length.
 """
 
 from __future__ import annotations
@@ -34,6 +49,29 @@ def glorot_uniform(rng: Rng, shape: tuple[int, int]) -> np.ndarray:
     """Uniform(-l, l) with l = sqrt(6 / (fan_in + fan_out)) from the 2-D shape."""
     limit = math.sqrt(6.0 / (shape[0] + shape[1]))
     return rng.uniform(shape, -limit, limit)
+
+
+# Time steps per backward block (see the module docstring).
+_BLOCK = 25
+
+
+def _time_blocks(batch: int, length: int, gates: int, hidden: int):
+    """Backward blocks covering [0, length), last first, as (t0, t1, da).
+
+    da is a [B, t1 - t0, gates, H] scratch array for the block; every block
+    reuses the same memory.
+    """
+    work = np.empty(batch * min(length, _BLOCK) * gates * hidden)
+    for t0 in range((length - 1) // _BLOCK * _BLOCK, -1, -_BLOCK):
+        t1 = min(t0 + _BLOCK, length)
+        size = batch * (t1 - t0) * gates * hidden
+        yield t0, t1, work[:size].reshape(batch, t1 - t0, gates, hidden)
+
+
+def _split(a: np.ndarray, parts: int) -> list[np.ndarray]:
+    """Views of `parts` equal slices of the last axis (one per gate)."""
+    width = a.shape[-1] // parts
+    return [a[..., k * width : (k + 1) * width] for k in range(parts)]
 
 
 class Embedding:
@@ -56,10 +94,11 @@ class Embedding:
         return self.table[indices]
 
     def backward(self, indices: np.ndarray, dout: np.ndarray) -> np.ndarray:
-        # d loss / d table[r] is the sum of upstream grads wherever row r occurs
-        dtable = np.zeros_like(self.table)
-        np.add.at(dtable, indices.reshape(-1), dout.reshape(-1, self.table.shape[1]))
-        return dtable
+        # d loss / d table[r] is the sum of upstream grads wherever row r occurs:
+        # one GEMM of the [V, B*L] one-hot matrix with dout as [B*L, E] rows
+        vocab, width = self.table.shape
+        onehot = np.arange(vocab)[:, None] == indices.reshape(1, -1)
+        return onehot.astype(np.float64) @ dout.reshape(-1, width)
 
     def params(self):
         return {"table": self.table}
@@ -95,90 +134,96 @@ class LstmCell:
         h = self.hidden_size
         return np.zeros((batch, h)), np.zeros((batch, h))
 
-    def _gates(self, a: np.ndarray, c_prev: np.ndarray):
+    def _recur(self, a, h_prev, c_prev, c, h) -> None:
+        """One timestep, writing c and h.
+
+        a holds x W_x + b [B, 4H] on entry and the gates (i, f, g, o) on exit.
+        The gate math runs on a contiguous copy, since a may be a strided
+        view into the tape.
+        """
         hs = self.hidden_size
-        i = sigmoid(a[:, :hs])
-        f = sigmoid(a[:, hs : 2 * hs])
-        g = np.tanh(a[:, 2 * hs : 3 * hs])
-        o = sigmoid(a[:, 3 * hs :])
-        c = f * c_prev + i * g
-        return i, f, g, o, c
+        gates = h_prev @ self.w_h
+        gates += a
+        g = np.tanh(gates[:, 2 * hs : 3 * hs])
+        sigmoid(gates, out=gates)
+        gates[:, 2 * hs : 3 * hs] = g
+        a[...] = gates
+        i, f, _, o = _split(gates, 4)
+        np.multiply(f, c_prev, out=c)
+        c += i * g
+        np.tanh(c, out=h)
+        h *= o
 
     def step(self, x: np.ndarray, state):
         h_prev, c_prev = state
-        a = x @ self.w_x + h_prev @ self.w_h + self.b
-        _, _, _, o, c = self._gates(a, c_prev)
-        h = o * np.tanh(c)
+        h, c = np.empty_like(h_prev), np.empty_like(c_prev)
+        self._recur(x @ self.w_x + self.b, h_prev, c_prev, c, h)
         return h, (h, c)
 
     def forward_seq(self, xs: np.ndarray, train: bool):
         """Scan the whole sequence from a zero state.
 
         Returns (hs [B, L, H], tape). The tape is None unless train is set.
-        The input projection xs @ w_x has no recurrence and is hoisted out of
-        the time loop.
+        The input projection plus bias has no recurrence and is one GEMM
+        before the time loop; each step turns its slice of that projection
+        into its gates in place. h and c are kept as [B, L + 1, H] with the
+        zero state at index 0, so step t reads index t and writes t + 1.
         """
-        batch, length, _ = xs.shape
+        batch, length, width = xs.shape
         hs_n = self.hidden_size
-        ax = xs.reshape(batch * length, -1) @ self.w_x
-        ax = ax.reshape(batch, length, 4 * hs_n)
-        i_s = np.empty((batch, length, hs_n))
-        f_s = np.empty_like(i_s)
-        g_s = np.empty_like(i_s)
-        o_s = np.empty_like(i_s)
-        c_s = np.empty_like(i_s)
-        hs = np.empty_like(i_s)
-        h = np.zeros((batch, hs_n))
-        c = np.zeros((batch, hs_n))
+        gates = xs.reshape(batch * length, width) @ self.w_x
+        gates += self.b
+        gates = gates.reshape(batch, length, 4 * hs_n)
+        h = np.zeros((batch, length + 1, hs_n))
+        c = np.zeros_like(h)
         for t in range(length):
-            a = ax[:, t] + h @ self.w_h + self.b
-            i, f, g, o, c = self._gates(a, c)
-            h = o * np.tanh(c)
-            i_s[:, t], f_s[:, t], g_s[:, t], o_s[:, t] = i, f, g, o
-            c_s[:, t], hs[:, t] = c, h
-        tape = None
-        if train:
-            tape = {"xs": xs, "i": i_s, "f": f_s, "g": g_s, "o": o_s,
-                    "c": c_s, "h": hs}
-        return hs, tape
+            self._recur(gates[:, t], h[:, t], c[:, t], c[:, t + 1], h[:, t + 1])
+        tape = {"xs": xs, "gates": gates, "c": c, "h": h} if train else None
+        return h[:, 1:], tape
 
     def backward_seq(self, tape, dhs: np.ndarray):
-        """BPTT given d loss / d hs. Returns (dxs, grads)."""
-        xs, i_s, f_s, g_s, o_s, c_s, hs = (
-            tape["xs"], tape["i"], tape["f"], tape["g"], tape["o"],
-            tape["c"], tape["h"],
-        )
+        """BPTT given d loss / d hs. Returns (dxs, grads). The tape is not modified."""
+        xs, gates, c_all, h_all = tape["xs"], tape["gates"], tape["c"], tape["h"]
         batch, length, hs_n = dhs.shape
-        zeros = np.zeros((batch, hs_n))
+        w_h_t = self.w_h.T
         dw_x = np.zeros_like(self.w_x)
         dw_h = np.zeros_like(self.w_h)
         db = np.zeros_like(self.b)
-        dxs = np.empty_like(xs)
-        dh_next = zeros
-        dc_next = zeros
-        for t in range(length - 1, -1, -1):
-            i, f, g, o, c = i_s[:, t], f_s[:, t], g_s[:, t], o_s[:, t], c_s[:, t]
-            c_prev = c_s[:, t - 1] if t > 0 else zeros
-            h_prev = hs[:, t - 1] if t > 0 else zeros
-            tc = np.tanh(c)
-            dh = dhs[:, t] + dh_next
-            do = dh * tc
-            dc = dc_next + dh * o * (1.0 - tc * tc)
-            da = np.concatenate(
-                [
-                    dc * g * i * (1.0 - i),
-                    dc * c_prev * f * (1.0 - f),
-                    dc * i * (1.0 - g * g),
-                    do * o * (1.0 - o),
-                ],
-                axis=1,
-            )
-            dw_x += xs[:, t].T @ da
-            dw_h += h_prev.T @ da
+        dxs = np.empty(xs.shape)
+        dh_next = np.zeros((batch, hs_n))
+        dc_next = np.zeros((batch, hs_n))
+        for t0, t1, da in _time_blocks(batch, length, 4, hs_n):
+            block = gates[:, t0:t1]
+            i, f, g, o = _split(block, 4)
+            # da starts as the local derivative of each gate's pre-activation;
+            # the loop scales it in place by dc (i, f, g) or by dh (o)
+            da_i, da_f, da_g, da_o = (da[:, :, k] for k in range(4))
+            da_block = da.reshape(block.shape)
+            np.subtract(1.0, block, out=da_block)
+            da_block *= block  # s * (1 - s), right for every gate but g
+            da_i *= g
+            da_f *= c_all[:, t0:t1]
+            np.multiply(g, g, out=da_g)
+            np.subtract(1.0, da_g, out=da_g)
+            da_g *= i
+            tc = np.tanh(c_all[:, t0 + 1 : t1 + 1])
+            da_o *= tc
+            dc_dh = np.multiply(tc, tc, out=tc)  # becomes o * (1 - tanh(c)^2)
+            np.subtract(1.0, dc_dh, out=dc_dh)
+            dc_dh *= o
+            for j in range(t1 - t0 - 1, -1, -1):
+                dh = dhs[:, t0 + j] + dh_next
+                dc = dh * dc_dh[:, j]
+                dc += dc_next
+                da[:, j, :3] *= dc[:, None]
+                da[:, j, 3] *= dh
+                dh_next = da[:, j].reshape(batch, 4 * hs_n) @ w_h_t
+                dc_next = dc * f[:, j]
+            da = da.reshape(-1, 4 * hs_n)
+            dw_x += xs[:, t0:t1].reshape(-1, xs.shape[2]).T @ da
+            dw_h += h_all[:, t0:t1].reshape(-1, hs_n).T @ da
             db += da.sum(axis=0)
-            dxs[:, t] = da @ self.w_x.T
-            dh_next = da @ self.w_h.T
-            dc_next = dc * f
+            dxs[:, t0:t1] = (da @ self.w_x.T).reshape(batch, t1 - t0, -1)
         return dxs, {"w_x": dw_x, "w_h": dw_h, "b": db}
 
     def params(self):
@@ -212,72 +257,87 @@ class GruCell:
     def init_state(self, batch: int):
         return np.zeros((batch, self.hidden_size))
 
-    def _step_parts(self, ax: np.ndarray, h_prev: np.ndarray):
+    def _recur(self, a, h_prev, h) -> None:
+        """One timestep, writing h.
+
+        a holds x W_x + b [B, 3H] on entry and the gates (z, r, n) on exit;
+        the math runs on contiguous copies, as in LstmCell._recur.
+        """
         hs = self.hidden_size
-        a_zr = ax[:, : 2 * hs] + h_prev @ self.w_h[:, : 2 * hs] + self.b[: 2 * hs]
-        z = sigmoid(a_zr[:, :hs])
-        r = sigmoid(a_zr[:, hs:])
-        rh = r * h_prev
-        n = np.tanh(ax[:, 2 * hs :] + rh @ self.w_h[:, 2 * hs :] + self.b[2 * hs :])
-        h = z * h_prev + (1.0 - z) * n
-        return z, r, rh, n, h
+        zr = h_prev @ self.w_h[:, : 2 * hs]
+        zr += a[:, : 2 * hs]
+        sigmoid(zr, out=zr)
+        a[:, : 2 * hs] = zr
+        z, r = _split(zr, 2)
+        n = (r * h_prev) @ self.w_h[:, 2 * hs :]
+        n += a[:, 2 * hs :]
+        np.tanh(n, out=n)
+        a[:, 2 * hs :] = n
+        np.subtract(h_prev, n, out=h)  # h' = z*h + (1-z)*n = n + z*(h - n)
+        h *= z
+        h += n
 
     def step(self, x: np.ndarray, state):
-        h_prev = state
-        _, _, _, _, h = self._step_parts(x @ self.w_x, h_prev)
+        h = np.empty_like(state)
+        self._recur(x @ self.w_x + self.b, state, h)
         return h, h
 
     def forward_seq(self, xs: np.ndarray, train: bool):
-        batch, length, _ = xs.shape
+        """Scan from a zero state; laid out as LstmCell.forward_seq."""
+        batch, length, width = xs.shape
         hs_n = self.hidden_size
-        ax = (xs.reshape(batch * length, -1) @ self.w_x).reshape(batch, length, 3 * hs_n)
-        z_s = np.empty((batch, length, hs_n))
-        r_s = np.empty_like(z_s)
-        rh_s = np.empty_like(z_s)
-        n_s = np.empty_like(z_s)
-        hs = np.empty_like(z_s)
-        h = np.zeros((batch, hs_n))
+        gates = xs.reshape(batch * length, width) @ self.w_x
+        gates += self.b
+        gates = gates.reshape(batch, length, 3 * hs_n)
+        h = np.zeros((batch, length + 1, hs_n))
         for t in range(length):
-            z, r, rh, n, h = self._step_parts(ax[:, t], h)
-            z_s[:, t], r_s[:, t], rh_s[:, t], n_s[:, t], hs[:, t] = z, r, rh, n, h
-        tape = None
-        if train:
-            tape = {"xs": xs, "z": z_s, "r": r_s, "rh": rh_s, "n": n_s, "h": hs}
-        return hs, tape
+            self._recur(gates[:, t], h[:, t], h[:, t + 1])
+        tape = {"xs": xs, "gates": gates, "h": h} if train else None
+        return h[:, 1:], tape
 
     def backward_seq(self, tape, dhs: np.ndarray):
-        xs, z_s, r_s, rh_s, n_s, hs = (
-            tape["xs"], tape["z"], tape["r"], tape["rh"], tape["n"], tape["h"],
-        )
+        """BPTT given d loss / d hs. Returns (dxs, grads). The tape is not modified."""
+        xs, gates, h_all = tape["xs"], tape["gates"], tape["h"]
         batch, length, hs_n = dhs.shape
-        zeros = np.zeros((batch, hs_n))
-        w_h_zr = self.w_h[:, : 2 * hs_n]
-        w_h_n = self.w_h[:, 2 * hs_n :]
+        w_h_zr_t = self.w_h[:, : 2 * hs_n].T
+        w_h_n_t = self.w_h[:, 2 * hs_n :].T
         dw_x = np.zeros_like(self.w_x)
         dw_h = np.zeros_like(self.w_h)
         db = np.zeros_like(self.b)
-        dxs = np.empty_like(xs)
-        dh_next = zeros
-        for t in range(length - 1, -1, -1):
-            z, r, rh, n = z_s[:, t], r_s[:, t], rh_s[:, t], n_s[:, t]
-            h_prev = hs[:, t - 1] if t > 0 else zeros
-            dh = dhs[:, t] + dh_next
-            dz = dh * (h_prev - n)
-            dn = dh * (1.0 - z)
-            da_n = dn * (1.0 - n * n)
-            drh = da_n @ w_h_n.T
-            dr = drh * h_prev
-            da_z = dz * z * (1.0 - z)
-            da_r = dr * r * (1.0 - r)
-            da_zr = np.concatenate([da_z, da_r], axis=1)
-            dh_prev = dh * z + drh * r + da_zr @ w_h_zr.T
-            da = np.concatenate([da_zr, da_n], axis=1)
-            dw_x += xs[:, t].T @ da
-            dw_h[:, : 2 * hs_n] += h_prev.T @ da_zr
-            dw_h[:, 2 * hs_n :] += rh.T @ da_n
+        dxs = np.empty(xs.shape)
+        dh_next = np.zeros((batch, hs_n))
+        for t0, t1, da in _time_blocks(batch, length, 3, hs_n):
+            z, r, n = _split(gates[:, t0:t1], 3)
+            h_prev = h_all[:, t0:t1]
+            # da starts as the local derivative of each pre-activation; the
+            # loop scales it in place by dh (z, n) or by d loss / d (r*h) (r)
+            da_z, da_r, da_n = (da[:, :, k] for k in range(3))
+            np.subtract(1.0, z, out=da_n)
+            np.subtract(h_prev, n, out=da_z)
+            da_z *= z
+            da_z *= da_n
+            np.subtract(1.0, r, out=da_r)
+            da_r *= r
+            da_r *= h_prev
+            one_minus_nn = np.multiply(n, n)
+            np.subtract(1.0, one_minus_nn, out=one_minus_nn)
+            da_n *= one_minus_nn
+            for j in range(t1 - t0 - 1, -1, -1):
+                dh = dhs[:, t0 + j] + dh_next
+                da[:, j, 0] *= dh
+                da[:, j, 2] *= dh
+                drh = da[:, j, 2] @ w_h_n_t
+                da[:, j, 1] *= drh
+                dh_next = da[:, j, :2].reshape(batch, 2 * hs_n) @ w_h_zr_t
+                dh_next += dh * z[:, j]
+                dh_next += drh * r[:, j]
+            da = da.reshape(-1, 3 * hs_n)
+            h_prev = h_prev.reshape(-1, hs_n)
+            dw_x += xs[:, t0:t1].reshape(-1, xs.shape[2]).T @ da
+            dw_h[:, : 2 * hs_n] += h_prev.T @ da[:, : 2 * hs_n]
+            dw_h[:, 2 * hs_n :] += (r.reshape(-1, hs_n) * h_prev).T @ da[:, 2 * hs_n :]
             db += da.sum(axis=0)
-            dxs[:, t] = da @ self.w_x.T
-            dh_next = dh_prev
+            dxs[:, t0:t1] = (da @ self.w_x.T).reshape(batch, t1 - t0, -1)
         return dxs, {"w_x": dw_x, "w_h": dw_h, "b": db}
 
     def params(self):
@@ -341,11 +401,9 @@ class BidirectionalLstm:
 
     def backward_seq(self, tape, dhs: np.ndarray):
         h = self.hidden_size
-        dxs_f, grads_f = self.fwd.backward_seq(tape["f"], dhs[:, :, :h])
-        dxs_b_rev, grads_b = self.bwd.backward_seq(
-            tape["b"], np.ascontiguousarray(dhs[:, ::-1, h:])
-        )
-        dxs = dxs_f + dxs_b_rev[:, ::-1]
+        dxs, grads_f = self.fwd.backward_seq(tape["f"], dhs[:, :, :h])
+        dxs_b_rev, grads_b = self.bwd.backward_seq(tape["b"], dhs[:, ::-1, h:])
+        dxs += dxs_b_rev[:, ::-1]
         grads = {f"fwd.{k}": v for k, v in grads_f.items()}
         grads.update({f"bwd.{k}": v for k, v in grads_b.items()})
         return dxs, grads

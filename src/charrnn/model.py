@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 import struct
 import tempfile
@@ -274,10 +275,10 @@ def _scan_structure(blob: bytes) -> list[tuple[int, tuple[int, ...]]]:
             raise CheckpointFormatError(f"truncated dims at offset {pos}")
         dims = struct.unpack_from(f"<{rank}I", blob, pos)
         pos += 4 * rank
-        count = int(np.prod(dims))
+        count = math.prod(dims)  # exact: u32 dims can overflow a fixed-width product
         if count == 0 or count > (1 << 32):
             raise CheckpointFormatError(f"implausible dims {dims} at offset {pos}")
-        if pos + 4 * count > n - 4:
+        if not 0 <= pos <= pos + 4 * count <= n - 4:
             raise CheckpointFormatError(f"truncated parameter data at offset {pos}")
         layout.append((pos, dims))
         pos += 4 * count
@@ -324,7 +325,7 @@ def load_checkpoint(path) -> Model:
             raise CheckpointIntegrityError(
                 f"parameter {name} has dims {dims}, expected {shape}"
             )
-        count = int(np.prod(dims))
+        count = math.prod(dims)
         raw = np.frombuffer(blob, dtype="<f4", count=count, offset=offset)
         params[name] = raw.astype(np.float64).reshape(shape)
     return Model(config, vocab, _stack_from_params(config, params))

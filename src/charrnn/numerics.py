@@ -107,14 +107,19 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def sigmoid(x: np.ndarray) -> np.ndarray:
-    """1 / (1 + e^-x), evaluated piecewise so large |x| cannot overflow."""
+def sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """1 / (1 + e^-x), evaluated as 0.5 * (1 + tanh(x / 2)), which cannot overflow.
+
+    The result goes to out when given (x itself is allowed), else to a new
+    array; either way it is returned.
+    """
     x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    if out is None:
+        out = np.empty_like(x)
+    np.multiply(x, 0.5, out=out)
+    np.tanh(out, out=out)
+    out += 1.0
+    out *= 0.5
     return out
 
 

@@ -3,6 +3,7 @@ import pytest
 from charrnn.cli import main
 from charrnn.model import load_checkpoint
 from charrnn.trainer import parse_history
+from tests.test_model import write_overflowing_dims_checkpoint
 
 TRAIN_ARGS = [
     "--model", "lstm", "--preset", "uni", "--scale", "0.015625",  # width 16
@@ -135,6 +136,15 @@ class TestGenerateCommand:
                      "--prime", "é", "--length", "5"])
         assert code == 1
         assert "error" in capsys.readouterr().err
+
+    def test_overflowing_checkpoint_dims_exit_1(self, tmp_path, capsys):
+        bad = tmp_path / "bad.ckpt"
+        write_overflowing_dims_checkpoint(bad)
+        code = main(["generate", "--checkpoint", str(bad), "--prime", "a",
+                     "--length", "5"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
 
 
 class TestReportCommand:

@@ -177,6 +177,70 @@ class TestBidirectional:
             BidirectionalLstm(LstmCell.create(rng, 3, 2), LstmCell.create(rng, 3, 5))
 
 
+def _cell(kind, d_in, hidden, seed=0):
+    """An LstmCell, GruCell or BidirectionalLstm with random O(0.4) weights."""
+    cls, k = (GruCell, 3) if kind == "gru" else (LstmCell, 4)
+
+    def make(s):
+        return cls(_rand((d_in, k * hidden), seed=s),
+                   _rand((hidden, k * hidden), seed=s + 1),
+                   _rand(k * hidden, seed=s + 2))
+
+    return BidirectionalLstm(make(seed), make(seed + 3)) if kind == "birnn" else make(seed)
+
+
+def _snapshot(tape):
+    if isinstance(tape, dict):
+        return {k: _snapshot(v) for k, v in tape.items()}
+    return tape.copy()
+
+
+def _same(a, b):
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same(a[k], b[k]) for k in a)
+    return a.tobytes() == b.tobytes()
+
+
+class TestScan:
+    @pytest.mark.parametrize("kind", ["lstm", "gru", "birnn"])
+    def test_step_unroll_matches_forward_seq(self, kind):
+        # generation steps the same gate code the scan runs; for birnn only
+        # the forward half is a left-to-right scan
+        layer = _cell(kind, d_in=5, hidden=6, seed=20)
+        cell = layer.fwd if kind == "birnn" else layer
+        xs = _rand((3, 40, 5), scale=1.0, seed=21)
+        hs, _ = layer.forward_seq(xs, train=False)
+        state = cell.init_state(3)
+        for t in range(40):
+            h, state = cell.step(xs[:, t], state)
+            assert np.max(np.abs(h - hs[:, t, :6])) <= 1e-12, t
+
+    @pytest.mark.parametrize("kind", ["lstm", "gru", "birnn"])
+    def test_bptt_across_blocks_and_tape_reuse(self, kind):
+        # 53 steps cross two backward block boundaries and end in a partial block
+        length = 53
+        layer = _cell(kind, d_in=2, hidden=3, seed=30)
+        xs = _rand((2, length, 2), seed=31)
+        weights = _rand((2, length, layer.output_size), seed=32)
+
+        def loss():
+            hs, _ = layer.forward_seq(xs, train=False)
+            return float(np.sum(hs * weights))
+
+        _, tape = layer.forward_seq(xs, train=True)
+        before = _snapshot(tape)
+        dxs, grads = layer.backward_seq(tape, weights)
+        dxs2, grads2 = layer.backward_seq(tape, weights)
+        assert _same(tape, before)
+        assert dxs.tobytes() == dxs2.tobytes()
+        assert all(grads[k].tobytes() == grads2[k].tobytes() for k in grads)
+        names = list(layer.params())
+        fd = finite_difference(loss, [layer.params()[k] for k in names] + [xs])
+        for name, numeric in zip(names, fd):
+            assert rel_err(grads[name], numeric) < 1e-4, name
+        assert rel_err(dxs, fd[-1]) < 1e-4
+
+
 class TestDropout:
     def test_rate_zero_identity(self):
         x = _rand((4, 5))

@@ -27,6 +27,21 @@ from charrnn.numerics import Rng
 VOCAB5 = Vocabulary(tuple("abcde"))
 
 
+def write_overflowing_dims_checkpoint(path) -> None:
+    """A checkpoint whose first parameter claims dims (2^32-1, 2^32-1, 3).
+
+    Their product wraps a 64-bit integer to a negative count. The CRC is
+    recomputed, so only the structure check can reject the file.
+    """
+    save_checkpoint(build_model(_config(), VOCAB5), path)
+    blob = path.read_bytes()
+    (header_len,) = struct.unpack_from("<I", blob, 8)
+    first = 12 + header_len  # rank 2 and two dims of embedding.table follow
+    dims = struct.pack("<4I", 3, 0xFFFFFFFF, 0xFFFFFFFF, 3)
+    payload = blob[8:first] + dims + blob[first + 12 : -4]
+    path.write_bytes(blob[:8] + payload + struct.pack("<I", zlib.crc32(payload)))
+
+
 def _config(kind="lstm", widths=(4,), v=5, **kw):
     defaults = dict(vocab_size=v, batch_size=2, embed_dim=3, dropout=0.0,
                     seq_len=6, init_seed=9)
@@ -225,6 +240,12 @@ class TestCheckpoint:
         save_checkpoint(build_model(_config(), VOCAB5), p)
         p.write_bytes(p.read_bytes() + b"xx")
         with pytest.raises(CheckpointFormatError):
+            load_checkpoint(p)
+
+    def test_overflowing_dims_are_format_error(self, tmp_path):
+        p = tmp_path / "m.ckpt"
+        write_overflowing_dims_checkpoint(p)
+        with pytest.raises(CheckpointFormatError, match="implausible dims"):
             load_checkpoint(p)
 
 

@@ -9,6 +9,17 @@ from charrnn.exceptions import DistributionError, ShapeError
 from charrnn.numerics import Rng, add, matmul, mul, sample_categorical, sigmoid, softmax, tanh
 
 
+def _sigmoid_piecewise(x):
+    """The boolean-mask form sigmoid had before: the reference it must match."""
+    x = np.asarray(x, dtype=np.float64)
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
 class TestRng:
     def test_same_seed_same_stream(self):
         a, b = Rng(42), Rng(42)
@@ -110,6 +121,27 @@ class TestElementwise:
         out = sigmoid(np.array([-1e4, 1e4]))
         assert np.all(np.isfinite(out))
         assert out[0] == 0.0 and out[1] == 1.0
+
+    @given(st.lists(st.floats(min_value=-745.0, max_value=745.0),
+                    min_size=1, max_size=64))
+    @settings(max_examples=300)
+    def test_sigmoid_matches_piecewise_reference(self, values):
+        x = np.array(values)
+        assert np.max(np.abs(sigmoid(x) - _sigmoid_piecewise(x))) <= 5e-16
+
+    @given(st.floats(allow_nan=False, allow_infinity=False))
+    @settings(max_examples=300)
+    def test_sigmoid_finite_unit_interval_any_scalar(self, value):
+        out = sigmoid(value)
+        assert np.ndim(out) == 0
+        assert np.isfinite(out) and 0.0 <= out <= 1.0
+        assert sigmoid(np.array(value)) == out
+
+    def test_sigmoid_in_place(self):
+        x = np.linspace(-30.0, 30.0, 60).reshape(3, 20)
+        expected = sigmoid(x)
+        assert sigmoid(x, out=x) is x
+        assert np.array_equal(x, expected)
 
     def test_tanh_zero(self):
         assert tanh(np.array(0.0)) == 0.0
