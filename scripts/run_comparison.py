@@ -17,9 +17,9 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
+from charrnn import cli
 from charrnn.corpus import build_vocab, load_corpus
 from charrnn.model import KINDS, ModelConfig, PRESETS, preset_widths
-from charrnn.numerics import Rng
 from charrnn.trainer import TrainPlan, train
 
 
@@ -46,11 +46,12 @@ def main():
     vocab = build_vocab(load_corpus(args.corpus))
     print(f"corpus: {args.corpus} ({vocab.size} distinct characters)")
 
+    # the same three derived streams as `charrnn train --seed`
+    init_seed, shuffle_seed, dropout_seed = cli._derive_seeds(args.seed)
     results = []
     for kind in KINDS:
         for preset in PRESETS:
             run = f"{kind}_{preset}"
-            seeds = Rng(args.seed)
             config = ModelConfig(
                 kind=kind,
                 layer_widths=preset_widths(preset, args.scale),
@@ -59,11 +60,10 @@ def main():
                 embed_dim=args.embed_dim,
                 dropout=args.dropout,
                 seq_len=args.seq_len,
-                init_seed=seeds.next_u64(),
+                init_seed=init_seed,
             )
             plan = TrainPlan(epochs=args.epochs, lr=args.lr,
-                             shuffle_seed=seeds.next_u64(),
-                             dropout_seed=seeds.next_u64())
+                             shuffle_seed=shuffle_seed, dropout_seed=dropout_seed)
             print(f"== {run}  widths={config.layer_widths}")
             _, history = train(
                 args.corpus, config, plan,
@@ -75,13 +75,9 @@ def main():
             )
             results.append((run, history[-1].mean_loss, history[-1].ms_per_step))
 
-    report = ["run,epoch,mean_loss,ms_per_step"]
-    for kind in KINDS:
-        for preset in PRESETS:
-            run = f"{kind}_{preset}"
-            for line in (outdir / f"{run}.csv").read_text().splitlines()[1:]:
-                report.append(f"{run},{line}")
-    (outdir / "report.csv").write_text("\n".join(report) + "\n", encoding="utf-8")
+    histories = [str(outdir / f"{run}.csv") for run, _, _ in results]
+    if cli.main(["report", "--history", *histories, "--out", str(outdir / "report.csv")]):
+        sys.exit(1)
 
     print("\nfinal epoch summary")
     print(f"{'run':<14} {'mean_loss':>12} {'ms_per_step':>12}")

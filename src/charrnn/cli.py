@@ -15,6 +15,7 @@ from .exceptions import CharRnnError
 from .generator import GenerationPlan, generate
 from .model import (
     KINDS,
+    PRESETS,
     ModelConfig,
     load_checkpoint,
     preset_widths,
@@ -65,7 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_train = sub.add_parser("train", help="train a model and record history")
     p_train.add_argument("--corpus", required=True, help="UTF-8 text file")
     p_train.add_argument("--model", required=True, choices=KINDS, dest="kind")
-    p_train.add_argument("--preset", required=True, choices=("uni", "bi", "quad"),
+    p_train.add_argument("--preset", required=True, choices=tuple(PRESETS),
                          help="layer widths: uni=1024, bi=512,256, quad=512,256,128,64")
     p_train.add_argument("--seq-len", type=_positive_int, default=100)
     p_train.add_argument("--batch-size", type=_positive_int, default=64)

@@ -69,10 +69,11 @@ def generate(model: Model, plan: GenerationPlan) -> str:
     rng = Rng(plan.sample_seed)
     out = []
     for _ in range(plan.length):
-        scaled = apply_temperature(logits[0], plan.temperature)
         if plan.mode == "argmax":
-            nxt = int(np.argmax(softmax(scaled)))
+            # dividing by T > 0 keeps the argmax; rounding in softmax would not
+            nxt = int(np.argmax(logits[0]))
         else:
+            scaled = apply_temperature(logits[0], plan.temperature)
             nxt = sample_categorical(softmax(scaled), rng)
         out.append(nxt)
         logits, state = model.step(np.array([nxt], dtype=np.int64), state)

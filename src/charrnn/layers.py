@@ -32,11 +32,21 @@ a time, scales da in place, and makes the recurrent matmuls: dh = da W_h^T
 db and dxs are one GEMM or reduction each over the block's B * _BLOCK rows.
 Blocking bounds the extra memory of backward to [B, _BLOCK, kH] whatever the
 sequence length.
+
+LstmCell and GruCell share a private base, _Cell, holding what does not
+depend on the gate math: the kernels, the hoisted projection with its
+[B, L + 1, H] zero-state buffer, the backward blocks, and the per-block flush
+of da into dW_x, db and dxs. Each cell keeps its own GATES count,
+init_state, _recur, step, and forward_seq/backward_seq: its time loop, the
+non-recurrent factors of da and its dW_h. The scan methods stay in each class
+body rather than in the base, because perfbench/tracing.py rebinds them
+through the class __dict__.
+Parameters are drawn only by model._init_params; the classes here wrap
+arrays they are given.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,28 +54,8 @@ import numpy as np
 from .exceptions import ConfigError, VocabularyError
 from .numerics import Rng, sigmoid
 
-
-def glorot_uniform(rng: Rng, shape: tuple[int, int]) -> np.ndarray:
-    """Uniform(-l, l) with l = sqrt(6 / (fan_in + fan_out)) from the 2-D shape."""
-    limit = math.sqrt(6.0 / (shape[0] + shape[1]))
-    return rng.uniform(shape, -limit, limit)
-
-
 # Time steps per backward block (see the module docstring).
 _BLOCK = 25
-
-
-def _time_blocks(batch: int, length: int, gates: int, hidden: int):
-    """Backward blocks covering [0, length), last first, as (t0, t1, da).
-
-    da is a [B, t1 - t0, gates, H] scratch array for the block; every block
-    reuses the same memory.
-    """
-    work = np.empty(batch * min(length, _BLOCK) * gates * hidden)
-    for t0 in range((length - 1) // _BLOCK * _BLOCK, -1, -_BLOCK):
-        t1 = min(t0 + _BLOCK, length)
-        size = batch * (t1 - t0) * gates * hidden
-        yield t0, t1, work[:size].reshape(batch, t1 - t0, gates, hidden)
 
 
 def _split(a: np.ndarray, parts: int) -> list[np.ndarray]:
@@ -79,10 +69,6 @@ class Embedding:
 
     def __init__(self, table: np.ndarray):
         self.table = table
-
-    @classmethod
-    def create(cls, rng: Rng, vocab_size: int, embed_dim: int) -> "Embedding":
-        return cls(glorot_uniform(rng, (vocab_size, embed_dim)))
 
     def forward(self, indices: np.ndarray) -> np.ndarray:
         v = self.table.shape[0]
@@ -104,31 +90,69 @@ class Embedding:
         return {"table": self.table}
 
 
-class LstmCell:
-    """One LSTM direction: kernels w_x [D, 4H], w_h [H, 4H], bias b [4H]."""
+class _Cell:
+    """One recurrent direction: kernels w_x [D, kH], w_h [H, kH], bias b [kH].
+
+    k is the subclass's GATES. Holds the parts of the scan and of BPTT that do
+    not depend on the gate math (see the module docstring).
+    """
+
+    GATES: int
 
     def __init__(self, w_x: np.ndarray, w_h: np.ndarray, b: np.ndarray):
         self.w_x = w_x
         self.w_h = w_h
         self.b = b
 
-    @classmethod
-    def create(cls, rng: Rng, input_dim: int, hidden: int,
-               unit_forget_bias: bool = True) -> "LstmCell":
-        w_x = glorot_uniform(rng, (input_dim, 4 * hidden))
-        w_h = glorot_uniform(rng, (hidden, 4 * hidden))
-        b = np.zeros(4 * hidden)
-        if unit_forget_bias:
-            b[hidden : 2 * hidden] = 1.0
-        return cls(w_x, w_h, b)
-
     @property
     def hidden_size(self) -> int:
         return self.w_h.shape[0]
 
-    @property
-    def output_size(self) -> int:
-        return self.hidden_size
+    def params(self):
+        return {"w_x": self.w_x, "w_h": self.w_h, "b": self.b}
+
+    def _project(self, xs: np.ndarray):
+        """x W_x + b for every step as [B, L, kH], and a zero [B, L + 1, H] state.
+
+        The projection has no recurrence, so it is one GEMM before the time
+        loop; each step turns its slice of it into its gates in place. State
+        buffers hold the zero state at index 0, so step t reads index t and
+        writes t + 1.
+        """
+        batch, length, width = xs.shape
+        gates = xs.reshape(batch * length, width) @ self.w_x
+        gates += self.b
+        state = np.zeros((batch, length + 1, self.hidden_size))
+        return gates.reshape(batch, length, self.w_x.shape[1]), state
+
+    def _time_blocks(self, batch: int, length: int):
+        """Backward blocks covering [0, length), last first, as (t0, t1, da).
+
+        da is a [B, t1 - t0, GATES, H] scratch array for the block; every
+        block reuses the same memory.
+        """
+        gates, hidden = self.GATES, self.hidden_size
+        work = np.empty(batch * min(length, _BLOCK) * gates * hidden)
+        for t0 in range((length - 1) // _BLOCK * _BLOCK, -1, -_BLOCK):
+            t1 = min(t0 + _BLOCK, length)
+            size = batch * (t1 - t0) * gates * hidden
+            yield t0, t1, work[:size].reshape(batch, t1 - t0, gates, hidden)
+
+    def _flush(self, da: np.ndarray, xs: np.ndarray, t0: int, t1: int, grads, dxs):
+        """Add a finished block's dW_x and db to grads and write its dxs.
+
+        da holds the block as [B * (t1 - t0), kH] rows; each cell adds its
+        own dW_h from the same rows.
+        """
+        grads["w_x"] += xs[:, t0:t1].reshape(-1, xs.shape[2]).T @ da
+        grads["b"] += da.sum(axis=0)
+        dxs[:, t0:t1] = (da @ self.w_x.T).reshape(xs.shape[0], t1 - t0, -1)
+
+
+class LstmCell(_Cell):
+    """One LSTM direction; kernel columns are the gates (i, f, g, o)."""
+
+    GATES = 4
 
     def init_state(self, batch: int):
         h = self.hidden_size
@@ -164,19 +188,10 @@ class LstmCell:
         """Scan the whole sequence from a zero state.
 
         Returns (hs [B, L, H], tape). The tape is None unless train is set.
-        The input projection plus bias has no recurrence and is one GEMM
-        before the time loop; each step turns its slice of that projection
-        into its gates in place. h and c are kept as [B, L + 1, H] with the
-        zero state at index 0, so step t reads index t and writes t + 1.
         """
-        batch, length, width = xs.shape
-        hs_n = self.hidden_size
-        gates = xs.reshape(batch * length, width) @ self.w_x
-        gates += self.b
-        gates = gates.reshape(batch, length, 4 * hs_n)
-        h = np.zeros((batch, length + 1, hs_n))
+        gates, h = self._project(xs)
         c = np.zeros_like(h)
-        for t in range(length):
+        for t in range(xs.shape[1]):
             self._recur(gates[:, t], h[:, t], c[:, t], c[:, t + 1], h[:, t + 1])
         tape = {"xs": xs, "gates": gates, "c": c, "h": h} if train else None
         return h[:, 1:], tape
@@ -186,13 +201,11 @@ class LstmCell:
         xs, gates, c_all, h_all = tape["xs"], tape["gates"], tape["c"], tape["h"]
         batch, length, hs_n = dhs.shape
         w_h_t = self.w_h.T
-        dw_x = np.zeros_like(self.w_x)
-        dw_h = np.zeros_like(self.w_h)
-        db = np.zeros_like(self.b)
+        grads = {k: np.zeros_like(v) for k, v in self.params().items()}
         dxs = np.empty(xs.shape)
         dh_next = np.zeros((batch, hs_n))
         dc_next = np.zeros((batch, hs_n))
-        for t0, t1, da in _time_blocks(batch, length, 4, hs_n):
+        for t0, t1, da in self._time_blocks(batch, length):
             block = gates[:, t0:t1]
             i, f, g, o = _split(block, 4)
             # da starts as the local derivative of each gate's pre-activation;
@@ -220,39 +233,15 @@ class LstmCell:
                 dh_next = da[:, j].reshape(batch, 4 * hs_n) @ w_h_t
                 dc_next = dc * f[:, j]
             da = da.reshape(-1, 4 * hs_n)
-            dw_x += xs[:, t0:t1].reshape(-1, xs.shape[2]).T @ da
-            dw_h += h_all[:, t0:t1].reshape(-1, hs_n).T @ da
-            db += da.sum(axis=0)
-            dxs[:, t0:t1] = (da @ self.w_x.T).reshape(batch, t1 - t0, -1)
-        return dxs, {"w_x": dw_x, "w_h": dw_h, "b": db}
-
-    def params(self):
-        return {"w_x": self.w_x, "w_h": self.w_h, "b": self.b}
+            grads["w_h"] += h_all[:, t0:t1].reshape(-1, hs_n).T @ da
+            self._flush(da, xs, t0, t1, grads, dxs)
+        return dxs, grads
 
 
-class GruCell:
-    """One GRU direction: kernels w_x [D, 3H], w_h [H, 3H], bias b [3H]."""
+class GruCell(_Cell):
+    """One GRU direction; kernel columns are the gates (z, r, n)."""
 
-    def __init__(self, w_x: np.ndarray, w_h: np.ndarray, b: np.ndarray):
-        self.w_x = w_x
-        self.w_h = w_h
-        self.b = b
-
-    @classmethod
-    def create(cls, rng: Rng, input_dim: int, hidden: int) -> "GruCell":
-        return cls(
-            glorot_uniform(rng, (input_dim, 3 * hidden)),
-            glorot_uniform(rng, (hidden, 3 * hidden)),
-            np.zeros(3 * hidden),
-        )
-
-    @property
-    def hidden_size(self) -> int:
-        return self.w_h.shape[0]
-
-    @property
-    def output_size(self) -> int:
-        return self.hidden_size
+    GATES = 3
 
     def init_state(self, batch: int):
         return np.zeros((batch, self.hidden_size))
@@ -284,13 +273,8 @@ class GruCell:
 
     def forward_seq(self, xs: np.ndarray, train: bool):
         """Scan from a zero state; laid out as LstmCell.forward_seq."""
-        batch, length, width = xs.shape
-        hs_n = self.hidden_size
-        gates = xs.reshape(batch * length, width) @ self.w_x
-        gates += self.b
-        gates = gates.reshape(batch, length, 3 * hs_n)
-        h = np.zeros((batch, length + 1, hs_n))
-        for t in range(length):
+        gates, h = self._project(xs)
+        for t in range(xs.shape[1]):
             self._recur(gates[:, t], h[:, t], h[:, t + 1])
         tape = {"xs": xs, "gates": gates, "h": h} if train else None
         return h[:, 1:], tape
@@ -301,12 +285,11 @@ class GruCell:
         batch, length, hs_n = dhs.shape
         w_h_zr_t = self.w_h[:, : 2 * hs_n].T
         w_h_n_t = self.w_h[:, 2 * hs_n :].T
-        dw_x = np.zeros_like(self.w_x)
-        dw_h = np.zeros_like(self.w_h)
-        db = np.zeros_like(self.b)
+        grads = {k: np.zeros_like(v) for k, v in self.params().items()}
+        dw_h = grads["w_h"]
         dxs = np.empty(xs.shape)
         dh_next = np.zeros((batch, hs_n))
-        for t0, t1, da in _time_blocks(batch, length, 3, hs_n):
+        for t0, t1, da in self._time_blocks(batch, length):
             z, r, n = _split(gates[:, t0:t1], 3)
             h_prev = h_all[:, t0:t1]
             # da starts as the local derivative of each pre-activation; the
@@ -333,15 +316,10 @@ class GruCell:
                 dh_next += drh * r[:, j]
             da = da.reshape(-1, 3 * hs_n)
             h_prev = h_prev.reshape(-1, hs_n)
-            dw_x += xs[:, t0:t1].reshape(-1, xs.shape[2]).T @ da
             dw_h[:, : 2 * hs_n] += h_prev.T @ da[:, : 2 * hs_n]
             dw_h[:, 2 * hs_n :] += (r.reshape(-1, hs_n) * h_prev).T @ da[:, 2 * hs_n :]
-            db += da.sum(axis=0)
-            dxs[:, t0:t1] = (da @ self.w_x.T).reshape(batch, t1 - t0, -1)
-        return dxs, {"w_x": dw_x, "w_h": dw_h, "b": db}
-
-    def params(self):
-        return {"w_x": self.w_x, "w_h": self.w_h, "b": self.b}
+            self._flush(da, xs, t0, t1, grads, dxs)
+        return dxs, grads
 
 
 class BidirectionalLstm:
@@ -367,21 +345,9 @@ class BidirectionalLstm:
         self.fwd = fwd
         self.bwd = bwd
 
-    @classmethod
-    def create(cls, rng: Rng, input_dim: int, hidden: int,
-               unit_forget_bias: bool = True) -> "BidirectionalLstm":
-        return cls(
-            LstmCell.create(rng, input_dim, hidden, unit_forget_bias),
-            LstmCell.create(rng, input_dim, hidden, unit_forget_bias),
-        )
-
     @property
     def hidden_size(self) -> int:
         return self.fwd.hidden_size
-
-    @property
-    def output_size(self) -> int:
-        return 2 * self.hidden_size
 
     def init_state(self, batch: int):
         return self.fwd.init_state(batch), self.bwd.init_state(batch)
@@ -420,10 +386,6 @@ class Dense:
     def __init__(self, w: np.ndarray, b: np.ndarray):
         self.w = w
         self.b = b
-
-    @classmethod
-    def create(cls, rng: Rng, input_dim: int, output_dim: int) -> "Dense":
-        return cls(glorot_uniform(rng, (input_dim, output_dim)), np.zeros(output_dim))
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         return x @ self.w + self.b

@@ -50,18 +50,16 @@ from .exceptions import (
     ConfigError,
     ShapeError,
 )
-from .layers import (
-    BidirectionalLstm,
-    Dense,
-    Embedding,
-    GruCell,
-    LstmCell,
-    RecurrentStack,
-    glorot_uniform,
-)
+from .layers import BidirectionalLstm, Dense, Embedding, GruCell, LstmCell, RecurrentStack
 from .numerics import Rng
 
-KINDS = ("lstm", "gru", "birnn")
+# kind -> (cell class, parameter-name prefix of each direction, in order)
+_KIND_TABLE = {
+    "lstm": (LstmCell, ("",)),
+    "gru": (GruCell, ("",)),
+    "birnn": (LstmCell, ("fwd.", "bwd.")),
+}
+KINDS = tuple(_KIND_TABLE)
 PRESETS = {"uni": (1024,), "bi": (512, 256), "quad": (512, 256, 128, 64)}
 
 _MAGIC = b"CRNF"
@@ -105,27 +103,17 @@ class ModelConfig:
 
 def expected_param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
     """Canonical parameter names and shapes implied by the config."""
+    cell, directions = _KIND_TABLE[config.kind]
     shapes: dict[str, tuple[int, ...]] = {
         "embedding.table": (config.vocab_size, config.embed_dim)
     }
     d = config.embed_dim
     for i, h in enumerate(config.layer_widths):
-        if config.kind == "lstm":
-            shapes[f"rnn{i}.w_x"] = (d, 4 * h)
-            shapes[f"rnn{i}.w_h"] = (h, 4 * h)
-            shapes[f"rnn{i}.b"] = (4 * h,)
-            d = h
-        elif config.kind == "gru":
-            shapes[f"rnn{i}.w_x"] = (d, 3 * h)
-            shapes[f"rnn{i}.w_h"] = (h, 3 * h)
-            shapes[f"rnn{i}.b"] = (3 * h,)
-            d = h
-        else:
-            for direction in ("fwd", "bwd"):
-                shapes[f"rnn{i}.{direction}.w_x"] = (d, 4 * h)
-                shapes[f"rnn{i}.{direction}.w_h"] = (h, 4 * h)
-                shapes[f"rnn{i}.{direction}.b"] = (4 * h,)
-            d = 2 * h
+        for prefix in directions:
+            shapes[f"rnn{i}.{prefix}w_x"] = (d, cell.GATES * h)
+            shapes[f"rnn{i}.{prefix}w_h"] = (h, cell.GATES * h)
+            shapes[f"rnn{i}.{prefix}b"] = (cell.GATES * h,)
+        d = len(directions) * h
     shapes["dense.w"] = (d, config.vocab_size)
     shapes["dense.b"] = (config.vocab_size,)
     return shapes
@@ -138,39 +126,35 @@ def expected_param_count(config: ModelConfig) -> int:
 def _init_params(config: ModelConfig) -> dict[str, np.ndarray]:
     """Glorot-uniform kernels, zero biases, drawn in canonical order.
 
-    LSTM forget-gate bias slices start at 1.0 when unit_forget_bias is set.
+    A kernel of shape (fan_in, fan_out) is Uniform(-l, l) with
+    l = sqrt(6 / (fan_in + fan_out)). LSTM forget-gate bias slices start at
+    1.0 when unit_forget_bias is set. This is the only place weights are drawn.
     """
+    cell, _ = _KIND_TABLE[config.kind]
+    forget_bias = config.unit_forget_bias and cell is LstmCell
     rng = Rng(config.init_seed)
     params: dict[str, np.ndarray] = {}
     for name, shape in expected_param_shapes(config).items():
         if len(shape) == 1:
             b = np.zeros(shape)
-            if config.unit_forget_bias and config.kind != "gru" and name != "dense.b":
-                h = shape[0] // 4
+            if forget_bias and name != "dense.b":
+                h = shape[0] // LstmCell.GATES
                 b[h : 2 * h] = 1.0
             params[name] = b
         else:
-            params[name] = glorot_uniform(rng, shape)
+            limit = math.sqrt(6.0 / (shape[0] + shape[1]))
+            params[name] = rng.uniform(shape, -limit, limit)
     return params
 
 
 def _stack_from_params(config: ModelConfig, params: dict[str, np.ndarray]) -> RecurrentStack:
     embedding = Embedding(params["embedding.table"])
+    cell, directions = _KIND_TABLE[config.kind]
     layers = []
     for i in range(len(config.layer_widths)):
-        if config.kind == "lstm":
-            layers.append(LstmCell(params[f"rnn{i}.w_x"], params[f"rnn{i}.w_h"],
-                                   params[f"rnn{i}.b"]))
-        elif config.kind == "gru":
-            layers.append(GruCell(params[f"rnn{i}.w_x"], params[f"rnn{i}.w_h"],
-                                  params[f"rnn{i}.b"]))
-        else:
-            layers.append(BidirectionalLstm(
-                LstmCell(params[f"rnn{i}.fwd.w_x"], params[f"rnn{i}.fwd.w_h"],
-                         params[f"rnn{i}.fwd.b"]),
-                LstmCell(params[f"rnn{i}.bwd.w_x"], params[f"rnn{i}.bwd.w_h"],
-                         params[f"rnn{i}.bwd.b"]),
-            ))
+        cells = [cell(*(params[f"rnn{i}.{prefix}{k}"] for k in ("w_x", "w_h", "b")))
+                 for prefix in directions]
+        layers.append(BidirectionalLstm(*cells) if len(cells) == 2 else cells[0])
     dense = Dense(params["dense.w"], params["dense.b"])
     return RecurrentStack(embedding, layers, config.dropout, dense)
 
@@ -288,7 +272,7 @@ def _scan_structure(blob: bytes) -> list[tuple[int, tuple[int, ...]]]:
 
 
 def load_checkpoint(path) -> Model:
-    """Read, verify (magic, version, structure, CRC) and rebuild the model."""
+    """Read, verify (magic, version, structure, CRC, finite values) and rebuild the model."""
     blob = Path(path).read_bytes()
     if len(blob) < 8 or blob[:4] != _MAGIC:
         raise CheckpointFormatError("bad magic: not a checkpoint file")
@@ -327,6 +311,8 @@ def load_checkpoint(path) -> Model:
             )
         count = math.prod(dims)
         raw = np.frombuffer(blob, dtype="<f4", count=count, offset=offset)
+        if not np.isfinite(raw).all():
+            raise CheckpointIntegrityError(f"parameter {name} holds non-finite values")
         params[name] = raw.astype(np.float64).reshape(shape)
     return Model(config, vocab, _stack_from_params(config, params))
 

@@ -1,4 +1,5 @@
-"""Dense float64 kernels and the deterministic RNG used by every other module.
+"""The deterministic RNG used by every other module, and the float64 kernels
+(softmax, sigmoid, categorical sampling) the layers and the sampler share.
 
 Conventions: arrays are C-order (row-major) float64 ndarrays of rank <= 3,
 enough for (batch x time x features). Gradients are hand-derived in the layer
@@ -81,21 +82,6 @@ class Rng:
             raise ValueError(f"bound must be positive, got {bound}")
         return (self.next_u64() * bound) >> 64
 
-    def split(self) -> "Rng":
-        """Child generator with an independent, seed-derived stream."""
-        return Rng(self.next_u64())
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-major matrix product of two rank-2 arrays."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError(f"matmul needs rank-2 operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul inner dims differ: {a.shape} vs {b.shape}")
-    return a @ b
-
 
 def softmax(logits: np.ndarray) -> np.ndarray:
     """Probabilities along the last axis, stabilised by max subtraction."""
@@ -123,26 +109,6 @@ def sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
-def tanh(x: np.ndarray) -> np.ndarray:
-    return np.tanh(np.asarray(x, dtype=np.float64))
-
-
-def add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Elementwise sum; operands must have identical shapes (no broadcasting)."""
-    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ShapeError(f"add shapes differ: {a.shape} vs {b.shape}")
-    return a + b
-
-
-def mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Elementwise (Hadamard) product; shapes must match exactly."""
-    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ShapeError(f"mul shapes differ: {a.shape} vs {b.shape}")
-    return a * b
-
-
 def sample_categorical(probs: np.ndarray, rng: Rng) -> int:
     """Draw an index i with probability probs[i].
 
@@ -157,7 +123,7 @@ def sample_categorical(probs: np.ndarray, rng: Rng) -> int:
         bad = int(np.argmin(p))
         raise DistributionError(f"negative probability {p[bad]!r} at index {bad}")
     total = float(p.sum())
-    if abs(total - 1.0) > 1e-9:
+    if not abs(total - 1.0) <= 1e-9:  # written so that a NaN total fails too
         raise DistributionError(f"probabilities sum to {total!r}, not 1")
     cum = np.cumsum(p)
     u = rng.uniform()

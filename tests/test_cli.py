@@ -3,7 +3,7 @@ import pytest
 from charrnn.cli import main
 from charrnn.model import load_checkpoint
 from charrnn.trainer import parse_history
-from tests.test_model import write_overflowing_dims_checkpoint
+from tests.test_model import write_non_finite_checkpoint, write_overflowing_dims_checkpoint
 
 TRAIN_ARGS = [
     "--model", "lstm", "--preset", "uni", "--scale", "0.015625",  # width 16
@@ -145,6 +145,16 @@ class TestGenerateCommand:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_non_finite_checkpoint_exit_1(self, tmp_path, capsys):
+        bad = tmp_path / "nan.ckpt"
+        write_non_finite_checkpoint(bad, float("nan"))
+        code = main(["generate", "--checkpoint", str(bad), "--prime", "a",
+                     "--length", "5"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "Traceback" not in captured.err
 
 
 class TestReportCommand:

@@ -84,6 +84,17 @@ class TestGenerate:
             hot = GenerationPlan(prime_text="ad", length=30, mode="argmax")
             assert generate(model, cold) == generate(model, hot)
 
+    def test_argmax_reads_logits_not_rounded_probabilities(self):
+        # softmax rounds logits [0, 1e-17, -3] to a tie between the first two
+        config = ModelConfig(kind="gru", layer_widths=(2,), vocab_size=3, batch_size=1,
+                             embed_dim=2, dropout=0.0)
+        model = build_model(config, Vocabulary(tuple("abc")))
+        for p in model.params().values():
+            p[...] = 0.0
+        model.params()["dense.b"][:] = [0.0, 1e-17, -3.0]
+        plan = GenerationPlan(prime_text="a", length=6, mode="argmax")
+        assert generate(model, plan) == "abbbbbb"
+
     def test_unknown_prime_char(self):
         model = _gen_model()
         with pytest.raises(VocabularyError, match="'z'"):

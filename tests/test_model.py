@@ -42,6 +42,13 @@ def write_overflowing_dims_checkpoint(path) -> None:
     path.write_bytes(blob[:8] + payload + struct.pack("<I", zlib.crc32(payload)))
 
 
+def write_non_finite_checkpoint(path, value) -> None:
+    """A checkpoint with a valid CRC whose dense.b[0] is value (NaN or inf)."""
+    model = build_model(_config(), VOCAB5)
+    model.params()["dense.b"][0] = value
+    save_checkpoint(model, path)
+
+
 def _config(kind="lstm", widths=(4,), v=5, **kw):
     defaults = dict(vocab_size=v, batch_size=2, embed_dim=3, dropout=0.0,
                     seq_len=6, init_seed=9)
@@ -150,6 +157,18 @@ class TestParamCounts:
         flat = build_model(_config(widths=(4,), unit_forget_bias=False), VOCAB5)
         assert np.all(flat.params()["rnn0.b"] == 0.0)
 
+    def test_forget_gate_bias_follows_cell_class(self):
+        # the rule keys on LstmCell, so it covers both birnn directions and
+        # leaves the GRU's reset-gate slice at zero
+        birnn = build_model(_config(kind="birnn", widths=(4, 3)), VOCAB5).params()
+        for name in ("rnn0.fwd.b", "rnn0.bwd.b", "rnn1.fwd.b", "rnn1.bwd.b"):
+            h = birnn[name].size // 4
+            assert np.all(birnn[name][h : 2 * h] == 1.0), name
+            assert np.count_nonzero(birnn[name]) == h, name
+        gru = build_model(_config(kind="gru", widths=(4, 3)), VOCAB5).params()
+        assert np.all(gru["rnn0.b"] == 0.0) and np.all(gru["rnn1.b"] == 0.0)
+        assert np.all(gru["dense.b"] == 0.0)
+
 
 class TestTrainModeBatchCheck:
     def test_wrong_batch_rejected_in_train(self):
@@ -246,6 +265,14 @@ class TestCheckpoint:
         p = tmp_path / "m.ckpt"
         write_overflowing_dims_checkpoint(p)
         with pytest.raises(CheckpointFormatError, match="implausible dims"):
+            load_checkpoint(p)
+
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_parameter_is_integrity_error(self, tmp_path, value):
+        p = tmp_path / "m.ckpt"
+        write_non_finite_checkpoint(p, value)
+        with pytest.raises(CheckpointIntegrityError, match="dense.b"):
             load_checkpoint(p)
 
 
