@@ -87,4 +87,8 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    try:
+        main()
+    except cli.RUNTIME_ERRORS as exc:  # e.g. --scale 0 or a missing --corpus
+        print(f"error: {exc}", file=sys.stderr)
+        sys.exit(1)

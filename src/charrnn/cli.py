@@ -179,11 +179,15 @@ _COMMANDS = {
 }
 
 
+# Errors a command ends in on bad input: one "error:" line on stderr, exit 1
+RUNTIME_ERRORS = (CharRnnError, OSError, UnicodeDecodeError)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (CharRnnError, OSError, UnicodeDecodeError) as exc:
+    except RUNTIME_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -33,26 +33,39 @@ class Vocabulary:
 
     chars: tuple[str, ...]
     char2idx: dict[str, int] = field(init=False, repr=False, compare=False)
+    # code points in ascending order, then a sentinel above every code point,
+    # and the index of each sorted code point: the lookup tables of encode
+    _sorted_codes: np.ndarray = field(init=False, repr=False, compare=False)
+    _sorted_index: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(
             self, "char2idx", {c: i for i, c in enumerate(self.chars)}
         )
+        codes = np.array([ord(c) for c in self.chars], dtype=np.uint32)
+        order = np.argsort(codes)
+        object.__setattr__(self, "_sorted_codes",
+                           np.append(codes[order], np.uint32(0xFFFFFFFF)))
+        object.__setattr__(self, "_sorted_index", order.astype(np.int64))
 
     @property
     def size(self) -> int:
         return len(self.chars)
 
     def encode(self, text: str) -> np.ndarray:
-        """Characters to int64 indices; unknown characters are an error."""
-        out = np.empty(len(text), dtype=np.int64)
-        lookup = self.char2idx
-        for i, c in enumerate(text):
-            idx = lookup.get(c)
-            if idx is None:
-                raise VocabularyError(f"unknown character {c!r} at position {i}")
-            out[i] = idx
-        return out
+        """Characters to int64 indices; unknown characters are an error.
+
+        One binary search per character over the vocabulary's code points.
+        UTF-32 gives one code unit per character; surrogatepass lets a lone
+        surrogate (as argv can carry) through, to be reported as unknown.
+        """
+        codes = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
+        pos = np.searchsorted(self._sorted_codes, codes)
+        unknown = self._sorted_codes[pos] != codes
+        if unknown.any():
+            i = int(np.argmax(unknown))
+            raise VocabularyError(f"unknown character {text[i]!r} at position {i}")
+        return self._sorted_index[pos]
 
     def decode(self, indices) -> str:
         """Indices back to text; out-of-range indices are an error."""

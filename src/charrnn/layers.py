@@ -22,21 +22,32 @@ Only the recurrence runs inside the time loops. Forward: x W_x + b for every
 step is one GEMM before the loop, and each step adds h W_h, applies one
 sigmoid over the whole gate block, overwrites the candidate slice with tanh
 and writes the gates into the tape in place of the projection. The per-step
-gate code is shared by the scan and by step(), so sampling runs exactly the
-arithmetic training does. Backward walks the sequence in blocks of _BLOCK
-steps, last block first. Per block it first computes every factor of
-d loss / d pre-activation (da) that needs no recurrence, for all the block's
-steps at once; the loop then carries dh (and the LSTM's dc) back one step at
-a time, scales da in place, and makes the recurrent matmuls: dh = da W_h^T
-(the GRU also da_n Wh_n^T for the reset path). After the loop, dW_x, dW_h,
-db and dxs are one GEMM or reduction each over the block's B * _BLOCK rows.
-Blocking bounds the extra memory of backward to [B, _BLOCK, kH] whatever the
-sequence length.
+gate code is shared by the scan and by step(). Backward walks the sequence
+in blocks of _BLOCK steps, last block first. Per block it first computes
+every factor of d loss / d pre-activation (da) that needs no recurrence, for
+all the block's steps at once; the loop then carries dh (and the LSTM's dc)
+back one step at a time, scales da in place, and makes the recurrent
+matmuls: dh = da W_h^T (the GRU also da_n Wh_n^T for the reset path). After
+the loop, dW_x, dW_h, db and dxs are one GEMM or reduction each over the
+block's B * _BLOCK rows. Blocking bounds the extra memory of backward to
+[B, _BLOCK, kH] whatever the sequence length.
+
+The embedding is folded into layer 0. Its input is table[ids] with no dropout
+in between, so RecurrentStack.forward hands it an Embedded (the ids and the
+table) instead of gathered [B, L, E] rows. The projection is then
+P = table W_x + b, a [V, kH] GEMM, and gates = P[ids]; backward sums each
+block's da rows by id into S [V, kH] (the one-hot GEMM of
+Embedding.backward) and, after the last block, takes dW_x = table^T S,
+db as usual and d table = S W_x^T, both directions' summed for birnn. With
+V around 60 and E = 256 this replaces three B * L-row GEMMs per layer-0
+direction. P is rebuilt on every forward, as the optimizer updates table
+and W_x in place. step() still embeds and projects x as x W_x + b, so
+sampling agrees with the training forward to rounding, not bit for bit.
 
 LstmCell and GruCell share a private base, _Cell, holding what does not
 depend on the gate math: the kernels, the hoisted projection with its
 [B, L + 1, H] zero-state buffer, the backward blocks, and the per-block flush
-of da into dW_x, db and dxs. Each cell keeps its own GATES count,
+of da into dW_x, db and dxs (or S). Each cell keeps its own GATES count,
 init_state, _recur, step, and forward_seq/backward_seq: its time loop, the
 non-recurrent factors of da and its dW_h. The scan methods stay in each class
 body rather than in the base, because perfbench/tracing.py rebinds them
@@ -64,6 +75,14 @@ def _split(a: np.ndarray, parts: int) -> list[np.ndarray]:
     return [a[..., k * width : (k + 1) * width] for k in range(parts)]
 
 
+def _check_indices(indices: np.ndarray, vocab: int) -> None:
+    """Raise VocabularyError on an index outside [0, vocab); numpy indexing
+    would wrap a negative one silently."""
+    if indices.size and (indices.min() < 0 or indices.max() >= vocab):
+        bad = int(indices.reshape(-1)[np.argmax((indices < 0) | (indices >= vocab))])
+        raise VocabularyError(f"embedding index {bad} out of range [0, {vocab})")
+
+
 class Embedding:
     """Lookup table [V, E]; forward is a row gather, backward a scatter-add."""
 
@@ -71,23 +90,38 @@ class Embedding:
         self.table = table
 
     def forward(self, indices: np.ndarray) -> np.ndarray:
-        v = self.table.shape[0]
-        if indices.size and (indices.min() < 0 or indices.max() >= v):
-            bad = int(indices.reshape(-1)[
-                np.argmax((indices < 0) | (indices >= v))
-            ])
-            raise VocabularyError(f"embedding index {bad} out of range [0, {v})")
+        _check_indices(indices, self.table.shape[0])
         return self.table[indices]
 
     def backward(self, indices: np.ndarray, dout: np.ndarray) -> np.ndarray:
-        # d loss / d table[r] is the sum of upstream grads wherever row r occurs:
-        # one GEMM of the [V, B*L] one-hot matrix with dout as [B*L, E] rows
-        vocab, width = self.table.shape
-        onehot = np.arange(vocab)[:, None] == indices.reshape(1, -1)
-        return onehot.astype(np.float64) @ dout.reshape(-1, width)
+        """Sum the rows of dout [..., W] by index into [V, W].
+
+        With dout = d loss / d forward(indices) this is d loss / d table; the
+        folded layer 0 uses it to sum da by id (see _Cell._flush). It is
+        one GEMM of the [V, N] one-hot matrix with dout as [N, W] rows.
+        """
+        onehot = np.arange(self.table.shape[0])[:, None] == indices.reshape(1, -1)
+        return onehot.astype(np.float64) @ dout.reshape(-1, dout.shape[-1])
 
     def params(self):
         return {"table": self.table}
+
+
+class Embedded:
+    """Layer 0's input, table[ids] [B, L, E], held as the ids and the table.
+
+    The rows are never gathered: a cell given an Embedded projects the V-row
+    table instead of the B * L rows (see _Cell._project and _Cell._flush).
+    """
+
+    def __init__(self, embedding: Embedding, ids: np.ndarray):
+        _check_indices(ids, embedding.table.shape[0])
+        self.embedding = embedding
+        self.ids = ids
+
+    def reversed(self) -> Embedded:
+        """The same rows in reverse time order."""
+        return Embedded(self.embedding, self.ids[:, ::-1])
 
 
 class _Cell:
@@ -111,19 +145,26 @@ class _Cell:
     def params(self):
         return {"w_x": self.w_x, "w_h": self.w_h, "b": self.b}
 
-    def _project(self, xs: np.ndarray):
+    def _project(self, xs):
         """x W_x + b for every step as [B, L, kH], and a zero [B, L + 1, H] state.
 
         The projection has no recurrence, so it is one GEMM before the time
-        loop; each step turns its slice of it into its gates in place. State
-        buffers hold the zero state at index 0, so step t reads index t and
-        writes t + 1.
+        loop; each step turns its slice of it into its gates in place. For an
+        Embedded input the GEMM is table W_x + b, [V, kH], and the steps' rows
+        are gathered from it by id. State buffers hold the zero state at
+        index 0, so step t reads index t and writes t + 1.
         """
-        batch, length, width = xs.shape
-        gates = xs.reshape(batch * length, width) @ self.w_x
-        gates += self.b
-        state = np.zeros((batch, length + 1, self.hidden_size))
-        return gates.reshape(batch, length, self.w_x.shape[1]), state
+        if isinstance(xs, Embedded):
+            gates = xs.embedding.table @ self.w_x
+            gates += self.b
+            gates = gates[xs.ids]
+        else:
+            batch, length, width = xs.shape
+            gates = xs.reshape(batch * length, width) @ self.w_x
+            gates += self.b
+            gates = gates.reshape(batch, length, self.w_x.shape[1])
+        batch, length = gates.shape[:2]
+        return gates, np.zeros((batch, length + 1, self.hidden_size))
 
     def _time_blocks(self, batch: int, length: int):
         """Backward blocks covering [0, length), last first, as (t0, t1, da).
@@ -138,15 +179,34 @@ class _Cell:
             size = batch * (t1 - t0) * gates * hidden
             yield t0, t1, work[:size].reshape(batch, t1 - t0, gates, hidden)
 
-    def _flush(self, da: np.ndarray, xs: np.ndarray, t0: int, t1: int, grads, dxs):
-        """Add a finished block's dW_x and db to grads and write its dxs.
+    def _dxs_buffer(self, xs):
+        """Where _flush puts what flows back through x: dxs [B, L, D], or for
+        an Embedded input S [V, kH], the sum of da over each id's steps."""
+        if isinstance(xs, Embedded):
+            return np.zeros((xs.embedding.table.shape[0], self.w_x.shape[1]))
+        return np.empty(xs.shape)
+
+    def _flush(self, da: np.ndarray, xs, t0: int, t1: int, grads, dxs):
+        """Add a finished block's db to grads and its share of dW_x and dxs.
 
         da holds the block as [B * (t1 - t0), kH] rows; each cell adds its
-        own dW_h from the same rows.
+        own dW_h from the same rows. For an Embedded input the block's rows
+        are only summed into S by id; _finish does the rest.
         """
-        grads["w_x"] += xs[:, t0:t1].reshape(-1, xs.shape[2]).T @ da
         grads["b"] += da.sum(axis=0)
+        if isinstance(xs, Embedded):
+            dxs += xs.embedding.backward(xs.ids[:, t0:t1], da)
+            return
+        grads["w_x"] += xs[:, t0:t1].reshape(-1, xs.shape[2]).T @ da
         dxs[:, t0:t1] = (da @ self.w_x.T).reshape(xs.shape[0], t1 - t0, -1)
+
+    def _finish(self, xs, dxs, grads):
+        """dxs once every block is flushed. For an Embedded input the steps'
+        x are rows of the table, so dW_x = table^T S and d table = S W_x^T."""
+        if isinstance(xs, Embedded):
+            grads["w_x"] += xs.embedding.table.T @ dxs
+            return dxs @ self.w_x.T
+        return dxs
 
 
 class LstmCell(_Cell):
@@ -191,7 +251,7 @@ class LstmCell(_Cell):
         """
         gates, h = self._project(xs)
         c = np.zeros_like(h)
-        for t in range(xs.shape[1]):
+        for t in range(gates.shape[1]):
             self._recur(gates[:, t], h[:, t], c[:, t], c[:, t + 1], h[:, t + 1])
         tape = {"xs": xs, "gates": gates, "c": c, "h": h} if train else None
         return h[:, 1:], tape
@@ -202,7 +262,7 @@ class LstmCell(_Cell):
         batch, length, hs_n = dhs.shape
         w_h_t = self.w_h.T
         grads = {k: np.zeros_like(v) for k, v in self.params().items()}
-        dxs = np.empty(xs.shape)
+        dxs = self._dxs_buffer(xs)
         dh_next = np.zeros((batch, hs_n))
         dc_next = np.zeros((batch, hs_n))
         for t0, t1, da in self._time_blocks(batch, length):
@@ -235,7 +295,7 @@ class LstmCell(_Cell):
             da = da.reshape(-1, 4 * hs_n)
             grads["w_h"] += h_all[:, t0:t1].reshape(-1, hs_n).T @ da
             self._flush(da, xs, t0, t1, grads, dxs)
-        return dxs, grads
+        return self._finish(xs, dxs, grads), grads
 
 
 class GruCell(_Cell):
@@ -274,7 +334,7 @@ class GruCell(_Cell):
     def forward_seq(self, xs: np.ndarray, train: bool):
         """Scan from a zero state; laid out as LstmCell.forward_seq."""
         gates, h = self._project(xs)
-        for t in range(xs.shape[1]):
+        for t in range(gates.shape[1]):
             self._recur(gates[:, t], h[:, t], h[:, t + 1])
         tape = {"xs": xs, "gates": gates, "h": h} if train else None
         return h[:, 1:], tape
@@ -287,7 +347,7 @@ class GruCell(_Cell):
         w_h_n_t = self.w_h[:, 2 * hs_n :].T
         grads = {k: np.zeros_like(v) for k, v in self.params().items()}
         dw_h = grads["w_h"]
-        dxs = np.empty(xs.shape)
+        dxs = self._dxs_buffer(xs)
         dh_next = np.zeros((batch, hs_n))
         for t0, t1, da in self._time_blocks(batch, length):
             z, r, n = _split(gates[:, t0:t1], 3)
@@ -319,7 +379,7 @@ class GruCell(_Cell):
             dw_h[:, : 2 * hs_n] += h_prev.T @ da[:, : 2 * hs_n]
             dw_h[:, 2 * hs_n :] += (r.reshape(-1, hs_n) * h_prev).T @ da[:, 2 * hs_n :]
             self._flush(da, xs, t0, t1, grads, dxs)
-        return dxs, grads
+        return self._finish(xs, dxs, grads), grads
 
 
 class BidirectionalLstm:
@@ -358,9 +418,10 @@ class BidirectionalLstm:
         hb, state_b = self.bwd.step(x, state_b)
         return np.concatenate([hf, hb], axis=1), (state_f, state_b)
 
-    def forward_seq(self, xs: np.ndarray, train: bool):
+    def forward_seq(self, xs, train: bool):
+        xs_rev = xs.reversed() if isinstance(xs, Embedded) else xs[:, ::-1]
         hf, tape_f = self.fwd.forward_seq(xs, train)
-        hb_rev, tape_b = self.bwd.forward_seq(xs[:, ::-1], train)
+        hb_rev, tape_b = self.bwd.forward_seq(xs_rev, train)
         out = np.concatenate([hf, hb_rev[:, ::-1]], axis=2)
         tape = {"f": tape_f, "b": tape_b} if train else None
         return out, tape
@@ -369,7 +430,8 @@ class BidirectionalLstm:
         h = self.hidden_size
         dxs, grads_f = self.fwd.backward_seq(tape["f"], dhs[:, :, :h])
         dxs_b_rev, grads_b = self.bwd.backward_seq(tape["b"], dhs[:, ::-1, h:])
-        dxs += dxs_b_rev[:, ::-1]
+        # an Embedded input's gradient is d table, which has no time axis
+        dxs += dxs_b_rev if dxs.ndim == 2 else dxs_b_rev[:, ::-1]
         grads = {f"fwd.{k}": v for k, v in grads_f.items()}
         grads.update({f"bwd.{k}": v for k, v in grads_b.items()})
         return dxs, grads
@@ -424,7 +486,6 @@ def dropout_backward(dout: np.ndarray, mask):
 class StackTape:
     """Cached activations from one training-mode forward pass."""
 
-    indices: np.ndarray
     cell_tapes: list
     masks: list
     dense_input: np.ndarray
@@ -442,8 +503,11 @@ class RecurrentStack:
 
     def forward(self, indices: np.ndarray, train: bool = False,
                 dropout_rng: Rng | None = None):
-        """Full-sequence forward. Returns (logits [B, L, V], tape or None)."""
-        x = self.embedding.forward(indices)
+        """Full-sequence forward. Returns (logits [B, L, V], tape or None).
+
+        Layer 0 reads the ids and the table, not gathered rows (see Embedded).
+        """
+        x = Embedded(self.embedding, indices)
         cell_tapes = []
         masks = []
         for layer in self.recurrent:
@@ -454,7 +518,7 @@ class RecurrentStack:
         logits = self.dense.forward(x)
         if not train:
             return logits, None
-        return logits, StackTape(indices, cell_tapes, masks, x)
+        return logits, StackTape(cell_tapes, masks, x)
 
     def backward(self, tape: StackTape, dlogits: np.ndarray) -> dict[str, np.ndarray]:
         """Gradients for every parameter, keyed like params()."""
@@ -469,7 +533,7 @@ class RecurrentStack:
             dx, layer_grads = self.recurrent[i].backward_seq(tape.cell_tapes[i], dx)
             for k, v in layer_grads.items():
                 grads[f"rnn{i}.{k}"] = v
-        grads["embedding.table"] = self.embedding.backward(tape.indices, dx)
+        grads["embedding.table"] = dx  # layer 0 returns d table (see _Cell._finish)
         return {name: grads[name] for name in self.params()}
 
     def init_state(self, batch: int):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from charrnn.corpus import (
     CorpusPlan,
+    Vocabulary,
     build_vocab,
     load_corpus,
     make_sequences,
@@ -75,6 +76,32 @@ class TestVocabulary:
         v = build_vocab("ab")
         with pytest.raises(VocabularyError, match=r"'z' at position 2"):
             v.encode("abz")
+
+    def test_encode_empty(self):
+        out = build_vocab("ab").encode("")
+        assert out.dtype == np.int64 and out.shape == (0,)
+
+    def test_encode_non_bmp(self):
+        v = build_vocab("a\U0001F600b")
+        assert v.chars == ("a", "b", "\U0001F600")
+        assert np.array_equal(v.encode("\U0001F600ba\U0001F600"), [2, 1, 0, 2])
+        with pytest.raises(VocabularyError, match="'\U0001F642' at position 1"):
+            v.encode("a\U0001F642")
+
+    def test_encode_lone_surrogate(self):
+        # argv decoded with surrogateescape can carry one, e.g. a --prime
+        # holding invalid UTF-8; it must be an unknown character, not a
+        # UnicodeEncodeError
+        with pytest.raises(VocabularyError, match=r"'\\udcff' at position 1"):
+            build_vocab("ab").encode("a\udcffb")
+
+    def test_encode_reports_first_unknown(self):
+        v = build_vocab("abc")
+        with pytest.raises(VocabularyError, match=r"^unknown character 'x' at position 3$"):
+            v.encode("cabxyzx")
+
+    def test_encode_unsorted_vocabulary(self):
+        assert np.array_equal(Vocabulary(("b", "a")).encode("abba"), [1, 0, 0, 1])
 
     def test_decode_bad_index_position(self):
         v = build_vocab("ab")

@@ -197,11 +197,23 @@ def _same(a, b):
     return a.tobytes() == b.tobytes()
 
 
-@pytest.mark.parametrize("cls", [LstmCell, GruCell, BidirectionalLstm])
+# Every method perfbench/tracing.py rebinds through cls.__dict__
+_TRACED_METHODS = {
+    LstmCell: {"forward_seq", "backward_seq", "step"},
+    GruCell: {"forward_seq", "backward_seq", "step"},
+    BidirectionalLstm: {"forward_seq", "backward_seq", "step"},
+    Embedding: {"forward", "backward"},
+    Dense: {"forward", "backward"},
+    RecurrentStack: {"step"},
+    Vocabulary: {"encode"},
+}
+
+
+@pytest.mark.parametrize("cls", list(_TRACED_METHODS))
 def test_traced_methods_in_class_body(cls):
-    # perfbench/tracing.py rebinds these through cls.__dict__, so a method
-    # inherited from a base class breaks `perfbench/run.py --trace 1`
-    assert {"forward_seq", "backward_seq", "step"} <= set(vars(cls))
+    # a method inherited from a base class, or moved out of the class,
+    # breaks `perfbench/run.py --trace 1`
+    assert _TRACED_METHODS[cls] <= set(vars(cls))
 
 
 class TestScan:
@@ -242,6 +254,47 @@ class TestScan:
         for name, numeric in zip(names, fd):
             assert rel_err(grads[name], numeric) < 1e-4, name
         assert rel_err(dxs, fd[-1]) < 1e-4
+
+
+class TestEmbeddingFold:
+    """Layer 0 reads (table W_x + b)[ids] and returns d table; the reference
+    gathers table[ids], runs layer 0 on it as on any other layer's input and
+    scatters the input gradient with Embedding.backward."""
+
+    @pytest.mark.parametrize("kind", ["lstm", "gru", "birnn"])
+    def test_matches_unfolded_math(self, kind):
+        vocab, batch, length = 6, 3, 40  # 40 steps make two backward blocks
+        config = ModelConfig(kind=kind, layer_widths=(4, 3), vocab_size=vocab,
+                             batch_size=batch, embed_dim=5, dropout=0.0, init_seed=4)
+        stack = build_model(config, Vocabulary(tuple("abcdef"))).stack
+        for p in stack.params().values():
+            p += _rand(p.shape, scale=0.3, seed=p.size)
+        ids = np.random.default_rng(5).integers(0, vocab - 1, (batch, length))
+        assert not np.any(ids == vocab - 1)  # the last row is absent...
+        assert np.bincount(ids.reshape(-1)).max() > 1  # ...and ids repeat
+        dlogits = _rand((batch, length, vocab), seed=6)
+
+        logits, tape = stack.forward(ids, train=True)
+        grads = stack.backward(tape, dlogits)
+
+        x = stack.embedding.forward(ids)
+        tapes = []
+        for layer in stack.recurrent:
+            x, t = layer.forward_seq(x, train=True)
+            tapes.append(t)
+        ref_logits = stack.dense.forward(x)
+        dx, _ = stack.dense.backward(x, dlogits)
+        for layer, t in zip(stack.recurrent[::-1], tapes[::-1]):
+            dx, ref = layer.backward_seq(t, dx)  # ends with layer 0's grads
+        ref["table"] = stack.embedding.backward(ids, dx)
+
+        assert np.max(np.abs(logits - ref_logits)) <= 1e-12
+        names = ["table"] + [k for k in ref if k.endswith(("w_x", "b"))]
+        assert len(names) == (5 if kind == "birnn" else 3)
+        for name in names:
+            ours = grads["embedding.table" if name == "table" else f"rnn0.{name}"]
+            assert np.max(np.abs(ours - ref[name])) <= 1e-12, name
+        assert np.all(grads["embedding.table"][vocab - 1] == 0.0)
 
 
 class TestDropout:

@@ -10,6 +10,7 @@ from charrnn.exceptions import (
     CheckpointIntegrityError,
     ConfigError,
     ShapeError,
+    VocabularyError,
 )
 from charrnn.generator import GenerationPlan, generate
 from charrnn.model import (
@@ -180,6 +181,19 @@ class TestTrainModeBatchCheck:
         model = build_model(_config(), VOCAB5)
         logits, _ = model.forward(np.zeros((7, 6), dtype=np.int64))
         assert logits.shape == (7, 6, 5)
+
+
+class TestForwardIndexCheck:
+    # layer 0 gathers rows of a [V, kH] projection by id, and numpy indexing
+    # would wrap -1 to the last row without complaint
+    @pytest.mark.parametrize("bad", [-1, 5])
+    @pytest.mark.parametrize("train", [False, True])
+    def test_out_of_range_id_rejected(self, bad, train):
+        model = build_model(_config(), VOCAB5)
+        ids = np.zeros((2, 6), dtype=np.int64)
+        ids[1, 3] = bad
+        with pytest.raises(VocabularyError, match=f"index {bad} out of range"):
+            model.forward(ids, train=train, dropout_rng=Rng(0))
 
 
 class TestCheckpoint:

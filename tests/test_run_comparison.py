@@ -1,6 +1,8 @@
 import subprocess
 import sys
 
+import pytest
+
 from charrnn.cli import main
 from charrnn.model import KINDS, PRESETS
 from tests.conftest import REPO_ROOT
@@ -28,3 +30,15 @@ def test_comparison_matches_cli_train_and_report(fixture_path, tmp_path, capsys)
     capsys.readouterr()
     assert main(["report", "--history", *(str(outdir / f"{run}.csv") for run in runs)]) == 0
     assert (outdir / "report.csv").read_text(encoding="utf-8") == capsys.readouterr().out
+
+
+@pytest.mark.parametrize("args", [["--scale", "0"], ["--corpus", "missing.txt"]],
+                         ids=["scale_0", "missing_corpus"])
+def test_bad_input_is_one_error_line_and_exit_1(fixture_path, tmp_path, args):
+    run = subprocess.run(
+        [sys.executable, str(REPO_ROOT / "scripts" / "run_comparison.py"),
+         "--corpus", str(fixture_path), "--outdir", str(tmp_path / "runs"), *args],
+        capture_output=True, text=True, cwd=tmp_path,
+    )
+    assert run.returncode == 1
+    assert run.stderr.startswith("error: ") and run.stderr.count("\n") == 1, run.stderr
