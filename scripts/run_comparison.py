@@ -18,9 +18,8 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from charrnn import cli
-from charrnn.corpus import build_vocab, load_corpus
-from charrnn.model import KINDS, ModelConfig, PRESETS, preset_widths
-from charrnn.trainer import TrainPlan, train
+from charrnn.model import KINDS, PRESETS
+from charrnn.trainer import parse_history
 
 
 def parse_args():
@@ -43,46 +42,24 @@ def main():
     args = parse_args()
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    vocab = build_vocab(load_corpus(args.corpus))
-    print(f"corpus: {args.corpus} ({vocab.size} distinct characters)")
+    runs = [f"{kind}_{preset}" for kind in KINDS for preset in PRESETS]
+    for run in runs:
+        kind, preset = run.split("_")
+        print(f"== {run}")
+        # the flags carry the train subcommand's dest names and defaults
+        cli.cmd_train(argparse.Namespace(**vars(args), kind=kind, preset=preset,
+                                         out=str(outdir / f"{run}.ckpt"),
+                                         history=str(outdir / f"{run}.csv")))
 
-    # the same three derived streams as `charrnn train --seed`
-    init_seed, shuffle_seed, dropout_seed = cli._derive_seeds(args.seed)
-    results = []
-    for kind in KINDS:
-        for preset in PRESETS:
-            run = f"{kind}_{preset}"
-            config = ModelConfig(
-                kind=kind,
-                layer_widths=preset_widths(preset, args.scale),
-                vocab_size=vocab.size,
-                batch_size=args.batch_size,
-                embed_dim=args.embed_dim,
-                dropout=args.dropout,
-                seq_len=args.seq_len,
-                init_seed=init_seed,
-            )
-            plan = TrainPlan(epochs=args.epochs, lr=args.lr,
-                             shuffle_seed=shuffle_seed, dropout_seed=dropout_seed)
-            print(f"== {run}  widths={config.layer_widths}")
-            _, history = train(
-                args.corpus, config, plan,
-                ckpt_path=outdir / f"{run}.ckpt",
-                history_path=outdir / f"{run}.csv",
-                progress=lambda row: print(
-                    f"  epoch {row.epoch}  loss {row.mean_loss:.6f}"
-                    f"  ms/step {row.ms_per_step:.3f}", flush=True),
-            )
-            results.append((run, history[-1].mean_loss, history[-1].ms_per_step))
-
-    histories = [str(outdir / f"{run}.csv") for run, _, _ in results]
+    histories = [str(outdir / f"{run}.csv") for run in runs]
     if cli.main(["report", "--history", *histories, "--out", str(outdir / "report.csv")]):
         sys.exit(1)
 
     print("\nfinal epoch summary")
     print(f"{'run':<14} {'mean_loss':>12} {'ms_per_step':>12}")
-    for run, loss, ms in results:
-        print(f"{run:<14} {loss:>12.6f} {ms:>12.3f}")
+    for run, path in zip(runs, histories):
+        last = parse_history(path)[-1]
+        print(f"{run:<14} {last.mean_loss:>12.6f} {last.ms_per_step:>12.3f}")
     print(f"\nwrote {outdir}/report.csv")
 
 

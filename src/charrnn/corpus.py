@@ -3,12 +3,18 @@
 The pipeline is load -> build_vocab -> encode -> make_sequences ->
 shuffle_batches. Targets are the input stream shifted one position, so each
 window of seq_len + 1 characters yields an (input, target) pair of length
-seq_len. Annotation lines (speaker tags and the like) are ordinary text and
-pass through untouched.
+seq_len. The windows are one [n, seq_len + 1] view of the encoded stream;
+each epoch gathers its kept windows once, and every batch's inputs and
+targets are views of that gather. Annotation lines (speaker tags and the
+like) are ordinary text and pass through untouched.
+
+_write_atomic is the temp-file-and-rename writer of checkpoints and history CSVs.
 """
 
 from __future__ import annotations
 
+import os
+import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -27,26 +33,35 @@ def load_corpus(path) -> str:
     return Path(path).read_bytes().decode("utf-8")
 
 
+def _write_atomic(path, data: bytes) -> None:
+    """Write data through a temp file in the same directory and a rename, so
+    a failed write never leaves a partial file at path."""
+    path = Path(path)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as f:
+            f.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
 @dataclass(frozen=True)
 class Vocabulary:
-    """Bijective character <-> index mapping, sorted by Unicode code point."""
+    """Bijective character <-> index mapping; code points strictly increase,
+    so a character's index is its rank."""
 
     chars: tuple[str, ...]
-    char2idx: dict[str, int] = field(init=False, repr=False, compare=False)
-    # code points in ascending order, then a sentinel above every code point,
-    # and the index of each sorted code point: the lookup tables of encode
-    _sorted_codes: np.ndarray = field(init=False, repr=False, compare=False)
-    _sorted_index: np.ndarray = field(init=False, repr=False, compare=False)
+    # code points in index order, then a sentinel above every code point
+    _codes: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "char2idx", {c: i for i, c in enumerate(self.chars)}
-        )
         codes = np.array([ord(c) for c in self.chars], dtype=np.uint32)
-        order = np.argsort(codes)
-        object.__setattr__(self, "_sorted_codes",
-                           np.append(codes[order], np.uint32(0xFFFFFFFF)))
-        object.__setattr__(self, "_sorted_index", order.astype(np.int64))
+        if np.any(codes[1:] <= codes[:-1]):
+            raise VocabularyError("vocabulary is not sorted and unique")
+        object.__setattr__(self, "_codes", np.append(codes, np.uint32(0xFFFFFFFF)))
 
     @property
     def size(self) -> int:
@@ -60,12 +75,12 @@ class Vocabulary:
         surrogate (as argv can carry) through, to be reported as unknown.
         """
         codes = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
-        pos = np.searchsorted(self._sorted_codes, codes)
-        unknown = self._sorted_codes[pos] != codes
+        pos = np.searchsorted(self._codes, codes)
+        unknown = self._codes[pos] != codes
         if unknown.any():
             i = int(np.argmax(unknown))
             raise VocabularyError(f"unknown character {text[i]!r} at position {i}")
-        return self._sorted_index[pos]
+        return pos
 
     def decode(self, indices) -> str:
         """Indices back to text; out-of-range indices are an error."""
@@ -110,11 +125,12 @@ class SequenceBatch:
     targets: np.ndarray
 
 
-def make_sequences(indices: np.ndarray, plan: CorpusPlan) -> list[tuple[np.ndarray, np.ndarray]]:
+def make_sequences(indices: np.ndarray, plan: CorpusPlan) -> np.ndarray:
     """Cut the index stream into consecutive non-overlapping windows.
 
-    Each chunk of seq_len + 1 indices yields input = chunk[:-1] and
-    target = chunk[1:]; a trailing chunk shorter than seq_len + 1 is dropped.
+    Returns an [n, seq_len + 1] view of the stream: row k is chunk k, whose
+    input is row[:-1] and target row[1:]. A trailing chunk shorter than
+    seq_len + 1 is dropped.
     """
     indices = np.asarray(indices, dtype=np.int64)
     window = plan.seq_len + 1
@@ -124,35 +140,27 @@ def make_sequences(indices: np.ndarray, plan: CorpusPlan) -> list[tuple[np.ndarr
             f"{window} (seq_len + 1) are required"
         )
     n_chunks = indices.size // window
-    pairs = []
-    for k in range(n_chunks):
-        chunk = indices[k * window : (k + 1) * window]
-        pairs.append((chunk[:-1].copy(), chunk[1:].copy()))
-    return pairs
+    return indices[: n_chunks * window].reshape(n_chunks, window)
 
 
-def shuffle_batches(pairs, plan: CorpusPlan, rng: Rng) -> list[SequenceBatch]:
-    """Seeded Fisher-Yates permutation, then grouping into full batches.
+def shuffle_batches(windows: np.ndarray, plan: CorpusPlan, rng: Rng) -> list[SequenceBatch]:
+    """Seeded Fisher-Yates permutation of the windows, then grouping into
+    full batches.
 
     The final partial batch is dropped so every batch has fixed dimensions.
+    The kept windows are gathered once; each batch's inputs and targets are
+    views of that gather.
     """
-    order = list(range(len(pairs)))
-    for i in range(len(order) - 1, 0, -1):
+    n = len(windows)
+    order = list(range(n))
+    for i in range(n - 1, 0, -1):
         j = rng.randint(i + 1)
         order[i], order[j] = order[j], order[i]
-    n_batches = len(pairs) // plan.batch_size
+    size = plan.batch_size
+    n_batches = n // size
     if n_batches == 0:
-        raise CorpusError(
-            f"{len(pairs)} sequence pairs cannot fill a single batch of "
-            f"{plan.batch_size}"
-        )
-    batches = []
-    for b in range(n_batches):
-        chosen = order[b * plan.batch_size : (b + 1) * plan.batch_size]
-        batches.append(
-            SequenceBatch(
-                inputs=np.stack([pairs[i][0] for i in chosen]),
-                targets=np.stack([pairs[i][1] for i in chosen]),
-            )
-        )
-    return batches
+        raise CorpusError(f"{n} sequence pairs cannot fill a single batch of {size}")
+    rows = windows[order[: n_batches * size]]
+    return [SequenceBatch(inputs=rows[b * size : (b + 1) * size, :-1],
+                          targets=rows[b * size : (b + 1) * size, 1:])
+            for b in range(n_batches)]

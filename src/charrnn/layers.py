@@ -536,7 +536,7 @@ class RecurrentStack:
         grads["embedding.table"] = dx  # layer 0 returns d table (see _Cell._finish)
         return {name: grads[name] for name in self.params()}
 
-    def init_state(self, batch: int):
+    def init_state(self, batch: int = 1):
         return [layer.init_state(batch) for layer in self.recurrent]
 
     def step(self, indices: np.ndarray, state):

@@ -1,5 +1,9 @@
 """Model assembly, parameter bookkeeping, and checkpoint serialization.
 
+A Model is the layers.RecurrentStack its config describes, assembled from the
+kind table, plus its config and vocabulary; it adds only the training-mode
+batch-size check to the stack's forward.
+
 Parameter order is canonical and derived from the config alone: embedding
 table, then per recurrent layer its input kernel, recurrent kernel and bias
 (forward direction then backward direction for the bidirectional kind), then
@@ -34,21 +38,20 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-import os
 import struct
-import tempfile
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .corpus import Vocabulary
+from .corpus import Vocabulary, _write_atomic
 from .exceptions import (
     CheckpointFormatError,
     CheckpointIntegrityError,
     ConfigError,
     ShapeError,
+    VocabularyError,
 )
 from .layers import BidirectionalLstm, Dense, Embedding, GruCell, LstmCell, RecurrentStack
 from .numerics import Rng
@@ -147,28 +150,20 @@ def _init_params(config: ModelConfig) -> dict[str, np.ndarray]:
     return params
 
 
-def _stack_from_params(config: ModelConfig, params: dict[str, np.ndarray]) -> RecurrentStack:
-    embedding = Embedding(params["embedding.table"])
-    cell, directions = _KIND_TABLE[config.kind]
-    layers = []
-    for i in range(len(config.layer_widths)):
-        cells = [cell(*(params[f"rnn{i}.{prefix}{k}"] for k in ("w_x", "w_h", "b")))
-                 for prefix in directions]
-        layers.append(BidirectionalLstm(*cells) if len(cells) == 2 else cells[0])
-    dense = Dense(params["dense.w"], params["dense.b"])
-    return RecurrentStack(embedding, layers, config.dropout, dense)
+class Model(RecurrentStack):
+    """The recurrent stack a config describes, plus its vocabulary."""
 
-
-class Model:
-    """A configured stack plus its vocabulary."""
-
-    def __init__(self, config: ModelConfig, vocab: Vocabulary, stack: RecurrentStack):
+    def __init__(self, config: ModelConfig, vocab: Vocabulary, params: dict[str, np.ndarray]):
+        cell, directions = _KIND_TABLE[config.kind]
+        layers = []
+        for i in range(len(config.layer_widths)):
+            cells = [cell(*(params[f"rnn{i}.{prefix}{k}"] for k in ("w_x", "w_h", "b")))
+                     for prefix in directions]
+            layers.append(BidirectionalLstm(*cells) if len(cells) == 2 else cells[0])
+        super().__init__(Embedding(params["embedding.table"]), layers, config.dropout,
+                         Dense(params["dense.w"], params["dense.b"]))
         self.config = config
         self.vocab = vocab
-        self.stack = stack
-
-    def params(self) -> dict[str, np.ndarray]:
-        return self.stack.params()
 
     def param_count(self) -> int:
         return sum(p.size for p in self.params().values())
@@ -180,16 +175,7 @@ class Model:
                 f"training batch is {indices.shape[0]} rows but the model is "
                 f"configured for {self.config.batch_size}"
             )
-        return self.stack.forward(indices, train=train, dropout_rng=dropout_rng)
-
-    def backward(self, tape, dlogits: np.ndarray) -> dict[str, np.ndarray]:
-        return self.stack.backward(tape, dlogits)
-
-    def init_state(self, batch: int = 1):
-        return self.stack.init_state(batch)
-
-    def step(self, indices: np.ndarray, state):
-        return self.stack.step(indices, state)
+        return super().forward(indices, train=train, dropout_rng=dropout_rng)
 
 
 def build_model(config: ModelConfig, vocab: Vocabulary) -> Model:
@@ -198,7 +184,7 @@ def build_model(config: ModelConfig, vocab: Vocabulary) -> Model:
             f"config.vocab_size is {config.vocab_size} but the vocabulary has "
             f"{vocab.size} characters"
         )
-    return Model(config, vocab, _stack_from_params(config, _init_params(config)))
+    return Model(config, vocab, _init_params(config))
 
 
 def _header_bytes(config: ModelConfig, vocab: Vocabulary) -> bytes:
@@ -221,16 +207,7 @@ def save_checkpoint(model: Model, path) -> None:
     blob = _MAGIC + struct.pack("<I", _VERSION) + payload + struct.pack(
         "<I", zlib.crc32(payload)
     )
-    path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent or ".", prefix=path.name, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as f:
-            f.write(blob)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    _write_atomic(path, blob)
 
 
 def _scan_structure(blob: bytes) -> list[tuple[int, tuple[int, ...]]]:
@@ -288,12 +265,11 @@ def load_checkpoint(path) -> Model:
     try:
         header = json.loads(blob[12 : 12 + header_len].decode("utf-8"))
         config = ModelConfig(**header["config"])
-        codes = header["vocab"]
-        vocab = Vocabulary(tuple(chr(c) for c in codes))
-    except (ValueError, KeyError, TypeError) as exc:
+        vocab = Vocabulary(tuple(chr(c) for c in header["vocab"]))
+    except (ValueError, KeyError, TypeError, OverflowError) as exc:
         raise CheckpointFormatError(f"malformed header: {exc}") from exc
-    if list(vocab.chars) != sorted(vocab.chars) or len(set(codes)) != len(codes):
-        raise CheckpointIntegrityError("vocabulary is not sorted and unique")
+    except VocabularyError as exc:  # not sorted and unique
+        raise CheckpointIntegrityError(str(exc)) from exc
     if vocab.size != config.vocab_size:
         raise CheckpointIntegrityError(
             f"header vocab has {vocab.size} characters, config says {config.vocab_size}"
@@ -314,7 +290,7 @@ def load_checkpoint(path) -> Model:
         if not np.isfinite(raw).all():
             raise CheckpointIntegrityError(f"parameter {name} holds non-finite values")
         params[name] = raw.astype(np.float64).reshape(shape)
-    return Model(config, vocab, _stack_from_params(config, params))
+    return Model(config, vocab, params)
 
 
 def rebuild_for_generation(model: Model) -> Model:
@@ -324,4 +300,4 @@ def rebuild_for_generation(model: Model) -> Model:
     """
     config = dataclasses.replace(model.config, batch_size=1)
     params = {name: p.copy() for name, p in model.params().items()}
-    return Model(config, model.vocab, _stack_from_params(config, params))
+    return Model(config, model.vocab, params)

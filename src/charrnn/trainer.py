@@ -1,6 +1,6 @@
 """Epoch loop, metrics recording, and history CSV export.
 
-Each epoch reshuffles the sequence pairs with shuffle_seed + epoch, then for
+Each epoch reshuffles the sequence windows with shuffle_seed + epoch, then for
 every batch runs forward, loss, backward, global-norm clipping, and one
 RMSprop step. Wall time per step is the monotonic clock around that compute
 (data preparation excluded), averaged per epoch and reported in milliseconds.
@@ -10,16 +10,20 @@ from __future__ import annotations
 
 import csv
 import math
-import os
-import tempfile
 import time
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
-from .corpus import CorpusPlan, build_vocab, load_corpus, make_sequences, shuffle_batches
+from .corpus import (
+    CorpusPlan,
+    _write_atomic,
+    build_vocab,
+    load_corpus,
+    make_sequences,
+    shuffle_batches,
+)
 from .exceptions import ConfigError, HistoryFormatError, TrainingError
 from .model import Model, ModelConfig, build_model, save_checkpoint
 from .numerics import Rng
@@ -41,6 +45,9 @@ class TrainPlan:
             raise ConfigError(f"lr must be positive, got {self.lr}")
         if self.clip_norm <= 0:
             raise ConfigError(f"clip_norm must be positive, got {self.clip_norm}")
+
+
+_HISTORY_HEADER = ["epoch", "mean_loss", "ms_per_step"]
 
 
 @dataclass(frozen=True)
@@ -104,15 +111,15 @@ def train(corpus_path, config: ModelConfig, plan: TrainPlan,
             f"corpus has {vocab.size} distinct characters but config.vocab_size "
             f"is {config.vocab_size}"
         )
-    pairs = make_sequences(vocab.encode(text),
-                           CorpusPlan(config.seq_len, config.batch_size, plan.shuffle_seed))
+    windows = make_sequences(vocab.encode(text),
+                             CorpusPlan(config.seq_len, config.batch_size, plan.shuffle_seed))
     model = build_model(config, vocab)
     opt_state = RmspropState.for_params(model.params(), alpha=plan.lr)
     dropout_rng = Rng(plan.dropout_seed)
     history: list[HistoryRow] = []
     for epoch in range(1, plan.epochs + 1):
         cplan = CorpusPlan(config.seq_len, config.batch_size, plan.shuffle_seed + epoch)
-        batches = shuffle_batches(pairs, cplan, Rng(cplan.shuffle_seed))
+        batches = shuffle_batches(windows, cplan, Rng(cplan.shuffle_seed))
         mean_loss, ms_per_step = train_epoch(model, batches, plan, opt_state, dropout_rng)
         row = HistoryRow(epoch=epoch, mean_loss=mean_loss, ms_per_step=ms_per_step)
         history.append(row)
@@ -138,35 +145,36 @@ def export_history(history: list[HistoryRow], path) -> None:
         if row.epoch <= last:
             raise TrainingError(f"history epochs not strictly increasing at {row.epoch}")
         last = row.epoch
-    path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as f:
-            f.write("epoch,mean_loss,ms_per_step\n")
-            for row in history:
-                f.write(f"{row.epoch},{row.mean_loss!r},{row.ms_per_step!r}\n")
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    lines = [",".join(_HISTORY_HEADER)]
+    lines += [f"{row.epoch},{row.mean_loss!r},{row.ms_per_step!r}" for row in history]
+    _write_atomic(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
 def parse_history(path) -> list[HistoryRow]:
-    """Inverse of export_history; raises HistoryFormatError with a line number."""
-    rows = []
+    """Inverse of export_history; raises HistoryFormatError with a line number.
+
+    Accepts only what export_history writes: three fields per row and epochs
+    that strictly increase from 1.
+    """
+    rows: list[HistoryRow] = []
     with open(path, encoding="utf-8", newline="") as f:
         reader = csv.reader(f)
-        header = next(reader, None)
-        if header != ["epoch", "mean_loss", "ms_per_step"]:
-            raise HistoryFormatError(f"{path}: line 1: bad header {header!r}")
-        for lineno, rec in enumerate(reader, start=2):
-            if not rec:
-                continue
-            try:
-                rows.append(HistoryRow(int(rec[0]), float(rec[1]), float(rec[2])))
-            except (ValueError, IndexError) as exc:
-                raise HistoryFormatError(f"{path}: line {lineno}: {exc}") from exc
+        try:
+            header = next(reader, None)
+            if header != _HISTORY_HEADER:
+                raise HistoryFormatError(f"{path}: line 1: bad header {header!r}")
+            for rec in reader:
+                if not rec:
+                    continue
+                if len(rec) != 3:
+                    raise ValueError(f"expected 3 fields, got {len(rec)}")
+                row = HistoryRow(int(rec[0]), float(rec[1]), float(rec[2]))
+                last = rows[-1].epoch if rows else 0
+                if row.epoch <= last:
+                    raise ValueError(f"epoch {row.epoch} does not follow epoch {last}")
+                rows.append(row)
+        except (ValueError, csv.Error) as exc:  # csv.Error: e.g. a field over the size limit
+            raise HistoryFormatError(f"{path}: line {reader.line_num}: {exc}") from exc
     if not rows:
         raise HistoryFormatError(f"{path}: no data rows")
     return rows

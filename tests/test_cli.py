@@ -194,6 +194,21 @@ class TestReportCommand:
         assert code == 1
         assert "line 3" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("body", [
+        "1,0.5,1.0\n2," + "9" * 131_073 + ",1.0\n",
+        "1,0.5,1.0\n2,0.4,1.0,7\n",
+        "1,0.5,1.0\n1,0.4,1.0\n",
+    ], ids=["long_field", "fourth_field", "repeated_epoch"])
+    def test_bad_history_is_one_error_line(self, tmp_path, capsys, body):
+        p = tmp_path / "bad.csv"
+        p.write_text("epoch,mean_loss,ms_per_step\n" + body)
+        code = main(["report", "--history", str(p)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "line 3" in captured.err
+
     def test_out_file(self, tmp_path, capsys):
         p = self._history(tmp_path, "r", 1)
         target = tmp_path / "merged.csv"

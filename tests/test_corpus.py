@@ -16,6 +16,9 @@ from charrnn.corpus import (
 from charrnn.exceptions import ConfigError, CorpusError, VocabularyError
 from charrnn.numerics import Rng
 
+# shuffle_batches' row order for 11 windows, batch size 3, Rng(9)
+ORDER_11_RNG9 = [8, 9, 5, 4, 3, 0, 1, 6, 2]
+
 
 class TestLoadCorpus:
     def test_plain_text(self, tmp_path):
@@ -52,7 +55,8 @@ class TestVocabulary:
     def test_sorted_assignment(self):
         v = build_vocab("abcab")
         assert v.size == 3
-        assert v.char2idx == {"a": 0, "b": 1, "c": 2}
+        assert v.encode("abc").tolist() == [0, 1, 2]
+        assert v.decode([0, 1, 2]) == "abc"
 
     def test_single_char(self):
         assert build_vocab("aaaa").size == 1
@@ -100,8 +104,11 @@ class TestVocabulary:
         with pytest.raises(VocabularyError, match=r"^unknown character 'x' at position 3$"):
             v.encode("cabxyzx")
 
-    def test_encode_unsorted_vocabulary(self):
-        assert np.array_equal(Vocabulary(("b", "a")).encode("abba"), [1, 0, 0, 1])
+    @pytest.mark.parametrize("chars", [("b", "a"), ("a", "a"), ("a", "c", "b")],
+                             ids=["unsorted", "duplicate", "unsorted_tail"])
+    def test_unsorted_or_duplicate_rejected(self, chars):
+        with pytest.raises(VocabularyError, match="^vocabulary is not sorted and unique$"):
+            Vocabulary(chars)
 
     def test_decode_bad_index_position(self):
         v = build_vocab("ab")
@@ -113,7 +120,7 @@ class TestVocabulary:
     def test_bijection_and_roundtrip(self, text):
         v = build_vocab(text)
         assert list(v.chars) == sorted(set(text))
-        assert all(v.chars[v.char2idx[c]] == c for c in v.chars)
+        assert v.encode("".join(v.chars)).tolist() == list(range(v.size))
         assert v.decode(v.encode(text)) == text
 
     def test_roundtrip_on_fixture(self, fixture_text, fixture_vocab):
@@ -124,14 +131,20 @@ class TestMakeSequences:
     def test_hand_enumeration(self):
         # "abcdefg" over {a..g}, L=3: one chunk "abcd", remainder dropped
         idx = np.arange(7)
-        pairs = make_sequences(idx, CorpusPlan(seq_len=3, batch_size=1))
-        assert len(pairs) == 1
-        assert np.array_equal(pairs[0][0], [0, 1, 2])
-        assert np.array_equal(pairs[0][1], [1, 2, 3])
+        windows = make_sequences(idx, CorpusPlan(seq_len=3, batch_size=1))
+        assert len(windows) == 1
+        assert np.array_equal(windows[0, :-1], [0, 1, 2])
+        assert np.array_equal(windows[0, 1:], [1, 2, 3])
 
     def test_exact_boundary(self):
-        pairs = make_sequences(np.arange(4), CorpusPlan(seq_len=3, batch_size=1))
-        assert len(pairs) == 1
+        windows = make_sequences(np.arange(4), CorpusPlan(seq_len=3, batch_size=1))
+        assert len(windows) == 1
+
+    def test_windows_view_the_stream(self):
+        idx = np.arange(11, dtype=np.int64)
+        windows = make_sequences(idx, CorpusPlan(seq_len=2, batch_size=1))
+        assert windows.shape == (3, 3)
+        assert np.shares_memory(windows, idx)
 
     def test_too_short(self):
         with pytest.raises(CorpusError, match="4"):
@@ -141,9 +154,9 @@ class TestMakeSequences:
     @settings(max_examples=100)
     def test_shift_relation(self, seq_len, n):
         idx = np.arange(n) % 7
-        pairs = make_sequences(idx, CorpusPlan(seq_len=seq_len, batch_size=1))
-        assert len(pairs) == n // (seq_len + 1)
-        for inp, tgt in pairs:
+        windows = make_sequences(idx, CorpusPlan(seq_len=seq_len, batch_size=1))
+        assert len(windows) == n // (seq_len + 1)
+        for inp, tgt in zip(windows[:, :-1], windows[:, 1:]):
             assert np.array_equal(tgt[:-1], inp[1:])
 
     def test_plan_validation(self):
@@ -154,33 +167,50 @@ class TestMakeSequences:
 
 
 class TestShuffleBatches:
-    def _pairs(self, n, length=4):
-        return [(np.full(length, i), np.full(length, i + 1)) for i in range(n)]
+    def _windows(self, n, length=4):
+        # window i is all i: its input row is all i
+        return np.repeat(np.arange(n)[:, None], length + 1, axis=1)
 
     def test_counts(self):
         plan = CorpusPlan(seq_len=4, batch_size=4)
-        batches = shuffle_batches(self._pairs(10), plan, Rng(0))
+        batches = shuffle_batches(self._windows(10), plan, Rng(0))
         assert len(batches) == 2
         assert all(b.inputs.shape == (4, 4) for b in batches)
 
     def test_seeded_determinism(self):
         plan = CorpusPlan(seq_len=4, batch_size=3)
-        a = shuffle_batches(self._pairs(11), plan, Rng(9))
-        b = shuffle_batches(self._pairs(11), plan, Rng(9))
+        a = shuffle_batches(self._windows(11), plan, Rng(9))
+        b = shuffle_batches(self._windows(11), plan, Rng(9))
         assert all(np.array_equal(x.inputs, y.inputs) for x, y in zip(a, b))
 
     def test_retained_multiset_is_subset(self):
         plan = CorpusPlan(seq_len=4, batch_size=4)
-        pairs = self._pairs(10)
-        batches = shuffle_batches(pairs, plan, Rng(1))
+        windows = self._windows(10)
+        batches = shuffle_batches(windows, plan, Rng(1))
         retained = Counter(
             int(row[0]) for b in batches for row in b.inputs
         )
-        original = Counter(int(p[0][0]) for p in pairs)
+        original = Counter(int(w[0]) for w in windows)
         assert all(retained[k] <= original[k] for k in retained)
         assert sum(retained.values()) == (10 // 4) * 4
 
     def test_zero_batches_rejected(self):
         plan = CorpusPlan(seq_len=4, batch_size=64)
         with pytest.raises(CorpusError):
-            shuffle_batches(self._pairs(3), plan, Rng(0))
+            shuffle_batches(self._windows(3), plan, Rng(0))
+
+    def test_targets_shift_inputs_within_one_gather(self):
+        windows = make_sequences(np.arange(50) % 7, CorpusPlan(seq_len=4, batch_size=3))
+        batches = shuffle_batches(windows, CorpusPlan(seq_len=4, batch_size=3), Rng(2))
+        assert len(batches) == 3
+        rows = batches[0].inputs.base  # the 9 kept windows, gathered once
+        assert rows.shape == (9, 5) and not np.shares_memory(rows, windows)
+        for b in batches:
+            assert b.inputs.shape == b.targets.shape == (3, 4)
+            assert np.array_equal(b.targets[:, :-1], b.inputs[:, 1:])
+            assert b.inputs.base is b.targets.base is rows
+
+    def test_fisher_yates_order(self):
+        # the permutation the seeded Rng draws; any change reorders training
+        batches = shuffle_batches(self._windows(11), CorpusPlan(seq_len=4, batch_size=3), Rng(9))
+        assert [int(row[0]) for b in batches for row in b.inputs] == ORDER_11_RNG9

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from charrnn import cli, corpus, generator, layers, model, numerics, objective, trainer
 from charrnn.corpus import Vocabulary
 from charrnn.exceptions import ConfigError, VocabularyError
 from charrnn.layers import (
@@ -216,6 +217,27 @@ def test_traced_methods_in_class_body(cls):
     assert _TRACED_METHODS[cls] <= set(vars(cls))
 
 
+# Every module-level function perfbench/tracing.py rebinds by name
+_TRACED_FUNCTIONS = [
+    (numerics, "sigmoid"), (numerics, "softmax"), (numerics, "sample_categorical"),
+    (layers, "dropout_forward"), (layers, "dropout_backward"),
+    (objective, "ce_loss"), (objective, "ce_grad"), (objective, "rmsprop_step"),
+    (trainer, "clip_global_norm"), (trainer, "train_epoch"),
+    (corpus, "load_corpus"), (corpus, "build_vocab"),
+    (corpus, "make_sequences"), (corpus, "shuffle_batches"),
+    (model, "build_model"), (model, "save_checkpoint"), (model, "load_checkpoint"),
+    (model, "rebuild_for_generation"), (generator, "generate"), (cli, "main"),
+]
+
+
+@pytest.mark.parametrize("module, name", _TRACED_FUNCTIONS,
+                         ids=[f"{m.__name__.split('.')[-1]}.{n}" for m, n in _TRACED_FUNCTIONS])
+def test_traced_functions_in_module(module, name):
+    # a renamed or moved function breaks `perfbench/run.py --trace 1`
+    fn = vars(module).get(name)
+    assert callable(fn) and fn.__module__ == module.__name__
+
+
 class TestScan:
     @pytest.mark.parametrize("kind", ["lstm", "gru", "birnn"])
     def test_step_unroll_matches_forward_seq(self, kind):
@@ -266,7 +288,7 @@ class TestEmbeddingFold:
         vocab, batch, length = 6, 3, 40  # 40 steps make two backward blocks
         config = ModelConfig(kind=kind, layer_widths=(4, 3), vocab_size=vocab,
                              batch_size=batch, embed_dim=5, dropout=0.0, init_seed=4)
-        stack = build_model(config, Vocabulary(tuple("abcdef"))).stack
+        stack = build_model(config, Vocabulary(tuple("abcdef")))
         for p in stack.params().values():
             p += _rand(p.shape, scale=0.3, seed=p.size)
         ids = np.random.default_rng(5).integers(0, vocab - 1, (batch, length))
@@ -368,7 +390,9 @@ def _tiny_stack(kind="lstm", vocab=2, embed=2, hidden=1, zero=True):
         return RecurrentStack(emb, [cell], 0.0, dense)
     config = ModelConfig(kind=kind, layer_widths=(hidden,), vocab_size=vocab,
                          batch_size=1, embed_dim=embed, dropout=0.0)
-    return build_model(config, Vocabulary(tuple("abcdefgh"[:vocab]))).stack
+    m = build_model(config, Vocabulary(tuple("abcdefgh"[:vocab])))
+    # the bare stack: TestStack trains on batches of any size, which Model rejects
+    return RecurrentStack(m.embedding, m.recurrent, m.dropout_rate, m.dense)
 
 
 class TestStack:

@@ -1,11 +1,15 @@
+import json
 import struct
 import zlib
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from charrnn.corpus import Vocabulary, build_vocab
 from charrnn.exceptions import (
+    CharRnnError,
     CheckpointFormatError,
     CheckpointIntegrityError,
     ConfigError,
@@ -288,6 +292,95 @@ class TestCheckpoint:
         write_non_finite_checkpoint(p, value)
         with pytest.raises(CheckpointIntegrityError, match="dense.b"):
             load_checkpoint(p)
+
+    def test_unsorted_vocab_is_integrity_error(self, tmp_path):
+        p = tmp_path / "m.ckpt"
+        save_checkpoint(build_model(_config(), VOCAB5), p)
+        header = _header(p.read_bytes())
+        header["vocab"][:2] = header["vocab"][1::-1]  # "bacde"
+        p.write_bytes(_with_header(p.read_bytes(), header))
+        with pytest.raises(CheckpointIntegrityError, match="not sorted and unique"):
+            load_checkpoint(p)
+
+
+def _recrc(blob: bytes) -> bytes:
+    """The blob with its trailing CRC-32 recomputed over the payload."""
+    return blob[:-4] + struct.pack("<I", zlib.crc32(blob[8:-4]))
+
+
+def _header(blob: bytes) -> dict:
+    (header_len,) = struct.unpack_from("<I", blob, 8)
+    return json.loads(blob[12 : 12 + header_len])
+
+
+def _with_header(blob: bytes, header: dict) -> bytes:
+    """The blob with its header replaced (length field and CRC recomputed)."""
+    (header_len,) = struct.unpack_from("<I", blob, 8)
+    text = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    return _recrc(blob[:8] + struct.pack("<I", len(text)) + text + blob[12 + header_len :])
+
+
+_BYTE_EDITS = st.one_of(
+    st.tuples(st.just("mutate"), st.lists(st.tuples(st.integers(0, 1 << 20),
+                                                    st.integers(0, 255)), min_size=1, max_size=4)),
+    st.tuples(st.just("truncate"), st.integers(0, 1 << 20)),
+    st.tuples(st.just("insert"), st.tuples(st.integers(0, 1 << 20), st.binary(min_size=1, max_size=16))),
+)
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3), max_leaves=4,
+)
+
+
+def _apply(blob: bytes, edit) -> bytes:
+    kind, arg = edit
+    if kind == "mutate":
+        out = bytearray(blob)
+        for pos, value in arg:
+            out[pos % len(out)] = value
+        return bytes(out)
+    if kind == "truncate":
+        return blob[: arg % len(blob)]
+    pos, data = arg
+    pos %= len(blob) + 1
+    return blob[:pos] + data + blob[pos:]
+
+
+class TestCheckpointFuzz:
+    """Whatever the bytes, load_checkpoint either loads or raises a CharRnnError."""
+
+    @pytest.fixture(scope="class")
+    def blob(self, tmp_path_factory):
+        p = tmp_path_factory.mktemp("fuzz") / "m.ckpt"
+        save_checkpoint(build_model(_config(kind="birnn", widths=(3, 2)), VOCAB5), p)
+        return p.read_bytes()
+
+    @staticmethod
+    def _load(tmp_path_factory, blob: bytes) -> None:
+        p = tmp_path_factory.getbasetemp() / "fuzzed.ckpt"
+        p.write_bytes(blob)
+        try:
+            load_checkpoint(p)
+        except CharRnnError:
+            pass
+
+    @settings(max_examples=400, deadline=None)
+    @given(edit=_BYTE_EDITS, recrc=st.booleans())
+    def test_byte_edits(self, tmp_path_factory, blob, edit, recrc):
+        edited = _apply(blob, edit)
+        self._load(tmp_path_factory, _recrc(edited) if recrc and len(edited) >= 12 else edited)
+
+    @settings(max_examples=300, deadline=None)
+    @given(key=st.sampled_from(["vocab", *(f"config.{k}" for k in ModelConfig.__dataclass_fields__)]),
+           value=_JSON_VALUES)
+    @example(key="config.layer_widths", value=[float("inf")])  # int(inf) overflows
+    def test_header_edits(self, tmp_path_factory, blob, key, value):
+        header = _header(blob)
+        if key == "vocab":
+            header["vocab"] = value
+        else:
+            header["config"][key.split(".", 1)[1]] = value
+        self._load(tmp_path_factory, _with_header(blob, header))
 
 
 class TestRebuildForGeneration:

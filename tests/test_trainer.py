@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from charrnn.corpus import CorpusPlan, SequenceBatch, make_sequences, shuffle_batches
 from charrnn.exceptions import ConfigError, HistoryFormatError, TrainingError
@@ -191,6 +193,30 @@ class TestHistoryCsv:
         p.write_text("epoch,mean_loss,ms_per_step\n1,0.5,2.0\nx,y,z\n")
         with pytest.raises(HistoryFormatError, match="line 3"):
             parse_history(p)
+
+    @pytest.mark.parametrize("body, match", [
+        ("1,0.5,2.0\n2," + "9" * 131_073 + ",2.0\n", "line 3: field larger than field limit"),
+        ("1,0.5,2.0\n2,0.4,2.0,7\n", "line 3: expected 3 fields, got 4"),
+        ("1,0.5,2.0\n3,0.4,2.0\n3,0.3,2.0\n", "line 4: epoch 3 does not follow epoch 3"),
+        ("0,0.5,2.0\n", "line 2: epoch 0 does not follow epoch 0"),
+    ], ids=["long_field", "fourth_field", "repeated_epoch", "epoch_0"])
+    def test_parse_rejects_what_export_never_writes(self, tmp_path, body, match):
+        p = tmp_path / "h.csv"
+        p.write_text("epoch,mean_loss,ms_per_step\n" + body)
+        with pytest.raises(HistoryFormatError, match=match):
+            parse_history(p)
+
+    @given(st.one_of(st.text(), st.text("0123456789.,-+e\n\r\"naif ")
+                     .map(lambda body: "epoch,mean_loss,ms_per_step\n" + body)))
+    @settings(max_examples=300, deadline=None)
+    def test_parse_arbitrary_text_raises_only_history_format_error(self, tmp_path_factory, text):
+        p = tmp_path_factory.getbasetemp() / "fuzzed.csv"
+        p.write_text(text, encoding="utf-8", newline="")
+        try:
+            rows = parse_history(p)
+        except HistoryFormatError:
+            return
+        assert rows and all(b.epoch > a.epoch >= 1 for a, b in zip(rows, rows[1:]))
 
     def test_export_failure_leaves_no_file(self, tmp_path):
         target = tmp_path / "missing_dir" / "h.csv"
