@@ -16,6 +16,7 @@ the lowest index) and makes temperature irrelevant.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,15 +42,15 @@ class GenerationPlan:
             raise ConfigError("prime_text must be non-empty")
         if self.length < 0:
             raise ConfigError(f"length must be >= 0, got {self.length}")
-        if self.temperature <= 0.0:
-            raise ConfigError(f"temperature must be > 0, got {self.temperature}")
+        if not 0.0 < self.temperature < math.inf:
+            raise ConfigError(f"temperature must be finite and > 0, got {self.temperature}")
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
 
 
 def apply_temperature(logits: np.ndarray, temperature: float) -> np.ndarray:
-    if temperature <= 0.0:
-        raise ConfigError(f"temperature must be > 0, got {temperature}")
+    if not 0.0 < temperature < math.inf:
+        raise ConfigError(f"temperature must be finite and > 0, got {temperature}")
     return logits / temperature
 
 

@@ -44,14 +44,16 @@ direction. P is rebuilt on every forward, as the optimizer updates table
 and W_x in place. step() still embeds and projects x as x W_x + b, so
 sampling agrees with the training forward to rounding, not bit for bit.
 
-LstmCell and GruCell share a private base, _Cell, holding what does not
-depend on the gate math: the kernels, the hoisted projection with its
-[B, L + 1, H] zero-state buffer, the backward blocks, and the per-block flush
-of da into dW_x, db and dxs (or S). Each cell keeps its own GATES count,
-init_state, _recur, step, and forward_seq/backward_seq: its time loop, the
-non-recurrent factors of da and its dW_h. The scan methods stay in each class
-body rather than in the base, because perfbench/tracing.py rebinds them
-through the class __dict__.
+Cells hold only gate math. LstmCell and GruCell each define GATES, STATES
+(the names of the state arrays, h first: a cell's state is a tuple of [B, H]
+arrays in that order), _recur (one forward step) and _back_block (one
+backward block: the non-recurrent factors of da, the recurrent loop and
+dW_h). The private base _Cell holds the rest: the kernels, the zero state,
+_step, the scan _scan with its hoisted projection, and the BPTT block loop
+_bptt with its flush of da into dW_x, db and dxs (or S). Each cell binds
+forward_seq, backward_seq and step to _Cell's methods in its own class body,
+because perfbench/tracing.py rebinds them through the class __dict__, where
+a name that is only inherited is not found.
 Parameters are drawn only by model._init_params; the classes here wrap
 arrays they are given.
 """
@@ -97,7 +99,7 @@ class Embedding:
         """Sum the rows of dout [..., W] by index into [V, W].
 
         With dout = d loss / d forward(indices) this is d loss / d table; the
-        folded layer 0 uses it to sum da by id (see _Cell._flush). It is
+        folded layer 0 uses it to sum da by id (see _Cell._bptt). It is
         one GEMM of the [V, N] one-hot matrix with dout as [N, W] rows.
         """
         onehot = np.arange(self.table.shape[0])[:, None] == indices.reshape(1, -1)
@@ -111,7 +113,7 @@ class Embedded:
     """Layer 0's input, table[ids] [B, L, E], held as the ids and the table.
 
     The rows are never gathered: a cell given an Embedded projects the V-row
-    table instead of the B * L rows (see _Cell._project and _Cell._flush).
+    table instead of the B * L rows (see _Cell._scan and _Cell._bptt).
     """
 
     def __init__(self, embedding: Embedding, ids: np.ndarray):
@@ -127,11 +129,13 @@ class Embedded:
 class _Cell:
     """One recurrent direction: kernels w_x [D, kH], w_h [H, kH], bias b [kH].
 
-    k is the subclass's GATES. Holds the parts of the scan and of BPTT that do
-    not depend on the gate math (see the module docstring).
+    k is the subclass's GATES. Holds everything but the gate math: the zero
+    state, step, the scan and the BPTT block loop (see the module docstring).
+    A subclass defines GATES, STATES, _recur and _back_block.
     """
 
     GATES: int
+    STATES: tuple[str, ...]  # names of the [B, H] state arrays, h first
 
     def __init__(self, w_x: np.ndarray, w_h: np.ndarray, b: np.ndarray):
         self.w_x = w_x
@@ -145,14 +149,23 @@ class _Cell:
     def params(self):
         return {"w_x": self.w_x, "w_h": self.w_h, "b": self.b}
 
-    def _project(self, xs):
-        """x W_x + b for every step as [B, L, kH], and a zero [B, L + 1, H] state.
+    def init_state(self, batch: int):
+        return tuple(np.zeros((batch, self.hidden_size)) for _ in self.STATES)
 
-        The projection has no recurrence, so it is one GEMM before the time
-        loop; each step turns its slice of it into its gates in place. For an
-        Embedded input the GEMM is table W_x + b, [V, kH], and the steps' rows
-        are gathered from it by id. State buffers hold the zero state at
-        index 0, so step t reads index t and writes t + 1.
+    def _step(self, x: np.ndarray, state):
+        new = tuple(np.empty_like(s) for s in state)
+        self._recur(x @ self.w_x + self.b, *state, *new)
+        return new[0], new
+
+    def _scan(self, xs, train: bool):
+        """Scan the whole sequence from a zero state.
+
+        Returns (hs [B, L, H], tape); the tape is None unless train is set.
+        x W_x + b has no recurrence, so it is one GEMM before the time loop
+        and each step turns its slice into its gates in place. For an
+        Embedded input the GEMM is table W_x + b, [V, kH], and the steps'
+        rows are gathered from it by id. Each state buffer [B, L + 1, H]
+        holds the zero state at index 0, so step t reads t and writes t + 1.
         """
         if isinstance(xs, Embedded):
             gates = xs.embedding.table @ self.w_x
@@ -164,62 +177,57 @@ class _Cell:
             gates += self.b
             gates = gates.reshape(batch, length, self.w_x.shape[1])
         batch, length = gates.shape[:2]
-        return gates, np.zeros((batch, length + 1, self.hidden_size))
+        states = [np.zeros((batch, length + 1, self.hidden_size)) for _ in self.STATES]
+        for t in range(length):
+            self._recur(gates[:, t], *[s[:, t] for s in states],
+                        *[s[:, t + 1] for s in states])
+        tape = {"xs": xs, "gates": gates, **dict(zip(self.STATES, states))} if train else None
+        return states[0][:, 1:], tape
 
-    def _time_blocks(self, batch: int, length: int):
-        """Backward blocks covering [0, length), last first, as (t0, t1, da).
+    def _bptt(self, tape, dhs: np.ndarray):
+        """BPTT given d loss / d hs. Returns (dxs, grads). The tape is not modified.
 
-        da is a [B, t1 - t0, GATES, H] scratch array for the block; every
-        block reuses the same memory.
+        Blocks of _BLOCK steps run last first and share one da scratch array
+        [B, t1 - t0, k, H]. _back_block fills da, carries the state
+        gradients across the block and adds its dW_h; the block's da rows are
+        then flushed into db, dW_x and dxs. For an Embedded input the rows are
+        only summed by id into S [V, kH]; the steps' x are rows of the table,
+        so after the last block dW_x = table^T S and d table = S W_x^T.
         """
-        gates, hidden = self.GATES, self.hidden_size
-        work = np.empty(batch * min(length, _BLOCK) * gates * hidden)
+        xs = tape["xs"]
+        embedded = isinstance(xs, Embedded)
+        batch, length, hidden = dhs.shape
+        width = self.GATES * hidden
+        grads = {k: np.zeros_like(v) for k, v in self.params().items()}
+        dxs = np.zeros((xs.embedding.table.shape[0], width)) if embedded else np.empty(xs.shape)
+        carry = tuple(np.zeros((batch, hidden)) for _ in self.STATES)
+        work = np.empty(batch * min(length, _BLOCK) * width)
         for t0 in range((length - 1) // _BLOCK * _BLOCK, -1, -_BLOCK):
             t1 = min(t0 + _BLOCK, length)
-            size = batch * (t1 - t0) * gates * hidden
-            yield t0, t1, work[:size].reshape(batch, t1 - t0, gates, hidden)
-
-    def _dxs_buffer(self, xs):
-        """Where _flush puts what flows back through x: dxs [B, L, D], or for
-        an Embedded input S [V, kH], the sum of da over each id's steps."""
-        if isinstance(xs, Embedded):
-            return np.zeros((xs.embedding.table.shape[0], self.w_x.shape[1]))
-        return np.empty(xs.shape)
-
-    def _flush(self, da: np.ndarray, xs, t0: int, t1: int, grads, dxs):
-        """Add a finished block's db to grads and its share of dW_x and dxs.
-
-        da holds the block as [B * (t1 - t0), kH] rows; each cell adds its
-        own dW_h from the same rows. For an Embedded input the block's rows
-        are only summed into S by id; _finish does the rest.
-        """
-        grads["b"] += da.sum(axis=0)
-        if isinstance(xs, Embedded):
-            dxs += xs.embedding.backward(xs.ids[:, t0:t1], da)
-            return
-        grads["w_x"] += xs[:, t0:t1].reshape(-1, xs.shape[2]).T @ da
-        dxs[:, t0:t1] = (da @ self.w_x.T).reshape(xs.shape[0], t1 - t0, -1)
-
-    def _finish(self, xs, dxs, grads):
-        """dxs once every block is flushed. For an Embedded input the steps'
-        x are rows of the table, so dW_x = table^T S and d table = S W_x^T."""
-        if isinstance(xs, Embedded):
+            da = work[: batch * (t1 - t0) * width].reshape(batch, t1 - t0, self.GATES, hidden)
+            carry = self._back_block(tape, dhs, t0, t1, da, carry, grads["w_h"])
+            da = da.reshape(-1, width)
+            grads["b"] += da.sum(axis=0)
+            if embedded:
+                dxs += xs.embedding.backward(xs.ids[:, t0:t1], da)
+            else:
+                grads["w_x"] += xs[:, t0:t1].reshape(-1, xs.shape[2]).T @ da
+                dxs[:, t0:t1] = (da @ self.w_x.T).reshape(batch, t1 - t0, -1)
+        if embedded:
             grads["w_x"] += xs.embedding.table.T @ dxs
-            return dxs @ self.w_x.T
-        return dxs
+            dxs = dxs @ self.w_x.T
+        return dxs, grads
 
 
 class LstmCell(_Cell):
     """One LSTM direction; kernel columns are the gates (i, f, g, o)."""
 
     GATES = 4
+    STATES = ("h", "c")
+    forward_seq, backward_seq, step = _Cell._scan, _Cell._bptt, _Cell._step
 
-    def init_state(self, batch: int):
-        h = self.hidden_size
-        return np.zeros((batch, h)), np.zeros((batch, h))
-
-    def _recur(self, a, h_prev, c_prev, c, h) -> None:
-        """One timestep, writing c and h.
+    def _recur(self, a, h_prev, c_prev, h, c) -> None:
+        """One timestep, writing h and c.
 
         a holds x W_x + b [B, 4H] on entry and the gates (i, f, g, o) on exit.
         The gate math runs on a contiguous copy, since a may be a strided
@@ -238,73 +246,48 @@ class LstmCell(_Cell):
         np.tanh(c, out=h)
         h *= o
 
-    def step(self, x: np.ndarray, state):
-        h_prev, c_prev = state
-        h, c = np.empty_like(h_prev), np.empty_like(c_prev)
-        self._recur(x @ self.w_x + self.b, h_prev, c_prev, c, h)
-        return h, (h, c)
-
-    def forward_seq(self, xs: np.ndarray, train: bool):
-        """Scan the whole sequence from a zero state.
-
-        Returns (hs [B, L, H], tape). The tape is None unless train is set.
-        """
-        gates, h = self._project(xs)
-        c = np.zeros_like(h)
-        for t in range(gates.shape[1]):
-            self._recur(gates[:, t], h[:, t], c[:, t], c[:, t + 1], h[:, t + 1])
-        tape = {"xs": xs, "gates": gates, "c": c, "h": h} if train else None
-        return h[:, 1:], tape
-
-    def backward_seq(self, tape, dhs: np.ndarray):
-        """BPTT given d loss / d hs. Returns (dxs, grads). The tape is not modified."""
-        xs, gates, c_all, h_all = tape["xs"], tape["gates"], tape["c"], tape["h"]
-        batch, length, hs_n = dhs.shape
+    def _back_block(self, tape, dhs, t0, t1, da, carry, dw_h):
+        """Steps [t0, t1) of BPTT: da, the carried (dh, dc) and dW_h."""
+        block = tape["gates"][:, t0:t1]
+        c_all = tape["c"]
+        batch, hs_n = da.shape[0], self.hidden_size
         w_h_t = self.w_h.T
-        grads = {k: np.zeros_like(v) for k, v in self.params().items()}
-        dxs = self._dxs_buffer(xs)
-        dh_next = np.zeros((batch, hs_n))
-        dc_next = np.zeros((batch, hs_n))
-        for t0, t1, da in self._time_blocks(batch, length):
-            block = gates[:, t0:t1]
-            i, f, g, o = _split(block, 4)
-            # da starts as the local derivative of each gate's pre-activation;
-            # the loop scales it in place by dc (i, f, g) or by dh (o)
-            da_i, da_f, da_g, da_o = (da[:, :, k] for k in range(4))
-            da_block = da.reshape(block.shape)
-            np.subtract(1.0, block, out=da_block)
-            da_block *= block  # s * (1 - s), right for every gate but g
-            da_i *= g
-            da_f *= c_all[:, t0:t1]
-            np.multiply(g, g, out=da_g)
-            np.subtract(1.0, da_g, out=da_g)
-            da_g *= i
-            tc = np.tanh(c_all[:, t0 + 1 : t1 + 1])
-            da_o *= tc
-            dc_dh = np.multiply(tc, tc, out=tc)  # becomes o * (1 - tanh(c)^2)
-            np.subtract(1.0, dc_dh, out=dc_dh)
-            dc_dh *= o
-            for j in range(t1 - t0 - 1, -1, -1):
-                dh = dhs[:, t0 + j] + dh_next
-                dc = dh * dc_dh[:, j]
-                dc += dc_next
-                da[:, j, :3] *= dc[:, None]
-                da[:, j, 3] *= dh
-                dh_next = da[:, j].reshape(batch, 4 * hs_n) @ w_h_t
-                dc_next = dc * f[:, j]
-            da = da.reshape(-1, 4 * hs_n)
-            grads["w_h"] += h_all[:, t0:t1].reshape(-1, hs_n).T @ da
-            self._flush(da, xs, t0, t1, grads, dxs)
-        return self._finish(xs, dxs, grads), grads
+        i, f, g, o = _split(block, 4)
+        # da starts as the local derivative of each gate's pre-activation;
+        # the loop scales it in place by dc (i, f, g) or by dh (o)
+        da_i, da_f, da_g, da_o = (da[:, :, k] for k in range(4))
+        da_block = da.reshape(block.shape)
+        np.subtract(1.0, block, out=da_block)
+        da_block *= block  # s * (1 - s), right for every gate but g
+        da_i *= g
+        da_f *= c_all[:, t0:t1]
+        np.multiply(g, g, out=da_g)
+        np.subtract(1.0, da_g, out=da_g)
+        da_g *= i
+        tc = np.tanh(c_all[:, t0 + 1 : t1 + 1])
+        da_o *= tc
+        dc_dh = np.multiply(tc, tc, out=tc)  # becomes o * (1 - tanh(c)^2)
+        np.subtract(1.0, dc_dh, out=dc_dh)
+        dc_dh *= o
+        dh_next, dc_next = carry
+        for j in range(t1 - t0 - 1, -1, -1):
+            dh = dhs[:, t0 + j] + dh_next
+            dc = dh * dc_dh[:, j]
+            dc += dc_next
+            da[:, j, :3] *= dc[:, None]
+            da[:, j, 3] *= dh
+            dh_next = da[:, j].reshape(batch, 4 * hs_n) @ w_h_t
+            dc_next = dc * f[:, j]
+        dw_h += tape["h"][:, t0:t1].reshape(-1, hs_n).T @ da.reshape(-1, 4 * hs_n)
+        return dh_next, dc_next
 
 
 class GruCell(_Cell):
     """One GRU direction; kernel columns are the gates (z, r, n)."""
 
     GATES = 3
-
-    def init_state(self, batch: int):
-        return np.zeros((batch, self.hidden_size))
+    STATES = ("h",)
+    forward_seq, backward_seq, step = _Cell._scan, _Cell._bptt, _Cell._step
 
     def _recur(self, a, h_prev, h) -> None:
         """One timestep, writing h.
@@ -326,60 +309,41 @@ class GruCell(_Cell):
         h *= z
         h += n
 
-    def step(self, x: np.ndarray, state):
-        h = np.empty_like(state)
-        self._recur(x @ self.w_x + self.b, state, h)
-        return h, h
-
-    def forward_seq(self, xs: np.ndarray, train: bool):
-        """Scan from a zero state; laid out as LstmCell.forward_seq."""
-        gates, h = self._project(xs)
-        for t in range(gates.shape[1]):
-            self._recur(gates[:, t], h[:, t], h[:, t + 1])
-        tape = {"xs": xs, "gates": gates, "h": h} if train else None
-        return h[:, 1:], tape
-
-    def backward_seq(self, tape, dhs: np.ndarray):
-        """BPTT given d loss / d hs. Returns (dxs, grads). The tape is not modified."""
-        xs, gates, h_all = tape["xs"], tape["gates"], tape["h"]
-        batch, length, hs_n = dhs.shape
+    def _back_block(self, tape, dhs, t0, t1, da, carry, dw_h):
+        """Steps [t0, t1) of BPTT: da, the carried dh and dW_h."""
+        batch, hs_n = da.shape[0], self.hidden_size
         w_h_zr_t = self.w_h[:, : 2 * hs_n].T
         w_h_n_t = self.w_h[:, 2 * hs_n :].T
-        grads = {k: np.zeros_like(v) for k, v in self.params().items()}
-        dw_h = grads["w_h"]
-        dxs = self._dxs_buffer(xs)
-        dh_next = np.zeros((batch, hs_n))
-        for t0, t1, da in self._time_blocks(batch, length):
-            z, r, n = _split(gates[:, t0:t1], 3)
-            h_prev = h_all[:, t0:t1]
-            # da starts as the local derivative of each pre-activation; the
-            # loop scales it in place by dh (z, n) or by d loss / d (r*h) (r)
-            da_z, da_r, da_n = (da[:, :, k] for k in range(3))
-            np.subtract(1.0, z, out=da_n)
-            np.subtract(h_prev, n, out=da_z)
-            da_z *= z
-            da_z *= da_n
-            np.subtract(1.0, r, out=da_r)
-            da_r *= r
-            da_r *= h_prev
-            one_minus_nn = np.multiply(n, n)
-            np.subtract(1.0, one_minus_nn, out=one_minus_nn)
-            da_n *= one_minus_nn
-            for j in range(t1 - t0 - 1, -1, -1):
-                dh = dhs[:, t0 + j] + dh_next
-                da[:, j, 0] *= dh
-                da[:, j, 2] *= dh
-                drh = da[:, j, 2] @ w_h_n_t
-                da[:, j, 1] *= drh
-                dh_next = da[:, j, :2].reshape(batch, 2 * hs_n) @ w_h_zr_t
-                dh_next += dh * z[:, j]
-                dh_next += drh * r[:, j]
-            da = da.reshape(-1, 3 * hs_n)
-            h_prev = h_prev.reshape(-1, hs_n)
-            dw_h[:, : 2 * hs_n] += h_prev.T @ da[:, : 2 * hs_n]
-            dw_h[:, 2 * hs_n :] += (r.reshape(-1, hs_n) * h_prev).T @ da[:, 2 * hs_n :]
-            self._flush(da, xs, t0, t1, grads, dxs)
-        return self._finish(xs, dxs, grads), grads
+        z, r, n = _split(tape["gates"][:, t0:t1], 3)
+        h_prev = tape["h"][:, t0:t1]
+        # da starts as the local derivative of each pre-activation; the
+        # loop scales it in place by dh (z, n) or by d loss / d (r*h) (r)
+        da_z, da_r, da_n = (da[:, :, k] for k in range(3))
+        np.subtract(1.0, z, out=da_n)
+        np.subtract(h_prev, n, out=da_z)
+        da_z *= z
+        da_z *= da_n
+        np.subtract(1.0, r, out=da_r)
+        da_r *= r
+        da_r *= h_prev
+        one_minus_nn = np.multiply(n, n)
+        np.subtract(1.0, one_minus_nn, out=one_minus_nn)
+        da_n *= one_minus_nn
+        (dh_next,) = carry
+        for j in range(t1 - t0 - 1, -1, -1):
+            dh = dhs[:, t0 + j] + dh_next
+            da[:, j, 0] *= dh
+            da[:, j, 2] *= dh
+            drh = da[:, j, 2] @ w_h_n_t
+            da[:, j, 1] *= drh
+            dh_next = da[:, j, :2].reshape(batch, 2 * hs_n) @ w_h_zr_t
+            dh_next += dh * z[:, j]
+            dh_next += drh * r[:, j]
+        da = da.reshape(-1, 3 * hs_n)
+        h_prev = h_prev.reshape(-1, hs_n)
+        dw_h[:, : 2 * hs_n] += h_prev.T @ da[:, : 2 * hs_n]
+        dw_h[:, 2 * hs_n :] += (r.reshape(-1, hs_n) * h_prev).T @ da[:, 2 * hs_n :]
+        return (dh_next,)
 
 
 class BidirectionalLstm:
@@ -533,7 +497,7 @@ class RecurrentStack:
             dx, layer_grads = self.recurrent[i].backward_seq(tape.cell_tapes[i], dx)
             for k, v in layer_grads.items():
                 grads[f"rnn{i}.{k}"] = v
-        grads["embedding.table"] = dx  # layer 0 returns d table (see _Cell._finish)
+        grads["embedding.table"] = dx  # layer 0 returns d table (see _Cell._bptt)
         return {name: grads[name] for name in self.params()}
 
     def init_state(self, batch: int = 1):

@@ -67,6 +67,9 @@ PRESETS = {"uni": (1024,), "bi": (512, 256), "quad": (512, 256, 128, 64)}
 
 _MAGIC = b"CRNF"
 _VERSION = 1
+# build_model refuses larger models before drawing anything: about 200x the
+# paper's largest preset, and a ConfigError instead of a failed allocation
+MAX_PARAMS = 2**31
 
 
 def preset_widths(name: str, scale: float = 1.0) -> tuple[int, ...]:
@@ -74,8 +77,8 @@ def preset_widths(name: str, scale: float = 1.0) -> tuple[int, ...]:
     if name not in PRESETS:
         valid = ", ".join(sorted(PRESETS))
         raise ConfigError(f"unknown preset {name!r}; valid presets: {valid}")
-    if scale <= 0:
-        raise ConfigError(f"scale must be positive, got {scale}")
+    if not 0 < scale * max(PRESETS[name]) < math.inf:  # also rejects nan
+        raise ConfigError(f"scale must be positive and keep the widths finite, got {scale}")
     return tuple(max(1, round(w * scale)) for w in PRESETS[name])
 
 
@@ -123,7 +126,8 @@ def expected_param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
 
 
 def expected_param_count(config: ModelConfig) -> int:
-    return sum(int(np.prod(s)) for s in expected_param_shapes(config).values())
+    # math.prod is exact; np.prod wraps at 2^63 on large configs
+    return sum(math.prod(s) for s in expected_param_shapes(config).values())
 
 
 def _init_params(config: ModelConfig) -> dict[str, np.ndarray]:
@@ -165,9 +169,6 @@ class Model(RecurrentStack):
         self.config = config
         self.vocab = vocab
 
-    def param_count(self) -> int:
-        return sum(p.size for p in self.params().values())
-
     def forward(self, indices: np.ndarray, train: bool = False,
                 dropout_rng: Rng | None = None):
         if train and indices.shape[0] != self.config.batch_size:
@@ -184,6 +185,9 @@ def build_model(config: ModelConfig, vocab: Vocabulary) -> Model:
             f"config.vocab_size is {config.vocab_size} but the vocabulary has "
             f"{vocab.size} characters"
         )
+    count = expected_param_count(config)
+    if count > MAX_PARAMS:
+        raise ConfigError(f"the model would hold {count} parameters, more than {MAX_PARAMS}")
     return Model(config, vocab, _init_params(config))
 
 

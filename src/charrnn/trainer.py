@@ -41,10 +41,10 @@ class TrainPlan:
     def __post_init__(self):
         if self.epochs < 1:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
-        if self.lr <= 0:
-            raise ConfigError(f"lr must be positive, got {self.lr}")
-        if self.clip_norm <= 0:
-            raise ConfigError(f"clip_norm must be positive, got {self.clip_norm}")
+        if not 0 < self.lr < math.inf:
+            raise ConfigError(f"lr must be positive and finite, got {self.lr}")
+        if not 0 < self.clip_norm < math.inf:
+            raise ConfigError(f"clip_norm must be positive and finite, got {self.clip_norm}")
 
 
 _HISTORY_HEADER = ["epoch", "mean_loss", "ms_per_step"]

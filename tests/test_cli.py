@@ -1,4 +1,9 @@
+import contextlib
+import io
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from charrnn.cli import main
 from charrnn.model import load_checkpoint
@@ -18,6 +23,23 @@ def _train(fixture_path, tmp_path, tag="a", extra=()):
     code = main(["train", "--corpus", str(fixture_path), *TRAIN_ARGS, *extra,
                  "--out", str(ckpt), "--history", str(hist)])
     return code, ckpt, hist
+
+
+def _run(argv):
+    """main(argv) as the console sees it: (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def _assert_one_error_line(code, err):
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err
 
 
 class TestVocabCommand:
@@ -92,6 +114,24 @@ class TestTrainCommand:
         assert not ckpt.exists() and not hist.exists()
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--scale", "--lr"])
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_non_finite_float_is_usage_error(self, fixture_path, tmp_path, flag, value):
+        code, _, err = _run(["train", "--corpus", str(fixture_path), *TRAIN_ARGS,
+                             flag, value, "--out", str(tmp_path / "x.ckpt"),
+                             "--history", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert f"argument {flag}: must be finite" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("extra", [["--embed-dim", str(10**12)], ["--scale", "100000"]],
+                             ids=["embed_dim", "scale"])
+    def test_oversized_model_is_one_error_line(self, fixture_path, tmp_path, extra):
+        ckpt = tmp_path / "x.ckpt"
+        code, _, err = _run(["train", "--corpus", str(fixture_path), *TRAIN_ARGS, *extra,
+                             "--out", str(ckpt), "--history", str(tmp_path / "x.csv")])
+        _assert_one_error_line(code, err)
+        assert "parameters" in err and not ckpt.exists()
+
 
 @pytest.fixture(scope="module")
 def checkpoint(fixture_path, tmp_path_factory):
@@ -123,6 +163,13 @@ class TestGenerateCommand:
                   "--length", "5", "--temperature", "0"])
         assert exc.value.code == 2
         assert "> 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_non_finite_temperature_is_usage_error(self, checkpoint, value):
+        code, out, err = _run(["generate", "--checkpoint", str(checkpoint), "--prime", "a",
+                               "--length", "5", "--temperature", value])
+        assert code == 2 and out == ""
+        assert "argument --temperature: must be finite" in err and "Traceback" not in err
 
     def test_out_file(self, checkpoint, tmp_path, capsys):
         target = tmp_path / "gen.txt"
@@ -215,3 +262,96 @@ class TestReportCommand:
         main(["report", "--history", str(p), "--out", str(target)])
         assert capsys.readouterr().out == ""
         assert target.read_text().startswith("run,epoch")
+
+
+@pytest.fixture(scope="module")
+def argv_files(tmp_path_factory):
+    """Good and bad paths, keyed by name, for the argv property."""
+    tmp = tmp_path_factory.mktemp("argv")
+    (tmp / "corpus.txt").write_text("the cat sat on the mat. " * 8, encoding="utf-8")
+    (tmp / "empty.txt").write_text("", encoding="utf-8")
+    (tmp / "binary.txt").write_bytes(b"\xff\xfe\x80abc")
+    (tmp / "history.csv").write_text("epoch,mean_loss,ms_per_step\n1,0.5,1.0\n")
+    (tmp / "bad.csv").write_text("epoch,mean_loss\noops\n")
+    (tmp / "garbage.ckpt").write_bytes(b"CRNF" + bytes(40))
+    code, ckpt, _ = _train(tmp / "corpus.txt", tmp, "good",
+                           ["--seq-len", "8", "--epochs", "1"])
+    assert code == 0
+    names = ("corpus.txt", "empty.txt", "binary.txt", "history.csv", "bad.csv",
+             "garbage.ckpt", "missing", "no_dir/out", "out", "out.csv")
+    return {"dir": str(tmp), "good.ckpt": str(ckpt),
+            **{name: str(tmp / name) for name in names}}
+
+
+def _path(*names):
+    return st.sampled_from(names + ("missing", "dir"))
+
+
+# Values the property puts in place of a valid one. Sizes are tiny or ask for
+# at least 10^11 elements, which must be refused before anything is
+# allocated; never a size in between. Epochs and length stay small.
+_BAD_NUMBER = st.sampled_from(["0", "-1", "inf", "-inf", "nan", "1e306", "1e8", "abc"])
+_BAD_SIZE = st.one_of(st.integers(-2, 64), st.integers(10**11, 10**13)).map(str)
+
+# command -> flag -> (valid values, replacements)
+_FLAGS = {
+    "vocab": {"--corpus": (st.just("corpus.txt"), _path("empty.txt", "binary.txt"))},
+    "train": {
+        "--corpus": (st.just("corpus.txt"), _path("empty.txt", "binary.txt")),
+        "--model": (st.sampled_from(["lstm", "gru", "birnn"]), st.just("rnn")),
+        "--preset": (st.sampled_from(["uni", "bi", "quad"]), st.just("mega")),
+        "--scale": (st.sampled_from(["0.015625", "0.03125"]), _BAD_NUMBER),
+        "--lr": (st.sampled_from(["1e-3", "0.5"]), _BAD_NUMBER),
+        "--dropout": (st.sampled_from(["0", "0.4"]), st.sampled_from(["1", "nan", "-0.1"])),
+        "--seq-len": (st.integers(1, 16).map(str), _BAD_SIZE),
+        "--batch-size": (st.integers(1, 8).map(str), _BAD_SIZE),
+        "--embed-dim": (st.integers(1, 64).map(str), _BAD_SIZE),
+        "--epochs": (st.just("1"), st.sampled_from(["-1", "0", "x"])),
+        "--out": (st.just("out"), _path("no_dir/out")),
+        "--history": (st.just("out.csv"), _path("no_dir/out")),
+    },
+    "generate": {
+        "--checkpoint": (st.just("good.ckpt"), _path("garbage.ckpt", "corpus.txt")),
+        "--prime": (st.just("the"), st.sampled_from(["", "é"])),
+        "--length": (st.sampled_from(["0", "5"]), st.sampled_from(["-1", "64", "x"])),
+        "--temperature": (st.sampled_from(["0.5", "1"]), _BAD_NUMBER | st.just("1e-300")),
+        "--mode": (st.sampled_from(["sample", "argmax"]), st.just("beam")),
+    },
+    "report": {
+        "--history": (st.just("history.csv"), _path("bad.csv")),
+        "--out": (st.just("out"), _path("no_dir/out")),
+    },
+}
+
+
+@st.composite
+def _argv(draw):
+    """A valid command line with up to two flags replaced."""
+    command = draw(st.sampled_from(list(_FLAGS)))
+    flags = _FLAGS[command]
+    replaced = draw(st.sets(st.sampled_from(list(flags)), max_size=2))
+    argv = [command]
+    for flag, (valid, other) in flags.items():
+        argv += [flag, draw(other if flag in replaced else valid)]
+    return argv
+
+
+_SMALL_TRAIN = ["train", "--corpus", "corpus.txt", "--model", "gru", "--preset", "bi",
+                "--scale", "0.015625", "--seq-len", "8", "--batch-size", "2", "--epochs", "1",
+                "--embed-dim", "4", "--out", "out", "--history", "out.csv"]
+
+
+@settings(max_examples=100, deadline=None)
+@given(argv=_argv())
+@example(argv=_SMALL_TRAIN)
+@example(argv=[*_SMALL_TRAIN, "--embed-dim", str(10**12)])  # the last flag wins
+@example(argv=[*_SMALL_TRAIN, "--scale", "1e8"])
+@example(argv=[*_SMALL_TRAIN, "--seq-len", str(10**11)])
+@example(argv=[*_SMALL_TRAIN, "--batch-size", str(10**11)])
+def test_any_argv_ends_in_an_exit_code(argv_files, argv):
+    # 0; 1 with one error line; or 2, a usage error; never a traceback
+    code, _, err = _run([argv_files.get(a, a) for a in argv])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code == 1:
+        _assert_one_error_line(code, err)

@@ -39,6 +39,11 @@ class TestApplyTemperature:
             with pytest.raises(ConfigError):
                 apply_temperature(np.zeros(3), t)
 
+    def test_non_finite_rejected(self):
+        for t in (float("nan"), float("inf")):
+            with pytest.raises(ConfigError):
+                apply_temperature(np.zeros(3), t)
+
 
 class TestPlanValidation:
     def test_empty_prime(self):
@@ -52,6 +57,11 @@ class TestPlanValidation:
     def test_bad_temperature(self):
         with pytest.raises(ConfigError):
             GenerationPlan(prime_text="a", length=1, temperature=0.0)
+
+    def test_non_finite_temperature(self):
+        for t in (float("nan"), float("inf")):
+            with pytest.raises(ConfigError):
+                GenerationPlan(prime_text="a", length=1, temperature=t)
 
     def test_bad_mode(self):
         with pytest.raises(ConfigError):

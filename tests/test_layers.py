@@ -93,12 +93,12 @@ class TestGruCell:
     def test_zero_weights_halves_state(self):
         cell = GruCell(np.zeros((3, 9)), np.zeros((3, 9)), np.zeros(9))
         h0 = _rand((4, 3), seed=6)
-        h, _ = cell.step(_rand((4, 3)), h0)
+        h, _ = cell.step(_rand((4, 3)), (h0,))
         assert np.allclose(h, 0.5 * h0, atol=1e-15)
 
     def test_zero_state_fixed_point(self):
         cell = GruCell(np.zeros((3, 9)), np.zeros((3, 9)), np.zeros(9))
-        h, _ = cell.step(_rand((4, 3)), np.zeros((4, 3)))
+        h, _ = cell.step(_rand((4, 3)), (np.zeros((4, 3)),))
         assert np.array_equal(h, np.zeros((4, 3)))
 
     def test_unroll_gradients(self):
@@ -238,6 +238,12 @@ def test_traced_functions_in_module(module, name):
     assert callable(fn) and fn.__module__ == module.__name__
 
 
+def _kinds_at(*lengths):
+    """(kind, L) cases for each kind; the first length keeps the bare kind as id."""
+    return [pytest.param(kind, length, id=kind if k == 0 else f"{kind}-L{length}")
+            for k, length in enumerate(lengths) for kind in ("lstm", "gru", "birnn")]
+
+
 class TestScan:
     @pytest.mark.parametrize("kind", ["lstm", "gru", "birnn"])
     def test_step_unroll_matches_forward_seq(self, kind):
@@ -252,10 +258,10 @@ class TestScan:
             h, state = cell.step(xs[:, t], state)
             assert np.max(np.abs(h - hs[:, t, :6])) <= 1e-12, t
 
-    @pytest.mark.parametrize("kind", ["lstm", "gru", "birnn"])
-    def test_bptt_across_blocks_and_tape_reuse(self, kind):
-        # 53 steps cross two backward block boundaries and end in a partial block
-        length = 53
+    # 53 steps cross two backward block boundaries and end in a partial block;
+    # 50 steps are exactly two full blocks
+    @pytest.mark.parametrize("kind, length", _kinds_at(53, 50))
+    def test_bptt_across_blocks_and_tape_reuse(self, kind, length):
         layer = _cell(kind, d_in=2, hidden=3, seed=30)
         xs = _rand((2, length, 2), seed=31)
         weights = _rand((2, length, 6 if kind == "birnn" else 3), seed=32)
@@ -283,9 +289,10 @@ class TestEmbeddingFold:
     gathers table[ids], runs layer 0 on it as on any other layer's input and
     scatters the input gradient with Embedding.backward."""
 
-    @pytest.mark.parametrize("kind", ["lstm", "gru", "birnn"])
-    def test_matches_unfolded_math(self, kind):
-        vocab, batch, length = 6, 3, 40  # 40 steps make two backward blocks
+    # 40 steps make a full and a partial backward block, 50 two full ones
+    @pytest.mark.parametrize("kind, length", _kinds_at(40, 50))
+    def test_matches_unfolded_math(self, kind, length):
+        vocab, batch = 6, 3
         config = ModelConfig(kind=kind, layer_widths=(4, 3), vocab_size=vocab,
                              batch_size=batch, embed_dim=5, dropout=0.0, init_seed=4)
         stack = build_model(config, Vocabulary(tuple("abcdef")))
@@ -462,8 +469,9 @@ class TestStability:
 
     def test_gru_thousand_steps_bounded(self):
         cell = _cell("gru", 8, 16, seed=22)
-        h = cell.init_state(4)
+        state = cell.init_state(4)
         gauss = np.random.default_rng(1)
+        h = None
         for _ in range(1000):
-            h, _ = cell.step(gauss.normal(size=(4, 8)), h)
+            h, state = cell.step(gauss.normal(size=(4, 8)), state)
         assert np.all(np.isfinite(h))

@@ -18,6 +18,7 @@ from charrnn.exceptions import (
 )
 from charrnn.generator import GenerationPlan, generate
 from charrnn.model import (
+    MAX_PARAMS,
     ModelConfig,
     build_model,
     expected_param_count,
@@ -80,6 +81,12 @@ class TestPresets:
         with pytest.raises(ConfigError):
             preset_widths("uni", 0.0)
 
+    @pytest.mark.parametrize("scale", [float("inf"), float("nan"), 1e306])
+    def test_non_finite_scale(self, scale):
+        # 1e306 is finite, but 1024 * 1e306 is not
+        with pytest.raises(ConfigError):
+            preset_widths("uni", scale)
+
 
 class TestConfig:
     def test_bad_kind(self):
@@ -123,7 +130,7 @@ class TestParamCounts:
         # V=3, E=2, H=2 lstm: embedding 6, cell (2*8 + 2*8 + 8) = 40, dense 9
         cfg = _config(widths=(2,), v=3, embed_dim=2)
         model = build_model(cfg, Vocabulary(tuple("abc")))
-        assert model.param_count() == 55
+        assert sum(p.size for p in model.params().values()) == 55
         assert expected_param_count(cfg) == 55
 
     @pytest.mark.parametrize("kind", ["lstm", "gru", "birnn"])
@@ -132,8 +139,9 @@ class TestParamCounts:
         widths = preset_widths(preset, 1 / 16)
         cfg = _config(kind=kind, widths=widths, v=5, embed_dim=8)
         model = build_model(cfg, VOCAB5)
-        assert model.param_count() == _hand_count(kind, widths, 5, 8)
-        assert expected_param_count(cfg) == model.param_count()
+        built = sum(p.size for p in model.params().values())
+        assert built == _hand_count(kind, widths, 5, 8)
+        assert expected_param_count(cfg) == built
 
     @pytest.mark.parametrize("kind", ["lstm", "gru", "birnn"])
     @pytest.mark.parametrize("preset", ["uni", "bi", "quad"])
@@ -142,6 +150,19 @@ class TestParamCounts:
         widths = preset_widths(preset)
         cfg = _config(kind=kind, widths=widths, v=51, embed_dim=256)
         assert expected_param_count(cfg) == _hand_count(kind, widths, 51, 256)
+
+    def test_count_exact_past_int64(self):
+        # w_h is [10^15, 4 * 10^15]; a fixed-width product of its dims wraps
+        cfg = _config(widths=(10**15,), v=2, embed_dim=1)
+        assert expected_param_count(cfg) == _hand_count("lstm", (10**15,), 2, 1)
+
+    @pytest.mark.parametrize("kw", [dict(embed_dim=10**12), dict(widths=(10**8,))],
+                             ids=["embed_dim", "width"])
+    def test_oversized_model_rejected_before_allocation(self, kw):
+        cfg = _config(**kw)
+        assert expected_param_count(cfg) > MAX_PARAMS
+        with pytest.raises(ConfigError, match="parameters"):
+            build_model(cfg, VOCAB5)
 
     def test_canonical_order(self):
         cfg = _config(kind="birnn", widths=(3, 2))

@@ -151,6 +151,12 @@ class TestPlanValidation:
         with pytest.raises(ConfigError):
             TrainPlan(clip_norm=-1.0)
 
+    @pytest.mark.parametrize("field", ["lr", "clip_norm"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_rejected(self, field, value):
+        with pytest.raises(ConfigError, match="finite"):
+            TrainPlan(**{field: value})
+
 
 class TestHistoryCsv:
     def test_single_row_two_lines(self, tmp_path):
