@@ -13,7 +13,7 @@ from pathlib import Path
 
 from .corpus import build_vocab, load_corpus
 from .exceptions import CharRnnError
-from .generator import GenerationPlan, generate
+from .generator import MODES, GenerationPlan, generate
 from .model import (
     KINDS,
     PRESETS,
@@ -87,7 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--prime", required=True, help="text fed before generation")
     p_gen.add_argument("--length", type=_nonnegative_int, required=True)
     p_gen.add_argument("--temperature", type=_positive_float, default=1.0)
-    p_gen.add_argument("--mode", choices=("sample", "argmax"), default="sample")
+    p_gen.add_argument("--mode", choices=MODES, default="sample")
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("--out", help="write here instead of stdout")
 

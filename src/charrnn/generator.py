@@ -6,7 +6,8 @@ requested length is reached. Temperature divides the logits before the
 softmax: T -> 0 sharpens the distribution toward the argmax, large T flattens
 it toward uniform. Dividing the post-softmax probabilities instead would
 cancel under renormalisation and do nothing, which is why the logits form is
-the one implemented.
+the one implemented. The logits are shifted to a maximum of 0 first, so a
+tiny T (1e-310, say) gives the argmax limit rather than nan; T = 1 is exact.
 
 Two selection modes exist because both are defensible readings of common
 practice: "sample" draws from the temperature-scaled distribution with a
@@ -69,13 +70,14 @@ def generate(model: Model, plan: GenerationPlan) -> str:
         logits, state = model.step(np.array([idx], dtype=np.int64), state)
     rng = Rng(plan.sample_seed)
     out = []
-    for _ in range(plan.length):
-        if plan.mode == "argmax":
-            # dividing by T > 0 keeps the argmax; rounding in softmax would not
-            nxt = int(np.argmax(logits[0]))
-        else:
-            scaled = apply_temperature(logits[0], plan.temperature)
-            nxt = sample_categorical(softmax(scaled), rng)
-        out.append(nxt)
-        logits, state = model.step(np.array([nxt], dtype=np.int64), state)
+    with np.errstate(over="ignore"):  # a tiny T overflows to -inf: the argmax limit
+        for _ in range(plan.length):
+            if plan.mode == "argmax":
+                # dividing by T > 0 keeps the argmax; rounding in softmax would not
+                nxt = int(np.argmax(logits[0]))
+            else:
+                scaled = apply_temperature(logits[0] - logits[0].max(), plan.temperature)
+                nxt = sample_categorical(softmax(scaled), rng)
+            out.append(nxt)
+            logits, state = model.step(np.array([nxt], dtype=np.int64), state)
     return plan.prime_text + vocab.decode(out)

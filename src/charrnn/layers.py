@@ -105,9 +105,6 @@ class Embedding:
         onehot = np.arange(self.table.shape[0])[:, None] == indices.reshape(1, -1)
         return onehot.astype(np.float64) @ dout.reshape(-1, dout.shape[-1])
 
-    def params(self):
-        return {"table": self.table}
-
 
 class Embedded:
     """Layer 0's input, table[ids] [B, L, E], held as the ids and the table.

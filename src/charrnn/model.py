@@ -70,6 +70,8 @@ _VERSION = 1
 # build_model refuses larger models before drawing anything: about 200x the
 # paper's largest preset, and a ConfigError instead of a failed allocation
 MAX_PARAMS = 2**31
+# ... and configs whose training step holds more float64 values: 16 GiB, 20x birnn uni
+MAX_STEP_FLOATS = 2**31
 
 
 def preset_widths(name: str, scale: float = 1.0) -> tuple[int, ...]:
@@ -130,6 +132,19 @@ def expected_param_count(config: ModelConfig) -> int:
     return sum(math.prod(s) for s in expected_param_shapes(config).values())
 
 
+def expected_step_floats(config: ModelConfig) -> int:
+    """float64 values one training step holds, in exact integers.
+
+    Per direction of a layer of width H: the gate tape B*L*kH, the state
+    buffers s*B*(L+1)*H, and its share of the dropout output and mask,
+    2*B*L*H. Then the logits and their gradient, B*L*V each.
+    """
+    cell, directions = _KIND_TABLE[config.kind]
+    b, t = config.batch_size, config.seq_len
+    per_unit = len(directions) * b * (t * (cell.GATES + 2) + len(cell.STATES) * (t + 1))
+    return per_unit * sum(config.layer_widths) + 2 * b * t * config.vocab_size
+
+
 def _init_params(config: ModelConfig) -> dict[str, np.ndarray]:
     """Glorot-uniform kernels, zero biases, drawn in canonical order.
 
@@ -188,6 +203,10 @@ def build_model(config: ModelConfig, vocab: Vocabulary) -> Model:
     count = expected_param_count(config)
     if count > MAX_PARAMS:
         raise ConfigError(f"the model would hold {count} parameters, more than {MAX_PARAMS}")
+    floats = expected_step_floats(config)
+    if floats > MAX_STEP_FLOATS:
+        raise ConfigError(f"one training step would hold {floats} float64 values, "
+                          f"more than {MAX_STEP_FLOATS}")
     return Model(config, vocab, _init_params(config))
 
 

@@ -41,10 +41,6 @@ class Rng:
     def __init__(self, seed: int):
         self._state = int(seed) & _MASK64
 
-    @property
-    def state(self) -> int:
-        return self._state
-
     def next_u64(self) -> int:
         """One 64-bit draw."""
         self._state = (self._state + _GAMMA) & _MASK64

@@ -2,7 +2,8 @@
 
 Loss is reported in nats per predicted character: the mean over all batch*L
 positions of -log softmax(logits)[target], computed through log-sum-exp so
-probabilities are never exponentiated and re-logged.
+probabilities are never exponentiated and re-logged. ce_loss also returns
+the gradient, from the same softmax; ce_grad is the gradient alone.
 
 RMSprop follows the classic running-average form
 
@@ -16,7 +17,7 @@ and is not what this module implements.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -26,7 +27,7 @@ from .exceptions import LabelError, OptimizerError
 @dataclass(frozen=True)
 class LossReport:
     mean_loss: float  # nats per character
-    count: int        # number of predicted positions
+    grad: np.ndarray = field(compare=False, repr=False)  # d mean_loss / d logits
 
 
 def _check_targets(targets: np.ndarray, vocab: int):
@@ -38,36 +39,28 @@ def _check_targets(targets: np.ndarray, vocab: int):
         )
 
 
-def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=-1, keepdims=True)
-    return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
-
-
 def ce_loss(logits: np.ndarray, targets: np.ndarray) -> LossReport:
-    """Mean negative log-likelihood of the integer targets.
+    """Mean negative log-likelihood of the integer targets, and its gradient.
 
     logits has classes on the last axis; targets matches the leading axes.
+    The gradient, (softmax - one_hot) / N per position, reuses the loss's exp.
     """
     targets = np.asarray(targets, dtype=np.int64)
     _check_targets(targets, logits.shape[-1])
-    logp = _log_softmax(logits)
-    picked = np.take_along_axis(logp, targets[..., None], axis=-1)
-    return LossReport(mean_loss=float(-picked.mean()), count=int(targets.size))
+    at_target = targets[..., None]
+    z = logits - logits.max(axis=-1, keepdims=True)
+    grad = np.exp(z)
+    total = grad.sum(axis=-1, keepdims=True)
+    picked = np.take_along_axis(z, at_target, axis=-1) - np.log(total)
+    grad /= total
+    np.put_along_axis(grad, at_target, np.take_along_axis(grad, at_target, -1) - 1.0, -1)
+    grad /= targets.size
+    return LossReport(mean_loss=float(-picked.mean()), grad=grad)
 
 
 def ce_grad(logits: np.ndarray, targets: np.ndarray) -> np.ndarray:
     """d mean-loss / d logits = (softmax - one_hot) / N per position."""
-    targets = np.asarray(targets, dtype=np.int64)
-    _check_targets(targets, logits.shape[-1])
-    z = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    grad = e / e.sum(axis=-1, keepdims=True)
-    np.put_along_axis(
-        grad, targets[..., None],
-        np.take_along_axis(grad, targets[..., None], axis=-1) - 1.0, axis=-1,
-    )
-    grad /= targets.size
-    return grad
+    return ce_loss(logits, targets).grad
 
 
 @dataclass
@@ -80,12 +73,9 @@ class RmspropState:
     epsilon: float = 1e-7
 
     @classmethod
-    def for_params(cls, params: dict[str, np.ndarray], alpha: float = 1e-3,
-                   rho: float = 0.9, epsilon: float = 1e-7) -> "RmspropState":
-        return cls(
-            v={name: np.zeros_like(p) for name, p in params.items()},
-            alpha=alpha, rho=rho, epsilon=epsilon,
-        )
+    def for_params(cls, params: dict[str, np.ndarray], **hyper) -> "RmspropState":
+        """Zero accumulators shaped like params; hyper sets alpha, rho, epsilon."""
+        return cls(v={name: np.zeros_like(p) for name, p in params.items()}, **hyper)
 
 
 def rmsprop_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],

@@ -27,7 +27,7 @@ from .corpus import (
 from .exceptions import ConfigError, HistoryFormatError, TrainingError
 from .model import Model, ModelConfig, build_model, save_checkpoint
 from .numerics import Rng
-from .objective import RmspropState, ce_grad, ce_loss, rmsprop_step
+from .objective import RmspropState, ce_loss, rmsprop_step
 
 
 @dataclass(frozen=True)
@@ -86,7 +86,7 @@ def train_epoch(model: Model, batches, plan: TrainPlan, opt_state: RmspropState,
             raise TrainingError(
                 f"non-finite loss {report.mean_loss!r} at batch {k}; aborting epoch"
             )
-        grads = model.backward(tape, ce_grad(logits, batch.targets))
+        grads = model.backward(tape, report.grad)
         clip_global_norm(grads, plan.clip_norm)
         rmsprop_step(params, grads, opt_state)
         seconds.append(time.perf_counter() - t0)
@@ -106,14 +106,9 @@ def train(corpus_path, config: ModelConfig, plan: TrainPlan,
     """
     text = load_corpus(corpus_path)
     vocab = build_vocab(text)
-    if vocab.size != config.vocab_size:
-        raise ConfigError(
-            f"corpus has {vocab.size} distinct characters but config.vocab_size "
-            f"is {config.vocab_size}"
-        )
+    model = build_model(config, vocab)  # refuses a bad config before the corpus is cut
     windows = make_sequences(vocab.encode(text),
                              CorpusPlan(config.seq_len, config.batch_size, plan.shuffle_seed))
-    model = build_model(config, vocab)
     opt_state = RmspropState.for_params(model.params(), alpha=plan.lr)
     dropout_rng = Rng(plan.dropout_seed)
     history: list[HistoryRow] = []

@@ -1,5 +1,6 @@
 import contextlib
 import io
+import warnings
 
 import pytest
 from hypothesis import example, given, settings
@@ -132,6 +133,16 @@ class TestTrainCommand:
         _assert_one_error_line(code, err)
         assert "parameters" in err and not ckpt.exists()
 
+    def test_oversized_step_is_one_error_line(self, fixture_path, tmp_path):
+        # width 1024, L=50000, B=10: about 30 GiB of tape, refused before the
+        # corpus (far too short for one window here) is cut
+        ckpt = tmp_path / "x.ckpt"
+        code, _, err = _run(["train", "--corpus", str(fixture_path), *TRAIN_ARGS,
+                             "--scale", "1", "--seq-len", "50000", "--batch-size", "10",
+                             "--out", str(ckpt), "--history", str(tmp_path / "x.csv")])
+        _assert_one_error_line(code, err)
+        assert "float64 values" in err and not ckpt.exists()
+
 
 @pytest.fixture(scope="module")
 def checkpoint(fixture_path, tmp_path_factory):
@@ -156,6 +167,15 @@ class TestGenerateCommand:
         main(args)
         assert capsys.readouterr().out == first
         assert len(first.rstrip("\n")) == 33
+
+    def test_tiny_temperature_is_the_argmax_limit(self, checkpoint):
+        args = ["generate", "--checkpoint", str(checkpoint), "--prime", "The",
+                "--length", "30"]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = _run([*args, "--temperature", "1e-310"])
+        assert (code, err, caught) == (0, "", [])
+        assert out == _run([*args, "--mode", "argmax"])[1]
 
     def test_zero_temperature_rejected(self, checkpoint, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -127,6 +127,40 @@ class TestVocabulary:
         assert fixture_vocab.decode(fixture_vocab.encode(fixture_text)) == fixture_text
 
 
+# any code point: every category, non-BMP characters, and lone surrogates
+# (category Cs), which argv decoded with surrogateescape can carry
+_CHARS = st.one_of(st.characters(exclude_categories=()),
+                   st.characters(min_codepoint=0x10000),
+                   st.characters(categories=["Cs"]))
+
+
+class TestVocabularyProperties:
+    @given(st.text(_CHARS, max_size=40))
+    @settings(max_examples=200)
+    def test_build_vocab_sorted_and_round_trips(self, text):
+        if not text:
+            with pytest.raises(CorpusError):
+                build_vocab(text)
+            return
+        v = build_vocab(text)
+        codes = [ord(c) for c in v.chars]
+        assert all(a < b for a, b in zip(codes, codes[1:]))
+        assert v.decode(v.encode(text)) == text
+
+    @given(st.text(_CHARS, min_size=1, max_size=20), st.text(_CHARS, max_size=20))
+    @settings(max_examples=200)
+    def test_encode_round_trips_or_names_first_unknown(self, corpus_text, probe):
+        v = build_vocab(corpus_text)
+        unknown = [i for i, c in enumerate(probe) if c not in v.chars]
+        if not unknown:
+            assert v.decode(v.encode(probe)) == probe
+            return
+        i = unknown[0]
+        with pytest.raises(VocabularyError) as exc:
+            v.encode(probe)
+        assert str(exc.value) == f"unknown character {probe[i]!r} at position {i}"
+
+
 class TestMakeSequences:
     def test_hand_enumeration(self):
         # "abcdefg" over {a..g}, L=3: one chunk "abcd", remainder dropped
@@ -158,6 +192,20 @@ class TestMakeSequences:
         assert len(windows) == n // (seq_len + 1)
         for inp, tgt in zip(windows[:, :-1], windows[:, 1:]):
             assert np.array_equal(tgt[:-1], inp[1:])
+
+    @given(st.lists(st.integers(0, 60), max_size=60), st.integers(1, 20))
+    @settings(max_examples=200)
+    def test_short_stream_error_else_rows_are_slices(self, stream, seq_len):
+        plan = CorpusPlan(seq_len=seq_len, batch_size=1)
+        window = seq_len + 1
+        if len(stream) < window:
+            with pytest.raises(CorpusError):
+                make_sequences(np.array(stream, dtype=np.int64), plan)
+            return
+        windows = make_sequences(np.array(stream, dtype=np.int64), plan)
+        assert windows.shape == (len(stream) // window, window)
+        for k, row in enumerate(windows):
+            assert row.tolist() == stream[k * window : (k + 1) * window]
 
     def test_plan_validation(self):
         with pytest.raises(ConfigError):

@@ -87,12 +87,14 @@ class TestGenerate:
         assert generate(model, plan) != generate(model, other)
 
     def test_low_temperature_equals_argmax(self):
+        # 1e-310 is finite and valid; the logits over it overflow to -inf
         for kind in ("lstm", "gru", "birnn"):
             model = _gen_model(kind)
-            cold = GenerationPlan(prime_text="ad", length=30, mode="sample",
-                                  temperature=0.001, sample_seed=8)
             hot = GenerationPlan(prime_text="ad", length=30, mode="argmax")
-            assert generate(model, cold) == generate(model, hot)
+            for temperature in (0.001, 1e-310):
+                cold = GenerationPlan(prime_text="ad", length=30, mode="sample",
+                                      temperature=temperature, sample_seed=8)
+                assert generate(model, cold) == generate(model, hot)
 
     def test_argmax_reads_logits_not_rounded_probabilities(self):
         # softmax rounds logits [0, 1e-17, -3] to a tie between the first two

@@ -16,6 +16,7 @@ from charrnn.exceptions import (
     ShapeError,
     VocabularyError,
 )
+from charrnn import model as model_module
 from charrnn.generator import GenerationPlan, generate
 from charrnn.model import (
     MAX_PARAMS,
@@ -194,6 +195,46 @@ class TestParamCounts:
         gru = build_model(_config(kind="gru", widths=(4, 3)), VOCAB5).params()
         assert np.all(gru["rnn0.b"] == 0.0) and np.all(gru["rnn1.b"] == 0.0)
         assert np.all(gru["dense.b"] == 0.0)
+
+
+class TestStepCap:
+    @pytest.mark.parametrize("kind, expected", [("lstm", 164), ("gru", 136), ("birnn", 268)])
+    def test_worked_example(self, kind, expected):
+        # B=2, L=3, H=2, V=5. lstm: gates 2*3*8 = 48, h and c 2*2*4*2 = 32,
+        # dropout output and mask 2*6*2 = 24, logits and their gradient 2*30 = 60
+        cfg = _config(kind=kind, widths=(2,), seq_len=3)
+        assert model_module.expected_step_floats(cfg) == expected
+
+    @pytest.mark.parametrize("kind", ["lstm", "gru", "birnn"])
+    def test_count_matches_the_tape(self, kind):
+        cfg = _config(kind=kind, widths=(4, 3), dropout=0.5)
+        model = build_model(cfg, VOCAB5)
+        ids = np.zeros((cfg.batch_size, cfg.seq_len), dtype=np.int64)
+        logits, tape = model.forward(ids, train=True, dropout_rng=Rng(1))
+        directions = [d for t in tape.cell_tapes for d in ((t["f"], t["b"]) if "f" in t else (t,))]
+        held = sum(v.size for d in directions for k, v in d.items() if k != "xs")
+        outputs = [(t["f"] if "f" in t else t)["xs"] for t in tape.cell_tapes[1:]]
+        held += sum(x.size for x in [*outputs, tape.dense_input, *tape.masks])
+        assert model_module.expected_step_floats(cfg) == held + 2 * logits.size
+
+    @pytest.mark.parametrize("kind", ["lstm", "gru", "birnn"])
+    @pytest.mark.parametrize("preset", ["uni", "bi", "quad"])
+    def test_presets_at_default_shapes_accepted(self, kind, preset):
+        cfg = ModelConfig(kind=kind, layer_widths=preset_widths(preset), vocab_size=51,
+                          batch_size=64)
+        assert model_module.expected_step_floats(cfg) <= model_module.MAX_STEP_FLOATS
+
+    def test_oversized_step_rejected_before_allocation(self, monkeypatch):
+        # about 30 GiB of tape; _init_params must not be reached
+        cfg = _config(widths=(1024,), seq_len=50_000, batch_size=10)
+        assert expected_param_count(cfg) <= MAX_PARAMS
+
+        def draw(config):
+            raise AssertionError("parameters drawn for a refused config")
+
+        monkeypatch.setattr(model_module, "_init_params", draw)
+        with pytest.raises(ConfigError, match="float64 values"):
+            build_model(cfg, VOCAB5)
 
 
 class TestTrainModeBatchCheck:

@@ -15,7 +15,7 @@ class TestCeLoss:
             targets = np.zeros((3, 4), dtype=np.int64)
             report = ce_loss(logits, targets)
             assert abs(report.mean_loss - math.log(v)) <= 1e-12
-            assert report.count == 12
+            assert report.grad.shape == logits.shape
 
     def test_perfect_prediction_near_zero(self):
         logits = np.zeros((1, 2, 3))
@@ -48,6 +48,33 @@ class TestCeLoss:
         logits = np.full((1, 1, 4), 1e3)
         logits[0, 0, 2] = -1e3
         assert math.isfinite(ce_loss(logits, np.array([[2]])).mean_loss)
+
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_one_pass_matches_two_pass_bitwise(self, seed):
+        # the loss from a full log-softmax and the gradient from a second
+        # softmax, as separate passes: ce_loss's one pass gives the same bits
+        rng = np.random.default_rng(seed)
+        shape = tuple(rng.integers(1, 7, size=2)) + (int(rng.integers(2, 60)),)
+        logits = rng.normal(size=shape) * [0.1, 1.0, 5.0, 30.0, 30.0, 1e3][seed]
+        targets = rng.integers(0, shape[-1], size=shape[:-1])
+        z = logits - logits.max(axis=-1, keepdims=True)
+        logp = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+        loss = float(-np.take_along_axis(logp, targets[..., None], axis=-1).mean())
+        grad = np.exp(z) / np.exp(z).sum(axis=-1, keepdims=True)
+        np.put_along_axis(grad, targets[..., None],
+                          np.take_along_axis(grad, targets[..., None], axis=-1) - 1.0, axis=-1)
+        grad /= targets.size
+        report = ce_loss(logits, targets)
+        assert report.mean_loss == loss
+        assert report.grad.tobytes() == grad.tobytes()
+        assert ce_grad(logits, targets).tobytes() == grad.tobytes()
+
+    def test_report_equality_ignores_grad(self):
+        logits = np.zeros((1, 2, 3))
+        a = ce_loss(logits, np.array([[0, 1]]))
+        b = ce_loss(logits, np.array([[2, 2]]))
+        assert a == b and not np.array_equal(a.grad, b.grad)
 
 
 class TestCeGrad:
