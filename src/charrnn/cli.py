@@ -117,7 +117,8 @@ def _derive_seeds(seed: int) -> tuple[int, int, int]:
 
 
 def cmd_train(args) -> int:
-    vocab = build_vocab(load_corpus(args.corpus))
+    text = load_corpus(args.corpus)
+    vocab = build_vocab(text)
     init_seed, shuffle_seed, dropout_seed = _derive_seeds(args.seed)
     config = ModelConfig(
         kind=args.kind,
@@ -132,7 +133,7 @@ def cmd_train(args) -> int:
     plan = TrainPlan(epochs=args.epochs, lr=args.lr,
                      shuffle_seed=shuffle_seed, dropout_seed=dropout_seed)
     train(
-        args.corpus, config, plan,
+        text, vocab, config, plan,
         ckpt_path=args.out, history_path=args.history,
         progress=lambda row: print(
             f"epoch {row.epoch}  loss {row.mean_loss:.6f}  ms/step {row.ms_per_step:.3f}",

@@ -1,13 +1,15 @@
 """Stepwise text generation with temperature-controlled selection.
 
-The prime text is fed one character at a time (outputs discarded except the
-last), then the loop alternates select-next-character / feed-it-back until the
-requested length is reached. Temperature divides the logits before the
-softmax: T -> 0 sharpens the distribution toward the argmax, large T flattens
-it toward uniform. Dividing the post-softmax probabilities instead would
-cancel under renormalisation and do nothing, which is why the logits form is
-the one implemented. The logits are shifted to a maximum of 0 first, so a
-tiny T (1e-310, say) gives the argmax limit rather than nan; T = 1 is exact.
+The prime text is fed in one step() call, which runs the recurrent layers
+over every prime character and the dense layer on the last one only; then
+the loop alternates select-next-character / feed-it-back until the requested
+length is reached. Temperature divides the logits before the softmax:
+T -> 0 sharpens the distribution toward the argmax, large T flattens it
+toward uniform. Dividing the post-softmax probabilities instead would cancel
+under renormalisation and do nothing, which is why the logits form is the
+one implemented. The softmax's shift to a maximum of 0 comes before the
+division, once per character, so a tiny T (1e-310, say) gives the argmax
+limit rather than nan.
 
 Two selection modes exist because both are defensible readings of common
 practice: "sample" draws from the temperature-scaled distribution with a
@@ -25,7 +27,7 @@ import numpy as np
 from .corpus import Vocabulary
 from .exceptions import ConfigError
 from .model import Model
-from .numerics import Rng, sample_categorical, softmax
+from .numerics import Rng, sample_categorical
 
 MODES = ("sample", "argmax")
 
@@ -63,11 +65,7 @@ def generate(model: Model, plan: GenerationPlan) -> str:
     applies dropout.
     """
     vocab: Vocabulary = model.vocab
-    prime = vocab.encode(plan.prime_text)
-    state = model.init_state(1)
-    logits = None
-    for idx in prime:
-        logits, state = model.step(np.array([idx], dtype=np.int64), state)
+    logits, state = model.step(vocab.encode(plan.prime_text)[None, :], model.init_state(1))
     rng = Rng(plan.sample_seed)
     out = []
     with np.errstate(over="ignore"):  # a tiny T overflows to -inf: the argmax limit
@@ -76,8 +74,11 @@ def generate(model: Model, plan: GenerationPlan) -> str:
                 # dividing by T > 0 keeps the argmax; rounding in softmax would not
                 nxt = int(np.argmax(logits[0]))
             else:
-                scaled = apply_temperature(logits[0] - logits[0].max(), plan.temperature)
-                nxt = sample_categorical(softmax(scaled), rng)
+                # softmax with the shift taken once, before T divides
+                probs = apply_temperature(logits[0] - logits[0].max(), plan.temperature)
+                np.exp(probs, out=probs)
+                probs /= probs.sum()
+                nxt = sample_categorical(probs, rng)
             out.append(nxt)
             logits, state = model.step(np.array([nxt], dtype=np.int64), state)
     return plan.prime_text + vocab.decode(out)

@@ -41,19 +41,24 @@ Embedding.backward) and, after the last block, takes dW_x = table^T S,
 db as usual and d table = S W_x^T, both directions' summed for birnn. With
 V around 60 and E = 256 this replaces three B * L-row GEMMs per layer-0
 direction. P is rebuilt on every forward, as the optimizer updates table
-and W_x in place. step() still embeds and projects x as x W_x + b, so
-sampling agrees with the training forward to rounding, not bit for bit.
+and W_x in place. Generation uses the same arithmetic: RecurrentStack's
+init_state builds P for each layer-0 direction and keeps it in the state it
+returns (never on the cell), and each step gathers P[ids], so layer 0's
+hidden states equal the training forward's bit for bit. Deeper layers step
+on x W_x + b. RecurrentStack.step takes [B] or [B, L] ids and runs the dense
+layer on the last position only, so a prime is one call.
 
 Cells hold only gate math. LstmCell and GruCell each define GATES, STATES
 (the names of the state arrays, h first: a cell's state is a tuple of [B, H]
-arrays in that order), _recur (one forward step) and _back_block (one
-backward block: the non-recurrent factors of da, the recurrent loop and
-dW_h). The private base _Cell holds the rest: the kernels, the zero state,
-_step, the scan _scan with its hoisted projection, and the BPTT block loop
-_bptt with its flush of da into dW_x, db and dxs (or S). Each cell binds
-forward_seq, backward_seq and step to _Cell's methods in its own class body,
-because perfbench/tracing.py rebinds them through the class __dict__, where
-a name that is only inherited is not found.
+arrays in that order, then P in layer 0), _recur (one forward step) and
+_back_block (one backward block: the non-recurrent factors of da, the
+recurrent loop and dW_h). The private base _Cell holds the rest: the
+kernels, the zero state, _step, the scan _scan with its hoisted projection,
+and the BPTT block loop _bptt with its flush of da into dW_x, db and dxs
+(or S). Each cell binds forward_seq, backward_seq and step to _Cell's
+methods in its own class body, because perfbench/tracing.py rebinds them
+through the class __dict__, where a name that is only inherited is not
+found.
 Parameters are drawn only by model._init_params; the classes here wrap
 arrays they are given.
 """
@@ -64,7 +69,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import ConfigError, VocabularyError
+from .exceptions import ConfigError, ShapeError, VocabularyError
 from .numerics import Rng, sigmoid
 
 # Time steps per backward block (see the module docstring).
@@ -107,10 +112,12 @@ class Embedding:
 
 
 class Embedded:
-    """Layer 0's input, table[ids] [B, L, E], held as the ids and the table.
+    """Layer 0's input, table[ids] [B, L, E] (or [B, E] for one step), held
+    as the ids and the table.
 
     The rows are never gathered: a cell given an Embedded projects the V-row
-    table instead of the B * L rows (see _Cell._scan and _Cell._bptt).
+    table instead of the B * L rows (see _Cell._scan and _Cell._bptt), and a
+    step gathers rows of that projection (see _Cell._step).
     """
 
     def __init__(self, embedding: Embedding, ids: np.ndarray):
@@ -146,13 +153,26 @@ class _Cell:
     def params(self):
         return {"w_x": self.w_x, "w_h": self.w_h, "b": self.b}
 
-    def init_state(self, batch: int):
-        return tuple(np.zeros((batch, self.hidden_size)) for _ in self.STATES)
+    def init_state(self, batch: int, embedding: Embedding | None = None):
+        """Zero state, one [B, H] array per STATES entry; given the embedding
+        (layer 0), then P = table W_x + b [V, kH] from the weights as they are
+        now, since the optimizer updates them in place."""
+        zeros = tuple(np.zeros((batch, self.hidden_size)) for _ in self.STATES)
+        if embedding is None:
+            return zeros
+        proj = embedding.table @ self.w_x
+        proj += self.b
+        return (*zeros, proj)
 
-    def _step(self, x: np.ndarray, state):
-        new = tuple(np.empty_like(s) for s in state)
-        self._recur(x @ self.w_x + self.b, *state, *new)
-        return new[0], new
+    def _step(self, x, state):
+        """One step from state; returns (h [B, H], the new state). An
+        Embedded x (layer 0) reads P[ids], the rows _scan gathers, from the
+        state's P; any other x [B, D] is projected as x W_x + b."""
+        k = len(self.STATES)
+        a = state[k][x.ids] if isinstance(x, Embedded) else x @ self.w_x + self.b
+        new = tuple(np.empty_like(s) for s in state[:k])
+        self._recur(a, *state[:k], *new)
+        return new[0], new + state[k:]
 
     def _scan(self, xs, train: bool):
         """Scan the whole sequence from a zero state.
@@ -370,10 +390,10 @@ class BidirectionalLstm:
     def hidden_size(self) -> int:
         return self.fwd.hidden_size
 
-    def init_state(self, batch: int):
-        return self.fwd.init_state(batch), self.bwd.init_state(batch)
+    def init_state(self, batch: int, embedding: Embedding | None = None):
+        return self.fwd.init_state(batch, embedding), self.bwd.init_state(batch, embedding)
 
-    def step(self, x: np.ndarray, state):
+    def step(self, x, state):
         state_f, state_b = state
         hf, state_f = self.fwd.step(x, state_f)
         hb, state_b = self.bwd.step(x, state_b)
@@ -498,16 +518,25 @@ class RecurrentStack:
         return {name: grads[name] for name in self.params()}
 
     def init_state(self, batch: int = 1):
-        return [layer.init_state(batch) for layer in self.recurrent]
+        """Zero states; layer 0's also hold P = table W_x + b (see _Cell.init_state)."""
+        first, *rest = self.recurrent
+        return [first.init_state(batch, self.embedding)] + [
+            layer.init_state(batch) for layer in rest]
 
     def step(self, indices: np.ndarray, state):
-        """Single-character forward for generation: [B] indices -> [B, V] logits."""
-        x = self.embedding.forward(indices)
-        new_state = []
-        for layer, st in zip(self.recurrent, state):
-            x, st = layer.step(x, st)
-            new_state.append(st)
-        return self.dense.forward(x), new_state
+        """Forward for generation: feed [B] or [B, L] ids from state, one
+        position at a time through every layer. Returns the last position's
+        logits [B, V] and the new state; the dense layer runs once."""
+        ids = np.asarray(indices)
+        ids = ids[:, None] if ids.ndim == 1 else ids
+        if ids.ndim != 2 or ids.shape[1] == 0:
+            raise ShapeError(f"step needs [B] or [B, L] ids with L >= 1, got {ids.shape}")
+        state = list(state)
+        for t in range(ids.shape[1]):
+            x = Embedded(self.embedding, ids[:, t])
+            for i, layer in enumerate(self.recurrent):
+                x, state[i] = layer.step(x, state[i])
+        return self.dense.forward(x), state
 
     def params(self) -> dict[str, np.ndarray]:
         """Parameters in canonical order: embedding, each layer, dense."""

@@ -110,18 +110,20 @@ def sample_categorical(probs: np.ndarray, rng: Rng) -> int:
 
     Inverse-CDF selection: one uniform draw u, then the first index whose
     cumulative sum exceeds u. Zero-probability indices are never returned,
-    and the draw is fully determined by the rng state.
+    and the draw is fully determined by the rng state. A negative entry is
+    reported before a total away from 1 (NaN included), which is read from
+    the last cumulative sum.
     """
     p = np.asarray(probs, dtype=np.float64)
     if p.ndim != 1 or p.size == 0:
         raise ShapeError(f"sample_categorical needs a non-empty vector, got {p.shape}")
-    if np.any(p < 0.0):
+    if np.fmin.reduce(p) < 0.0:  # fmin skips NaN, which the sum check catches
         bad = int(np.argmin(p))
         raise DistributionError(f"negative probability {p[bad]!r} at index {bad}")
-    total = float(p.sum())
+    cum = np.cumsum(p)
+    total = float(cum[-1])
     if not abs(total - 1.0) <= 1e-9:  # written so that a NaN total fails too
         raise DistributionError(f"probabilities sum to {total!r}, not 1")
-    cum = np.cumsum(p)
     u = rng.uniform()
     idx = int(np.searchsorted(cum, u, side="right"))
     if idx >= p.size:  # u landed in the tolerance slack above cum[-1]

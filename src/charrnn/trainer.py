@@ -16,14 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .corpus import (
-    CorpusPlan,
-    _write_atomic,
-    build_vocab,
-    load_corpus,
-    make_sequences,
-    shuffle_batches,
-)
+from .corpus import CorpusPlan, Vocabulary, _write_atomic, make_sequences, shuffle_batches
 from .exceptions import ConfigError, HistoryFormatError, TrainingError
 from .model import Model, ModelConfig, build_model, save_checkpoint
 from .numerics import Rng
@@ -94,18 +87,16 @@ def train_epoch(model: Model, batches, plan: TrainPlan, opt_state: RmspropState,
     return float(np.mean(losses)), 1000.0 * float(np.mean(seconds))
 
 
-def train(corpus_path, config: ModelConfig, plan: TrainPlan,
+def train(text: str, vocab: Vocabulary, config: ModelConfig, plan: TrainPlan,
           ckpt_path=None, history_path=None,
           progress: Callable[[HistoryRow], None] | None = None
           ) -> tuple[Model, list[HistoryRow]]:
-    """Full training run from a corpus file.
+    """Full training run on a corpus text and its vocabulary (see build_vocab).
 
     Writes the checkpoint and history CSV when paths are given (both
     atomically, so a failed run never leaves partial files). Returns the
     trained model and one history row per epoch.
     """
-    text = load_corpus(corpus_path)
-    vocab = build_vocab(text)
     model = build_model(config, vocab)  # refuses a bad config before the corpus is cut
     windows = make_sequences(vocab.encode(text),
                              CorpusPlan(config.seq_len, config.batch_size, plan.shuffle_seed))

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +8,13 @@ from hypothesis import strategies as st
 from charrnn.corpus import Vocabulary
 from charrnn.exceptions import ConfigError, VocabularyError
 from charrnn.generator import GenerationPlan, apply_temperature, generate
-from charrnn.model import ModelConfig, build_model, rebuild_for_generation
+from charrnn.model import (
+    ModelConfig,
+    build_model,
+    load_checkpoint,
+    rebuild_for_generation,
+    save_checkpoint,
+)
 from charrnn.numerics import Rng, sample_categorical, softmax
 
 VOCAB = Vocabulary(tuple("abcde"))
@@ -143,3 +151,62 @@ class TestSelectionFrequencies:
                 counts[sample_categorical(probs, rng)] += 1
             stat = float(np.sum((counts - n * probs) ** 2 / (n * probs)))
             assert stat < stats.chi2.ppf(0.99, df=logits.size - 1)
+
+
+# SHA-256 of the UTF-8 text generate() returns, per (kind, layers, mode,
+# temperature), on the checkpoints _golden_model writes. A change to the
+# sampling arithmetic that moves any sampled character changes a digest.
+_GOLDEN = {
+    "lstm1-argmax-1.0": "473f9d380f38137abddf45a1d56f85546e2bc1b89f126d085ac637c5bd3bc129",
+    "lstm1-sample-0.5": "21c3e79aec82c41cd743de57315dcee768cdaed27f68527b068a9f5116d9014e",
+    "lstm1-sample-1.0": "4cfcc1a0ed792077a7abeff5c91fb5fe877ffba4e71d219beaaab3d14c0ce67c",
+    "lstm1-sample-1.5": "d934ca9d2b41dc0d3b5075f9047150aba9edaefc83efdc36b0166dbaedcf4f59",
+    "gru1-argmax-1.0": "39e7b8212e2626fbf6b1250a1c6793c729d7f6dc7c34598ae60631988539eec4",
+    "gru1-sample-0.5": "35012809f6288912eaaa134be828d285b6395bf8e17e6f24169fc01e47127200",
+    "gru1-sample-1.0": "f802a65b09d60cb71e1b03042255a731b9c23197c5c4afe0bceef22e0a8579c2",
+    "gru1-sample-1.5": "88d5f759d211b767172215c94945cd975baf77eee507639053d2c2247d14a53e",
+    "birnn1-argmax-1.0": "7d30de9e533336d1537ae75fbc3a61830d26ad40522a4cfc4a70433e73c300e7",
+    "birnn1-sample-0.5": "0136531bdddce8e8bec74ae8b2f52381b3d3bf741b5892b5dda3ae70cf98ce24",
+    "birnn1-sample-1.0": "1a46505b00293c0fc119c4f95f9f64d51adb4cd6a3f41c2fb49432d51b06841a",
+    "birnn1-sample-1.5": "d8933df60a63df2361edd81fbe3f30723444becf79adf55c4c80086032168c0f",
+    "lstm2-argmax-1.0": "c60852bc2f85b22c54ee428adba4a2ec4bd07c8de37acecfaef29e589be2a52f",
+    "lstm2-sample-0.5": "24486a9cc165645216e007bdf438b2230f5832949597947bf62cd366e47ff822",
+    "lstm2-sample-1.0": "cb7754ea82f872d80dc4a387dd11de642c6b5b69708ef0fe02abb17328fa4d40",
+    "lstm2-sample-1.5": "24cbc89a6438244df9060430e3b5b95fb66079fa5e8c598347bfd4120b5619c7",
+    "gru2-argmax-1.0": "2a87f2824563aab0e69cf25d83b42543f2cf32764acaea10e435268e4ae64a3f",
+    "gru2-sample-0.5": "ea97a9a14796f57f5b479a4404d50e83321b54f5f30c1eab8761d3b9ca60c8c0",
+    "gru2-sample-1.0": "3e99508ff24cb1253de09ddb76c8143a133cecb1915ed1b928e05717c3a08dc2",
+    "gru2-sample-1.5": "d8e871d32bff02b032cc84041b06b3b71cdc4188fbb229f2166cd8d960f9d25e",
+    "birnn2-argmax-1.0": "fbf9e6c800a9f8c7c66fd8757f7a4df83364109efd55bfdff1806ba9a6d5737f",
+    "birnn2-sample-0.5": "66f040e8596bbc14c300dd2eb694db37805604024109fa958101407e71ff05ce",
+    "birnn2-sample-1.0": "045212faa83af0df5cc845b28a62e59119b6994a5a29c3a63c0356cb031f0a34",
+    "birnn2-sample-1.5": "8438c1d8e165fcb768724396ab7af696a71af9859d0f64180a0caf88b2c84805",
+}
+
+
+def _golden_model(tmp_path, fixture_vocab, kind, layers):
+    config = ModelConfig(kind=kind, layer_widths=(32, 24)[:layers],
+                         vocab_size=fixture_vocab.size, batch_size=4, embed_dim=16,
+                         dropout=0.0, seq_len=10, init_seed=29)
+    model = build_model(config, fixture_vocab)
+    for p in model.params().values():
+        p *= 4.0  # wider logits than a fresh init, so each temperature samples its own text
+    path = tmp_path / f"{kind}{layers}.ckpt"
+    save_checkpoint(model, path)
+    return rebuild_for_generation(load_checkpoint(path))
+
+
+class TestGoldenText:
+    @pytest.mark.parametrize("kind", ["lstm", "gru", "birnn"])
+    @pytest.mark.parametrize("layers", [1, 2])
+    def test_sampled_text_digests(self, tmp_path, fixture_vocab, kind, layers):
+        model = _golden_model(tmp_path, fixture_vocab, kind, layers)
+        got = {}
+        for mode, temperature in (("argmax", 1.0), ("sample", 0.5), ("sample", 1.0),
+                                  ("sample", 1.5)):
+            plan = GenerationPlan(prime_text="GUARD: Halt! Who goes there", length=200,
+                                  temperature=temperature, mode=mode, sample_seed=11)
+            text = generate(model, plan)
+            got[f"{kind}{layers}-{mode}-{temperature}"] = (
+                hashlib.sha256(text.encode("utf-8")).hexdigest())
+        assert got == {k: v for k, v in _GOLDEN.items() if k.startswith(f"{kind}{layers}-")}

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from charrnn.corpus import Vocabulary
-from charrnn.exceptions import ConfigError, VocabularyError
+from charrnn.exceptions import ConfigError, ShapeError, VocabularyError
 from charrnn.layers import (
     BidirectionalLstm,
     Dense,
+    Embedded,
     Embedding,
     GruCell,
     LstmCell,
@@ -452,6 +453,69 @@ class TestStack:
         grads = stack.backward(tape, _rand((1, 4, 4)))
         assert list(grads) == list(stack.params())
         assert all(grads[k].shape == stack.params()[k].shape for k in grads)
+
+
+def _leaves(state):
+    """Every array of a (nested) stack or layer state, in order."""
+    if isinstance(state, np.ndarray):
+        return [state]
+    return [a for part in state for a in _leaves(part)]
+
+
+class TestGenerationStep:
+    """RecurrentStack.step runs layer 0 on the training forward's arithmetic:
+    P = table W_x + b from init_state, and P[ids] per step."""
+
+    @staticmethod
+    def _stack(kind, widths=(6,)):
+        config = ModelConfig(kind=kind, layer_widths=widths, vocab_size=7, batch_size=1,
+                             embed_dim=5, dropout=0.0, init_seed=8)
+        stack = build_model(config, Vocabulary(tuple("abcdefg")))
+        for p in stack.params().values():
+            p += _rand(p.shape, scale=0.5, seed=p.size)
+        return stack
+
+    @pytest.mark.parametrize("kind", ["lstm", "gru", "birnn"])
+    def test_layer0_states_equal_forward_seq_bitwise(self, kind):
+        # for birnn only the forward direction scans left to right
+        stack = self._stack(kind, widths=(6, 4))
+        ids = np.random.default_rng(9).integers(0, 7, (1, 40))
+        hs, _ = stack.recurrent[0].forward_seq(Embedded(stack.embedding, ids), train=False)
+        state = stack.init_state(1)
+        for t in range(40):
+            _, state = stack.step(ids[:, t], state)
+            h = state[0][0][0] if kind == "birnn" else state[0][0]
+            assert h.tobytes() == hs[:, t, :6].tobytes(), t
+
+    @pytest.mark.parametrize("kind", ["lstm", "gru", "birnn"])
+    def test_one_call_prime_equals_per_character_calls(self, kind):
+        stack = self._stack(kind, widths=(6, 4))
+        ids = np.random.default_rng(10).integers(0, 7, (1, 25))
+        logits, state = stack.step(ids, stack.init_state(1))
+        state_1 = stack.init_state(1)
+        for t in range(25):
+            logits_1, state_1 = stack.step(ids[:, t], state_1)
+        assert logits.tobytes() == logits_1.tobytes()
+        assert [a.tobytes() for a in _leaves(state)] == [a.tobytes() for a in _leaves(state_1)]
+
+    def test_state_starts_from_the_given_state(self):
+        stack = self._stack("lstm")
+        ids = np.random.default_rng(11).integers(0, 7, (1, 12))
+        _, head = stack.step(ids[:, :5], stack.init_state(1))
+        logits, _ = stack.step(ids[:, 5:], head)
+        whole, _ = stack.step(ids, stack.init_state(1))
+        assert logits.tobytes() == whole.tobytes()
+
+    @pytest.mark.parametrize("shape", [(1, 0), (1, 2, 3)])
+    def test_bad_id_shapes(self, shape):
+        stack = self._stack("gru")
+        with pytest.raises(ShapeError):
+            stack.step(np.zeros(shape, dtype=np.int64), stack.init_state(1))
+
+    def test_out_of_range_id(self):
+        stack = self._stack("gru")
+        with pytest.raises(VocabularyError):
+            stack.step(np.array([[0, 7]]), stack.init_state(1))
 
 
 class TestStability:

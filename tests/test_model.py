@@ -474,6 +474,25 @@ class TestRebuildForGeneration:
             step_logits, state = rebuilt.step(seq[:, t], state)
             assert np.max(np.abs(full_logits[0, t] - step_logits[0])) <= 1e-12
 
+    @pytest.mark.parametrize("kind", ["lstm", "gru", "birnn"])
+    def test_new_state_reads_weights_after_rmsprop_step(self, kind):
+        # init_state builds P = table W_x + b from the weights as they are,
+        # so a state made after an in-place update steps with the new weights
+        from charrnn.objective import RmspropState, ce_loss, rmsprop_step
+
+        model = build_model(_config(kind=kind, widths=(4, 3)), VOCAB5)
+        chars = np.arange(5)[:, None]
+        model.step(chars, model.init_state(5))  # a P cached here would go stale below
+        before, _ = model.forward(chars)
+        seq = np.random.default_rng(3).integers(0, 5, (2, 6))
+        logits, tape = model.forward(seq, train=True, dropout_rng=Rng(0))
+        grads = model.backward(tape, ce_loss(logits, seq).grad)
+        rmsprop_step(model.params(), grads, RmspropState.for_params(model.params()))
+        after, _ = model.forward(chars)
+        stepped, _ = model.step(chars, model.init_state(5))
+        assert np.max(np.abs(after - before)) > 1e-6
+        assert np.max(np.abs(after[:, 0] - stepped)) <= 1e-12
+
     def test_generation_does_not_touch_source_params(self):
         model = build_model(_config(), VOCAB5)
         before = {k: v.copy() for k, v in model.params().items()}

@@ -153,6 +153,11 @@ class TestSampleCategorical:
         with pytest.raises(DistributionError, match="sum"):
             sample_categorical(np.array([bad, 1.0]), Rng(0))
 
+    @pytest.mark.parametrize("probs", [[np.nan, -0.1, 1.1], [-np.inf, np.inf], [1.5, -0.5]])
+    def test_negative_reported_before_sum(self, probs):
+        with pytest.raises(DistributionError, match="negative"):
+            sample_categorical(np.array(probs), Rng(0))
+
     def test_determinism(self):
         probs = np.array([0.25, 0.25, 0.5])
         a = [sample_categorical(probs, Rng(7)) for _ in range(1)]

@@ -91,42 +91,42 @@ class TestTrainEpoch:
 
 
 class TestTrain:
-    def test_history_rows_and_outputs(self, fixture_path, fixture_vocab, tmp_path):
+    def test_history_rows_and_outputs(self, fixture_text, fixture_vocab, tmp_path):
         config = _small_config(fixture_vocab)
         ckpt = tmp_path / "m.ckpt"
         csv = tmp_path / "h.csv"
-        _, history = train(fixture_path, config, TrainPlan(epochs=3, lr=1e-3),
+        _, history = train(fixture_text, fixture_vocab, config, TrainPlan(epochs=3, lr=1e-3),
                            ckpt_path=ckpt, history_path=csv)
         assert [row.epoch for row in history] == [1, 2, 3]
         assert ckpt.exists() and csv.exists()
         assert load_checkpoint(ckpt).config == config
         assert parse_history(csv) == history
 
-    def test_monotone_trend_over_ten_epochs(self, fixture_path, fixture_vocab):
+    def test_monotone_trend_over_ten_epochs(self, fixture_text, fixture_vocab):
         config = _small_config(fixture_vocab, layer_widths=(32,), embed_dim=32)
-        _, history = train(fixture_path, config, TrainPlan(epochs=10, lr=2e-3))
+        _, history = train(fixture_text, fixture_vocab, config, TrainPlan(epochs=10, lr=2e-3))
         assert history[9].mean_loss < history[0].mean_loss
 
-    def test_vocab_size_mismatch(self, fixture_path, fixture_vocab):
+    def test_vocab_size_mismatch(self, fixture_text, fixture_vocab):
         config = _small_config(fixture_vocab, vocab_size=fixture_vocab.size + 1)
         with pytest.raises(ConfigError):
-            train(fixture_path, config, TrainPlan(epochs=1))
+            train(fixture_text, fixture_vocab, config, TrainPlan(epochs=1))
 
-    def test_progress_callback(self, fixture_path, fixture_vocab):
+    def test_progress_callback(self, fixture_text, fixture_vocab):
         seen = []
         config = _small_config(fixture_vocab)
-        train(fixture_path, config, TrainPlan(epochs=2), progress=seen.append)
+        train(fixture_text, fixture_vocab, config, TrainPlan(epochs=2), progress=seen.append)
         assert [row.epoch for row in seen] == [1, 2]
 
-    def test_loss_determinism_across_runs(self, fixture_path, fixture_vocab):
+    def test_loss_determinism_across_runs(self, fixture_text, fixture_vocab):
         config = _small_config(fixture_vocab, dropout=0.3)
         plan = TrainPlan(epochs=2, lr=1e-3, shuffle_seed=4, dropout_seed=9)
-        _, h1 = train(fixture_path, config, plan)
-        _, h2 = train(fixture_path, config, plan)
+        _, h1 = train(fixture_text, fixture_vocab, config, plan)
+        _, h2 = train(fixture_text, fixture_vocab, config, plan)
         assert [r.mean_loss for r in h1] == [r.mean_loss for r in h2]
 
     @pytest.mark.parametrize("kind", ["lstm", "gru", "birnn"])
-    def test_preset_configs_stay_finite_ten_epochs(self, fixture_path, fixture_vocab, kind):
+    def test_preset_configs_stay_finite_ten_epochs(self, fixture_text, fixture_vocab, kind):
         from charrnn.model import preset_widths
 
         for preset in ("uni", "bi", "quad"):
@@ -134,7 +134,7 @@ class TestTrain:
                 fixture_vocab, kind=kind, layer_widths=preset_widths(preset, 1 / 32),
                 batch_size=16, seq_len=50, embed_dim=32, dropout=0.4,
             )
-            _, history = train(fixture_path, config, TrainPlan(epochs=10, lr=1e-3))
+            _, history = train(fixture_text, fixture_vocab, config, TrainPlan(epochs=10, lr=1e-3))
             assert all(math.isfinite(r.mean_loss) for r in history), (kind, preset)
 
 
