@@ -3,7 +3,9 @@
 The prime text is fed in one step() call, which runs the recurrent layers
 over every prime character and the dense layer on the last one only; then
 the loop alternates select-next-character / feed-it-back until the requested
-length is reached. Temperature divides the logits before the softmax:
+length is reached. The last character is not fed back, since nothing reads
+the logits that step would give, so a request makes 1 + max(length - 1, 0)
+step() calls. Temperature divides the logits before the softmax:
 T -> 0 sharpens the distribution toward the argmax, large T flattens it
 toward uniform. Dividing the post-softmax probabilities instead would cancel
 under renormalisation and do nothing, which is why the logits form is the
@@ -69,7 +71,9 @@ def generate(model: Model, plan: GenerationPlan) -> str:
     rng = Rng(plan.sample_seed)
     out = []
     with np.errstate(over="ignore"):  # a tiny T overflows to -inf: the argmax limit
-        for _ in range(plan.length):
+        for n in range(plan.length):
+            if n:  # feed back the last character; the final one is never fed
+                logits, state = model.step(np.array([out[-1]], dtype=np.int64), state)
             if plan.mode == "argmax":
                 # dividing by T > 0 keeps the argmax; rounding in softmax would not
                 nxt = int(np.argmax(logits[0]))
@@ -80,5 +84,4 @@ def generate(model: Model, plan: GenerationPlan) -> str:
                 probs /= probs.sum()
                 nxt = sample_categorical(probs, rng)
             out.append(nxt)
-            logits, state = model.step(np.array([nxt], dtype=np.int64), state)
     return plan.prime_text + vocab.decode(out)

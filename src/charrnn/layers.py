@@ -1,11 +1,14 @@
 """Layers with hand-derived forward and backward passes.
 
-Everything operates on batch-major arrays: token indices are [B, L], activations
-are [B, L, features]. Recurrent layers scan left to right from a zero state;
-the bidirectional wrapper additionally scans right to left over the same input
-and concatenates both directions. Backward passes are exact reverse-mode
-derivatives of the forward code (backpropagation through time), written out
-gate by gate.
+RecurrentStack takes token indices [B, L] and returns logits [B, L, V], but
+runs time-major inside: the recurrent layers and dropout take and return
+[L, B, features], so each step's rows are one contiguous [B, features] block.
+It transposes the ids once, as a view, and the dense layer reads one
+batch-major copy of the last layer's output. Recurrent layers scan left to
+right from a zero state; the bidirectional wrapper additionally scans right
+to left over the same input (reversed on axis 0) and concatenates both
+directions. Backward passes are exact reverse-mode derivatives of the
+forward code (backpropagation through time), written out gate by gate.
 
 Gate layouts are fixed so checkpoints stay readable across versions:
   LSTM kernel columns: (input i, forget f, candidate g, output o), each H wide.
@@ -13,15 +16,16 @@ Gate layouts are fixed so checkpoints stay readable across versions:
 
 LSTM step:   i,f,o = sigmoid(x W_x + b + h W_h)[gates], g = tanh(...)
              c' = f*c + i*g,  h' = o*tanh(c')
+             (all four in one tanh pass: sigmoid(x) = 0.5 tanh(0.5 x) + 0.5)
 GRU step:    z,r = sigmoid(x W_x + b + h W_h)[gates]
              n = tanh(x Wx_n + b_n + (r*h) Wh_n),  h' = z*h + (1-z)*n
 Note the GRU candidate applies the reset gate to h before its recurrent
 matmul, and z is a "keep" gate (z = 1 preserves the old state).
 
 Only the recurrence runs inside the time loops. Forward: x W_x + b for every
-step is one GEMM before the loop, and each step adds h W_h, applies one
-sigmoid over the whole gate block, overwrites the candidate slice with tanh
-and writes the gates into the tape in place of the projection. The per-step
+step is one GEMM before the loop, and each step adds h W_h to its row of the
+tape and turns it into the gates in place (the LSTM with one tanh over the
+whole row, the GRU with a sigmoid over z and r and a tanh over n). The per-step
 gate code is shared by the scan and by step(). Backward walks the sequence
 in blocks of _BLOCK steps, last block first. Per block it first computes
 every factor of d loss / d pre-activation (da) that needs no recurrence, for
@@ -29,12 +33,12 @@ all the block's steps at once; the loop then carries dh (and the LSTM's dc)
 back one step at a time, scales da in place, and makes the recurrent
 matmuls: dh = da W_h^T (the GRU also da_n Wh_n^T for the reset path). After
 the loop, dW_x, dW_h, db and dxs are one GEMM or reduction each over the
-block's B * _BLOCK rows. Blocking bounds the extra memory of backward to
-[B, _BLOCK, kH] whatever the sequence length.
+block's _BLOCK * B rows. Blocking bounds the extra memory of backward to
+[_BLOCK, B, kH] whatever the sequence length.
 
 The embedding is folded into layer 0. Its input is table[ids] with no dropout
 in between, so RecurrentStack.forward hands it an Embedded (the ids and the
-table) instead of gathered [B, L, E] rows. The projection is then
+table) instead of gathered [L, B, E] rows. The projection is then
 P = table W_x + b, a [V, kH] GEMM, and gates = P[ids]; backward sums each
 block's da rows by id into S [V, kH] (the one-hot GEMM of
 Embedding.backward) and, after the last block, takes dW_x = table^T S,
@@ -74,6 +78,10 @@ from .numerics import Rng, sigmoid
 
 # Time steps per backward block (see the module docstring).
 _BLOCK = 25
+# LstmCell._recur's one tanh pass: scale the (i, f, g, o) pre-activations,
+# tanh, scale again and shift, so i, f and o come out as sigmoids
+_LSTM_SCALE = np.array([0.5, 0.5, 1.0, 0.5])[:, None]
+_LSTM_SHIFT = np.array([0.5, 0.5, 0.0, 0.5])[:, None]
 
 
 def _split(a: np.ndarray, parts: int) -> list[np.ndarray]:
@@ -112,8 +120,8 @@ class Embedding:
 
 
 class Embedded:
-    """Layer 0's input, table[ids] [B, L, E] (or [B, E] for one step), held
-    as the ids and the table.
+    """Layer 0's input, table[ids] [L, B, E] (or [B, E] for one step), held
+    as the time-major ids [L, B] (or [B]) and the table.
 
     The rows are never gathered: a cell given an Embedded projects the V-row
     table instead of the B * L rows (see _Cell._scan and _Cell._bptt), and a
@@ -127,7 +135,7 @@ class Embedded:
 
     def reversed(self) -> Embedded:
         """The same rows in reverse time order."""
-        return Embedded(self.embedding, self.ids[:, ::-1])
+        return Embedded(self.embedding, self.ids[::-1])
 
 
 class _Cell:
@@ -170,42 +178,45 @@ class _Cell:
         state's P; any other x [B, D] is projected as x W_x + b."""
         k = len(self.STATES)
         a = state[k][x.ids] if isinstance(x, Embedded) else x @ self.w_x + self.b
+        if len(a) != len(state[0]):
+            raise ShapeError(f"step input has batch {len(a)}, its state {len(state[0])}")
         new = tuple(np.empty_like(s) for s in state[:k])
         self._recur(a, *state[:k], *new)
         return new[0], new + state[k:]
 
     def _scan(self, xs, train: bool):
-        """Scan the whole sequence from a zero state.
+        """Scan the whole time-major sequence xs [L, B, D] from a zero state.
 
-        Returns (hs [B, L, H], tape); the tape is None unless train is set.
+        Returns (hs [L, B, H], tape); the tape is None unless train is set.
         x W_x + b has no recurrence, so it is one GEMM before the time loop
-        and each step turns its slice into its gates in place. For an
-        Embedded input the GEMM is table W_x + b, [V, kH], and the steps'
-        rows are gathered from it by id. Each state buffer [B, L + 1, H]
-        holds the zero state at index 0, so step t reads t and writes t + 1.
+        and each step turns its row gates[t] [B, kH], contiguous, into its
+        gates in place. For an Embedded input the GEMM is table W_x + b,
+        [V, kH], and the steps' rows are gathered from it by id. Each state
+        buffer [L + 1, B, H] holds the zero state at index 0, so step t reads
+        t and writes t + 1, and hs is the buffer's contiguous tail.
         """
         if isinstance(xs, Embedded):
             gates = xs.embedding.table @ self.w_x
             gates += self.b
             gates = gates[xs.ids]
         else:
-            batch, length, width = xs.shape
-            gates = xs.reshape(batch * length, width) @ self.w_x
+            length, batch, width = xs.shape
+            gates = xs.reshape(length * batch, width) @ self.w_x
             gates += self.b
-            gates = gates.reshape(batch, length, self.w_x.shape[1])
-        batch, length = gates.shape[:2]
-        states = [np.zeros((batch, length + 1, self.hidden_size)) for _ in self.STATES]
+            gates = gates.reshape(length, batch, self.w_x.shape[1])
+        length, batch = gates.shape[:2]
+        states = [np.zeros((length + 1, batch, self.hidden_size)) for _ in self.STATES]
         for t in range(length):
-            self._recur(gates[:, t], *[s[:, t] for s in states],
-                        *[s[:, t + 1] for s in states])
+            self._recur(gates[t], *[s[t] for s in states], *[s[t + 1] for s in states])
         tape = {"xs": xs, "gates": gates, **dict(zip(self.STATES, states))} if train else None
-        return states[0][:, 1:], tape
+        return states[0][1:], tape
 
     def _bptt(self, tape, dhs: np.ndarray):
-        """BPTT given d loss / d hs. Returns (dxs, grads). The tape is not modified.
+        """BPTT given d loss / d hs [L, B, H]. Returns (dxs, grads). The tape
+        is not modified.
 
         Blocks of _BLOCK steps run last first and share one da scratch array
-        [B, t1 - t0, k, H]. _back_block fills da, carries the state
+        [t1 - t0, B, k, H]. _back_block fills da, carries the state
         gradients across the block and adds its dW_h; the block's da rows are
         then flushed into db, dW_x and dxs. For an Embedded input the rows are
         only summed by id into S [V, kH]; the steps' x are rows of the table,
@@ -213,7 +224,7 @@ class _Cell:
         """
         xs = tape["xs"]
         embedded = isinstance(xs, Embedded)
-        batch, length, hidden = dhs.shape
+        length, batch, hidden = dhs.shape
         width = self.GATES * hidden
         grads = {k: np.zeros_like(v) for k, v in self.params().items()}
         dxs = np.zeros((xs.embedding.table.shape[0], width)) if embedded else np.empty(xs.shape)
@@ -221,15 +232,15 @@ class _Cell:
         work = np.empty(batch * min(length, _BLOCK) * width)
         for t0 in range((length - 1) // _BLOCK * _BLOCK, -1, -_BLOCK):
             t1 = min(t0 + _BLOCK, length)
-            da = work[: batch * (t1 - t0) * width].reshape(batch, t1 - t0, self.GATES, hidden)
+            da = work[: (t1 - t0) * batch * width].reshape(t1 - t0, batch, self.GATES, hidden)
             carry = self._back_block(tape, dhs, t0, t1, da, carry, grads["w_h"])
             da = da.reshape(-1, width)
             grads["b"] += da.sum(axis=0)
             if embedded:
-                dxs += xs.embedding.backward(xs.ids[:, t0:t1], da)
+                dxs += xs.embedding.backward(xs.ids[t0:t1], da)
             else:
-                grads["w_x"] += xs[:, t0:t1].reshape(-1, xs.shape[2]).T @ da
-                dxs[:, t0:t1] = (da @ self.w_x.T).reshape(batch, t1 - t0, -1)
+                grads["w_x"] += xs[t0:t1].reshape(-1, xs.shape[2]).T @ da
+                dxs[t0:t1] = (da @ self.w_x.T).reshape(t1 - t0, batch, -1)
         if embedded:
             grads["w_x"] += xs.embedding.table.T @ dxs
             dxs = dxs @ self.w_x.T
@@ -246,18 +257,18 @@ class LstmCell(_Cell):
     def _recur(self, a, h_prev, c_prev, h, c) -> None:
         """One timestep, writing h and c.
 
-        a holds x W_x + b [B, 4H] on entry and the gates (i, f, g, o) on exit.
-        The gate math runs on a contiguous copy, since a may be a strided
-        view into the tape.
+        a, contiguous, holds x W_x + b [B, 4H] on entry and the gates
+        (i, f, g, o) on exit. All four gates take one tanh pass:
+        sigmoid(x) = 0.5 tanh(0.5 x) + 0.5, and scaling by 0.5 is exact, so
+        this equals numerics.sigmoid on i, f, o and tanh on g bit for bit.
         """
-        hs = self.hidden_size
-        gates = h_prev @ self.w_h
-        gates += a
-        g = np.tanh(gates[:, 2 * hs : 3 * hs])
-        sigmoid(gates, out=gates)
-        gates[:, 2 * hs : 3 * hs] = g
-        a[...] = gates
-        i, f, _, o = _split(gates, 4)
+        a += h_prev @ self.w_h
+        gates = a.reshape(len(a), 4, -1)
+        gates *= _LSTM_SCALE
+        np.tanh(a, out=a)
+        gates *= _LSTM_SCALE
+        gates += _LSTM_SHIFT
+        i, f, g, o = _split(a, 4)
         np.multiply(f, c_prev, out=c)
         c += i * g
         np.tanh(c, out=h)
@@ -265,9 +276,9 @@ class LstmCell(_Cell):
 
     def _back_block(self, tape, dhs, t0, t1, da, carry, dw_h):
         """Steps [t0, t1) of BPTT: da, the carried (dh, dc) and dW_h."""
-        block = tape["gates"][:, t0:t1]
+        block = tape["gates"][t0:t1]
         c_all = tape["c"]
-        batch, hs_n = da.shape[0], self.hidden_size
+        batch, hs_n = da.shape[1], self.hidden_size
         w_h_t = self.w_h.T
         i, f, g, o = _split(block, 4)
         # da starts as the local derivative of each gate's pre-activation;
@@ -277,25 +288,25 @@ class LstmCell(_Cell):
         np.subtract(1.0, block, out=da_block)
         da_block *= block  # s * (1 - s), right for every gate but g
         da_i *= g
-        da_f *= c_all[:, t0:t1]
+        da_f *= c_all[t0:t1]
         np.multiply(g, g, out=da_g)
         np.subtract(1.0, da_g, out=da_g)
         da_g *= i
-        tc = np.tanh(c_all[:, t0 + 1 : t1 + 1])
+        tc = np.tanh(c_all[t0 + 1 : t1 + 1])
         da_o *= tc
         dc_dh = np.multiply(tc, tc, out=tc)  # becomes o * (1 - tanh(c)^2)
         np.subtract(1.0, dc_dh, out=dc_dh)
         dc_dh *= o
         dh_next, dc_next = carry
         for j in range(t1 - t0 - 1, -1, -1):
-            dh = dhs[:, t0 + j] + dh_next
-            dc = dh * dc_dh[:, j]
+            dh = dhs[t0 + j] + dh_next
+            dc = dh * dc_dh[j]
             dc += dc_next
-            da[:, j, :3] *= dc[:, None]
-            da[:, j, 3] *= dh
-            dh_next = da[:, j].reshape(batch, 4 * hs_n) @ w_h_t
-            dc_next = dc * f[:, j]
-        dw_h += tape["h"][:, t0:t1].reshape(-1, hs_n).T @ da.reshape(-1, 4 * hs_n)
+            da[j, :, :3] *= dc[:, None]
+            da[j, :, 3] *= dh
+            dh_next = da[j].reshape(batch, 4 * hs_n) @ w_h_t
+            dc_next = dc * f[j]
+        dw_h += tape["h"][t0:t1].reshape(-1, hs_n).T @ da.reshape(-1, 4 * hs_n)
         return dh_next, dc_next
 
 
@@ -309,8 +320,9 @@ class GruCell(_Cell):
     def _recur(self, a, h_prev, h) -> None:
         """One timestep, writing h.
 
-        a holds x W_x + b [B, 3H] on entry and the gates (z, r, n) on exit;
-        the math runs on contiguous copies, as in LstmCell._recur.
+        a holds x W_x + b [B, 3H] on entry and the gates (z, r, n) on exit.
+        The candidate needs r before its matmul, so z, r and n are computed
+        in fresh contiguous arrays and copied into a.
         """
         hs = self.hidden_size
         zr = h_prev @ self.w_h[:, : 2 * hs]
@@ -328,11 +340,11 @@ class GruCell(_Cell):
 
     def _back_block(self, tape, dhs, t0, t1, da, carry, dw_h):
         """Steps [t0, t1) of BPTT: da, the carried dh and dW_h."""
-        batch, hs_n = da.shape[0], self.hidden_size
+        batch, hs_n = da.shape[1], self.hidden_size
         w_h_zr_t = self.w_h[:, : 2 * hs_n].T
         w_h_n_t = self.w_h[:, 2 * hs_n :].T
-        z, r, n = _split(tape["gates"][:, t0:t1], 3)
-        h_prev = tape["h"][:, t0:t1]
+        z, r, n = _split(tape["gates"][t0:t1], 3)
+        h_prev = tape["h"][t0:t1]
         # da starts as the local derivative of each pre-activation; the
         # loop scales it in place by dh (z, n) or by d loss / d (r*h) (r)
         da_z, da_r, da_n = (da[:, :, k] for k in range(3))
@@ -348,14 +360,14 @@ class GruCell(_Cell):
         da_n *= one_minus_nn
         (dh_next,) = carry
         for j in range(t1 - t0 - 1, -1, -1):
-            dh = dhs[:, t0 + j] + dh_next
-            da[:, j, 0] *= dh
-            da[:, j, 2] *= dh
-            drh = da[:, j, 2] @ w_h_n_t
-            da[:, j, 1] *= drh
-            dh_next = da[:, j, :2].reshape(batch, 2 * hs_n) @ w_h_zr_t
-            dh_next += dh * z[:, j]
-            dh_next += drh * r[:, j]
+            dh = dhs[t0 + j] + dh_next
+            da[j, :, 0] *= dh
+            da[j, :, 2] *= dh
+            drh = da[j, :, 2] @ w_h_n_t
+            da[j, :, 1] *= drh
+            dh_next = da[j, :, :2].reshape(batch, 2 * hs_n) @ w_h_zr_t
+            dh_next += dh * z[j]
+            dh_next += drh * r[j]
         da = da.reshape(-1, 3 * hs_n)
         h_prev = h_prev.reshape(-1, hs_n)
         dw_h[:, : 2 * hs_n] += h_prev.T @ da[:, : 2 * hs_n]
@@ -400,19 +412,19 @@ class BidirectionalLstm:
         return np.concatenate([hf, hb], axis=1), (state_f, state_b)
 
     def forward_seq(self, xs, train: bool):
-        xs_rev = xs.reversed() if isinstance(xs, Embedded) else xs[:, ::-1]
+        xs_rev = xs.reversed() if isinstance(xs, Embedded) else xs[::-1]
         hf, tape_f = self.fwd.forward_seq(xs, train)
         hb_rev, tape_b = self.bwd.forward_seq(xs_rev, train)
-        out = np.concatenate([hf, hb_rev[:, ::-1]], axis=2)
+        out = np.concatenate([hf, hb_rev[::-1]], axis=2)
         tape = {"f": tape_f, "b": tape_b} if train else None
         return out, tape
 
     def backward_seq(self, tape, dhs: np.ndarray):
         h = self.hidden_size
         dxs, grads_f = self.fwd.backward_seq(tape["f"], dhs[:, :, :h])
-        dxs_b_rev, grads_b = self.bwd.backward_seq(tape["b"], dhs[:, ::-1, h:])
+        dxs_b_rev, grads_b = self.bwd.backward_seq(tape["b"], dhs[::-1, :, h:])
         # an Embedded input's gradient is d table, which has no time axis
-        dxs += dxs_b_rev if dxs.ndim == 2 else dxs_b_rev[:, ::-1]
+        dxs += dxs_b_rev if dxs.ndim == 2 else dxs_b_rev[::-1]
         grads = {f"fwd.{k}": v for k, v in grads_f.items()}
         grads.update({f"bwd.{k}": v for k, v in grads_b.items()})
         return dxs, grads
@@ -444,10 +456,13 @@ class Dense:
 
 
 def dropout_forward(x: np.ndarray, rate: float, train: bool, rng: Rng | None):
-    """Inverted dropout: zero units with probability rate, scale the rest.
+    """Inverted dropout on time-major x [L, B, ...]: zero units with
+    probability rate, scale the rest by 1 / (1 - rate).
 
-    Eval mode (or rate 0) is an exact identity. Returns (output, mask) where
-    mask is None when nothing was dropped.
+    A unit is kept where its uniform draw is >= rate. The draws run in
+    batch-major [B, L, ...] order, the order seeded masks are defined in,
+    whatever the layout of x. Eval mode (or rate 0) is an exact identity.
+    Returns (output, mask) where mask is None when nothing was dropped.
     """
     if not 0.0 <= rate < 1.0:
         raise ConfigError(f"dropout rate must be in [0, 1), got {rate}")
@@ -455,7 +470,8 @@ def dropout_forward(x: np.ndarray, rate: float, train: bool, rng: Rng | None):
         return x, None
     if rng is None:
         raise ValueError("training-mode dropout needs an rng")
-    mask = (rng.uniform(x.shape) >= rate).astype(np.float64) / (1.0 - rate)
+    keep = rng.uniform_at_least(x.swapaxes(0, 1).shape, rate).swapaxes(0, 1)
+    mask = np.multiply(keep, 1.0 / (1.0 - rate), order="C")
     return x * mask, mask
 
 
@@ -486,9 +502,12 @@ class RecurrentStack:
                 dropout_rng: Rng | None = None):
         """Full-sequence forward. Returns (logits [B, L, V], tape or None).
 
-        Layer 0 reads the ids and the table, not gathered rows (see Embedded).
+        The recurrent layers and dropout run time-major on [L, B, ·]. Layer 0
+        reads the transposed ids and the table, not gathered rows (see
+        Embedded); the dense layer reads a batch-major copy of the last
+        layer's output, so the logits keep their [B, L, V] rows.
         """
-        x = Embedded(self.embedding, indices)
+        x = Embedded(self.embedding, indices.T)
         cell_tapes = []
         masks = []
         for layer in self.recurrent:
@@ -496,6 +515,7 @@ class RecurrentStack:
             x, mask = dropout_forward(hs, self.dropout_rate, train, dropout_rng)
             cell_tapes.append(tape)
             masks.append(mask)
+        x = np.ascontiguousarray(x.swapaxes(0, 1))
         logits = self.dense.forward(x)
         if not train:
             return logits, None
@@ -509,6 +529,7 @@ class RecurrentStack:
         dx, dense_grads = self.dense.backward(tape.dense_input, dlogits)
         for k, v in dense_grads.items():
             grads[f"dense.{k}"] = v
+        dx = np.ascontiguousarray(dx.swapaxes(0, 1))
         for i in range(len(self.recurrent) - 1, -1, -1):
             dx = dropout_backward(dx, tape.masks[i])
             dx, layer_grads = self.recurrent[i].backward_seq(tape.cell_tapes[i], dx)

@@ -9,6 +9,8 @@ storage and elementwise/matrix arithmetic.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .exceptions import DistributionError, ShapeError
@@ -50,15 +52,23 @@ class Rng:
         return z ^ (z >> 31)
 
     def _bulk_u64(self, n: int) -> np.ndarray:
-        """n draws as a uint64 array, identical to n calls of next_u64."""
-        states = np.uint64(self._state) + np.uint64(_GAMMA) * np.arange(
-            1, n + 1, dtype=np.uint64
-        )
+        """n draws as a uint64 array, identical to n calls of next_u64.
+
+        Works in place on the result and one temporary.
+        """
+        z = np.arange(1, n + 1, dtype=np.uint64)
+        z *= np.uint64(_GAMMA)
+        z += np.uint64(self._state)
         self._state = (self._state + n * _GAMMA) & _MASK64
-        z = states
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-        return z ^ (z >> np.uint64(31))
+        t = z >> np.uint64(30)
+        z ^= t
+        z *= np.uint64(_MIX1)
+        np.right_shift(z, np.uint64(27), out=t)
+        z ^= t
+        z *= np.uint64(_MIX2)
+        np.right_shift(z, np.uint64(31), out=t)
+        z ^= t
+        return z
 
     def uniform(self, shape=None, low: float = 0.0, high: float = 1.0):
         """Floats in [low, high) with 53-bit resolution.
@@ -71,6 +81,17 @@ class Rng:
         n = int(np.prod(shape))
         u = (self._bulk_u64(n) >> np.uint64(11)).astype(np.float64) * _INV_2_53
         return (low + (high - low) * u).reshape(shape)
+
+    def uniform_at_least(self, shape, threshold: float) -> np.ndarray:
+        """Booleans equal to uniform(shape) >= threshold, for threshold in
+        [0, 1), with the same draws.
+
+        uniform's 53-bit integer u = z >> 11 of a draw z is >= threshold * 2^53
+        exactly when u >= m = ceil(threshold * 2^53), that is when z >= m << 11,
+        so each draw takes one integer compare and no float conversion.
+        """
+        bound = np.uint64(math.ceil(threshold * 2.0 ** 53) << 11)
+        return (self._bulk_u64(math.prod(shape)) >= bound).reshape(shape)
 
     def randint(self, bound: int) -> int:
         """Uniform integer in [0, bound) via the multiply-shift reduction."""

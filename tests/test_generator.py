@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from charrnn.corpus import Vocabulary
 from charrnn.exceptions import ConfigError, VocabularyError
 from charrnn.generator import GenerationPlan, apply_temperature, generate
+from charrnn.layers import RecurrentStack
 from charrnn.model import (
     ModelConfig,
     build_model,
@@ -114,6 +115,21 @@ class TestGenerate:
         model.params()["dense.b"][:] = [0.0, 1e-17, -3.0]
         plan = GenerationPlan(prime_text="a", length=6, mode="argmax")
         assert generate(model, plan) == "abbbbbb"
+
+    @pytest.mark.parametrize("length, calls", [(0, 1), (1, 1), (2, 2), (5, 5), (40, 40)])
+    def test_step_calls(self, monkeypatch, length, calls):
+        # one call for the prime, then one per sampled character but the last
+        counted = []
+        real_step = RecurrentStack.step
+
+        def counting_step(self, ids, state):
+            counted.append(np.shape(ids))
+            return real_step(self, ids, state)
+
+        monkeypatch.setattr(RecurrentStack, "step", counting_step)
+        generate(_gen_model(), GenerationPlan(prime_text="abc", length=length, sample_seed=2))
+        assert len(counted) == calls
+        assert counted[0] == (1, 3) and all(shape == (1,) for shape in counted[1:])
 
     def test_unknown_prime_char(self):
         model = _gen_model()

@@ -2,6 +2,8 @@ import importlib.util
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from charrnn.corpus import Vocabulary
 from charrnn.exceptions import ConfigError, ShapeError, VocabularyError
@@ -17,7 +19,7 @@ from charrnn.layers import (
     dropout_forward,
 )
 from charrnn.model import ModelConfig, build_model
-from charrnn.numerics import Rng
+from charrnn.numerics import Rng, sample_categorical
 from tests.conftest import REPO_ROOT, finite_difference, rel_err
 
 
@@ -77,8 +79,8 @@ class TestLstmCell:
         cell = LstmCell(_rand((d_in, 4 * hidden), seed=1),
                         _rand((hidden, 4 * hidden), seed=2),
                         _rand(4 * hidden, seed=3))
-        xs = _rand((batch, length, d_in), seed=4)
-        weights = _rand((batch, length, hidden), seed=5)
+        xs = _rand((length, batch, d_in), seed=4)
+        weights = _rand((length, batch, hidden), seed=5)
 
         def loss():
             hs, _ = cell.forward_seq(xs, train=False)
@@ -108,8 +110,8 @@ class TestGruCell:
         cell = GruCell(_rand((d_in, 3 * hidden), seed=1),
                        _rand((hidden, 3 * hidden), seed=2),
                        _rand(3 * hidden, seed=3))
-        xs = _rand((batch, length, d_in), seed=4)
-        weights = _rand((batch, length, hidden), seed=5)
+        xs = _rand((length, batch, d_in), seed=4)
+        weights = _rand((length, batch, hidden), seed=5)
 
         def loss():
             hs, _ = cell.forward_seq(xs, train=False)
@@ -137,28 +139,28 @@ def _cell(kind, d_in, hidden, seed=0):
 class TestBidirectional:
     def test_single_step_boundary(self):
         layer = _cell("birnn", d_in=3, hidden=2)
-        x = _rand((2, 1, 3), seed=7)
+        x = _rand((1, 2, 3), seed=7)
         out, _ = layer.forward_seq(x, train=False)
-        hf, _ = layer.fwd.step(x[:, 0], layer.fwd.init_state(2))
-        hb, _ = layer.bwd.step(x[:, 0], layer.bwd.init_state(2))
-        assert np.allclose(out[:, 0], np.concatenate([hf, hb], axis=1), atol=1e-15)
+        hf, _ = layer.fwd.step(x[0], layer.fwd.init_state(2))
+        hb, _ = layer.bwd.step(x[0], layer.bwd.init_state(2))
+        assert np.allclose(out[0], np.concatenate([hf, hb], axis=1), atol=1e-15)
 
     def test_output_width_and_forward_half(self):
         layer = _cell("birnn", d_in=3, hidden=4)
-        xs = _rand((2, 5, 3), seed=8)
+        xs = _rand((5, 2, 3), seed=8)
         out, _ = layer.forward_seq(xs, train=False)
-        assert out.shape == (2, 5, 8)
+        assert out.shape == (5, 2, 8)
         pure_fwd, _ = layer.fwd.forward_seq(xs, train=False)
         assert np.array_equal(out[:, :, :4], pure_fwd)
 
     def test_reversal_swaps_halves(self):
         layer = _cell("birnn", d_in=3, hidden=2, seed=3)
         swapped = BidirectionalLstm(layer.bwd, layer.fwd)
-        xs = _rand((2, 4, 3), seed=9)
+        xs = _rand((4, 2, 3), seed=9)
         out, _ = layer.forward_seq(xs, train=False)
-        out_rev, _ = swapped.forward_seq(xs[:, ::-1], train=False)
+        out_rev, _ = swapped.forward_seq(xs[::-1], train=False)
         recombined = np.concatenate(
-            [out_rev[:, ::-1, 2:], out_rev[:, ::-1, :2]], axis=2
+            [out_rev[::-1, :, 2:], out_rev[::-1, :, :2]], axis=2
         )
         assert np.allclose(out, recombined, atol=1e-12)
 
@@ -166,8 +168,8 @@ class TestBidirectional:
         layer = _cell("birnn", d_in=3, hidden=3, seed=4)
         for p in layer.params().values():
             p += _rand(p.shape, scale=0.2, seed=11)
-        xs = _rand((2, 3, 3), seed=10)
-        weights = _rand((2, 3, 6), seed=12)
+        xs = _rand((3, 2, 3), seed=10)
+        weights = _rand((3, 2, 6), seed=12)
 
         def loss():
             out, _ = layer.forward_seq(xs, train=False)
@@ -250,20 +252,20 @@ class TestScan:
         # the forward half is a left-to-right scan
         layer = _cell(kind, d_in=5, hidden=6, seed=20)
         cell = layer.fwd if kind == "birnn" else layer
-        xs = _rand((3, 40, 5), scale=1.0, seed=21)
+        xs = _rand((40, 3, 5), scale=1.0, seed=21)
         hs, _ = layer.forward_seq(xs, train=False)
         state = cell.init_state(3)
         for t in range(40):
-            h, state = cell.step(xs[:, t], state)
-            assert np.max(np.abs(h - hs[:, t, :6])) <= 1e-12, t
+            h, state = cell.step(xs[t], state)
+            assert np.max(np.abs(h - hs[t, :, :6])) <= 1e-12, t
 
     # 53 steps cross two backward block boundaries and end in a partial block;
     # 50 steps are exactly two full blocks
     @pytest.mark.parametrize("kind, length", _kinds_at(53, 50))
     def test_bptt_across_blocks_and_tape_reuse(self, kind, length):
         layer = _cell(kind, d_in=2, hidden=3, seed=30)
-        xs = _rand((2, length, 2), seed=31)
-        weights = _rand((2, length, 6 if kind == "birnn" else 3), seed=32)
+        xs = _rand((length, 2, 2), seed=31)
+        weights = _rand((length, 2, 6 if kind == "birnn" else 3), seed=32)
 
         def loss():
             hs, _ = layer.forward_seq(xs, train=False)
@@ -305,16 +307,16 @@ class TestEmbeddingFold:
         logits, tape = stack.forward(ids, train=True)
         grads = stack.backward(tape, dlogits)
 
-        x = stack.embedding.forward(ids)
+        x = stack.embedding.forward(ids.T)
         tapes = []
         for layer in stack.recurrent:
             x, t = layer.forward_seq(x, train=True)
             tapes.append(t)
-        ref_logits = stack.dense.forward(x)
-        dx, _ = stack.dense.backward(x, dlogits)
+        ref_logits = stack.dense.forward(x).swapaxes(0, 1)
+        dx, _ = stack.dense.backward(x, dlogits.swapaxes(0, 1))
         for layer, t in zip(stack.recurrent[::-1], tapes[::-1]):
             dx, ref = layer.backward_seq(t, dx)  # ends with layer 0's grads
-        ref["table"] = stack.embedding.backward(ids, dx)
+        ref["table"] = stack.embedding.backward(ids.T, dx)
 
         assert np.max(np.abs(logits - ref_logits)) <= 1e-12
         names = ["table"] + [k for k in ref if k.endswith(("w_x", "b"))]
@@ -338,7 +340,7 @@ class TestDropout:
         assert out is x and mask is None
 
     def test_survivor_statistics(self):
-        x = np.ones(100_000)
+        x = np.ones((100, 10, 100))
         out, mask = dropout_forward(x, 0.4, True, Rng(17))
         survivors = np.count_nonzero(out) / x.size
         assert 0.59 <= survivors <= 0.61
@@ -359,6 +361,27 @@ class TestDropout:
     def test_train_without_rng(self):
         with pytest.raises(ValueError):
             dropout_forward(np.zeros(3), 0.4, True, None)
+
+    # x is time-major [L, B, ...]; the draws run in batch-major order, the
+    # order seeded masks are defined in. Rates such as 0.1 and 1/3 make
+    # rate * 2^53 a non-integer.
+    @given(rate=st.one_of(st.sampled_from([0.1, 1 / 3, 0.4, 0.5, 0.9, 5e-324]),
+                          st.floats(min_value=0.0, max_value=1.0, exclude_max=True)),
+           shape=st.lists(st.integers(min_value=0, max_value=6), min_size=2, max_size=4),
+           seed=st.integers(min_value=0, max_value=2**64 - 1))
+    @settings(max_examples=80, deadline=None)
+    def test_mask_is_the_batch_major_uniform_draw(self, rate, shape, seed):
+        x = _rand(shape)
+        a, b = Rng(seed), Rng(seed)
+        out, mask = dropout_forward(x, rate, True, a)
+        if rate == 0.0:
+            assert out is x and mask is None
+            return
+        keep = (b.uniform([shape[1], shape[0], *shape[2:]]) >= rate).swapaxes(0, 1)
+        expected = keep.astype(np.float64) / (1.0 - rate)
+        assert mask.tobytes() == np.ascontiguousarray(expected).tobytes()
+        assert out.tobytes() == (x * expected).tobytes()
+        assert a.next_u64() == b.next_u64()
 
 
 class TestDense:
@@ -480,12 +503,12 @@ class TestGenerationStep:
         # for birnn only the forward direction scans left to right
         stack = self._stack(kind, widths=(6, 4))
         ids = np.random.default_rng(9).integers(0, 7, (1, 40))
-        hs, _ = stack.recurrent[0].forward_seq(Embedded(stack.embedding, ids), train=False)
+        hs, _ = stack.recurrent[0].forward_seq(Embedded(stack.embedding, ids.T), train=False)
         state = stack.init_state(1)
         for t in range(40):
             _, state = stack.step(ids[:, t], state)
             h = state[0][0][0] if kind == "birnn" else state[0][0]
-            assert h.tobytes() == hs[:, t, :6].tobytes(), t
+            assert h.tobytes() == hs[t, :, :6].tobytes(), t
 
     @pytest.mark.parametrize("kind", ["lstm", "gru", "birnn"])
     def test_one_call_prime_equals_per_character_calls(self, kind):
@@ -516,6 +539,33 @@ class TestGenerationStep:
         stack = self._stack("gru")
         with pytest.raises(VocabularyError):
             stack.step(np.array([[0, 7]]), stack.init_state(1))
+
+    @pytest.mark.parametrize("kind", ["lstm", "gru", "birnn"])
+    @pytest.mark.parametrize("shape", [(0,), (2,), (2, 3)])
+    def test_ids_batch_must_match_the_state(self, kind, shape):
+        stack = self._stack(kind)
+        with pytest.raises(ShapeError):
+            stack.step(np.zeros(shape, dtype=np.int64), stack.init_state(1))
+
+    @pytest.mark.parametrize("kind", ["lstm", "gru", "birnn"])
+    def test_prime_and_sampling_leave_p_unchanged(self, kind):
+        # each step gathers rows of P and works on them in place; P is never written
+        stack = self._stack(kind, widths=(6, 4))
+        state = stack.init_state(1)
+
+        def tables(state):
+            return [s[-1] for s in (state[0] if kind == "birnn" else [state[0]])]
+
+        before = [p.copy() for p in tables(state)]
+        ids = np.random.default_rng(12).integers(0, 7, (1, 20))
+        logits, after = stack.step(ids, state)
+        rng = Rng(13)
+        for _ in range(50):
+            probs = np.exp(logits[0] - logits[0].max())
+            nxt = sample_categorical(probs / probs.sum(), rng)
+            logits, after = stack.step(np.array([nxt]), after)
+        assert all(p is q for p, q in zip(tables(after), tables(state)))
+        assert [p.tobytes() for p in tables(after)] == [p.tobytes() for p in before]
 
 
 class TestStability:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import struct
 import zlib
@@ -19,6 +20,7 @@ from charrnn.exceptions import (
 from charrnn import model as model_module
 from charrnn.generator import GenerationPlan, generate
 from charrnn.model import (
+    KINDS,
     MAX_PARAMS,
     ModelConfig,
     build_model,
@@ -30,6 +32,7 @@ from charrnn.model import (
     save_checkpoint,
 )
 from charrnn.numerics import Rng
+from charrnn.objective import ce_loss
 
 VOCAB5 = Vocabulary(tuple("abcde"))
 
@@ -260,6 +263,42 @@ class TestForwardIndexCheck:
         ids[1, 3] = bad
         with pytest.raises(VocabularyError, match=f"index {bad} out of range"):
             model.forward(ids, train=train, dropout_rng=Rng(0))
+
+
+# SHA-256 of the first training step's logits bytes and the repr of its mean
+# loss, per kind and depth, with dropout on (see _first_step). A layout or
+# kernel change that moves any bit of the forward pass changes an entry.
+_GOLDEN_FORWARD = {
+    "lstm1": ("efd96b03d32c490a8c1dce89b2232137ca5b937af60199ffdd317a9569bf520c",
+              "3.936144909173832"),
+    "lstm2": ("6bb87a4ac47748011b54d920821571754c6afdfa6268902aa3297a5a3f1c41c7",
+              "3.9344556635422623"),
+    "gru1": ("013ac60f47a7e1fdb3071f94812c583305e640fad6c49dbd8be56a0f7c8940f3",
+             "3.9285539793206605"),
+    "gru2": ("38f8e2a05d045e51b84be5f876543a9394df88c8bc72a56d96ae335e117f217a",
+             "3.931320512700102"),
+    "birnn1": ("609da3e99fd8f7e219f2bc8ac564343fb4c93a83b40361c2a1ed6de007bf9097",
+               "3.929153730816488"),
+    "birnn2": ("0fb88077d064830dd11edf32f76abf4b044861fa2fcde9f3815a5f3548f51144",
+               "3.930269621075852"),
+}
+
+
+class TestGoldenForward:
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("layers", [1, 2])
+    def test_first_step_digest(self, fixture_text, fixture_vocab, kind, layers):
+        batch, length = 4, 30
+        config = ModelConfig(kind=kind, layer_widths=(32, 24)[:layers],
+                             vocab_size=fixture_vocab.size, batch_size=batch, embed_dim=16,
+                             dropout=0.4, seq_len=length, init_seed=29)
+        model = build_model(config, fixture_vocab)
+        rows = fixture_vocab.encode(fixture_text[: batch * (length + 1)])
+        rows = rows.reshape(batch, length + 1)
+        logits, _ = model.forward(rows[:, :-1], train=True, dropout_rng=Rng(3))
+        report = ce_loss(logits, rows[:, 1:])
+        got = (hashlib.sha256(logits.tobytes()).hexdigest(), repr(report.mean_loss))
+        assert got == _GOLDEN_FORWARD[f"{kind}{layers}"]
 
 
 class TestCheckpoint:

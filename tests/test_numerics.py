@@ -20,6 +20,24 @@ def _sigmoid_piecewise(x):
     return out
 
 
+def _unshift(y: int, k: int) -> int:
+    """The x with x ^ (x >> k) == y, for 64-bit x."""
+    x = y
+    for _ in range(64 // k + 1):
+        x = y ^ (x >> k)
+    return x
+
+
+def _seed_for_first_draw(z: int) -> int:
+    """A seed whose first Rng draw is z: splitmix64's finalizer inverted."""
+    mask = (1 << 64) - 1
+    z = _unshift(z, 31)
+    z = (z * pow(0x94D049BB133111EB, -1, 1 << 64)) & mask
+    z = _unshift(z, 27)
+    z = (z * pow(0xBF58476D1CE4E5B9, -1, 1 << 64)) & mask
+    return (_unshift(z, 30) - 0x9E3779B97F4A7C15) & mask
+
+
 class TestRng:
     def test_same_seed_same_stream(self):
         a, b = Rng(42), Rng(42)
@@ -36,6 +54,30 @@ class TestRng:
         assert u.min() >= 0.0 and u.max() < 1.0
         lo = Rng(3).uniform(1_000, low=-2.0, high=5.0)
         assert lo.min() >= -2.0 and lo.max() < 5.0
+
+    @given(threshold=st.one_of(st.sampled_from([0.0, 0.1, 1 / 3, 0.4, 1 - 2**-53]),
+                               st.floats(min_value=0.0, max_value=1.0, exclude_max=True)),
+           shape=st.lists(st.integers(min_value=0, max_value=7), max_size=3).map(tuple),
+           seed=st.integers(min_value=0, max_value=2**64 - 1))
+    @settings(max_examples=80, deadline=None)
+    def test_uniform_at_least_is_the_float_compare(self, threshold, shape, seed):
+        a, b = Rng(seed), Rng(seed)
+        got = a.uniform_at_least(shape, threshold)
+        assert got.dtype == np.bool_
+        assert np.array_equal(got, b.uniform(shape) >= threshold)
+        assert a.next_u64() == b.next_u64()
+
+    @pytest.mark.parametrize("threshold", [0.1, 1 / 3, 0.4, 0.5, 5e-324])
+    def test_uniform_at_least_at_the_boundary(self, threshold):
+        # seeds whose first draw's 53-bit integer sits just below and at
+        # ceil(threshold * 2^53), the one place an off-by-one bound shows
+        bound = math.ceil(threshold * 2.0**53)
+        for u53, kept in ((bound - 1, False), (bound, True)):
+            for low_bits in (0, 0x7FF):
+                seed = _seed_for_first_draw((u53 << 11) | low_bits)
+                assert Rng(seed).next_u64() == (u53 << 11) | low_bits
+                assert Rng(seed).uniform_at_least((1,), threshold)[0] == kept
+                assert (Rng(seed).uniform() >= threshold) == kept
 
     def test_randint_bounds(self):
         r = Rng(11)
