@@ -8,6 +8,11 @@ each epoch gathers its kept windows once, and every batch's inputs and
 targets are views of that gather. Annotation lines (speaker tags and the
 like) are ordinary text and pass through untouched.
 
+Set-up runs as array passes: build_vocab and encode read the text as UTF-32
+code points _CHUNK characters at a time, so no temporary grows with the
+corpus, and shuffle_batches takes its Fisher-Yates draws from one bulk
+Rng.randint call.
+
 _write_atomic is the temp-file-and-rename writer of checkpoints and history CSVs.
 """
 
@@ -48,20 +53,37 @@ def _write_atomic(path, data: bytes) -> None:
         raise
 
 
+_CHUNK = 1 << 16  # characters per UTF-32 pass in build_vocab and encode
+
+
+def _code_chunks(text: str):
+    """(start, code points as uint32) per _CHUNK characters of text.
+
+    UTF-32 gives one code unit per character; surrogatepass lets a lone
+    surrogate (as argv can carry) through as its code point.
+    """
+    for start in range(0, len(text), _CHUNK):
+        chunk = text[start : start + _CHUNK].encode("utf-32-le", "surrogatepass")
+        yield start, np.frombuffer(chunk, dtype=np.uint32)
+
+
 @dataclass(frozen=True)
 class Vocabulary:
     """Bijective character <-> index mapping; code points strictly increase,
     so a character's index is its rank."""
 
     chars: tuple[str, ...]
-    # code points in index order, then a sentinel above every code point
-    _codes: np.ndarray = field(init=False, repr=False, compare=False)
+    # code point -> index, -1 where no character; its last entry, one past
+    # the largest code point, is -1 too and stands for every larger one
+    _table: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        codes = np.array([ord(c) for c in self.chars], dtype=np.uint32)
+        codes = np.array([ord(c) for c in self.chars], dtype=np.int64)
         if np.any(codes[1:] <= codes[:-1]):
             raise VocabularyError("vocabulary is not sorted and unique")
-        object.__setattr__(self, "_codes", np.append(codes, np.uint32(0xFFFFFFFF)))
+        table = np.full(int(codes.max(initial=-1)) + 2, -1, dtype=np.int64)
+        table[codes] = np.arange(codes.size)
+        object.__setattr__(self, "_table", table)
 
     @property
     def size(self) -> int:
@@ -70,17 +92,17 @@ class Vocabulary:
     def encode(self, text: str) -> np.ndarray:
         """Characters to int64 indices; unknown characters are an error.
 
-        One binary search per character over the vocabulary's code points.
-        UTF-32 gives one code unit per character; surrogatepass lets a lone
-        surrogate (as argv can carry) through, to be reported as unknown.
+        One table lookup per character, _CHUNK characters at a time, into
+        one preallocated output; code points above the table clip to its
+        last, unknown entry.
         """
-        codes = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
-        pos = np.searchsorted(self._codes, codes)
-        unknown = self._codes[pos] != codes
-        if unknown.any():
-            i = int(np.argmax(unknown))
-            raise VocabularyError(f"unknown character {text[i]!r} at position {i}")
-        return pos
+        ids = np.empty(len(text), dtype=np.int64)
+        for start, codes in _code_chunks(text):
+            chunk = np.take(self._table, codes, mode="clip", out=ids[start : start + codes.size])
+            if chunk.min() < 0:
+                i = start + int(np.argmax(chunk < 0))
+                raise VocabularyError(f"unknown character {text[i]!r} at position {i}")
+        return ids
 
     def decode(self, indices) -> str:
         """Indices back to text; out-of-range indices are an error."""
@@ -96,10 +118,21 @@ class Vocabulary:
 
 
 def build_vocab(text: str) -> Vocabulary:
-    """Distinct characters of the text, ordered by code point."""
+    """Distinct characters of the text, ordered by code point.
+
+    Sums one bincount of code points per _CHUNK characters; the nonzero
+    counts are the characters.
+    """
     if not text:
         raise CorpusError("cannot build a vocabulary from empty text")
-    return Vocabulary(tuple(sorted(set(text))))
+    total = np.zeros(0, dtype=np.int64)
+    for _, codes in _code_chunks(text):
+        counts = np.bincount(codes)
+        if counts.size < total.size:
+            counts, total = total, counts
+        counts[: total.size] += total
+        total = counts
+    return Vocabulary(tuple(map(chr, np.flatnonzero(total).tolist())))
 
 
 @dataclass(frozen=True)
@@ -147,14 +180,15 @@ def shuffle_batches(windows: np.ndarray, plan: CorpusPlan, rng: Rng) -> list[Seq
     """Seeded Fisher-Yates permutation of the windows, then grouping into
     full batches.
 
-    The final partial batch is dropped so every batch has fixed dimensions.
-    The kept windows are gathered once; each batch's inputs and targets are
-    views of that gather.
+    The swap partner of position i (n - 1 down to 1) is rng.randint(i + 1);
+    the n - 1 draws come from one array call, equal to the scalar calls in
+    that order. The final partial batch is dropped so every batch has fixed
+    dimensions. The kept windows are gathered once; each batch's inputs and
+    targets are views of that gather.
     """
     n = len(windows)
     order = list(range(n))
-    for i in range(n - 1, 0, -1):
-        j = rng.randint(i + 1)
+    for i, j in zip(range(n - 1, 0, -1), rng.randint(np.arange(n, 1, -1)).tolist()):
         order[i], order[j] = order[j], order[i]
     size = plan.batch_size
     n_batches = n // size

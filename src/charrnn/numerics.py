@@ -93,11 +93,27 @@ class Rng:
         bound = np.uint64(math.ceil(threshold * 2.0 ** 53) << 11)
         return (self._bulk_u64(math.prod(shape)) >= bound).reshape(shape)
 
-    def randint(self, bound: int) -> int:
-        """Uniform integer in [0, bound) via the multiply-shift reduction."""
-        if bound <= 0:
-            raise ValueError(f"bound must be positive, got {bound}")
-        return (self.next_u64() * bound) >> 64
+    def randint(self, bound):
+        """Uniform integer in [0, bound) via the multiply-shift reduction
+        (z * bound) >> 64 of one draw z.
+
+        bound may also be an integer ndarray of bounds in [1, 2^32): the result
+        is an int64 array of one draw per bound, in order, equal to the scalar
+        calls. With 32-bit limbs z = hi * 2^32 + lo, (z * b) >> 64 is
+        (hi * b + ((lo * b) >> 32)) >> 32, which cannot overflow uint64 for
+        b < 2^32; larger bounds raise ValueError.
+        """
+        if not isinstance(bound, np.ndarray):
+            if bound <= 0:
+                raise ValueError(f"bound must be positive, got {bound}")
+            return (self.next_u64() * bound) >> 64
+        if bound.size and (bound.min() <= 0 or bound.max() >= 1 << 32):
+            raise ValueError(f"array bounds must lie in [1, 2^32), got "
+                             f"[{bound.min()}, {bound.max()}]")
+        b = bound.astype(np.uint64)
+        z = self._bulk_u64(b.size).reshape(b.shape)
+        hi = (z >> 32) * b + (((z & 0xFFFFFFFF) * b) >> 32)
+        return (hi >> 32).astype(np.int64)
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:

@@ -1,3 +1,4 @@
+import hashlib
 from collections import Counter
 
 import numpy as np
@@ -18,6 +19,16 @@ from charrnn.numerics import Rng
 
 # shuffle_batches' row order for 11 windows, batch size 3, Rng(9)
 ORDER_11_RNG9 = [8, 9, 5, 4, 3, 0, 1, 6, 2]
+
+# SHA-256 of the kept row order (little-endian int64) for 5,000 windows at
+# batch size 7, and the Rng's next draw after the shuffle, per seed; computed
+# with the one-draw-per-call Fisher-Yates loop
+ORDER_5000_B7 = {
+    1: ("80406e0f8c095b577f8beec951236461067044723d88473771f51e01471e3ce1",
+        1027644350607440444),
+    2024: ("fad696fb7d2c8ebe5851bfb1fafe6116fbe48f0c0db45691d6c44b839c1634c7",
+           6492685813686816635),
+}
 
 
 class TestLoadCorpus:
@@ -125,6 +136,52 @@ class TestVocabulary:
 
     def test_roundtrip_on_fixture(self, fixture_text, fixture_vocab):
         assert fixture_vocab.decode(fixture_vocab.encode(fixture_text)) == fixture_text
+
+
+class TestChunks:
+    """build_vocab and encode read the text _CHUNK (2^16) characters at a time."""
+
+    def test_largest_code_point_gives_the_largest_table(self):
+        v = build_vocab("a\U0010FFFFb")
+        assert v.chars == ("a", "b", "\U0010FFFF")
+        assert v._table.size == 0x110001
+        assert v.encode("\U0010FFFFba").tolist() == [2, 1, 0]
+        with pytest.raises(VocabularyError, match=r"^unknown character '\\U0010fffe' at position 1$"):
+            v.encode("a\U0010FFFE")
+
+    # U+18AE9 is ord("a") + 1000 * 101: a lookup that wrapped around the
+    # 101-entry table instead of clipping would read "a"'s index
+    @pytest.mark.parametrize("probe", ["d", "\u4e00", "\U0001F600", "\U00018AE9", "\U0010FFFF",
+                                       "\udcff"])
+    def test_probe_above_the_largest_code_point(self, probe):
+        v = build_vocab("abc")
+        assert v._table.size == ord("c") + 2
+        with pytest.raises(VocabularyError) as exc:
+            v.encode("ab" + probe + "x")
+        assert str(exc.value) == f"unknown character {probe!r} at position 2"
+
+    @pytest.mark.parametrize("pos", [2**16 - 1, 2**16, 2**16 + 1, 2**17 + 5])
+    def test_first_unknown_in_a_later_chunk(self, pos):
+        v = build_vocab("ab")
+        text = "ab" * (pos // 2) + "a" * (pos % 2) + "z" + "b" * 10 + "y"
+        with pytest.raises(VocabularyError) as exc:
+            v.encode(text)
+        assert str(exc.value) == f"unknown character 'z' at position {pos}"
+
+    def test_encode_across_chunks(self):
+        text = ("ab\U0001F600c" * 40_000)[:150_001]
+        v = build_vocab(text)
+        ids = v.encode(text)
+        assert ids.dtype == np.int64 and ids.shape == (150_001,)
+        assert ids.tolist() == [v.chars.index(c) for c in text]
+
+    @pytest.mark.parametrize("text", [
+        "\U0010FFFF" + "a" * 2**16 + "b",  # a later chunk with a smaller top
+        "a" * 2**16 + "\U0001F600",        # a later chunk with a larger top
+        "b" * 2**17 + "a",                  # a character only in the last chunk
+    ], ids=["smaller_later", "larger_later", "last_chunk_only"])
+    def test_vocab_across_chunks(self, text):
+        assert list(build_vocab(text).chars) == sorted(set(text))
 
 
 # any code point: every category, non-BMP characters, and lone surrogates
@@ -257,6 +314,14 @@ class TestShuffleBatches:
             assert b.inputs.shape == b.targets.shape == (3, 4)
             assert np.array_equal(b.targets[:, :-1], b.inputs[:, 1:])
             assert b.inputs.base is b.targets.base is rows
+
+    @pytest.mark.parametrize("seed", sorted(ORDER_5000_B7))
+    def test_fisher_yates_order_at_scale(self, seed):
+        rng = Rng(seed)
+        batches = shuffle_batches(self._windows(5_000), CorpusPlan(seq_len=4, batch_size=7), rng)
+        order = np.array([int(row[0]) for b in batches for row in b.inputs], dtype="<i8")
+        assert order.size == 5_000 // 7 * 7
+        assert (hashlib.sha256(order.tobytes()).hexdigest(), rng.next_u64()) == ORDER_5000_B7[seed]
 
     def test_fisher_yates_order(self):
         # the permutation the seeded Rng draws; any change reorders training

@@ -84,6 +84,43 @@ class TestRng:
         draws = [r.randint(7) for _ in range(1_000)]
         assert min(draws) == 0 and max(draws) == 6
 
+    @given(seed=st.integers(min_value=0, max_value=2**64 - 1),
+           bounds=st.lists(st.one_of(st.sampled_from([1, 2, 3, 2**31, 2**32 - 1]),
+                                     st.integers(min_value=1, max_value=2**32 - 1)),
+                           max_size=40))
+    @settings(max_examples=150)
+    def test_randint_array_is_the_scalar_draws(self, seed, bounds):
+        a, b = Rng(seed), Rng(seed)
+        got = a.randint(np.array(bounds, dtype=np.int64))
+        assert got.dtype == np.int64 and got.shape == (len(bounds),)
+        assert got.tolist() == [(b.next_u64() * k) >> 64 for k in bounds]
+        assert a.next_u64() == b.next_u64()
+
+    @pytest.mark.parametrize("z", [2**64 - 1, 2**64 - 2**32, 2**32 - 1, 0])
+    @pytest.mark.parametrize("bound", [1, 2, 2**32 - 1])
+    def test_randint_array_at_the_limb_extremes(self, z, bound):
+        # z = 2^64 - 1 with b = 2^32 - 1 makes hi * b + ((lo * b) >> 32) its
+        # largest, 2^64 - 2^32 - 1; a draw that carried out of uint64 would
+        # show here
+        seed = _seed_for_first_draw(z)
+        for dtype in (np.int64, np.uint64, np.uint32):
+            got = Rng(seed).randint(np.array([bound, bound], dtype=dtype))
+            assert int(got[0]) == (z * bound) >> 64 == Rng(seed).randint(bound)
+        assert (z * bound) >> 64 < bound
+
+    @pytest.mark.parametrize("bounds", [[0], [3, -1], [2**32], [5, 2**62]])
+    def test_randint_array_bounds_outside_rejected(self, bounds):
+        r = Rng(4)
+        with pytest.raises(ValueError, match=r"\[1, 2\^32\)"):
+            r.randint(np.array(bounds, dtype=np.int64))
+        assert r.next_u64() == Rng(4).next_u64()  # nothing was drawn
+
+    def test_randint_empty_array_draws_nothing(self):
+        r = Rng(4)
+        got = r.randint(np.zeros(0, dtype=np.int64))
+        assert got.dtype == np.int64 and got.shape == (0,)
+        assert r.next_u64() == Rng(4).next_u64()
+
     @given(st.integers(min_value=0, max_value=2**64 - 1))
     @settings(max_examples=50)
     def test_any_seed_valid(self, seed):
