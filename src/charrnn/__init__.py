@@ -9,7 +9,7 @@ from .corpus import (
     make_sequences,
     shuffle_batches,
 )
-from .generator import GenerationPlan, apply_temperature, generate
+from .generator import GenerationPlan, generate
 from .model import (
     Model,
     ModelConfig,
@@ -36,7 +36,6 @@ __all__ = [
     "SequenceBatch",
     "TrainPlan",
     "Vocabulary",
-    "apply_temperature",
     "build_model",
     "build_vocab",
     "ce_grad",

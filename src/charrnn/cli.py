@@ -7,6 +7,8 @@ on success, 2 for usage errors (argparse), 1 for runtime failures.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import math
 import sys
 from pathlib import Path
@@ -14,14 +16,7 @@ from pathlib import Path
 from .corpus import build_vocab, load_corpus
 from .exceptions import CharRnnError
 from .generator import MODES, GenerationPlan, generate
-from .model import (
-    KINDS,
-    PRESETS,
-    ModelConfig,
-    load_checkpoint,
-    preset_widths,
-    rebuild_for_generation,
-)
+from .model import KINDS, PRESETS, ModelConfig, load_checkpoint, preset_widths
 from .numerics import Rng
 from .trainer import TrainPlan, parse_history, train
 
@@ -144,12 +139,11 @@ def cmd_train(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    model = rebuild_for_generation(load_checkpoint(args.checkpoint))
     plan = GenerationPlan(
         prime_text=args.prime, length=args.length,
         temperature=args.temperature, mode=args.mode, sample_seed=args.seed,
     )
-    text = generate(model, plan)
+    text = generate(load_checkpoint(args.checkpoint), plan)
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
     else:
@@ -160,12 +154,14 @@ def cmd_generate(args) -> int:
 
 
 def cmd_report(args) -> int:
-    lines = ["run,epoch,mean_loss,ms_per_step"]
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")  # quotes a run name holding a comma
+    writer.writerow(["run", "epoch", "mean_loss", "ms_per_step"])
     for path in args.history:
         run = Path(path).stem
         for row in parse_history(path):
-            lines.append(f"{run},{row.epoch},{row.mean_loss!r},{row.ms_per_step!r}")
-    out = "\n".join(lines) + "\n"
+            writer.writerow([run, row.epoch, repr(row.mean_loss), repr(row.ms_per_step)])
+    out = buf.getvalue()
     if args.out:
         Path(args.out).write_text(out, encoding="utf-8")
     else:

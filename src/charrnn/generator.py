@@ -53,18 +53,12 @@ class GenerationPlan:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
 
 
-def apply_temperature(logits: np.ndarray, temperature: float) -> np.ndarray:
-    if not 0.0 < temperature < math.inf:
-        raise ConfigError(f"temperature must be finite and > 0, got {temperature}")
-    return logits / temperature
-
-
 def generate(model: Model, plan: GenerationPlan) -> str:
     """Prime the model, then emit plan.length characters.
 
     Returns prime + generated text, exactly len(prime) + length characters.
-    Expects a batch-1 model (see rebuild_for_generation); generation never
-    applies dropout.
+    Runs on any model, whatever its configured batch size: it steps a batch-1
+    state of its own, never applies dropout and never writes a weight.
     """
     vocab: Vocabulary = model.vocab
     logits, state = model.step(vocab.encode(plan.prime_text)[None, :], model.init_state(1))
@@ -79,7 +73,7 @@ def generate(model: Model, plan: GenerationPlan) -> str:
                 nxt = int(np.argmax(logits[0]))
             else:
                 # softmax with the shift taken once, before T divides
-                probs = apply_temperature(logits[0] - logits[0].max(), plan.temperature)
+                probs = (logits[0] - logits[0].max()) / plan.temperature
                 np.exp(probs, out=probs)
                 probs /= probs.sum()
                 nxt = sample_categorical(probs, rng)

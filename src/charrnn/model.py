@@ -38,6 +38,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import numbers
 import struct
 import zlib
 from dataclasses import dataclass
@@ -84,6 +85,10 @@ def preset_widths(name: str, scale: float = 1.0) -> tuple[int, ...]:
     return tuple(max(1, round(w * scale)) for w in PRESETS[name])
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     kind: str
@@ -97,11 +102,16 @@ class ModelConfig:
     unit_forget_bias: bool = True
 
     def __post_init__(self):
-        object.__setattr__(self, "layer_widths", tuple(int(w) for w in self.layer_widths))
         if self.kind not in KINDS:
             raise ConfigError(f"kind must be one of {KINDS}, got {self.kind!r}")
-        if not self.layer_widths or any(w < 1 for w in self.layer_widths):
-            raise ConfigError(f"layer_widths must be positive, got {self.layer_widths}")
+        # a checkpoint header is JSON, where 5.0 and true parse but are no size
+        widths = tuple(self.layer_widths)
+        if not widths or not all(_is_int(w) and w >= 1 for w in widths):
+            raise ConfigError(f"layer_widths must be positive integers, got {widths}")
+        object.__setattr__(self, "layer_widths", tuple(int(w) for w in widths))
+        for name in ("vocab_size", "batch_size", "embed_dim", "seq_len", "init_seed"):
+            if not _is_int(getattr(self, name)):
+                raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
         for name in ("vocab_size", "batch_size", "embed_dim", "seq_len"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
@@ -280,9 +290,8 @@ def load_checkpoint(path) -> Model:
     if version != _VERSION:
         raise CheckpointFormatError(f"unsupported version {version}, expected {_VERSION}")
     layout = _scan_structure(blob)
-    payload = blob[8:-4]
     (stored_crc,) = struct.unpack_from("<I", blob, len(blob) - 4)
-    if zlib.crc32(payload) != stored_crc:
+    if zlib.crc32(memoryview(blob)[8:-4]) != stored_crc:
         raise CheckpointIntegrityError("payload CRC-32 mismatch")
     (header_len,) = struct.unpack_from("<I", blob, 8)
     try:
@@ -317,9 +326,11 @@ def load_checkpoint(path) -> Model:
 
 
 def rebuild_for_generation(model: Model) -> Model:
-    """Same parameters, batch size 1, for stepwise sampling.
+    """A snapshot: the same config at batch size 1, over copies of the parameters.
 
-    Parameters are copied, so generating never perturbs a training model.
+    generate() needs no rebuild, since it runs on any model and writes no
+    weight; the copy only keeps a model that training goes on to update apart
+    from the one it is taken from.
     """
     config = dataclasses.replace(model.config, batch_size=1)
     params = {name: p.copy() for name, p in model.params().items()}

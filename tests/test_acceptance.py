@@ -15,7 +15,7 @@ import pytest
 
 from charrnn.cli import main as cli_main
 from charrnn.corpus import CorpusPlan, SequenceBatch, make_sequences, shuffle_batches
-from charrnn.generator import GenerationPlan, apply_temperature, generate
+from charrnn.generator import GenerationPlan, generate
 from charrnn.model import (
     ModelConfig,
     build_model,
@@ -245,7 +245,7 @@ def test_criterion_8_temperature_limit(fixture_text, fixture_vocab):
         logits = np.array([1.2, -0.3, 0.8, 2.0, 0.0])
         n = 10_000
         for temperature in (0.5, 1.0, 2.0):
-            probs = softmax(apply_temperature(logits, temperature))
+            probs = softmax(logits / temperature)
             rng = Rng(41)
             counts = np.zeros(logits.size)
             for _ in range(n):

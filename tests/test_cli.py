@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import io
 import warnings
 
@@ -9,7 +10,12 @@ from hypothesis import strategies as st
 from charrnn.cli import main
 from charrnn.model import load_checkpoint
 from charrnn.trainer import parse_history
-from tests.test_model import write_non_finite_checkpoint, write_overflowing_dims_checkpoint
+from tests.test_model import (
+    _header,
+    _with_header,
+    write_non_finite_checkpoint,
+    write_overflowing_dims_checkpoint,
+)
 
 TRAIN_ARGS = [
     "--model", "lstm", "--preset", "uni", "--scale", "0.015625",  # width 16
@@ -213,6 +219,17 @@ class TestGenerateCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
 
+    def test_float_size_in_header_exit_1(self, checkpoint, tmp_path):
+        blob = checkpoint.read_bytes()
+        header = _header(blob)
+        header["config"]["embed_dim"] = float(header["config"]["embed_dim"])
+        bad = tmp_path / "float.ckpt"
+        bad.write_bytes(_with_header(blob, header))
+        code, out, err = _run(["generate", "--checkpoint", str(bad), "--prime", "a",
+                               "--length", "5"])
+        _assert_one_error_line(code, err)
+        assert out == "" and "embed_dim must be an integer" in err
+
     def test_non_finite_checkpoint_exit_1(self, tmp_path, capsys):
         bad = tmp_path / "nan.ckpt"
         write_non_finite_checkpoint(bad, float("nan"))
@@ -253,6 +270,14 @@ class TestReportCommand:
         main(["report", "--history", str(p)])
         row = capsys.readouterr().out.splitlines()[1].split(",")
         assert row[1] == "1" and float(row[2]) == 3.0
+
+    def test_run_name_with_comma_reads_back(self, tmp_path, capsys):
+        p = self._history(tmp_path, 'lstm,"uni"', 2)
+        assert main(["report", "--history", str(p)]) == 0
+        rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+        assert rows == [["run", "epoch", "mean_loss", "ms_per_step"],
+                        ['lstm,"uni"', "1", "3.0", "12.5"],
+                        ['lstm,"uni"', "2", "1.5", "12.5"]]
 
     def test_malformed_csv_reports_line(self, tmp_path, capsys):
         p = tmp_path / "bad.csv"

@@ -5,17 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from charrnn import generator
 from charrnn.corpus import Vocabulary
 from charrnn.exceptions import ConfigError, VocabularyError
-from charrnn.generator import GenerationPlan, apply_temperature, generate
+from charrnn.generator import GenerationPlan, generate
 from charrnn.layers import RecurrentStack
-from charrnn.model import (
-    ModelConfig,
-    build_model,
-    load_checkpoint,
-    rebuild_for_generation,
-    save_checkpoint,
-)
+from charrnn.model import ModelConfig, build_model, load_checkpoint, save_checkpoint
 from charrnn.numerics import Rng, sample_categorical, softmax
 
 VOCAB = Vocabulary(tuple("abcde"))
@@ -24,34 +19,7 @@ VOCAB = Vocabulary(tuple("abcde"))
 def _gen_model(kind="lstm", seed=5):
     config = ModelConfig(kind=kind, layer_widths=(6,), vocab_size=5, batch_size=2,
                          embed_dim=4, dropout=0.0, seq_len=8, init_seed=seed)
-    return rebuild_for_generation(build_model(config, VOCAB))
-
-
-class TestApplyTemperature:
-    def test_identity_at_one(self):
-        logits = np.array([0.5, -1.0, 2.0])
-        assert np.array_equal(apply_temperature(logits, 1.0), logits)
-
-    def test_near_zero_sharpens_to_argmax(self):
-        probs = softmax(apply_temperature(np.array([1.0, 2.0]), 0.01))
-        assert probs[1] > 1.0 - 1e-12
-        assert sample_categorical(probs, Rng(0)) == 1
-
-    def test_closed_form_at_two(self):
-        probs = softmax(apply_temperature(np.array([0.0, 2.0]), 2.0))
-        expected = np.exp([0.0, 1.0]) / np.exp([0.0, 1.0]).sum()
-        assert np.allclose(probs, expected, atol=1e-12)
-        assert abs(probs[0] - 0.2689414) < 1e-6
-
-    def test_nonpositive_rejected(self):
-        for t in (0.0, -1.0):
-            with pytest.raises(ConfigError):
-                apply_temperature(np.zeros(3), t)
-
-    def test_non_finite_rejected(self):
-        for t in (float("nan"), float("inf")):
-            with pytest.raises(ConfigError):
-                apply_temperature(np.zeros(3), t)
+    return build_model(config, VOCAB)
 
 
 class TestPlanValidation:
@@ -64,8 +32,9 @@ class TestPlanValidation:
             GenerationPlan(prime_text="a", length=-1)
 
     def test_bad_temperature(self):
-        with pytest.raises(ConfigError):
-            GenerationPlan(prime_text="a", length=1, temperature=0.0)
+        for t in (0.0, -1.0):
+            with pytest.raises(ConfigError):
+                GenerationPlan(prime_text="a", length=1, temperature=t)
 
     def test_non_finite_temperature(self):
         for t in (float("nan"), float("inf")):
@@ -116,6 +85,24 @@ class TestGenerate:
         plan = GenerationPlan(prime_text="a", length=6, mode="argmax")
         assert generate(model, plan) == "abbbbbb"
 
+    def test_temperature_divides_the_logits(self, monkeypatch):
+        # with every other weight zero, each step's logits are dense.b
+        config = ModelConfig(kind="gru", layer_widths=(2,), vocab_size=2, batch_size=1,
+                             embed_dim=2, dropout=0.0)
+        model = build_model(config, Vocabulary(tuple("ab")))
+        for p in model.params().values():
+            p[...] = 0.0
+        model.params()["dense.b"][:] = [0.0, 2.0]
+        seen = []
+        monkeypatch.setattr(generator, "sample_categorical",
+                            lambda probs, rng: seen.append(probs.copy()) or 0)
+        for temperature in (1.0, 2.0):
+            generate(model, GenerationPlan(prime_text="a", length=1, temperature=temperature))
+        expected = np.exp([[0.0, 2.0], [0.0, 1.0]])
+        expected /= expected.sum(axis=1, keepdims=True)
+        assert np.allclose(seen, expected, atol=1e-12)
+        assert abs(seen[1][0] - 0.2689414) < 1e-6
+
     @pytest.mark.parametrize("length, calls", [(0, 1), (1, 1), (2, 2), (5, 5), (40, 40)])
     def test_step_calls(self, monkeypatch, length, calls):
         # one call for the prime, then one per sampled character but the last
@@ -160,7 +147,7 @@ class TestSelectionFrequencies:
         logits = np.array([1.2, -0.3, 0.8, 2.0, 0.0])
         n = 10_000
         for temperature in (0.5, 1.0, 2.0):
-            probs = softmax(apply_temperature(logits, temperature))
+            probs = softmax(logits / temperature)
             rng = Rng(41)
             counts = np.zeros(logits.size)
             for _ in range(n):
@@ -209,7 +196,7 @@ def _golden_model(tmp_path, fixture_vocab, kind, layers):
         p *= 4.0  # wider logits than a fresh init, so each temperature samples its own text
     path = tmp_path / f"{kind}{layers}.ckpt"
     save_checkpoint(model, path)
-    return rebuild_for_generation(load_checkpoint(path))
+    return load_checkpoint(path)
 
 
 class TestGoldenText:

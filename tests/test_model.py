@@ -1,6 +1,7 @@
 import hashlib
 import json
 import struct
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -98,10 +99,16 @@ class TestConfig:
             _config(kind="transformer")
 
     def test_bad_widths(self):
-        with pytest.raises(ConfigError):
-            _config(widths=())
-        with pytest.raises(ConfigError):
-            _config(widths=(4, 0))
+        for widths in ((), (4, 0), (4.7,), (4.0, 3), (True,)):
+            with pytest.raises(ConfigError):
+                _config(widths=widths)
+
+    @pytest.mark.parametrize("name", ["v", "batch_size", "embed_dim", "seq_len", "init_seed"])
+    def test_non_integer_sizes(self, name):
+        # a header is JSON, where 5.0 and true parse; neither is a size
+        for value in (5.0, True):
+            with pytest.raises(ConfigError):
+                _config(**{name: value})
 
     def test_bad_dropout(self):
         with pytest.raises(ConfigError):
@@ -328,6 +335,23 @@ class TestCheckpoint:
         save_checkpoint(build_model(_config(), VOCAB5), p2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_load_holds_one_copy_of_the_file(self, tmp_path):
+        # the file's bytes, the float64 parameters, one temporary the size of
+        # the largest parameter and some slack; a copy of the payload is more
+        model = build_model(_config(widths=(48, 48, 48), embed_dim=16), VOCAB5)
+        p = tmp_path / "m.ckpt"
+        save_checkpoint(model, p)
+        sizes = [a.size for a in model.params().values()]
+        bound = p.stat().st_size + 8 * sum(sizes) + 8 * max(sizes) + 16_384
+        load_checkpoint(p)  # lazy imports and caches are not the load's
+        tracemalloc.start()
+        try:
+            load_checkpoint(p)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, (peak, bound)
+
     def test_truncation_is_format_error(self, tmp_path):
         p = tmp_path / "m.ckpt"
         save_checkpoint(build_model(_config(), VOCAB5), p)
@@ -475,6 +499,8 @@ class TestCheckpointFuzz:
     @given(key=st.sampled_from(["vocab", *(f"config.{k}" for k in ModelConfig.__dataclass_fields__)]),
            value=_JSON_VALUES)
     @example(key="config.layer_widths", value=[float("inf")])  # int(inf) overflows
+    @example(key="config.vocab_size", value=5.0)  # equal to 5, so the dims match
+    @example(key="config.embed_dim", value=3.0)
     def test_header_edits(self, tmp_path_factory, blob, key, value):
         header = _header(blob)
         if key == "vocab":
