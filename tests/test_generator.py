@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -20,6 +21,64 @@ def _gen_model(kind="lstm", seed=5):
     config = ModelConfig(kind=kind, layer_widths=(6,), vocab_size=5, batch_size=2,
                          embed_dim=4, dropout=0.0, seq_len=8, init_seed=seed)
     return build_model(config, VOCAB)
+
+
+def _bias_model(bias):
+    # with every other weight zero, each step's logits are dense.b
+    config = ModelConfig(kind="gru", layer_widths=(2,), vocab_size=len(bias), batch_size=1,
+                         embed_dim=2, dropout=0.0)
+    model = build_model(config, Vocabulary(tuple("abcde"[:len(bias)])))
+    for p in model.params().values():
+        p[...] = 0.0
+    model.params()["dense.b"][:] = bias
+    return model
+
+
+def _sampled_probs(monkeypatch, model, temperature):
+    """The probabilities generate samples its one character from, and that character."""
+    seen = []
+
+    def recording(probs, rng):
+        seen.append(probs.copy())
+        return sample_categorical(probs, rng)
+
+    monkeypatch.setattr(generator, "sample_categorical", recording)
+    out = generate(model, GenerationPlan(prime_text="a", length=1, temperature=temperature))
+    (probs,) = seen
+    return probs, out[-1]
+
+
+class TestApplyTemperature:
+    """The temperature rule: generate samples from softmax(logits / T), T > 0 finite."""
+
+    def test_identity_at_one(self, monkeypatch):
+        logits = np.array([0.5, -1.0, 2.0])
+        probs, _ = _sampled_probs(monkeypatch, _bias_model(logits), 1.0)
+        assert np.allclose(probs, softmax(logits), atol=1e-12)
+
+    def test_near_zero_sharpens_to_argmax(self, monkeypatch):
+        probs, char = _sampled_probs(monkeypatch, _bias_model([1.0, 2.0]), 0.01)
+        assert probs[1] > 1.0 - 1e-12
+        assert char == "b"
+
+    def test_closed_form_at_two(self, monkeypatch):
+        probs, _ = _sampled_probs(monkeypatch, _bias_model([0.0, 2.0]), 2.0)
+        expected = np.exp([0.0, 1.0]) / np.exp([0.0, 1.0]).sum()
+        assert np.allclose(probs, expected, atol=1e-12)
+        assert abs(probs[0] - 0.2689414) < 1e-6
+
+    def test_nonpositive_rejected(self):
+        # no plan generate receives can hold such a T, replace() included
+        plan = GenerationPlan(prime_text="a", length=1)
+        for t in (0.0, -0.0, -1.0):
+            with pytest.raises(ConfigError, match="temperature"):
+                dataclasses.replace(plan, temperature=t)
+
+    def test_non_finite_rejected(self):
+        plan = GenerationPlan(prime_text="a", length=1)
+        for t in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ConfigError, match="temperature"):
+                dataclasses.replace(plan, temperature=t)
 
 
 class TestPlanValidation:
@@ -84,24 +143,6 @@ class TestGenerate:
         model.params()["dense.b"][:] = [0.0, 1e-17, -3.0]
         plan = GenerationPlan(prime_text="a", length=6, mode="argmax")
         assert generate(model, plan) == "abbbbbb"
-
-    def test_temperature_divides_the_logits(self, monkeypatch):
-        # with every other weight zero, each step's logits are dense.b
-        config = ModelConfig(kind="gru", layer_widths=(2,), vocab_size=2, batch_size=1,
-                             embed_dim=2, dropout=0.0)
-        model = build_model(config, Vocabulary(tuple("ab")))
-        for p in model.params().values():
-            p[...] = 0.0
-        model.params()["dense.b"][:] = [0.0, 2.0]
-        seen = []
-        monkeypatch.setattr(generator, "sample_categorical",
-                            lambda probs, rng: seen.append(probs.copy()) or 0)
-        for temperature in (1.0, 2.0):
-            generate(model, GenerationPlan(prime_text="a", length=1, temperature=temperature))
-        expected = np.exp([[0.0, 2.0], [0.0, 1.0]])
-        expected /= expected.sum(axis=1, keepdims=True)
-        assert np.allclose(seen, expected, atol=1e-12)
-        assert abs(seen[1][0] - 0.2689414) < 1e-6
 
     @pytest.mark.parametrize("length, calls", [(0, 1), (1, 1), (2, 2), (5, 5), (40, 40)])
     def test_step_calls(self, monkeypatch, length, calls):
