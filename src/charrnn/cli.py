@@ -13,7 +13,7 @@ import math
 import sys
 from pathlib import Path
 
-from .corpus import build_vocab, load_corpus
+from .corpus import _write_atomic, build_vocab, load_corpus
 from .exceptions import CharRnnError
 from .generator import MODES, GenerationPlan, generate
 from .model import KINDS, PRESETS, ModelConfig, load_checkpoint, preset_widths
@@ -145,7 +145,7 @@ def cmd_generate(args) -> int:
     )
     text = generate(load_checkpoint(args.checkpoint), plan)
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        _write_atomic(args.out, text.encode("utf-8"))
     else:
         sys.stdout.write(text)
         if not text.endswith("\n"):
@@ -163,7 +163,7 @@ def cmd_report(args) -> int:
             writer.writerow([run, row.epoch, repr(row.mean_loss), repr(row.ms_per_step)])
     out = buf.getvalue()
     if args.out:
-        Path(args.out).write_text(out, encoding="utf-8")
+        _write_atomic(args.out, out.encode("utf-8"))
     else:
         sys.stdout.write(out)
     return 0

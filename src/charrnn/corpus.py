@@ -13,13 +13,13 @@ code points _CHUNK characters at a time, so no temporary grows with the
 corpus, and shuffle_batches takes its Fisher-Yates draws from one bulk
 Rng.randint call.
 
-_write_atomic is the temp-file-and-rename writer of checkpoints and history CSVs.
+_write_atomic is the temp-file-and-rename writer of checkpoints, history CSVs
+and the CLI's --out files.
 """
 
 from __future__ import annotations
 
 import os
-import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -40,16 +40,18 @@ def load_corpus(path) -> str:
 
 def _write_atomic(path, data: bytes) -> None:
     """Write data through a temp file in the same directory and a rename, so
-    a failed write never leaves a partial file at path."""
+    a failed write never leaves a partial file at path. The temp file is
+    opened as a plain write opens a new file (mode 0o666 less the umask), so
+    path gets the mode a direct write would give it."""
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
+    f = open(tmp, "xb")
     try:
-        with os.fdopen(fd, "wb") as f:
+        with f:
             f.write(data)
         os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        tmp.unlink(missing_ok=True)
         raise
 
 

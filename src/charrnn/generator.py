@@ -1,7 +1,8 @@
 """Stepwise text generation with temperature-controlled selection.
 
 The prime text is fed in one step() call, which runs the recurrent layers
-over every prime character and the dense layer on the last one only; then
+one after another, each over every prime character (layer 0 on the prime's P
+rows, gathered at once), and the dense layer on the last character only; then
 the loop alternates select-next-character / feed-it-back until the requested
 length is reached. The last character is not fed back, since nothing reads
 the logits that step would give, so a request makes 1 + max(length - 1, 0)

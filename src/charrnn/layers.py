@@ -25,8 +25,8 @@ matmul, and z is a "keep" gate (z = 1 preserves the old state).
 Only the recurrence runs inside the time loops. Forward: x W_x + b for every
 step is one GEMM before the loop, and each step adds h W_h to its row of the
 tape and turns it into the gates in place (the LSTM with one tanh over the
-whole row, the GRU with a sigmoid over z and r and a tanh over n). The per-step
-gate code is shared by the scan and by step(). Backward walks the sequence
+whole row, the GRU with a sigmoid over z and r and a tanh over n). That loop,
+_Cell._loop, is shared by the scan and by step(). Backward walks the sequence
 in blocks of _BLOCK steps, last block first. Per block it first computes
 every factor of d loss / d pre-activation (da) that needs no recurrence, for
 all the block's steps at once; the loop then carries dh (and the LSTM's dc)
@@ -47,22 +47,28 @@ V around 60 and E = 256 this replaces three B * L-row GEMMs per layer-0
 direction. P is rebuilt on every forward, as the optimizer updates table
 and W_x in place. Generation uses the same arithmetic: RecurrentStack's
 init_state builds P for each layer-0 direction and keeps it in the state it
-returns (never on the cell), and each step gathers P[ids], so layer 0's
-hidden states equal the training forward's bit for bit. Deeper layers step
-on x W_x + b. RecurrentStack.step takes [B] or [B, L] ids and runs the dense
-layer on the last position only, so a prime is one call.
+returns (never on the cell), and step gathers P[ids], so layer 0's hidden
+states equal the training forward's bit for bit. RecurrentStack.step takes
+[B] or [B, L] ids, checks them once and runs layer by layer: each layer's
+step runs every position fed from its carried state through _loop, layer 0
+on P[ids] gathered for all positions at once, deeper layers on x W_x + b
+computed one position at a time (the GEMV a one-position call makes; one
+GEMM over all positions rounds differently), so a prime in one call equals
+the same prime fed one character per call, bit for bit. The dense layer runs on the last position only, so a prime is one call.
 
 Cells hold only gate math. LstmCell and GruCell each define GATES, STATES
 (the names of the state arrays, h first: a cell's state is a tuple of [B, H]
 arrays in that order, then P in layer 0), _recur (one forward step) and
 _back_block (one backward block: the non-recurrent factors of da, the
 recurrent loop and dW_h). The private base _Cell holds the rest: the
-kernels, the zero state, _step, the scan _scan with its hoisted projection,
+kernels, the zero state, the recurrence loop _loop, _step (any number of
+positions from a given state) and the scan _scan (a whole sequence from the
+zero state, with its hoisted projection and tape), which both run _loop,
 and the BPTT block loop _bptt with its flush of da into dW_x, db and dxs
 (or S). Each cell binds forward_seq, backward_seq and step to _Cell's
 methods in its own class body, because perfbench/tracing.py rebinds them
 through the class __dict__, where a name that is only inherited is not
-found.
+found; tests/test_layers.py checks those names resolve.
 Parameters are drawn only by model._init_params; the classes here wrap
 arrays they are given.
 """
@@ -78,10 +84,6 @@ from .numerics import Rng, sigmoid
 
 # Time steps per backward block (see the module docstring).
 _BLOCK = 25
-# LstmCell._recur's one tanh pass: scale the (i, f, g, o) pre-activations,
-# tanh, scale again and shift, so i, f and o come out as sigmoids
-_LSTM_SCALE = np.array([0.5, 0.5, 1.0, 0.5])[:, None]
-_LSTM_SHIFT = np.array([0.5, 0.5, 0.0, 0.5])[:, None]
 
 
 def _split(a: np.ndarray, parts: int) -> list[np.ndarray]:
@@ -91,9 +93,13 @@ def _split(a: np.ndarray, parts: int) -> list[np.ndarray]:
 
 
 def _check_indices(indices: np.ndarray, vocab: int) -> None:
-    """Raise VocabularyError on an index outside [0, vocab); numpy indexing
-    would wrap a negative one silently."""
-    if indices.size and (indices.min() < 0 or indices.max() >= vocab):
+    """Raise VocabularyError on ids that are not integers (numpy would read
+    bools as a mask) or on an index outside [0, vocab) (numpy indexing would
+    wrap a negative one silently)."""
+    if indices.dtype.kind not in "iu":
+        raise VocabularyError(f"embedding ids must be integers, got dtype {indices.dtype}")
+    # one reduction: cast to unsigned, a negative id wraps above any vocab
+    if indices.size and indices.astype(np.uint64, copy=False).max() >= vocab:
         bad = int(indices.reshape(-1)[np.argmax((indices < 0) | (indices >= vocab))])
         raise VocabularyError(f"embedding index {bad} out of range [0, {vocab})")
 
@@ -120,8 +126,8 @@ class Embedding:
 
 
 class Embedded:
-    """Layer 0's input, table[ids] [L, B, E] (or [B, E] for one step), held
-    as the time-major ids [L, B] (or [B]) and the table.
+    """Layer 0's input, table[ids] [L, B, E] (or [B, E] for one position),
+    held as the time-major ids [L, B] (or [B]) and the table.
 
     The rows are never gathered: a cell given an Embedded projects the V-row
     table instead of the B * L rows (see _Cell._scan and _Cell._bptt), and a
@@ -172,28 +178,52 @@ class _Cell:
         proj += self.b
         return (*zeros, proj)
 
+    def _loop(self, gates, prev, out) -> list[np.ndarray]:
+        """The recurrence: from the state arrays prev ([B, H] each), turn each
+        row gates[t] [B, kH] of x W_x + b into its gates in place and write
+        position t's state into out[:][t] ([L, B, H] each). Returns the last
+        position's state arrays. The scan and the step both run it."""
+        for t in range(len(gates)):
+            now = [s[t] for s in out]
+            self._recur(gates[t], *prev, *now)
+            prev = now
+        return prev
+
     def _step(self, x, state):
-        """One step from state; returns (h [B, H], the new state). An
-        Embedded x (layer 0) reads P[ids], the rows _scan gathers, from the
-        state's P; any other x [B, D] is projected as x W_x + b."""
+        """Run x from state: the time-major positions [L, B, D] or one
+        position [B, D]. Returns (hs [L, B, H] or h [B, H], the new state).
+
+        An Embedded x (layer 0, ids [L, B] or [B]) gathers P[ids], the rows
+        _scan gathers, from the state's P in one go; any other x is projected
+        as x W_x + b one position at a time, so each position's GEMV is the
+        one a single-position call makes. The state passed in is not written.
+        """
         k = len(self.STATES)
-        a = state[k][x.ids] if isinstance(x, Embedded) else x @ self.w_x + self.b
-        if len(a) != len(state[0]):
-            raise ShapeError(f"step input has batch {len(a)}, its state {len(state[0])}")
-        new = tuple(np.empty_like(s) for s in state[:k])
-        self._recur(a, *state[:k], *new)
-        return new[0], new + state[k:]
+        if isinstance(x, Embedded):
+            gates = state[k][x.ids]
+        else:
+            gates = np.empty((*x.shape[:-1], self.w_x.shape[1]))
+            for xt, at in zip(x.reshape(-1, *x.shape[-2:]), gates.reshape(-1, *gates.shape[-2:])):
+                np.matmul(xt, self.w_x, out=at)
+                at += self.b
+        one = gates.ndim == 2
+        seq = gates[None] if one else gates
+        if seq.shape[1] != len(state[0]):
+            raise ShapeError(f"step input has batch {seq.shape[1]}, its state {len(state[0])}")
+        out = [np.empty((len(seq), *s.shape)) for s in state[:k]]
+        last = self._loop(seq, state[:k], out)
+        return out[0][0] if one else out[0], (*last, *state[k:])
 
     def _scan(self, xs, train: bool):
         """Scan the whole time-major sequence xs [L, B, D] from a zero state.
 
         Returns (hs [L, B, H], tape); the tape is None unless train is set.
-        x W_x + b has no recurrence, so it is one GEMM before the time loop
-        and each step turns its row gates[t] [B, kH], contiguous, into its
-        gates in place. For an Embedded input the GEMM is table W_x + b,
-        [V, kH], and the steps' rows are gathered from it by id. Each state
-        buffer [L + 1, B, H] holds the zero state at index 0, so step t reads
-        t and writes t + 1, and hs is the buffer's contiguous tail.
+        x W_x + b has no recurrence, so it is one GEMM before _loop, which
+        turns each row gates[t] [B, kH], contiguous, into its gates in place.
+        For an Embedded input the GEMM is table W_x + b, [V, kH], and the
+        steps' rows are gathered from it by id. Each state buffer
+        [L + 1, B, H] holds the zero state at index 0, so step t reads t and
+        writes t + 1, and hs is the buffer's contiguous tail.
         """
         if isinstance(xs, Embedded):
             gates = xs.embedding.table @ self.w_x
@@ -206,8 +236,7 @@ class _Cell:
             gates = gates.reshape(length, batch, self.w_x.shape[1])
         length, batch = gates.shape[:2]
         states = [np.zeros((length + 1, batch, self.hidden_size)) for _ in self.STATES]
-        for t in range(length):
-            self._recur(gates[t], *[s[t] for s in states], *[s[t + 1] for s in states])
+        self._loop(gates, [s[0] for s in states], [s[1:] for s in states])
         tape = {"xs": xs, "gates": gates, **dict(zip(self.STATES, states))} if train else None
         return states[0][1:], tape
 
@@ -254,21 +283,28 @@ class LstmCell(_Cell):
     STATES = ("h", "c")
     forward_seq, backward_seq, step = _Cell._scan, _Cell._bptt, _Cell._step
 
+    def __init__(self, w_x: np.ndarray, w_h: np.ndarray, b: np.ndarray):
+        super().__init__(w_x, w_h, b)
+        # _recur's one tanh pass over (i, f, g, o): scale, tanh, scale again
+        # and shift, so i, f and o come out as sigmoids; [4H] rows
+        self._scale = np.repeat([0.5, 0.5, 1.0, 0.5], self.hidden_size)
+        self._shift = np.repeat([0.5, 0.5, 0.0, 0.5], self.hidden_size)
+
     def _recur(self, a, h_prev, c_prev, h, c) -> None:
         """One timestep, writing h and c.
 
-        a, contiguous, holds x W_x + b [B, 4H] on entry and the gates
-        (i, f, g, o) on exit. All four gates take one tanh pass:
-        sigmoid(x) = 0.5 tanh(0.5 x) + 0.5, and scaling by 0.5 is exact, so
+        a holds x W_x + b [B, 4H] on entry and the gates (i, f, g, o) on
+        exit. All four gates take one tanh pass: sigmoid(x) =
+        0.5 tanh(0.5 x) + 0.5, and scaling by 0.5 (or 1 on g) is exact, so
         this equals numerics.sigmoid on i, f, o and tanh on g bit for bit.
         """
         a += h_prev @ self.w_h
-        gates = a.reshape(len(a), 4, -1)
-        gates *= _LSTM_SCALE
+        a *= self._scale
         np.tanh(a, out=a)
-        gates *= _LSTM_SCALE
-        gates += _LSTM_SHIFT
-        i, f, g, o = _split(a, 4)
+        a *= self._scale
+        a += self._shift
+        hs = c.shape[1]
+        i, f, g, o = a[:, :hs], a[:, hs : 2 * hs], a[:, 2 * hs : 3 * hs], a[:, 3 * hs :]
         np.multiply(f, c_prev, out=c)
         c += i * g
         np.tanh(c, out=h)
@@ -385,9 +421,9 @@ class BidirectionalLstm:
     is useless for autoregressive generation. That leakage is inherent to the
     construction and is kept, not patched.
 
-    During single-character generation both cells step on the same length-1
-    input and carry their states forward; the backward direction degenerates
-    to a second forward scan.
+    During generation both cells step left to right over the same input and
+    carry their states forward; the backward direction degenerates to a
+    second forward scan.
     """
 
     def __init__(self, fwd: LstmCell, bwd: LstmCell):
@@ -409,7 +445,7 @@ class BidirectionalLstm:
         state_f, state_b = state
         hf, state_f = self.fwd.step(x, state_f)
         hb, state_b = self.bwd.step(x, state_b)
-        return np.concatenate([hf, hb], axis=1), (state_f, state_b)
+        return np.concatenate([hf, hb], axis=-1), (state_f, state_b)
 
     def forward_seq(self, xs, train: bool):
         xs_rev = xs.reversed() if isinstance(xs, Embedded) else xs[::-1]
@@ -545,19 +581,20 @@ class RecurrentStack:
             layer.init_state(batch) for layer in rest]
 
     def step(self, indices: np.ndarray, state):
-        """Forward for generation: feed [B] or [B, L] ids from state, one
-        position at a time through every layer. Returns the last position's
-        logits [B, V] and the new state; the dense layer runs once."""
+        """Forward for generation: feed [B] or [B, L] ids from state. The ids
+        are checked once; then each layer runs every position from its
+        state in one call, layer 0 on P[ids]. Returns the last position's
+        logits [B, V] and the new state; the dense layer runs once, and the
+        state passed in is not written."""
         ids = np.asarray(indices)
         ids = ids[:, None] if ids.ndim == 1 else ids
         if ids.ndim != 2 or ids.shape[1] == 0:
             raise ShapeError(f"step needs [B] or [B, L] ids with L >= 1, got {ids.shape}")
+        x = Embedded(self.embedding, ids.T)
         state = list(state)
-        for t in range(ids.shape[1]):
-            x = Embedded(self.embedding, ids[:, t])
-            for i, layer in enumerate(self.recurrent):
-                x, state[i] = layer.step(x, state[i])
-        return self.dense.forward(x), state
+        for i, layer in enumerate(self.recurrent):
+            x, state[i] = layer.step(x, state[i])
+        return self.dense.forward(x[-1]), state
 
     def params(self) -> dict[str, np.ndarray]:
         """Parameters in canonical order: embedding, each layer, dense."""

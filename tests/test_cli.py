@@ -1,6 +1,8 @@
 import contextlib
 import csv
 import io
+import os
+import stat
 import warnings
 
 import pytest
@@ -239,6 +241,43 @@ class TestGenerateCommand:
         assert code == 1
         assert captured.out == ""
         assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+
+
+def _failing_replace(src, dst):
+    raise OSError(28, "No space left on device")
+
+
+class TestOutFileAtomic:
+    """generate and report write --out through a temp file and a rename, so
+    a failed write leaves an existing file whole and no temp file behind."""
+
+    @pytest.mark.parametrize("command", ["generate", "report"])
+    def test_failed_write_keeps_the_old_file(self, checkpoint, tmp_path, monkeypatch, command):
+        history = tmp_path / "run.csv"
+        history.write_text("epoch,mean_loss,ms_per_step\n1,0.5,1.0\n")
+        target = tmp_path / "out.txt"
+        target.write_bytes(b"old contents\n")
+        argv = (["generate", "--checkpoint", str(checkpoint), "--prime", "The",
+                 "--length", "20"] if command == "generate" else
+                ["report", "--history", str(history)])
+        monkeypatch.setattr(os, "replace", _failing_replace)
+        code, out, err = _run([*argv, "--out", str(target)])
+        _assert_one_error_line(code, err)
+        assert "No space left" in err and out == ""
+        assert target.read_bytes() == b"old contents\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.txt", "run.csv"]
+        monkeypatch.undo()
+        code, _, _ = _run([*argv, "--out", str(target)])
+        assert code == 0 and target.read_bytes() != b"old contents\n"
+
+    def test_new_file_has_the_mode_of_a_plain_write(self, checkpoint, tmp_path):
+        plain = tmp_path / "plain.txt"
+        plain.write_text("x")
+        target = tmp_path / "out.txt"
+        code, _, _ = _run(["generate", "--checkpoint", str(checkpoint), "--prime", "The",
+                           "--length", "5", "--out", str(target)])
+        assert code == 0
+        assert stat.S_IMODE(target.stat().st_mode) == stat.S_IMODE(plain.stat().st_mode)
 
 
 class TestReportCommand:

@@ -1,4 +1,5 @@
 import importlib.util
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from charrnn.corpus import Vocabulary
 from charrnn.exceptions import ConfigError, ShapeError, VocabularyError
+from charrnn.generator import GenerationPlan, generate
 from charrnn.layers import (
     BidirectionalLstm,
     Dense,
@@ -19,7 +21,7 @@ from charrnn.layers import (
     dropout_forward,
 )
 from charrnn.model import ModelConfig, build_model
-from charrnn.numerics import Rng, sample_categorical
+from charrnn.numerics import Rng, sample_categorical, sigmoid
 from tests.conftest import REPO_ROOT, finite_difference, rel_err
 
 
@@ -91,6 +93,45 @@ class TestLstmCell:
         fd = finite_difference(loss, [cell.w_x, cell.w_h, cell.b, xs])
         for analytic, numeric in zip([grads["w_x"], grads["w_h"], grads["b"], dxs], fd):
             assert rel_err(analytic, numeric) < 1e-4
+
+
+class TestLstmGateTransform:
+    """LstmCell._recur's one tanh pass over the (i, f, g, o) row equals
+    numerics.sigmoid on i, f and o and np.tanh on g bit for bit, and writes
+    c' = f c + i g and h' = o tanh(c')."""
+
+    EDGES = [0.0, -0.0, 5e-324, -5e-324, 20.0, -20.0, 800.0, -800.0]
+
+    @pytest.mark.parametrize("rows", ["random", "edges"])
+    @pytest.mark.parametrize("batch", [1, 4])
+    @pytest.mark.parametrize("hidden", [1, 3, 8, 256])
+    def test_bitwise(self, hidden, batch, rows):
+        gen = np.random.default_rng(10 * hidden + batch)
+        width = 4 * hidden
+        if rows == "random":
+            x = gen.normal(scale=3.0, size=(batch, width))
+            w_h = gen.normal(scale=0.5, size=(hidden, width))
+            h_prev = gen.normal(size=(batch, hidden))
+        else:  # every gate meets the edge values, with h W_h = 0
+            x = np.resize(self.EDGES, (batch, width))
+            x = x[:, gen.permutation(width)]
+            w_h = np.zeros((hidden, width))
+            h_prev = np.zeros((batch, hidden))
+        c_prev = gen.normal(scale=2.0, size=(batch, hidden))
+        cell = LstmCell(np.zeros((1, width)), w_h, np.zeros(width))
+        pre = x + h_prev @ w_h  # the pre-activations _recur forms in place
+        a, h, c = x.copy(), np.empty((batch, hidden)), np.empty((batch, hidden))
+        cell._recur(a, h_prev, c_prev, h, c)
+        i, f, g, o = (pre[:, k * hidden : (k + 1) * hidden] for k in range(4))
+        want = [sigmoid(i), sigmoid(f), np.tanh(g), sigmoid(o)]
+        for k, name in enumerate("ifgo"):
+            assert a[:, k * hidden : (k + 1) * hidden].tobytes() == want[k].tobytes(), name
+        c_want = want[1] * c_prev
+        c_want += want[0] * want[2]
+        assert c.tobytes() == c_want.tobytes()
+        assert h.tobytes() == (np.tanh(c_want) * want[3]).tobytes()
+        if rows == "edges":  # the saturated gates are exact
+            assert set(np.unique(a[:, :hidden][np.abs(pre[:, :hidden]) == 800.0])) <= {0.0, 1.0}
 
 
 class TestGruCell:
@@ -237,6 +278,29 @@ def test_traced_functions_in_module(module, name):
     # a renamed or moved function breaks `perfbench/run.py --trace 1`
     fn = vars(module).get(name)
     assert callable(fn) and fn.__module__ == module.__name__
+
+
+@pytest.mark.parametrize("kind", ["lstm", "gru", "birnn"])
+def test_tracer_spans_one_layer_step_per_stack_step(kind):
+    # install() reads every traced method from its class __dict__ and every
+    # traced function with getattr, so a name a refactor drops fails here. A
+    # request makes one stack step for the prime and one per sampled
+    # character but the last; each runs every layer once, whatever its length
+    config = ModelConfig(kind=kind, layer_widths=(4, 3), vocab_size=5, batch_size=1,
+                         embed_dim=3, dropout=0.0, init_seed=1)
+    stack = build_model(config, Vocabulary(tuple("abcde")))
+    original = RecurrentStack.__dict__["step"]
+    tracer = _TRACING.Tracer()
+    tracer.install()
+    try:
+        generate(stack, GenerationPlan(prime_text="abcdeabc", length=4))
+    finally:
+        tracer.remove()
+    spans = Counter(span[0] for span in tracer.spans)
+    assert spans["layers.step.prime"] + spans["layers.step.sample"] == 4
+    assert spans[f"layers.{kind}.step"] == 2 * 4
+    assert spans["layers.birnn.step.cell"] == (4 * 4 if kind == "birnn" else 0)
+    assert RecurrentStack.__dict__["step"] is original
 
 
 def _kinds_at(*lengths):
@@ -546,6 +610,71 @@ class TestGenerationStep:
         stack = self._stack(kind)
         with pytest.raises(ShapeError):
             stack.step(np.zeros(shape, dtype=np.int64), stack.init_state(1))
+
+    @pytest.mark.parametrize("ids", [
+        np.array([[0.0, 1.0]]), np.array([[True, True]]), np.array([True]),
+        np.array([["a", "b"]]), np.array([[0, 1]], dtype=object),
+    ], ids=["float", "bool", "bool-as-mask", "str", "object"])
+    def test_non_integer_ids_refused(self, ids):
+        # numpy would index with floats and strs in error and read bools as a
+        # mask: [True] against a batch-1 state would run silently
+        stack = self._stack("gru")
+        with pytest.raises(VocabularyError, match="must be integers"):
+            stack.step(ids, stack.init_state(1))
+        with pytest.raises(VocabularyError, match="must be integers"):
+            stack.forward(np.atleast_2d(ids))
+        cell = stack.recurrent[0]
+        with pytest.raises(VocabularyError, match="must be integers"):
+            cell.step(Embedded(stack.embedding, ids.reshape(-1)[:1]), stack.init_state(1)[0])
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int32, np.uint8, np.uint64])
+    def test_any_integer_dtype_steps(self, dtype):
+        stack = self._stack("gru")
+        ids = np.array([[1, 6, 0]])
+        want, _ = stack.step(ids, stack.init_state(1))
+        logits, _ = stack.step(ids.astype(dtype), stack.init_state(1))
+        assert logits.tobytes() == want.tobytes()
+        with pytest.raises(VocabularyError, match="out of range"):
+            stack.step(np.array([[1, 7]], dtype=dtype), stack.init_state(1))
+        if np.issubdtype(dtype, np.signedinteger):
+            with pytest.raises(VocabularyError, match="index -1 out of range"):
+                stack.step(np.array([[1, -1]], dtype=dtype), stack.init_state(1))
+
+    @settings(max_examples=100, deadline=None)
+    @given(kind=st.sampled_from(["lstm", "gru", "birnn"]), depth=st.integers(1, 3),
+           batch=st.integers(1, 3), data=st.data())
+    def test_step_composes_bitwise(self, kind, depth, batch, data):
+        # one call over [B, L] ids, two chained calls and L one-position
+        # calls give the same logits and state leaves, and no call writes
+        # the state it is given
+        length = data.draw(st.integers(1, 30), label="length")
+        split = data.draw(st.integers(1, length), label="split")
+        config = ModelConfig(kind=kind, layer_widths=(5, 4, 3)[:depth], vocab_size=7,
+                             batch_size=batch, embed_dim=4, dropout=0.0, init_seed=depth)
+        stack = build_model(config, Vocabulary(tuple("abcdefg")))
+        for p in stack.params().values():
+            p += _rand(p.shape, scale=0.5, seed=p.size)
+        gen = np.random.default_rng(length * 10 + split)
+        _, start = stack.step(gen.integers(0, 7, (batch, 3)), stack.init_state(batch))
+        ids = gen.integers(0, 7, (batch, length))
+        given_bytes = [a.tobytes() for a in _leaves(start)]
+
+        def unchanged(state, before):
+            return [a.tobytes() for a in _leaves(state)] == before
+
+        whole = stack.step(ids, start)
+        assert unchanged(start, given_bytes)
+        head_logits, mid = stack.step(ids[:, :split], start)
+        mid_bytes = [a.tobytes() for a in _leaves(mid)]
+        chained = stack.step(ids[:, split:], mid) if split < length else (head_logits, mid)
+        assert unchanged(start, given_bytes) and unchanged(mid, mid_bytes)
+        one, state = None, start
+        for t in range(length):
+            one, state = stack.step(ids[:, t], state)
+        assert unchanged(start, given_bytes)
+        for logits, final in (chained, (one, state)):
+            assert logits.tobytes() == whole[0].tobytes()
+            assert unchanged(final, [a.tobytes() for a in _leaves(whole[1])])
 
     @pytest.mark.parametrize("kind", ["lstm", "gru", "birnn"])
     def test_prime_and_sampling_leave_p_unchanged(self, kind):
