@@ -25,8 +25,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .exceptions import ConfigError, CorpusError, VocabularyError
-from .numerics import Rng
+from .exceptions import ConfigError, CorpusError, ShapeError, VocabularyError
+from .numerics import Rng, check_ids, check_int_fields
 
 
 def load_corpus(path) -> str:
@@ -107,16 +107,15 @@ class Vocabulary:
         return ids
 
     def decode(self, indices) -> str:
-        """Indices back to text; out-of-range indices are an error."""
-        chars = self.chars
-        v = len(chars)
-        out = []
-        for i, idx in enumerate(indices):
-            idx = int(idx)
-            if not 0 <= idx < v:
-                raise VocabularyError(f"index {idx} out of range [0, {v}) at position {i}")
-            out.append(chars[idx])
-        return "".join(out)
+        """A 1-D sequence of integer indices back to text; any other index
+        is an error."""
+        ids = np.asarray(indices)
+        if ids.size == 0:
+            return ""
+        if ids.ndim != 1:
+            raise ShapeError(f"decode needs a 1-D sequence of indices, got shape {ids.shape}")
+        check_ids(ids, self.size, VocabularyError, "index")
+        return "".join([self.chars[i] for i in ids.tolist()])
 
 
 def build_vocab(text: str) -> Vocabulary:
@@ -146,6 +145,7 @@ class CorpusPlan:
     shuffle_seed: int = 0
 
     def __post_init__(self):
+        check_int_fields(self, ("seq_len", "batch_size", "shuffle_seed"))
         if self.seq_len < 1:
             raise ConfigError(f"seq_len must be >= 1, got {self.seq_len}")
         if self.batch_size < 1:

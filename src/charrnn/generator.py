@@ -30,7 +30,7 @@ import numpy as np
 from .corpus import Vocabulary
 from .exceptions import ConfigError
 from .model import Model
-from .numerics import Rng, sample_categorical
+from .numerics import Rng, check_int_fields, sample_categorical
 
 MODES = ("sample", "argmax")
 
@@ -46,6 +46,7 @@ class GenerationPlan:
     def __post_init__(self):
         if not self.prime_text:
             raise ConfigError("prime_text must be non-empty")
+        check_int_fields(self, ("length", "sample_seed"))
         if self.length < 0:
             raise ConfigError(f"length must be >= 0, got {self.length}")
         if not 0.0 < self.temperature < math.inf:

@@ -48,20 +48,18 @@ direction. P is rebuilt on every forward, as the optimizer updates table
 and W_x in place. Generation uses the same arithmetic: RecurrentStack's
 init_state builds P for each layer-0 direction and keeps it in the state it
 returns (never on the cell), and step gathers P[ids], so layer 0's hidden
-states equal the training forward's bit for bit. RecurrentStack.step takes
-[B] or [B, L] ids, checks them once and runs layer by layer: each layer's
-step runs every position fed from its carried state through _loop, layer 0
-on P[ids] gathered for all positions at once, deeper layers on x W_x + b
-computed one position at a time (the GEMV a one-position call makes; one
-GEMM over all positions rounds differently), so a prime in one call equals
-the same prime fed one character per call, bit for bit. The dense layer runs on the last position only, so a prime is one call.
+states equal the training forward's bit for bit. RecurrentStack.step runs
+layer by layer, each layer over every position fed; deeper layers project
+one position at a time, since one GEMM over all positions rounds
+differently, so a prime in one call equals the same prime fed one character
+per call, bit for bit.
 
 Cells hold only gate math. LstmCell and GruCell each define GATES, STATES
 (the names of the state arrays, h first: a cell's state is a tuple of [B, H]
 arrays in that order, then P in layer 0), _recur (one forward step) and
 _back_block (one backward block: the non-recurrent factors of da, the
 recurrent loop and dW_h). The private base _Cell holds the rest: the
-kernels, the zero state, the recurrence loop _loop, _step (any number of
+kernels, the zero state, the recurrence loop _loop, _step (time-major
 positions from a given state) and the scan _scan (a whole sequence from the
 zero state, with its hoisted projection and tape), which both run _loop,
 and the BPTT block loop _bptt with its flush of da into dW_x, db and dxs
@@ -80,7 +78,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import ConfigError, ShapeError, VocabularyError
-from .numerics import Rng, sigmoid
+from .numerics import Rng, check_ids, sigmoid
 
 # Time steps per backward block (see the module docstring).
 _BLOCK = 25
@@ -92,18 +90,6 @@ def _split(a: np.ndarray, parts: int) -> list[np.ndarray]:
     return [a[..., k * width : (k + 1) * width] for k in range(parts)]
 
 
-def _check_indices(indices: np.ndarray, vocab: int) -> None:
-    """Raise VocabularyError on ids that are not integers (numpy would read
-    bools as a mask) or on an index outside [0, vocab) (numpy indexing would
-    wrap a negative one silently)."""
-    if indices.dtype.kind not in "iu":
-        raise VocabularyError(f"embedding ids must be integers, got dtype {indices.dtype}")
-    # one reduction: cast to unsigned, a negative id wraps above any vocab
-    if indices.size and indices.astype(np.uint64, copy=False).max() >= vocab:
-        bad = int(indices.reshape(-1)[np.argmax((indices < 0) | (indices >= vocab))])
-        raise VocabularyError(f"embedding index {bad} out of range [0, {vocab})")
-
-
 class Embedding:
     """Lookup table [V, E]; forward is a row gather, backward a scatter-add."""
 
@@ -111,7 +97,7 @@ class Embedding:
         self.table = table
 
     def forward(self, indices: np.ndarray) -> np.ndarray:
-        _check_indices(indices, self.table.shape[0])
+        check_ids(indices, self.table.shape[0], VocabularyError, "embedding index")
         return self.table[indices]
 
     def backward(self, indices: np.ndarray, dout: np.ndarray) -> np.ndarray:
@@ -126,16 +112,18 @@ class Embedding:
 
 
 class Embedded:
-    """Layer 0's input, table[ids] [L, B, E] (or [B, E] for one position),
-    held as the time-major ids [L, B] (or [B]) and the table.
+    """Layer 0's input, table[ids] [L, B, E], held as the time-major ids
+    [L, B] and the table.
 
     The rows are never gathered: a cell given an Embedded projects the V-row
     table instead of the B * L rows (see _Cell._scan and _Cell._bptt), and a
-    step gathers rows of that projection (see _Cell._step).
+    step gathers rows of that projection (see _Cell._step). A bad id is
+    reported at its batch-major position (b, t), as the stack's callers
+    index their [B, L] ids.
     """
 
     def __init__(self, embedding: Embedding, ids: np.ndarray):
-        _check_indices(ids, embedding.table.shape[0])
+        check_ids(ids.T, embedding.table.shape[0], VocabularyError, "embedding index")
         self.embedding = embedding
         self.ids = ids
 
@@ -190,29 +178,27 @@ class _Cell:
         return prev
 
     def _step(self, x, state):
-        """Run x from state: the time-major positions [L, B, D] or one
-        position [B, D]. Returns (hs [L, B, H] or h [B, H], the new state).
+        """Run the time-major positions x [L, B, D] from state. Returns
+        (hs [L, B, H], the new state); the state passed in is not written.
 
-        An Embedded x (layer 0, ids [L, B] or [B]) gathers P[ids], the rows
-        _scan gathers, from the state's P in one go; any other x is projected
-        as x W_x + b one position at a time, so each position's GEMV is the
-        one a single-position call makes. The state passed in is not written.
+        An Embedded x (layer 0, ids [L, B]) gathers P[ids], the rows _scan
+        gathers, from the state's P in one go; any other x is projected as
+        x W_x + b one position at a time, the GEMV a one-position call makes.
         """
         k = len(self.STATES)
         if isinstance(x, Embedded):
             gates = state[k][x.ids]
         else:
             gates = np.empty((*x.shape[:-1], self.w_x.shape[1]))
-            for xt, at in zip(x.reshape(-1, *x.shape[-2:]), gates.reshape(-1, *gates.shape[-2:])):
+            for xt, at in zip(x, gates):
                 np.matmul(xt, self.w_x, out=at)
                 at += self.b
-        one = gates.ndim == 2
-        seq = gates[None] if one else gates
-        if seq.shape[1] != len(state[0]):
-            raise ShapeError(f"step input has batch {seq.shape[1]}, its state {len(state[0])}")
-        out = [np.empty((len(seq), *s.shape)) for s in state[:k]]
-        last = self._loop(seq, state[:k], out)
-        return out[0][0] if one else out[0], (*last, *state[k:])
+        if gates.ndim != 3 or gates.shape[1] != len(state[0]):
+            raise ShapeError(f"step takes x [L, B, D] or Embedded ids [L, B] with the state's "
+                             f"batch B = {len(state[0])}; its gates are {gates.shape}")
+        out = [np.empty((len(gates), *s.shape)) for s in state[:k]]
+        last = self._loop(gates, state[:k], out)
+        return out[0], (*last, *state[k:])
 
     def _scan(self, xs, train: bool):
         """Scan the whole time-major sequence xs [L, B, D] from a zero state.
@@ -445,7 +431,7 @@ class BidirectionalLstm:
         state_f, state_b = state
         hf, state_f = self.fwd.step(x, state_f)
         hb, state_b = self.bwd.step(x, state_b)
-        return np.concatenate([hf, hb], axis=-1), (state_f, state_b)
+        return np.concatenate([hf, hb], axis=2), (state_f, state_b)
 
     def forward_seq(self, xs, train: bool):
         xs_rev = xs.reversed() if isinstance(xs, Embedded) else xs[::-1]

@@ -38,7 +38,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-import numbers
 import struct
 import zlib
 from dataclasses import dataclass
@@ -55,7 +54,7 @@ from .exceptions import (
     VocabularyError,
 )
 from .layers import BidirectionalLstm, Dense, Embedding, GruCell, LstmCell, RecurrentStack
-from .numerics import Rng
+from .numerics import Rng, check_int_fields, is_int
 
 # kind -> (cell class, parameter-name prefix of each direction, in order)
 _KIND_TABLE = {
@@ -85,10 +84,6 @@ def preset_widths(name: str, scale: float = 1.0) -> tuple[int, ...]:
     return tuple(max(1, round(w * scale)) for w in PRESETS[name])
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
 @dataclass(frozen=True)
 class ModelConfig:
     kind: str
@@ -106,12 +101,10 @@ class ModelConfig:
             raise ConfigError(f"kind must be one of {KINDS}, got {self.kind!r}")
         # a checkpoint header is JSON, where 5.0 and true parse but are no size
         widths = tuple(self.layer_widths)
-        if not widths or not all(_is_int(w) and w >= 1 for w in widths):
+        if not widths or not all(is_int(w) and w >= 1 for w in widths):
             raise ConfigError(f"layer_widths must be positive integers, got {widths}")
         object.__setattr__(self, "layer_widths", tuple(int(w) for w in widths))
-        for name in ("vocab_size", "batch_size", "embed_dim", "seq_len", "init_seed"):
-            if not _is_int(getattr(self, name)):
-                raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        check_int_fields(self, ("vocab_size", "batch_size", "embed_dim", "seq_len", "init_seed"))
         for name in ("vocab_size", "batch_size", "embed_dim", "seq_len"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")

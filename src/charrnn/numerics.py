@@ -1,5 +1,8 @@
-"""The deterministic RNG used by every other module, and the float64 kernels
-(softmax, sigmoid, categorical sampling) the layers and the sampler share.
+"""The deterministic RNG used by every other module, the float64 kernels
+(softmax, sigmoid, categorical sampling) the layers and the sampler share, and
+the integer rules: check_ids, what a valid id is for the layers, the loss and
+the vocabulary, and is_int / check_int_fields, what a valid size or seed is
+for the configs and plans.
 
 Conventions: arrays are C-order (row-major) float64 ndarrays of rank <= 3,
 enough for (batch x time x features). Gradients are hand-derived in the layer
@@ -10,16 +13,48 @@ storage and elementwise/matrix arithmetic.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
-from .exceptions import DistributionError, ShapeError
+from .exceptions import ConfigError, DistributionError, ShapeError
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 _INV_2_53 = 2.0 ** -53
+
+
+def is_int(value) -> bool:
+    """An integer that is not a bool (JSON and argv parse true, 5.0 and the
+    like, none of which is a size or a seed)."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def check_int_fields(obj, names) -> None:
+    """Raise ConfigError unless every attribute of obj in names is_int."""
+    for name in names:
+        if not is_int(getattr(obj, name)):
+            raise ConfigError(f"{name} must be an integer, got {getattr(obj, name)!r}")
+
+
+def check_ids(ids: np.ndarray, size: int, error: type, what: str) -> None:
+    """Raise error unless ids is an integer array with every entry in
+    [0, size).
+
+    Bools are refused with the other non-integer dtypes, as numpy would read
+    them as a mask; a negative id is refused, as numpy would wrap it. The
+    position named is the first bad id's index in ids, an int when ids is
+    1-D.
+    """
+    if ids.dtype.kind not in "iu":
+        raise error(f"{what} values must be integers, got dtype {ids.dtype}")
+    # one reduction: cast to unsigned, a negative id wraps above any size
+    if ids.size and ids.astype(np.uint64, copy=False).max() >= size:
+        at = np.unravel_index(np.argmax((ids < 0) | (ids >= size)), ids.shape)
+        pos = int(at[0]) if ids.ndim == 1 else tuple(map(int, at))
+        raise error(f"{what} {ids[at]} out of range [0, {size}) at position {pos}")
 
 
 class Rng:

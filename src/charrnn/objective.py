@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import LabelError, OptimizerError
+from .numerics import check_ids
 
 
 @dataclass(frozen=True)
@@ -30,23 +31,14 @@ class LossReport:
     grad: np.ndarray = field(compare=False, repr=False)  # d mean_loss / d logits
 
 
-def _check_targets(targets: np.ndarray, vocab: int):
-    if targets.size and (targets.min() < 0 or targets.max() >= vocab):
-        flat = targets.reshape(-1)
-        pos = int(np.argmax((flat < 0) | (flat >= vocab)))
-        raise LabelError(
-            f"target {int(flat[pos])} at flat position {pos} outside [0, {vocab})"
-        )
-
-
 def ce_loss(logits: np.ndarray, targets: np.ndarray) -> LossReport:
     """Mean negative log-likelihood of the integer targets, and its gradient.
 
     logits has classes on the last axis; targets matches the leading axes.
     The gradient, (softmax - one_hot) / N per position, reuses the loss's exp.
     """
-    targets = np.asarray(targets, dtype=np.int64)
-    _check_targets(targets, logits.shape[-1])
+    targets = np.asarray(targets)
+    check_ids(targets, logits.shape[-1], LabelError, "target")
     at_target = targets[..., None]
     z = logits - logits.max(axis=-1, keepdims=True)
     grad = np.exp(z)

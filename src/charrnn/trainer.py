@@ -19,7 +19,7 @@ import numpy as np
 from .corpus import CorpusPlan, Vocabulary, _write_atomic, make_sequences, shuffle_batches
 from .exceptions import ConfigError, HistoryFormatError, TrainingError
 from .model import Model, ModelConfig, build_model, save_checkpoint
-from .numerics import Rng
+from .numerics import Rng, check_int_fields
 from .objective import RmspropState, ce_loss, rmsprop_step
 
 
@@ -32,6 +32,7 @@ class TrainPlan:
     dropout_seed: int = 0
 
     def __post_init__(self):
+        check_int_fields(self, ("epochs", "shuffle_seed", "dropout_seed"))
         if self.epochs < 1:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         if not 0 < self.lr < math.inf:

@@ -63,8 +63,8 @@ class TestEmbedding:
 class TestLstmCell:
     def test_zero_weights_zero_state_fixed_point(self):
         cell = LstmCell(np.zeros((3, 8)), np.zeros((2, 8)), np.zeros(8))
-        h, (h2, c2) = cell.step(_rand((4, 3)), cell.init_state(4))
-        assert np.array_equal(h, np.zeros((4, 2)))
+        h, (h2, c2) = cell.step(_rand((4, 3))[None], cell.init_state(4))
+        assert np.array_equal(h[0], np.zeros((4, 2)))
         assert np.array_equal(c2, np.zeros((4, 2)))
 
     def test_zero_weights_closed_form(self):
@@ -72,9 +72,9 @@ class TestLstmCell:
         # c' = 0.5 c, h' = 0.5 tanh(0.5 c)
         cell = LstmCell(np.zeros((3, 8)), np.zeros((2, 8)), np.zeros(8))
         c0 = _rand((4, 2), seed=5)
-        h, (h2, c2) = cell.step(_rand((4, 3)), (np.zeros((4, 2)), c0))
+        h, (h2, c2) = cell.step(_rand((4, 3))[None], (np.zeros((4, 2)), c0))
         assert np.allclose(c2, 0.5 * c0, atol=1e-15)
-        assert np.allclose(h, 0.5 * np.tanh(0.5 * c0), atol=1e-15)
+        assert np.allclose(h[0], 0.5 * np.tanh(0.5 * c0), atol=1e-15)
 
     def test_two_step_unroll_gradients(self):
         batch, d_in, hidden, length = 2, 3, 4, 2
@@ -138,13 +138,13 @@ class TestGruCell:
     def test_zero_weights_halves_state(self):
         cell = GruCell(np.zeros((3, 9)), np.zeros((3, 9)), np.zeros(9))
         h0 = _rand((4, 3), seed=6)
-        h, _ = cell.step(_rand((4, 3)), (h0,))
-        assert np.allclose(h, 0.5 * h0, atol=1e-15)
+        h, _ = cell.step(_rand((4, 3))[None], (h0,))
+        assert np.allclose(h[0], 0.5 * h0, atol=1e-15)
 
     def test_zero_state_fixed_point(self):
         cell = GruCell(np.zeros((3, 9)), np.zeros((3, 9)), np.zeros(9))
-        h, _ = cell.step(_rand((4, 3)), (np.zeros((4, 3)),))
-        assert np.array_equal(h, np.zeros((4, 3)))
+        h, _ = cell.step(_rand((4, 3))[None], (np.zeros((4, 3)),))
+        assert np.array_equal(h[0], np.zeros((4, 3)))
 
     def test_unroll_gradients(self):
         batch, d_in, hidden, length = 2, 3, 4, 3
@@ -182,9 +182,9 @@ class TestBidirectional:
         layer = _cell("birnn", d_in=3, hidden=2)
         x = _rand((1, 2, 3), seed=7)
         out, _ = layer.forward_seq(x, train=False)
-        hf, _ = layer.fwd.step(x[0], layer.fwd.init_state(2))
-        hb, _ = layer.bwd.step(x[0], layer.bwd.init_state(2))
-        assert np.allclose(out[0], np.concatenate([hf, hb], axis=1), atol=1e-15)
+        hf, _ = layer.fwd.step(x[0][None], layer.fwd.init_state(2))
+        hb, _ = layer.bwd.step(x[0][None], layer.bwd.init_state(2))
+        assert np.allclose(out[0], np.concatenate([hf[0], hb[0]], axis=1), atol=1e-15)
 
     def test_output_width_and_forward_half(self):
         layer = _cell("birnn", d_in=3, hidden=4)
@@ -320,8 +320,10 @@ class TestScan:
         hs, _ = layer.forward_seq(xs, train=False)
         state = cell.init_state(3)
         for t in range(40):
-            h, state = cell.step(xs[t], state)
-            assert np.max(np.abs(h - hs[t, :, :6])) <= 1e-12, t
+            h, state = cell.step(xs[t][None], state)
+            assert np.max(np.abs(h[0] - hs[t, :, :6])) <= 1e-12, t
+        with pytest.raises(ShapeError):  # one position is xs[t][None], not xs[t]
+            cell.step(xs[0], state)
 
     # 53 steps cross two backward block boundaries and end in a partial block;
     # 50 steps are exactly two full blocks
@@ -704,7 +706,7 @@ class TestStability:
         gauss = np.random.default_rng(0)
         h = None
         for _ in range(1000):
-            h, state = cell.step(gauss.normal(size=(4, 8)), state)
+            h, state = cell.step(gauss.normal(size=(4, 8))[None], state)
         assert np.all(np.isfinite(h)) and np.all(np.isfinite(state[1]))
         assert np.max(np.abs(h)) <= 1.0  # h = o * tanh(c), both factors in (-1, 1)
 
@@ -714,5 +716,5 @@ class TestStability:
         gauss = np.random.default_rng(1)
         h = None
         for _ in range(1000):
-            h, state = cell.step(gauss.normal(size=(4, 8)), state)
+            h, state = cell.step(gauss.normal(size=(4, 8))[None], state)
         assert np.all(np.isfinite(h))

@@ -5,8 +5,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from charrnn.exceptions import DistributionError, ShapeError
+from charrnn.corpus import CorpusPlan, Vocabulary
+from charrnn.exceptions import (
+    ConfigError,
+    DistributionError,
+    LabelError,
+    ShapeError,
+    VocabularyError,
+)
+from charrnn.generator import GenerationPlan
+from charrnn.model import ModelConfig, build_model
 from charrnn.numerics import Rng, sample_categorical, sigmoid, softmax
+from charrnn.objective import ce_loss
+from charrnn.trainer import TrainPlan
 
 
 def _sigmoid_piecewise(x):
@@ -242,3 +253,70 @@ class TestSampleCategorical:
         a = [sample_categorical(probs, Rng(7)) for _ in range(1)]
         b = [sample_categorical(probs, Rng(7)) for _ in range(1)]
         assert a == b
+
+
+_VOCAB7 = Vocabulary(tuple("abcdefg"))
+_STACK7 = build_model(ModelConfig(kind="gru", layer_widths=(4,), vocab_size=7, batch_size=1,
+                                  embed_dim=3, dropout=0.0), _VOCAB7)
+
+
+@st.composite
+def _bad_ids(draw):
+    """([B, L] ids that no caller may accept, kind): a non-integer dtype, or
+    integers with one id outside [0, 7)."""
+    shape = (draw(st.integers(1, 3), label="batch"), draw(st.integers(1, 5), label="length"))
+    ids = np.array(draw(st.lists(st.integers(0, 6), min_size=shape[0] * shape[1],
+                                 max_size=shape[0] * shape[1]))).reshape(shape)
+    kind = draw(st.sampled_from(["float", "bool", "str", "object", "high", "negative"]))
+    if kind == "float":
+        return ids + draw(st.floats(0.0, 0.99)), kind
+    if kind in ("bool", "str", "object"):
+        return {"bool": ids > 3, "str": ids.astype(str), "object": ids.astype(object)}[kind], kind
+    signed = kind == "negative"
+    dtype = np.dtype(draw(st.sampled_from(
+        ["int8", "int32", "int64"] + ([] if signed else ["uint8", "uint64"]))))
+    info = np.iinfo(dtype)
+    bad = draw(st.integers(int(info.min), -1) if signed else st.integers(7, int(info.max)))
+    ids = ids.astype(dtype)
+    ids.flat[draw(st.integers(0, ids.size - 1), label="at")] = bad
+    return ids, kind
+
+
+class TestIntegerRules:
+    @settings(max_examples=200, deadline=None)
+    @given(_bad_ids())
+    def test_bad_ids_raise_the_callers_error(self, case):
+        # one rule for the loss's targets, decode's indices and the stack's
+        # ids: a float is never truncated, a bool never read as a mask, and
+        # a negative id never wraps
+        ids, kind = case
+        calls = [
+            (LabelError, "target", lambda: ce_loss(np.zeros((*ids.shape, 7)), ids)),
+            (VocabularyError, "index", lambda: _VOCAB7.decode(ids.reshape(-1))),
+            (VocabularyError, "embedding index",
+             lambda: _STACK7.step(ids, _STACK7.init_state(len(ids)))),
+            (VocabularyError, "embedding index", lambda: _STACK7.forward(ids)),
+        ]
+        for error, what, call in calls:
+            with pytest.raises(error) as exc:
+                call()
+            if kind in ("high", "negative"):
+                at = tuple(np.argwhere((ids < 0) | (ids >= 7))[0].tolist())
+                pos = np.ravel_multi_index(at, ids.shape) if what == "index" else at
+                assert str(exc.value) == f"{what} {ids[at]} out of range [0, 7) at position {pos}"
+            else:
+                assert str(exc.value) == f"{what} values must be integers, got dtype {ids.dtype}"
+
+    @pytest.mark.parametrize("cls, field", [
+        (GenerationPlan, "length"), (GenerationPlan, "sample_seed"),
+        (TrainPlan, "epochs"), (TrainPlan, "shuffle_seed"), (TrainPlan, "dropout_seed"),
+        (CorpusPlan, "seq_len"), (CorpusPlan, "batch_size"), (CorpusPlan, "shuffle_seed"),
+    ], ids=lambda v: v if isinstance(v, str) else v.__name__)
+    @pytest.mark.parametrize("value", [2.5, True, "3"])
+    def test_plan_sizes_and_seeds_must_be_integers(self, cls, field, value):
+        # unchecked, a float length reaches range(), a float seed is
+        # truncated by Rng and True generates one character
+        base = {"prime_text": "a", "length": 1} if cls is GenerationPlan else {}
+        cls(**{**base, field: np.int64(3)})
+        with pytest.raises(ConfigError, match=f"^{field} must be an integer, got {value!r}$"):
+            cls(**{**base, field: value})
