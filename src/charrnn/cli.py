@@ -145,7 +145,7 @@ def cmd_generate(args) -> int:
     )
     text = generate(load_checkpoint(args.checkpoint), plan)
     if args.out:
-        _write_atomic(args.out, text.encode("utf-8"))
+        _write_atomic(args.out, (text.encode("utf-8"),))
     else:
         sys.stdout.write(text)
         if not text.endswith("\n"):
@@ -163,7 +163,7 @@ def cmd_report(args) -> int:
             writer.writerow([run, row.epoch, repr(row.mean_loss), repr(row.ms_per_step)])
     out = buf.getvalue()
     if args.out:
-        _write_atomic(args.out, out.encode("utf-8"))
+        _write_atomic(args.out, (out.encode("utf-8"),))
     else:
         sys.stdout.write(out)
     return 0

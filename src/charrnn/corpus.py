@@ -38,9 +38,10 @@ def load_corpus(path) -> str:
     return Path(path).read_bytes().decode("utf-8")
 
 
-def _write_atomic(path, data: bytes) -> None:
-    """Write data through a temp file in the same directory and a rename, so
-    a failed write never leaves a partial file at path. The temp file is
+def _write_atomic(path, chunks) -> None:
+    """Write the bytes-like chunks, in order, through a temp file in the same
+    directory and a rename, so a failed write (an exception from the
+    iterable included) never leaves a partial file at path. The temp file is
     opened as a plain write opens a new file (mode 0o666 less the umask), so
     path gets the mode a direct write would give it."""
     path = Path(path)
@@ -48,7 +49,8 @@ def _write_atomic(path, data: bytes) -> None:
     f = open(tmp, "xb")
     try:
         with f:
-            f.write(data)
+            for chunk in chunks:
+                f.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)

@@ -30,7 +30,7 @@ import numpy as np
 from .corpus import Vocabulary
 from .exceptions import ConfigError
 from .model import Model
-from .numerics import Rng, check_int_fields, sample_categorical
+from .numerics import Rng, check_int_fields, check_real_fields, sample_categorical
 
 MODES = ("sample", "argmax")
 
@@ -47,6 +47,7 @@ class GenerationPlan:
         if not self.prime_text:
             raise ConfigError("prime_text must be non-empty")
         check_int_fields(self, ("length", "sample_seed"))
+        check_real_fields(self, ("temperature",))
         if self.length < 0:
             raise ConfigError(f"length must be >= 0, got {self.length}")
         if not 0.0 < self.temperature < math.inf:

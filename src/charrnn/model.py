@@ -30,7 +30,11 @@ Checkpoint file format, all integers little-endian:
         this checksum)
 
 Training arithmetic is float64; checkpoints store float32, so values are
-rounded once on save and save -> load -> save is byte-identical.
+rounded once on save and save -> load -> save is byte-identical. Saving
+streams the file to its temp file one part at a time (magic and version, the
+header, each parameter's dims and float32 values, the CRC), the CRC-32
+running over the payload parts as they are written, so no copy of the
+payload is built.
 """
 
 from __future__ import annotations
@@ -54,7 +58,7 @@ from .exceptions import (
     VocabularyError,
 )
 from .layers import BidirectionalLstm, Dense, Embedding, GruCell, LstmCell, RecurrentStack
-from .numerics import Rng, check_int_fields, is_int
+from .numerics import Rng, check_int_fields, check_real_fields, is_int
 
 # kind -> (cell class, parameter-name prefix of each direction, in order)
 _KIND_TABLE = {
@@ -105,6 +109,7 @@ class ModelConfig:
             raise ConfigError(f"layer_widths must be positive integers, got {widths}")
         object.__setattr__(self, "layer_widths", tuple(int(w) for w in widths))
         check_int_fields(self, ("vocab_size", "batch_size", "embed_dim", "seq_len", "init_seed"))
+        check_real_fields(self, ("dropout",))
         for name in ("vocab_size", "batch_size", "embed_dim", "seq_len"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
@@ -221,19 +226,33 @@ def _header_bytes(config: ModelConfig, vocab: Vocabulary) -> bytes:
     return json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
 
-def save_checkpoint(model: Model, path) -> None:
-    """Write the checkpoint atomically (temp file + rename)."""
+def _payload_parts(model: Model):
+    """The payload in file order: the header, then each parameter's rank and
+    dims and its float32 values (an array, written through the buffer
+    protocol)."""
     header = _header_bytes(model.config, model.vocab)
-    parts = [struct.pack("<I", len(header)), header]
+    yield struct.pack("<I", len(header)) + header
     for arr in model.params().values():
-        parts.append(struct.pack("<I", arr.ndim))
-        parts.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
-        parts.append(arr.astype("<f4").tobytes(order="C"))
-    payload = b"".join(parts)
-    blob = _MAGIC + struct.pack("<I", _VERSION) + payload + struct.pack(
-        "<I", zlib.crc32(payload)
-    )
-    _write_atomic(path, blob)
+        yield struct.pack(f"<{arr.ndim + 1}I", arr.ndim, *arr.shape)
+        yield arr.astype("<f4", order="C")
+
+
+def _checkpoint_chunks(model: Model):
+    yield _MAGIC + struct.pack("<I", _VERSION)
+    crc = 0
+    for part in _payload_parts(model):
+        crc = zlib.crc32(part, crc)
+        yield part
+    yield struct.pack("<I", crc)
+
+
+def save_checkpoint(model: Model, path) -> None:
+    """Write the checkpoint atomically (temp file + rename).
+
+    The file is streamed a part at a time with a running CRC, so at most one
+    parameter is held as float32 and no copy of the payload exists.
+    """
+    _write_atomic(path, _checkpoint_chunks(model))
 
 
 def _scan_structure(blob: bytes) -> list[tuple[int, tuple[int, ...]]]:

@@ -1,8 +1,9 @@
 """The deterministic RNG used by every other module, the float64 kernels
 (softmax, sigmoid, categorical sampling) the layers and the sampler share, and
-the integer rules: check_ids, what a valid id is for the layers, the loss and
-the vocabulary, and is_int / check_int_fields, what a valid size or seed is
-for the configs and plans.
+the field rules: check_ids, what a valid id is for the layers, the loss and
+the vocabulary; is_int / check_int_fields, what a valid size or seed is for
+the configs and plans; and check_real_fields, what a valid learning rate,
+clip norm, dropout rate or temperature is.
 
 Conventions: arrays are C-order (row-major) float64 ndarrays of rank <= 3,
 enough for (batch x time x features). Gradients are hand-derived in the layer
@@ -24,6 +25,9 @@ _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 _INV_2_53 = 2.0 ** -53
+# draws per pass of Rng's bulk methods: a pass's three 128 KB uint64 buffers
+# stay in L2, and no temporary grows with the draw count
+_CHUNK = 1 << 14
 
 
 def is_int(value) -> bool:
@@ -37,6 +41,16 @@ def check_int_fields(obj, names) -> None:
     for name in names:
         if not is_int(getattr(obj, name)):
             raise ConfigError(f"{name} must be an integer, got {getattr(obj, name)!r}")
+
+
+def check_real_fields(obj, names) -> None:
+    """Raise ConfigError unless every attribute of obj in names is a real
+    number: bool, str and None are refused before any range check compares
+    them."""
+    for name in names:
+        value = getattr(obj, name)
+        if not isinstance(value, numbers.Real) or isinstance(value, bool):
+            raise ConfigError(f"{name} must be a real number, got {value!r}")
 
 
 def check_ids(ids: np.ndarray, size: int, error: type, what: str) -> None:
@@ -71,8 +85,15 @@ class Rng:
 
     all modulo 2**64. The algorithm is frozen: identical seeds produce
     identical streams on any platform and in any future version, which is
-    what makes seeded runs reproducible. Bulk draws are vectorised but emit
-    exactly the same stream as repeated single draws.
+    what makes seeded runs reproducible.
+
+    Bulk draws (array uniform, uniform_at_least, array randint) emit exactly
+    the same stream as repeated single draws. They share one private path,
+    _chunks, that computes the stream _CHUNK draws at a time into two reused
+    uint64 buffers; each method converts a chunk straight into its slice of
+    one preallocated result, so no temporary grows with the draw count.
+    Chunking is exact because draw i depends only on the seed state plus
+    i * gamma.
     """
 
     def __init__(self, seed: int):
@@ -86,36 +107,53 @@ class Rng:
         z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
         return z ^ (z >> 31)
 
-    def _bulk_u64(self, n: int) -> np.ndarray:
-        """n draws as a uint64 array, identical to n calls of next_u64.
+    def _chunks(self, n: int):
+        """Yield (start, z) over the next n draws: z holds draws start ..
+        start + len(z) - 1 as uint64, identical to that many next_u64 calls,
+        at most _CHUNK of them at a time.
 
-        Works in place on the result and one temporary.
+        Draw i (from 1) is the finalizer of state + i * gamma, so each chunk
+        starts from its own offset and the state advances by n at once. z is
+        one buffer reused for every chunk: read it before the next.
         """
-        z = np.arange(1, n + 1, dtype=np.uint64)
-        z *= np.uint64(_GAMMA)
-        z += np.uint64(self._state)
-        self._state = (self._state + n * _GAMMA) & _MASK64
-        t = z >> np.uint64(30)
-        z ^= t
-        z *= np.uint64(_MIX1)
-        np.right_shift(z, np.uint64(27), out=t)
-        z ^= t
-        z *= np.uint64(_MIX2)
-        np.right_shift(z, np.uint64(31), out=t)
-        z ^= t
-        return z
+        base = self._state
+        self._state = (base + n * _GAMMA) & _MASK64
+        size = min(n, _CHUNK)
+        steps = np.arange(1, size + 1, dtype=np.uint64)
+        steps *= np.uint64(_GAMMA)
+        buf, tmp = np.empty(size, np.uint64), np.empty(size, np.uint64)
+        for start in range(0, n, _CHUNK):
+            m = min(_CHUNK, n - start)
+            z, t = buf[:m], tmp[:m]
+            np.add(steps[:m], np.uint64((base + start * _GAMMA) & _MASK64), out=z)
+            np.right_shift(z, np.uint64(30), out=t)
+            z ^= t
+            z *= np.uint64(_MIX1)
+            np.right_shift(z, np.uint64(27), out=t)
+            z ^= t
+            z *= np.uint64(_MIX2)
+            np.right_shift(z, np.uint64(31), out=t)
+            z ^= t
+            yield start, z
 
     def uniform(self, shape=None, low: float = 0.0, high: float = 1.0):
         """Floats in [low, high) with 53-bit resolution.
 
-        Returns a scalar when shape is None, else a float64 array.
+        Returns a scalar when shape is None, else a float64 array, filled a
+        chunk at a time.
         """
         if shape is None:
             u = (self.next_u64() >> 11) * _INV_2_53
             return low + (high - low) * u
-        n = int(np.prod(shape))
-        u = (self._bulk_u64(n) >> np.uint64(11)).astype(np.float64) * _INV_2_53
-        return (low + (high - low) * u).reshape(shape)
+        out = np.empty(shape)
+        flat = out.reshape(-1)
+        for start, z in self._chunks(flat.size):
+            u = flat[start : start + z.size]
+            z >>= np.uint64(11)
+            np.multiply(z, _INV_2_53, out=u)
+            u *= high - low
+            u += low
+        return out
 
     def uniform_at_least(self, shape, threshold: float) -> np.ndarray:
         """Booleans equal to uniform(shape) >= threshold, for threshold in
@@ -126,7 +164,11 @@ class Rng:
         so each draw takes one integer compare and no float conversion.
         """
         bound = np.uint64(math.ceil(threshold * 2.0 ** 53) << 11)
-        return (self._bulk_u64(math.prod(shape)) >= bound).reshape(shape)
+        out = np.empty(shape, dtype=bool)
+        flat = out.reshape(-1)
+        for start, z in self._chunks(flat.size):
+            np.greater_equal(z, bound, out=flat[start : start + z.size])
+        return out
 
     def randint(self, bound):
         """Uniform integer in [0, bound) via the multiply-shift reduction
@@ -145,10 +187,20 @@ class Rng:
         if bound.size and (bound.min() <= 0 or bound.max() >= 1 << 32):
             raise ValueError(f"array bounds must lie in [1, 2^32), got "
                              f"[{bound.min()}, {bound.max()}]")
-        b = bound.astype(np.uint64)
-        z = self._bulk_u64(b.size).reshape(b.shape)
-        hi = (z >> 32) * b + (((z & 0xFFFFFFFF) * b) >> 32)
-        return (hi >> 32).astype(np.int64)
+        bounds = bound.reshape(-1)
+        out = np.empty(bound.shape, dtype=np.int64)
+        flat = out.reshape(-1)
+        for start, z in self._chunks(flat.size):
+            b = bounds[start : start + z.size].astype(np.uint64)
+            lo = z & np.uint64(0xFFFFFFFF)
+            lo *= b
+            lo >>= np.uint64(32)
+            z >>= np.uint64(32)
+            z *= b
+            z += lo
+            z >>= np.uint64(32)
+            flat[start : start + z.size] = z
+        return out
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:

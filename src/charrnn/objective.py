@@ -34,10 +34,14 @@ class LossReport:
 def ce_loss(logits: np.ndarray, targets: np.ndarray) -> LossReport:
     """Mean negative log-likelihood of the integer targets, and its gradient.
 
-    logits has classes on the last axis; targets matches the leading axes.
+    logits has classes on the last axis; targets must have the shape of the
+    leading axes, since a smaller one would broadcast against them.
     The gradient, (softmax - one_hot) / N per position, reuses the loss's exp.
     """
     targets = np.asarray(targets)
+    if targets.shape != logits.shape[:-1]:
+        raise LabelError(f"targets of shape {targets.shape} do not match logits "
+                         f"of shape {logits.shape}")
     check_ids(targets, logits.shape[-1], LabelError, "target")
     at_target = targets[..., None]
     z = logits - logits.max(axis=-1, keepdims=True)

@@ -19,7 +19,7 @@ import numpy as np
 from .corpus import CorpusPlan, Vocabulary, _write_atomic, make_sequences, shuffle_batches
 from .exceptions import ConfigError, HistoryFormatError, TrainingError
 from .model import Model, ModelConfig, build_model, save_checkpoint
-from .numerics import Rng, check_int_fields
+from .numerics import Rng, check_int_fields, check_real_fields
 from .objective import RmspropState, ce_loss, rmsprop_step
 
 
@@ -33,6 +33,7 @@ class TrainPlan:
 
     def __post_init__(self):
         check_int_fields(self, ("epochs", "shuffle_seed", "dropout_seed"))
+        check_real_fields(self, ("lr", "clip_norm"))
         if self.epochs < 1:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         if not 0 < self.lr < math.inf:
@@ -134,7 +135,7 @@ def export_history(history: list[HistoryRow], path) -> None:
         last = row.epoch
     lines = [",".join(_HISTORY_HEADER)]
     lines += [f"{row.epoch},{row.mean_loss!r},{row.ms_per_step!r}" for row in history]
-    _write_atomic(path, ("\n".join(lines) + "\n").encode("utf-8"))
+    _write_atomic(path, (("\n".join(lines) + "\n").encode("utf-8"),))
 
 
 def parse_history(path) -> list[HistoryRow]:

@@ -291,6 +291,14 @@ _GOLDEN_FORWARD = {
 }
 
 
+# sha256 of the checkpoint file of an untrained model; see test_file_digest
+_GOLDEN_CHECKPOINT = {
+    "lstm": "280c54eea24d3efea12e30481a39496aa1d5ede409ae2f46aed6d5410a4c9143",
+    "gru": "b9bbe0835ea0fb98992000375f622cada4e0bfb404fdac4f6e5705a4c4ffc84b",
+    "birnn": "7a1a79b45a1b3e6a0d78e5e8bf5bae2551aabdfae692f031625688d21ff23dc7",
+}
+
+
 class TestGoldenForward:
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("layers", [1, 2])
@@ -351,6 +359,42 @@ class TestCheckpoint:
         finally:
             tracemalloc.stop()
         assert peak < bound, (peak, bound)
+
+    def test_save_holds_one_parameter_at_float32(self, tmp_path):
+        # one float32 copy of the largest parameter, the file's write buffer
+        # and some slack; a float32 copy of the whole payload is more
+        model = build_model(_config(widths=(48, 48, 48), embed_dim=16), VOCAB5)
+        bound = 4 * max(a.size for a in model.params().values()) + 16_384
+        save_checkpoint(model, tmp_path / "warm.ckpt")  # lazy imports and caches
+        tracemalloc.start()
+        try:
+            save_checkpoint(model, tmp_path / "m.ckpt")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, (peak, bound)
+
+    def test_failure_mid_stream_leaves_no_file(self, tmp_path, monkeypatch):
+        # the temp file is open and the magic written when the header fails
+        p = tmp_path / "m.ckpt"
+        save_checkpoint(build_model(_config(), VOCAB5), p)
+        old = p.read_bytes()
+        def failing_header(*args):
+            raise OSError("No space left on device")
+        monkeypatch.setattr(model_module, "_header_bytes", failing_header)
+        with pytest.raises(OSError, match="No space left"):
+            save_checkpoint(build_model(_config(), VOCAB5), p)
+        assert p.read_bytes() == old
+        assert [q.name for q in tmp_path.iterdir()] == ["m.ckpt"]
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_file_digest(self, fixture_vocab, tmp_path, kind):
+        # widths whose kernels span several of Rng's bulk-draw chunks
+        config = ModelConfig(kind=kind, layer_widths=(96, 48), vocab_size=fixture_vocab.size,
+                             batch_size=4, embed_dim=16, init_seed=29)
+        p = tmp_path / "m.ckpt"
+        save_checkpoint(build_model(config, fixture_vocab), p)
+        assert hashlib.sha256(p.read_bytes()).hexdigest() == _GOLDEN_CHECKPOINT[kind]
 
     def test_truncation_is_format_error(self, tmp_path):
         p = tmp_path / "m.ckpt"

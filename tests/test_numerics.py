@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from charrnn.exceptions import (
 )
 from charrnn.generator import GenerationPlan
 from charrnn.model import ModelConfig, build_model
-from charrnn.numerics import Rng, sample_categorical, sigmoid, softmax
+from charrnn.numerics import _CHUNK, Rng, sample_categorical, sigmoid, softmax
 from charrnn.objective import ce_loss
 from charrnn.trainer import TrainPlan
 
@@ -59,6 +60,43 @@ class TestRng:
         bulk = a.uniform(257)
         singles = np.array([b.uniform() for _ in range(257)])
         assert np.array_equal(bulk, singles)
+
+    @pytest.mark.parametrize("n", [_CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 3])
+    def test_bulk_draws_across_chunk_boundaries(self, n):
+        # each bulk method against per-draw references, then the next draw
+        bounds = np.arange(n) % 1000 + 1
+        cases = [
+            (lambda r: r.uniform((n,), -2.0, 5.0), lambda r: r.uniform(None, -2.0, 5.0)),
+            (lambda r: r.uniform_at_least((n,), 0.4), lambda r: r.uniform() >= 0.4),
+            (lambda r: r.randint(bounds), None),
+        ]
+        for bulk, single in cases:
+            a, b = Rng(5), Rng(5)
+            got = bulk(a)
+            if single is None:
+                want = [(b.next_u64() * int(k)) >> 64 for k in bounds]
+            else:
+                want = [single(b) for _ in range(n)]
+            assert got.shape == (n,) and got.tolist() == want
+            assert a.next_u64() == b.next_u64()
+
+    @pytest.mark.parametrize("method, dtype", [("uniform", np.float64),
+                                               ("uniform_at_least", np.bool_)])
+    def test_bulk_draws_hold_the_result_and_one_chunk(self, method, dtype):
+        # the result, three uint64 chunk buffers, numpy's 64 KB cast buffer
+        # and some slack; a uint64 temporary the size of the result is more
+        shape = (256, 1024)
+        r = Rng(3)
+        draw = r.uniform if method == "uniform" else lambda s: r.uniform_at_least(s, 0.4)
+        bound = math.prod(shape) * np.dtype(dtype).itemsize + 3 * 8 * _CHUNK + 131_072
+        draw(shape)  # lazy imports and caches are not the draw's
+        tracemalloc.start()
+        try:
+            draw(shape)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, (peak, bound)
 
     def test_uniform_range(self):
         u = Rng(3).uniform(10_000)
@@ -282,6 +320,19 @@ def _bad_ids(draw):
     return ids, kind
 
 
+_INT_FIELDS = [
+    (GenerationPlan, "length"), (GenerationPlan, "sample_seed"),
+    (TrainPlan, "epochs"), (TrainPlan, "shuffle_seed"), (TrainPlan, "dropout_seed"),
+    (CorpusPlan, "seq_len"), (CorpusPlan, "batch_size"), (CorpusPlan, "shuffle_seed"),
+]
+_REAL_FIELDS = [(TrainPlan, "lr"), (TrainPlan, "clip_norm"), (GenerationPlan, "temperature"),
+                (ModelConfig, "dropout")]
+_PLAN_BASE = {
+    GenerationPlan: {"prime_text": "a", "length": 1},
+    ModelConfig: {"kind": "gru", "layer_widths": (4,), "vocab_size": 7, "batch_size": 1},
+}
+
+
 class TestIntegerRules:
     @settings(max_examples=200, deadline=None)
     @given(_bad_ids())
@@ -307,16 +358,18 @@ class TestIntegerRules:
             else:
                 assert str(exc.value) == f"{what} values must be integers, got dtype {ids.dtype}"
 
-    @pytest.mark.parametrize("cls, field", [
-        (GenerationPlan, "length"), (GenerationPlan, "sample_seed"),
-        (TrainPlan, "epochs"), (TrainPlan, "shuffle_seed"), (TrainPlan, "dropout_seed"),
-        (CorpusPlan, "seq_len"), (CorpusPlan, "batch_size"), (CorpusPlan, "shuffle_seed"),
-    ], ids=lambda v: v if isinstance(v, str) else v.__name__)
-    @pytest.mark.parametrize("value", [2.5, True, "3"])
-    def test_plan_sizes_and_seeds_must_be_integers(self, cls, field, value):
+    @pytest.mark.parametrize("value, cls, field", [
+        *((value, cls, field) for value in (2.5, True, "3") for cls, field in _INT_FIELDS),
+        *((value, cls, field) for value in (True, "0.1", None) for cls, field in _REAL_FIELDS),
+    ], ids=lambda v: v.__name__ if isinstance(v, type) else None)
+    def test_plan_sizes_and_seeds_must_be_integers(self, value, cls, field):
         # unchecked, a float length reaches range(), a float seed is
-        # truncated by Rng and True generates one character
-        base = {"prime_text": "a", "length": 1} if cls is GenerationPlan else {}
-        cls(**{**base, field: np.int64(3)})
-        with pytest.raises(ConfigError, match=f"^{field} must be an integer, got {value!r}$"):
+        # truncated by Rng and True generates one character; a str or None
+        # rate, norm or temperature ends in a raw TypeError from its range
+        # check, and True would pass for 1
+        base = _PLAN_BASE.get(cls, {})
+        real = (cls, field) in _REAL_FIELDS
+        cls(**{**base, field: np.float64(0.5) if real else np.int64(3)})
+        rule = "a real number" if real else "an integer"
+        with pytest.raises(ConfigError, match=f"^{field} must be {rule}, got {value!r}$"):
             cls(**{**base, field: value})

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -31,6 +32,15 @@ class TestCeLoss:
     def test_out_of_range_target(self):
         with pytest.raises(LabelError, match="position"):
             ce_loss(np.zeros((1, 2, 3)), np.array([[0, 3]]))
+
+    @pytest.mark.parametrize("targets", [[[0]], [[0, 1, 2]], [0, 1]])
+    def test_targets_not_of_the_leading_shape(self, targets):
+        # [[0]] would broadcast to [[0, 0]] with a gradient twice too large;
+        # the other two ended in a raw IndexError and ValueError
+        targets = np.array(targets)
+        with pytest.raises(LabelError, match=rf"^targets of shape {re.escape(str(targets.shape))} "
+                                             r"do not match logits of shape \(1, 2, 3\)$"):
+            ce_loss(np.zeros((1, 2, 3)), targets)
 
     def test_loss_decreases_with_correct_logit(self):
         rng = np.random.default_rng(0)
