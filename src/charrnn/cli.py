@@ -58,6 +58,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_vocab = sub.add_parser("vocab", help="print the corpus vocabulary table")
     p_vocab.add_argument("--corpus", required=True, help="UTF-8 text file")
+    p_vocab.set_defaults(run=cmd_vocab)
 
     p_train = sub.add_parser("train", help="train a model and record history")
     p_train.add_argument("--corpus", required=True, help="UTF-8 text file")
@@ -76,6 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="multiply preset widths (testing aid for the large presets)")
     p_train.add_argument("--out", required=True, help="checkpoint path")
     p_train.add_argument("--history", required=True, help="history CSV path")
+    p_train.set_defaults(run=cmd_train)
 
     p_gen = sub.add_parser("generate", help="generate text from a checkpoint")
     p_gen.add_argument("--checkpoint", required=True)
@@ -85,11 +87,21 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--mode", choices=MODES, default="sample")
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("--out", help="write here instead of stdout")
+    p_gen.set_defaults(run=cmd_generate)
 
     p_rep = sub.add_parser("report", help="merge history CSVs into one long table")
     p_rep.add_argument("--history", required=True, nargs="+", help="history CSV files")
     p_rep.add_argument("--out", help="write here instead of stdout")
+    p_rep.set_defaults(run=cmd_report)
     return parser
+
+
+def _emit(text: str, out) -> None:
+    """Write text to the file out, atomically, or else to stdout ending in a newline."""
+    if out:
+        _write_atomic(out, (text.encode("utf-8"),))
+    else:
+        sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
 
 def _render_char(c: str) -> str:
@@ -143,13 +155,7 @@ def cmd_generate(args) -> int:
         prime_text=args.prime, length=args.length,
         temperature=args.temperature, mode=args.mode, sample_seed=args.seed,
     )
-    text = generate(load_checkpoint(args.checkpoint), plan)
-    if args.out:
-        _write_atomic(args.out, (text.encode("utf-8"),))
-    else:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
+    _emit(generate(load_checkpoint(args.checkpoint), plan), args.out)
     return 0
 
 
@@ -161,20 +167,8 @@ def cmd_report(args) -> int:
         run = Path(path).stem
         for row in parse_history(path):
             writer.writerow([run, row.epoch, repr(row.mean_loss), repr(row.ms_per_step)])
-    out = buf.getvalue()
-    if args.out:
-        _write_atomic(args.out, (out.encode("utf-8"),))
-    else:
-        sys.stdout.write(out)
+    _emit(buf.getvalue(), args.out)  # ends in "\n" already, so stdout gets it as is
     return 0
-
-
-_COMMANDS = {
-    "vocab": cmd_vocab,
-    "train": cmd_train,
-    "generate": cmd_generate,
-    "report": cmd_report,
-}
 
 
 # Errors a command ends in on bad input: one "error:" line on stderr, exit 1
@@ -184,7 +178,7 @@ RUNTIME_ERRORS = (CharRnnError, OSError, UnicodeDecodeError)
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except RUNTIME_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

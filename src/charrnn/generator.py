@@ -1,12 +1,17 @@
 """Stepwise text generation with temperature-controlled selection.
 
-The prime text is fed in one step() call, which runs the recurrent layers
-one after another, each over every prime character (layer 0 on the prime's P
-rows, gathered at once), and the dense layer on the last character only; then
-the loop alternates select-next-character / feed-it-back until the requested
-length is reached. The last character is not fed back, since nothing reads
-the logits that step would give, so a request makes 1 + max(length - 1, 0)
-step() calls. Temperature divides the logits before the softmax:
+The prime text is fed in blocks of _PRIME_BLOCK characters, one step() call
+per block, each carrying the state on from the last. A call runs the
+recurrent layers one after another, each over every character of its block
+(layer 0 on the block's P rows, gathered at once), and the dense layer on
+the block's last character only. Chained calls give the same bits as one
+call over the whole prime, and the blocks bound the prime's working memory
+(its gate rows and per-position states) whatever its length. Then the loop
+alternates select-next-character / feed-it-back until the requested length
+is reached. The last character is not fed back, since nothing reads the
+logits that step would give, so a request makes
+ceil(len(prime) / _PRIME_BLOCK) + max(length - 1, 0) step() calls.
+Temperature divides the logits before the softmax:
 T -> 0 sharpens the distribution toward the argmax, large T flattens it
 toward uniform. Dividing the post-softmax probabilities instead would cancel
 under renormalisation and do nothing, which is why the logits form is the
@@ -27,12 +32,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import Vocabulary
 from .exceptions import ConfigError
 from .model import Model
 from .numerics import Rng, check_int_fields, check_real_fields, sample_categorical
 
 MODES = ("sample", "argmax")
+
+# Prime characters per step() call (see the module docstring)
+_PRIME_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -63,8 +70,10 @@ def generate(model: Model, plan: GenerationPlan) -> str:
     Runs on any model, whatever its configured batch size: it steps a batch-1
     state of its own, never applies dropout and never writes a weight.
     """
-    vocab: Vocabulary = model.vocab
-    logits, state = model.step(vocab.encode(plan.prime_text)[None, :], model.init_state(1))
+    prime = model.vocab.encode(plan.prime_text)[None, :]
+    state = model.init_state(1)
+    for t0 in range(0, prime.shape[1], _PRIME_BLOCK):
+        logits, state = model.step(prime[:, t0 : t0 + _PRIME_BLOCK], state)
     rng = Rng(plan.sample_seed)
     out = []
     with np.errstate(over="ignore"):  # a tiny T overflows to -inf: the argmax limit
@@ -81,4 +90,4 @@ def generate(model: Model, plan: GenerationPlan) -> str:
                 probs /= probs.sum()
                 nxt = sample_categorical(probs, rng)
             out.append(nxt)
-    return plan.prime_text + vocab.decode(out)
+    return plan.prime_text + model.vocab.decode(out)

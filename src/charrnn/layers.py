@@ -6,9 +6,11 @@ runs time-major inside: the recurrent layers and dropout take and return
 It transposes the ids once, as a view, and the dense layer reads one
 batch-major copy of the last layer's output. Recurrent layers scan left to
 right from a zero state; the bidirectional wrapper additionally scans right
-to left over the same input (reversed on axis 0) and concatenates both
-directions. Backward passes are exact reverse-mode derivatives of the
-forward code (backpropagation through time), written out gate by gate.
+to left over the same input, xs[::-1], and concatenates both directions.
+Either input kind takes that time slice: an [L, B, D] array, or an Embedded
+(below), whose __getitem__ slices its ids. Backward passes are exact
+reverse-mode derivatives of the forward code (backpropagation through time),
+written out gate by gate.
 
 Gate layouts are fixed so checkpoints stay readable across versions:
   LSTM kernel columns: (input i, forget f, candidate g, output o), each H wide.
@@ -23,7 +25,8 @@ Note the GRU candidate applies the reset gate to h before its recurrent
 matmul, and z is a "keep" gate (z = 1 preserves the old state).
 
 Only the recurrence runs inside the time loops. Forward: x W_x + b for every
-step is one GEMM before the loop, and each step adds h W_h to its row of the
+step is one GEMM before the loop (_Cell._project, the one place rows are
+projected as a block), and each step adds h W_h to its row of the
 tape and turns it into the gates in place (the LSTM with one tanh over the
 whole row, the GRU with a sigmoid over z and r and a tanh over n). That loop,
 _Cell._loop, is shared by the scan and by step(). Backward walks the sequence
@@ -47,8 +50,9 @@ V around 60 and E = 256 this replaces three B * L-row GEMMs per layer-0
 direction. P is rebuilt on every forward, as the optimizer updates table
 and W_x in place. Generation uses the same arithmetic: RecurrentStack's
 init_state builds P for each layer-0 direction and keeps it in the state it
-returns (never on the cell), and step gathers P[ids], so layer 0's hidden
-states equal the training forward's bit for bit. RecurrentStack.step runs
+returns (never on the cell), and step gathers P[ids]. The scan and
+init_state both take P from _Cell._project, so layer 0's hidden states
+equal the training forward's bit for bit. RecurrentStack.step runs
 layer by layer, each layer over every position fed; deeper layers project
 one position at a time, since one GEMM over all positions rounds
 differently, so a prime in one call equals the same prime fed one character
@@ -59,16 +63,21 @@ Cells hold only gate math. LstmCell and GruCell each define GATES, STATES
 arrays in that order, then P in layer 0), _recur (one forward step) and
 _back_block (one backward block: the non-recurrent factors of da, the
 recurrent loop and dW_h). The private base _Cell holds the rest: the
-kernels, the zero state, the recurrence loop _loop, _step (time-major
-positions from a given state) and the scan _scan (a whole sequence from the
-zero state, with its hoisted projection and tape), which both run _loop,
-and the BPTT block loop _bptt with its flush of da into dW_x, db and dxs
-(or S). Each cell binds forward_seq, backward_seq and step to _Cell's
-methods in its own class body, because perfbench/tracing.py rebinds them
-through the class __dict__, where a name that is only inherited is not
-found; tests/test_layers.py checks those names resolve.
-Parameters are drawn only by model._init_params; the classes here wrap
-arrays they are given.
+kernels, the zero state, the block projection _project (rows W_x + b: one
+GEMM, then the bias added in place), the recurrence loop _loop, _step
+(time-major positions from a given state) and the scan _scan (a whole
+sequence from the zero state, with its hoisted projection and tape), which
+both run _loop, and the BPTT block loop _bptt with its flush of da into
+dW_x, db and dxs (or S). Each cell binds forward_seq, backward_seq and step
+to _Cell's methods in its own class body, because perfbench/tracing.py
+rebinds them through the class __dict__, where a name that is only inherited
+is not found; tests/test_layers.py checks those names resolve.
+
+Parameters and gradients are named owner.name, as in rnn0.fwd.w_x: each
+owner (the stack for its layers, the bidirectional wrapper for its two
+cells) renames its parts' dicts through _prefixed, the one place that rule
+is written. Parameters are drawn only by model._init_params; the classes
+here wrap arrays they are given.
 """
 
 from __future__ import annotations
@@ -88,6 +97,11 @@ def _split(a: np.ndarray, parts: int) -> list[np.ndarray]:
     """Views of `parts` equal slices of the last axis (one per gate)."""
     width = a.shape[-1] // parts
     return [a[..., k * width : (k + 1) * width] for k in range(parts)]
+
+
+def _prefixed(prefix: str, named: dict) -> dict:
+    """The entries of named, each key k renamed prefix.k (its owner's name)."""
+    return {f"{prefix}.{k}": v for k, v in named.items()}
 
 
 class Embedding:
@@ -127,9 +141,9 @@ class Embedded:
         self.embedding = embedding
         self.ids = ids
 
-    def reversed(self) -> Embedded:
-        """The same rows in reverse time order."""
-        return Embedded(self.embedding, self.ids[::-1])
+    def __getitem__(self, steps: slice) -> Embedded:
+        """The rows of a slice of time steps, as x[steps] of an [L, B, E] array."""
+        return Embedded(self.embedding, self.ids[steps])
 
 
 class _Cell:
@@ -162,9 +176,14 @@ class _Cell:
         zeros = tuple(np.zeros((batch, self.hidden_size)) for _ in self.STATES)
         if embedding is None:
             return zeros
-        proj = embedding.table @ self.w_x
-        proj += self.b
-        return (*zeros, proj)
+        return (*zeros, self._project(embedding.table))
+
+    def _project(self, rows: np.ndarray) -> np.ndarray:
+        """rows [..., D] W_x + b [..., kH]: one GEMM over the rows as [N, D],
+        then the bias added in place."""
+        out = rows.reshape(-1, rows.shape[-1]) @ self.w_x
+        out += self.b
+        return out.reshape(*rows.shape[:-1], -1)
 
     def _loop(self, gates, prev, out) -> list[np.ndarray]:
         """The recurrence: from the state arrays prev ([B, H] each), turn each
@@ -183,7 +202,8 @@ class _Cell:
 
         An Embedded x (layer 0, ids [L, B]) gathers P[ids], the rows _scan
         gathers, from the state's P in one go; any other x is projected as
-        x W_x + b one position at a time, the GEMV a one-position call makes.
+        x W_x + b one position at a time, the GEMV a one-position call makes
+        (one _project GEMM over all positions would round differently).
         """
         k = len(self.STATES)
         if isinstance(x, Embedded):
@@ -212,14 +232,9 @@ class _Cell:
         writes t + 1, and hs is the buffer's contiguous tail.
         """
         if isinstance(xs, Embedded):
-            gates = xs.embedding.table @ self.w_x
-            gates += self.b
-            gates = gates[xs.ids]
+            gates = self._project(xs.embedding.table)[xs.ids]
         else:
-            length, batch, width = xs.shape
-            gates = xs.reshape(length * batch, width) @ self.w_x
-            gates += self.b
-            gates = gates.reshape(length, batch, self.w_x.shape[1])
+            gates = self._project(xs)
         length, batch = gates.shape[:2]
         states = [np.zeros((length + 1, batch, self.hidden_size)) for _ in self.STATES]
         self._loop(gates, [s[0] for s in states], [s[1:] for s in states])
@@ -239,6 +254,7 @@ class _Cell:
         """
         xs = tape["xs"]
         embedded = isinstance(xs, Embedded)
+        w_x_t = self.w_x.T
         length, batch, hidden = dhs.shape
         width = self.GATES * hidden
         grads = {k: np.zeros_like(v) for k, v in self.params().items()}
@@ -255,10 +271,10 @@ class _Cell:
                 dxs += xs.embedding.backward(xs.ids[t0:t1], da)
             else:
                 grads["w_x"] += xs[t0:t1].reshape(-1, xs.shape[2]).T @ da
-                dxs[t0:t1] = (da @ self.w_x.T).reshape(t1 - t0, batch, -1)
+                dxs[t0:t1] = (da @ w_x_t).reshape(t1 - t0, batch, -1)
         if embedded:
             grads["w_x"] += xs.embedding.table.T @ dxs
-            dxs = dxs @ self.w_x.T
+            dxs = dxs @ w_x_t
         return dxs, grads
 
 
@@ -434,9 +450,8 @@ class BidirectionalLstm:
         return np.concatenate([hf, hb], axis=2), (state_f, state_b)
 
     def forward_seq(self, xs, train: bool):
-        xs_rev = xs.reversed() if isinstance(xs, Embedded) else xs[::-1]
         hf, tape_f = self.fwd.forward_seq(xs, train)
-        hb_rev, tape_b = self.bwd.forward_seq(xs_rev, train)
+        hb_rev, tape_b = self.bwd.forward_seq(xs[::-1], train)
         out = np.concatenate([hf, hb_rev[::-1]], axis=2)
         tape = {"f": tape_f, "b": tape_b} if train else None
         return out, tape
@@ -447,14 +462,10 @@ class BidirectionalLstm:
         dxs_b_rev, grads_b = self.bwd.backward_seq(tape["b"], dhs[::-1, :, h:])
         # an Embedded input's gradient is d table, which has no time axis
         dxs += dxs_b_rev if dxs.ndim == 2 else dxs_b_rev[::-1]
-        grads = {f"fwd.{k}": v for k, v in grads_f.items()}
-        grads.update({f"bwd.{k}": v for k, v in grads_b.items()})
-        return dxs, grads
+        return dxs, {**_prefixed("fwd", grads_f), **_prefixed("bwd", grads_b)}
 
     def params(self):
-        out = {f"fwd.{k}": v for k, v in self.fwd.params().items()}
-        out.update({f"bwd.{k}": v for k, v in self.bwd.params().items()})
-        return out
+        return {**_prefixed("fwd", self.fwd.params()), **_prefixed("bwd", self.bwd.params())}
 
 
 class Dense:
@@ -547,16 +558,13 @@ class RecurrentStack:
         """Gradients for every parameter, keyed like params()."""
         if tape is None:
             raise ValueError("backward needs the tape from a training-mode forward")
-        grads = {}
         dx, dense_grads = self.dense.backward(tape.dense_input, dlogits)
-        for k, v in dense_grads.items():
-            grads[f"dense.{k}"] = v
+        grads = _prefixed("dense", dense_grads)
         dx = np.ascontiguousarray(dx.swapaxes(0, 1))
         for i in range(len(self.recurrent) - 1, -1, -1):
             dx = dropout_backward(dx, tape.masks[i])
             dx, layer_grads = self.recurrent[i].backward_seq(tape.cell_tapes[i], dx)
-            for k, v in layer_grads.items():
-                grads[f"rnn{i}.{k}"] = v
+            grads.update(_prefixed(f"rnn{i}", layer_grads))
         grads["embedding.table"] = dx  # layer 0 returns d table (see _Cell._bptt)
         return {name: grads[name] for name in self.params()}
 
@@ -586,8 +594,6 @@ class RecurrentStack:
         """Parameters in canonical order: embedding, each layer, dense."""
         out = {"embedding.table": self.embedding.table}
         for i, layer in enumerate(self.recurrent):
-            for k, v in layer.params().items():
-                out[f"rnn{i}.{k}"] = v
-        for k, v in self.dense.params().items():
-            out[f"dense.{k}"] = v
+            out.update(_prefixed(f"rnn{i}", layer.params()))
+        out.update(_prefixed("dense", self.dense.params()))
         return out

@@ -100,14 +100,13 @@ def train(text: str, vocab: Vocabulary, config: ModelConfig, plan: TrainPlan,
     trained model and one history row per epoch.
     """
     model = build_model(config, vocab)  # refuses a bad config before the corpus is cut
-    windows = make_sequences(vocab.encode(text),
-                             CorpusPlan(config.seq_len, config.batch_size, plan.shuffle_seed))
+    cplan = CorpusPlan(config.seq_len, config.batch_size, plan.shuffle_seed)
+    windows = make_sequences(vocab.encode(text), cplan)
     opt_state = RmspropState.for_params(model.params(), alpha=plan.lr)
     dropout_rng = Rng(plan.dropout_seed)
     history: list[HistoryRow] = []
     for epoch in range(1, plan.epochs + 1):
-        cplan = CorpusPlan(config.seq_len, config.batch_size, plan.shuffle_seed + epoch)
-        batches = shuffle_batches(windows, cplan, Rng(cplan.shuffle_seed))
+        batches = shuffle_batches(windows, cplan, Rng(plan.shuffle_seed + epoch))
         mean_loss, ms_per_step = train_epoch(model, batches, plan, opt_state, dropout_rng)
         row = HistoryRow(epoch=epoch, mean_loss=mean_loss, ms_per_step=ms_per_step)
         history.append(row)

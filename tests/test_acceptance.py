@@ -155,8 +155,10 @@ def test_criterion_4_birnn_leakage(fixture_text, fixture_vocab):
         assert time.perf_counter() - start < 120.0
 
 
-def _ms_per_step(kind, vocab, *, hidden=96, embed=64, batch=32, seq_len=64,
+def _epoch_timer(kind, vocab, *, hidden=96, embed=64, batch=32, seq_len=64,
                  n_batches=8, seed=0):
+    """A warmed-up model of this kind, as a function that trains one epoch of
+    its n_batches and returns the epoch's mean ms per step."""
     config = ModelConfig(kind=kind, layer_widths=(hidden,), vocab_size=vocab.size,
                          batch_size=batch, embed_dim=embed, dropout=0.0,
                          seq_len=seq_len, init_seed=seed)
@@ -170,20 +172,26 @@ def _ms_per_step(kind, vocab, *, hidden=96, embed=64, batch=32, seq_len=64,
     plan = TrainPlan(epochs=1, lr=1e-3)
     opt = RmspropState.for_params(model.params())
     train_epoch(model, batches[:2], plan, opt, Rng(0))  # warmup
-    best = math.inf
-    for _ in range(2):
-        _, ms = train_epoch(model, batches, plan, opt, Rng(0))
-        best = min(best, ms)
-    return best
+    return lambda: train_epoch(model, batches, plan, opt, Rng(0))[1]
 
 
 def test_criterion_5_timing_ordering(fixture_vocab):
     """Per-step wall time ordering at equal dims: birnn slowest by a wide
-    margin, gru comparable to lstm. No absolute times asserted."""
+    margin, gru comparable to lstm. No absolute times asserted.
+
+    The three models are built once, then timed in 5 interleaved rounds of
+    one epoch each, and each kind's time is its minimum over the rounds. The
+    host's speed drifts over seconds: timed one kind after another, a slow
+    stretch lands on one kind, while across interleaved rounds each kind's
+    minimum comes from a quiet moment.
+    """
     with criterion(5, "timing: birnn > 1.5x lstm; gru within 30% of lstm"):
-        lstm = _ms_per_step("lstm", fixture_vocab)
-        gru = _ms_per_step("gru", fixture_vocab)
-        birnn = _ms_per_step("birnn", fixture_vocab)
+        timers = {kind: _epoch_timer(kind, fixture_vocab) for kind in ("lstm", "gru", "birnn")}
+        best = dict.fromkeys(timers, math.inf)
+        for _ in range(5):
+            for kind, epoch_ms in timers.items():
+                best[kind] = min(best[kind], epoch_ms())
+        lstm, gru, birnn = best["lstm"], best["gru"], best["birnn"]
         assert birnn > 1.5 * lstm, (birnn, lstm)
         assert 0.7 * lstm <= gru <= 1.3 * lstm, (gru, lstm)
 

@@ -270,6 +270,20 @@ class TestOutFileAtomic:
         code, _, _ = _run([*argv, "--out", str(target)])
         assert code == 0 and target.read_bytes() != b"old contents\n"
 
+    @pytest.mark.parametrize("command", ["generate", "report"])
+    def test_stdout_is_the_file_ending_in_a_newline(self, checkpoint, tmp_path, command):
+        # stdout adds a final newline only where the text lacks one; report's has one
+        history = tmp_path / "run.csv"
+        history.write_text("epoch,mean_loss,ms_per_step\n1,0.5,1.0\n")
+        argv = (["generate", "--checkpoint", str(checkpoint), "--prime", "The",
+                 "--length", "20"] if command == "generate" else
+                ["report", "--history", str(history)])
+        target = tmp_path / "out.txt"
+        assert _run([*argv, "--out", str(target)])[:2] == (0, "")
+        text = target.read_text(encoding="utf-8")
+        assert command == "generate" or text.endswith("\n")
+        assert _run(argv)[:2] == (0, text if text.endswith("\n") else text + "\n")
+
     def test_new_file_has_the_mode_of_a_plain_write(self, checkpoint, tmp_path):
         plain = tmp_path / "plain.txt"
         plain.write_text("x")

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -144,9 +145,13 @@ class TestGenerate:
         plan = GenerationPlan(prime_text="a", length=6, mode="argmax")
         assert generate(model, plan) == "abbbbbb"
 
-    @pytest.mark.parametrize("length, calls", [(0, 1), (1, 1), (2, 2), (5, 5), (40, 40)])
-    def test_step_calls(self, monkeypatch, length, calls):
-        # one call for the prime, then one per sampled character but the last
+    @pytest.mark.parametrize("prime, length, calls", [
+        *(pytest.param("abc", length, calls, id=f"{length}-{calls}")
+          for length, calls in [(0, 1), (1, 1), (2, 2), (5, 5), (40, 40)]),
+        pytest.param("abcde" * 30, 3, 5, id="long-prime"),  # blocks of 64, 64 and 22
+    ])
+    def test_step_calls(self, monkeypatch, prime, length, calls):
+        # one call per prime block, then one per sampled character but the last
         counted = []
         real_step = RecurrentStack.step
 
@@ -155,9 +160,34 @@ class TestGenerate:
             return real_step(self, ids, state)
 
         monkeypatch.setattr(RecurrentStack, "step", counting_step)
-        generate(_gen_model(), GenerationPlan(prime_text="abc", length=length, sample_seed=2))
+        generate(_gen_model(), GenerationPlan(prime_text=prime, length=length, sample_seed=2))
+        block = generator._PRIME_BLOCK
+        blocks = [(1, min(block, len(prime) - t0)) for t0 in range(0, len(prime), block)]
         assert len(counted) == calls
-        assert counted[0] == (1, 3) and all(shape == (1,) for shape in counted[1:])
+        assert counted[: len(blocks)] == blocks
+        assert all(shape == (1,) for shape in counted[len(blocks) :])
+
+    @pytest.mark.parametrize("kind", ["lstm", "gru", "birnn"])
+    def test_prime_memory_does_not_grow_with_its_length(self, fixture_text, fixture_vocab, kind):
+        # past two blocks, a longer prime adds only its 8-byte ids to the peak:
+        # the gate rows and per-position states are held one block at a time
+        config = ModelConfig(kind=kind, layer_widths=(32, 24), vocab_size=fixture_vocab.size,
+                             batch_size=1, embed_dim=16, dropout=0.0, init_seed=3)
+        model = build_model(config, fixture_vocab)
+
+        def peak(n):
+            plan = GenerationPlan(prime_text=fixture_text[:n], length=1)
+            generate(model, plan)  # warm-up: lazily built tables stay out of the peak
+            tracemalloc.start()
+            try:
+                generate(model, plan)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        short = 2 * generator._PRIME_BLOCK
+        assert len(fixture_text) >= 2_000
+        assert peak(2_000) <= peak(short) + 8 * (2_000 - short) + 4_096
 
     def test_unknown_prime_char(self):
         model = _gen_model()
@@ -240,17 +270,33 @@ def _golden_model(tmp_path, fixture_vocab, kind, layers):
     return load_checkpoint(path)
 
 
+def _golden_digests(tmp_path, fixture_vocab, kind, layers):
+    """(the digests generate gives now, the golden ones) for one model."""
+    model = _golden_model(tmp_path, fixture_vocab, kind, layers)
+    got = {}
+    for mode, temperature in (("argmax", 1.0), ("sample", 0.5), ("sample", 1.0),
+                              ("sample", 1.5)):
+        plan = GenerationPlan(prime_text="GUARD: Halt! Who goes there", length=200,
+                              temperature=temperature, mode=mode, sample_seed=11)
+        text = generate(model, plan)
+        got[f"{kind}{layers}-{mode}-{temperature}"] = (
+            hashlib.sha256(text.encode("utf-8")).hexdigest())
+    return got, {k: v for k, v in _GOLDEN.items() if k.startswith(f"{kind}{layers}-")}
+
+
 class TestGoldenText:
     @pytest.mark.parametrize("kind", ["lstm", "gru", "birnn"])
     @pytest.mark.parametrize("layers", [1, 2])
     def test_sampled_text_digests(self, tmp_path, fixture_vocab, kind, layers):
-        model = _golden_model(tmp_path, fixture_vocab, kind, layers)
-        got = {}
-        for mode, temperature in (("argmax", 1.0), ("sample", 0.5), ("sample", 1.0),
-                                  ("sample", 1.5)):
-            plan = GenerationPlan(prime_text="GUARD: Halt! Who goes there", length=200,
-                                  temperature=temperature, mode=mode, sample_seed=11)
-            text = generate(model, plan)
-            got[f"{kind}{layers}-{mode}-{temperature}"] = (
-                hashlib.sha256(text.encode("utf-8")).hexdigest())
-        assert got == {k: v for k, v in _GOLDEN.items() if k.startswith(f"{kind}{layers}-")}
+        got, want = _golden_digests(tmp_path, fixture_vocab, kind, layers)
+        assert got == want
+
+    @pytest.mark.parametrize("block", [1, 7])
+    @pytest.mark.parametrize("kind", ["lstm", "gru", "birnn"])
+    @pytest.mark.parametrize("layers", [1, 2])
+    def test_prime_block_size_keeps_the_digests(self, monkeypatch, tmp_path, fixture_vocab,
+                                                kind, layers, block):
+        # the 27-character prime in 27 or 4 calls samples the same text as in one
+        monkeypatch.setattr(generator, "_PRIME_BLOCK", block)
+        got, want = _golden_digests(tmp_path, fixture_vocab, kind, layers)
+        assert got == want
