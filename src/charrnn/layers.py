@@ -3,8 +3,10 @@
 RecurrentStack takes token indices [B, L] and returns logits [B, L, V], but
 runs time-major inside: the recurrent layers and dropout take and return
 [L, B, features], so each step's rows are one contiguous [B, features] block.
-It transposes the ids once, as a view, and the dense layer reads one
-batch-major copy of the last layer's output. Recurrent layers scan left to
+It transposes the ids once, as a view. The last dropout writes through a
+time-major view of the batch-major dense input, and the dense backward writes
+d input time-major through a batch-major view (the same per-row GEMMs), so
+no transposed copy is made either way. Recurrent layers scan left to
 right from a zero state; the bidirectional wrapper additionally scans right
 to left over the same input, xs[::-1], and concatenates both directions.
 Either input kind takes that time slice: an [L, B, D] array, or an Embedded
@@ -72,6 +74,15 @@ dW_x, db and dxs (or S). Each cell binds forward_seq, backward_seq and step
 to _Cell's methods in its own class body, because perfbench/tracing.py
 rebinds them through the class __dict__, where a name that is only inherited
 is not found; tests/test_layers.py checks those names resolve.
+
+Dropout keeps a boolean keep mask, one byte a unit, and scales in place:
+x * keep * s equals x times a float mask of 0 and s bit for bit. Its
+backward scales the gradient in place, which is safe because every such
+array is made by the stack or by a layer's backward; dropout never writes
+into a layer's output, since an LSTM or GRU output is its tape's h. A
+training step's memory peaks in the backward of one layer, on top of the
+tapes, dropout outputs and masks the forward left; model.expected_step_floats
+counts it.
 
 Parameters and gradients are named owner.name, as in rnn0.fwd.w_x: each
 owner (the stack for its layers, the bidirectional wrapper for its two
@@ -478,43 +489,64 @@ class Dense:
     def forward(self, x: np.ndarray) -> np.ndarray:
         return x @ self.w + self.b
 
-    def backward(self, x: np.ndarray, dout: np.ndarray):
+    def backward(self, x: np.ndarray, dout: np.ndarray, out: np.ndarray | None = None):
+        """(d loss / d x, grads) given dout = d loss / d forward(x). d x =
+        dout W^T is written into out when given: the stack passes a
+        batch-major view of its time-major array, so the same per-row GEMMs
+        write the time-major gradient with no transposed copy."""
         width = self.w.shape[0]
         x2 = x.reshape(-1, width)
         d2 = dout.reshape(-1, self.w.shape[1])
-        return dout @ self.w.T, {"w": x2.T @ d2, "b": d2.sum(axis=0)}
+        return np.matmul(dout, self.w.T, out=out), {"w": x2.T @ d2, "b": d2.sum(axis=0)}
 
     def params(self):
         return {"w": self.w, "b": self.b}
 
 
-def dropout_forward(x: np.ndarray, rate: float, train: bool, rng: Rng | None):
+def dropout_forward(x: np.ndarray, rate: float, train: bool, rng: Rng | None,
+                    out: np.ndarray | None = None):
     """Inverted dropout on time-major x [L, B, ...]: zero units with
     probability rate, scale the rest by 1 / (1 - rate).
 
     A unit is kept where its uniform draw is >= rate. The draws run in
     batch-major [B, L, ...] order, the order seeded masks are defined in,
-    whatever the layout of x. Eval mode (or rate 0) is an exact identity.
-    Returns (output, mask) where mask is None when nothing was dropped.
+    whatever the layout of x. The output is x * keep, then scaled in place:
+    x * 1 * s = x * s and x * 0 * s = x * 0, signed zero included, so it
+    equals x times a float mask of 0 and s bit for bit. Eval mode (or rate
+    0) is an exact identity. The output is written into out when given (any
+    layout, such as a view of a batch-major array), else into a new array.
+    Returns (output, keep) where keep is the boolean mask [L, B, ...], a view
+    of the batch-major draw, and None when nothing was dropped.
     """
     if not 0.0 <= rate < 1.0:
         raise ConfigError(f"dropout rate must be in [0, 1), got {rate}")
     if not train or rate == 0.0:
-        return x, None
+        if out is None:
+            return x, None
+        np.copyto(out, x)
+        return out, None
     if rng is None:
         raise ValueError("training-mode dropout needs an rng")
     keep = rng.uniform_at_least(x.swapaxes(0, 1).shape, rate).swapaxes(0, 1)
-    mask = np.multiply(keep, 1.0 / (1.0 - rate), order="C")
-    return x * mask, mask
+    out = np.multiply(x, keep, out=out)
+    out *= 1.0 / (1.0 - rate)
+    return out, keep
 
 
-def dropout_backward(dout: np.ndarray, mask):
-    return dout if mask is None else dout * mask
+def dropout_backward(dout: np.ndarray, keep, rate: float) -> np.ndarray:
+    """d loss / d x given dout = d loss / d output and dropout_forward's keep,
+    computed in place in dout (the same two multiplies as the forward)."""
+    if keep is not None:
+        dout *= keep
+        dout *= 1.0 / (1.0 - rate)
+    return dout
 
 
 @dataclass
 class StackTape:
-    """Cached activations from one training-mode forward pass."""
+    """Cached activations from one training-mode forward pass: each layer's
+    cell tape, each dropout's boolean keep mask (None when nothing was
+    dropped) and the batch-major dense input [B, L, F]."""
 
     cell_tapes: list
     masks: list
@@ -537,32 +569,44 @@ class RecurrentStack:
 
         The recurrent layers and dropout run time-major on [L, B, ·]. Layer 0
         reads the transposed ids and the table, not gathered rows (see
-        Embedded); the dense layer reads a batch-major copy of the last
-        layer's output, so the logits keep their [B, L, V] rows.
+        Embedded). The last dropout writes its output straight into the
+        batch-major dense input, through a time-major view, so the logits
+        keep their [B, L, V] rows with no transposed copy. Dropout never
+        writes into a layer's output: an LSTM or GRU output is the tape's h.
         """
         x = Embedded(self.embedding, indices.T)
         cell_tapes = []
         masks = []
-        for layer in self.recurrent:
-            hs, tape = layer.forward_seq(x, train)
-            x, mask = dropout_forward(hs, self.dropout_rate, train, dropout_rng)
+        for i, layer in enumerate(self.recurrent):
+            x, tape = layer.forward_seq(x, train)
+            out = None
+            if i == len(self.recurrent) - 1:
+                out = np.empty_like(x.swapaxes(0, 1), order="C").swapaxes(0, 1)
+            # rebinding x releases a birnn's concatenated output once dropped
+            x, mask = dropout_forward(x, self.dropout_rate, train, dropout_rng, out)
             cell_tapes.append(tape)
             masks.append(mask)
-        x = np.ascontiguousarray(x.swapaxes(0, 1))
+        x = x.swapaxes(0, 1)
         logits = self.dense.forward(x)
         if not train:
             return logits, None
         return logits, StackTape(cell_tapes, masks, x)
 
     def backward(self, tape: StackTape, dlogits: np.ndarray) -> dict[str, np.ndarray]:
-        """Gradients for every parameter, keyed like params()."""
+        """Gradients for every parameter, keyed like params().
+
+        The dense layer writes d loss / d its input time-major, through a
+        batch-major view, and each dropout's backward scales that array in
+        place: every array it touches is made here or by a layer's backward.
+        """
         if tape is None:
             raise ValueError("backward needs the tape from a training-mode forward")
-        dx, dense_grads = self.dense.backward(tape.dense_input, dlogits)
+        dx = np.empty_like(tape.dense_input.swapaxes(0, 1), order="C")
+        # the returned view of dx is not kept: it would hold dx past the loop
+        dense_grads = self.dense.backward(tape.dense_input, dlogits, out=dx.swapaxes(0, 1))[1]
         grads = _prefixed("dense", dense_grads)
-        dx = np.ascontiguousarray(dx.swapaxes(0, 1))
         for i in range(len(self.recurrent) - 1, -1, -1):
-            dx = dropout_backward(dx, tape.masks[i])
+            dx = dropout_backward(dx, tape.masks[i], self.dropout_rate)
             dx, layer_grads = self.recurrent[i].backward_seq(tape.cell_tapes[i], dx)
             grads.update(_prefixed(f"rnn{i}", layer_grads))
         grads["embedding.table"] = dx  # layer 0 returns d table (see _Cell._bptt)

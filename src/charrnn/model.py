@@ -57,7 +57,7 @@ from .exceptions import (
     ShapeError,
     VocabularyError,
 )
-from .layers import BidirectionalLstm, Dense, Embedding, GruCell, LstmCell, RecurrentStack
+from .layers import _BLOCK, BidirectionalLstm, Dense, Embedding, GruCell, LstmCell, RecurrentStack
 from .numerics import Rng, check_int_fields, check_real_fields, is_int
 
 # kind -> (cell class, parameter-name prefix of each direction, in order)
@@ -74,7 +74,7 @@ _VERSION = 1
 # build_model refuses larger models before drawing anything: about 200x the
 # paper's largest preset, and a ConfigError instead of a failed allocation
 MAX_PARAMS = 2**31
-# ... and configs whose training step holds more float64 values: 16 GiB, 20x birnn uni
+# ... and configs whose training step holds more float64 values: 16 GiB, 16x birnn uni
 MAX_STEP_FLOATS = 2**31
 
 
@@ -141,16 +141,39 @@ def expected_param_count(config: ModelConfig) -> int:
 
 
 def expected_step_floats(config: ModelConfig) -> int:
-    """float64 values one training step holds, in exact integers.
+    """float64 values one training step holds at its peak, in exact integers;
+    a boolean keep mask counts as one value per 8 units.
 
-    Per direction of a layer of width H: the gate tape B*L*kH, the state
-    buffers s*B*(L+1)*H, and its share of the dropout output and mask,
-    2*B*L*H. Then the logits and their gradient, B*L*V each.
+    From its forward to the end of its update a step holds, per direction of
+    a layer of width H, the gate tape B*L*kH and the state buffers
+    s*B*(L+1)*H; per layer of output width F (H, or 2H for birnn), its
+    dropout output B*L*F (the next layer's input, or the batch-major dense
+    input) and its keep mask; the logits and their gradient, B*L*V each; and
+    one gradient per parameter. On top sits the largest transient, which is
+    one layer's backward at every preset: its output gradient B*L*F, an
+    input gradient per direction (B*L*D; for layer 0, whose input is the
+    embedding, the [V, kH] sums, the [V, _BLOCK*B] one-hot of
+    Embedding.backward and d table [V, E]) and the scratch of one BPTT block
+    of min(L, _BLOCK) steps, 2k*B*H per step. The loss's shifted logits
+    (B*L*V) and the update's three temporaries of the largest parameter are
+    the other candidates.
     """
     cell, directions = _KIND_TABLE[config.kind]
-    b, t = config.batch_size, config.seq_len
-    per_unit = len(directions) * b * (t * (cell.GATES + 2) + len(cell.STATES) * (t + 1))
-    return per_unit * sum(config.layer_widths) + 2 * b * t * config.vocab_size
+    d, k, s = len(directions), cell.GATES, len(cell.STATES)
+    b, t, v = config.batch_size, config.seq_len, config.vocab_size
+    block = min(t, _BLOCK)
+    held = 2 * b * t * v + expected_param_count(config)
+    largest = max(math.prod(shape) for shape in expected_param_shapes(config).values())
+    transient = max(b * t * v, 3 * largest)
+    for h, h_in in zip(config.layer_widths, (None, *config.layer_widths)):
+        f = d * h
+        held += d * b * (k * t + s * (t + 1)) * h + b * t * f + -(-b * t * f // 8)
+        if h_in is None:
+            d_in = d * v * (k * h + block * b + config.embed_dim)
+        else:
+            d_in = d * b * t * d * h_in
+        transient = max(transient, b * t * f + d_in + 2 * k * block * b * h)
+    return held + transient
 
 
 def _init_params(config: ModelConfig) -> dict[str, np.ndarray]:

@@ -86,6 +86,8 @@ def train_epoch(model: Model, batches, plan: TrainPlan, opt_state: RmspropState,
         rmsprop_step(params, grads, opt_state)
         seconds.append(time.perf_counter() - t0)
         losses.append(report.mean_loss)
+        # rebound only by the next step, these would live through its forward
+        del logits, tape, report, grads
     return float(np.mean(losses)), 1000.0 * float(np.mean(seconds))
 
 

@@ -3,6 +3,8 @@ import csv
 import io
 import os
 import stat
+import subprocess
+import sys
 import warnings
 
 import pytest
@@ -12,6 +14,7 @@ from hypothesis import strategies as st
 from charrnn.cli import main
 from charrnn.model import load_checkpoint
 from charrnn.trainer import parse_history
+from tests.conftest import REPO_ROOT
 from tests.test_model import (
     _header,
     _with_header,
@@ -150,6 +153,26 @@ class TestTrainCommand:
                              "--out", str(ckpt), "--history", str(tmp_path / "x.csv")])
         _assert_one_error_line(code, err)
         assert "float64 values" in err and not ckpt.exists()
+
+    # OpenBLAS may split a GEMM across threads; the bytes must not depend on
+    # how many. The count is set in each child's environment only, and the
+    # shapes (B=32, L=50, widths 128 and 64, E=256) make the GEMMs threaded.
+    @pytest.mark.parametrize("kind", ["gru", "birnn"])
+    def test_byte_identical_across_blas_threads(self, fixture_path, tmp_path, kind):
+        src = str(REPO_ROOT / "src")
+        outputs = []
+        for threads in ("1", "2"):
+            ckpt, hist = tmp_path / f"{threads}.ckpt", tmp_path / f"{threads}.csv"
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+                   "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+            subprocess.run([sys.executable, "-m", "charrnn", "train", "--corpus", str(fixture_path),
+                            "--model", kind, "--preset", "bi", "--scale", "0.25",
+                            "--seq-len", "50", "--batch-size", "32", "--epochs", "1",
+                            "--seed", "3", "--out", str(ckpt), "--history", str(hist)],
+                           env=env, check=True, capture_output=True, timeout=300)
+            losses = [repr(row.mean_loss) for row in parse_history(hist)]
+            outputs.append((ckpt.read_bytes(), losses))
+        assert outputs[0] == outputs[1]
 
 
 @pytest.fixture(scope="module")

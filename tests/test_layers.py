@@ -414,10 +414,41 @@ class TestDropout:
 
     def test_backward_uses_same_mask(self):
         x = _rand((20, 20))
-        out, mask = dropout_forward(x, 0.4, True, Rng(3))
+        out, keep = dropout_forward(x, 0.4, True, Rng(3))
         dout = np.ones_like(x)
-        dx = dropout_backward(dout, mask)
+        dx = dropout_backward(dout, keep, 0.4)
         assert np.array_equal(dx == 0.0, out == 0.0)
+
+    # the boolean mask's two multiplies against the float mask keep * s they
+    # replace: the same bytes, signed zeros included, and the same bytes again
+    # when the output goes through a time-major view of a batch-major array
+    @pytest.mark.parametrize("rate", [0.1, 1 / 3, 0.4, 0.5])
+    def test_bool_mask_equals_the_float_mask(self, rate):
+        x = _rand((7, 5, 6), scale=3.0, seed=11)
+        x[0, 0, :3] = [-0.0, 5e-324, -1e308]
+        dout = _rand(x.shape, scale=3.0, seed=12)
+        dout[1, 0, :2] = [-0.0, -5e-324]
+        assert np.any(x < 0) and np.any(dout < 0)
+        out, keep = dropout_forward(x, rate, True, Rng(9))
+        assert keep.dtype == bool and keep.shape == x.shape
+        assert keep.swapaxes(0, 1).flags.c_contiguous  # the batch-major draw
+        mask = keep * (1.0 / (1.0 - rate))
+        assert out.tobytes() == (x * mask).tobytes()
+        assert np.signbit(out[~keep]).tolist() == np.signbit(x[~keep]).tolist()
+        dense_input = np.empty((5, 7, 6))
+        viewed, _ = dropout_forward(x, rate, True, Rng(9), out=dense_input.swapaxes(0, 1))
+        assert viewed.base is dense_input and dense_input.tobytes() == (
+            np.ascontiguousarray((x * mask).swapaxes(0, 1)).tobytes())
+        expected_dx = (dout * mask).tobytes()
+        dx = dropout_backward(dout, keep, rate)
+        assert dx is dout and dx.tobytes() == expected_dx
+
+    def test_identity_writes_into_out(self):
+        x = _rand((4, 3, 2))
+        out = np.empty((3, 4, 2)).swapaxes(0, 1)
+        for rate, train in ((0.0, True), (0.4, False)):
+            got, keep = dropout_forward(x, rate, train, Rng(0), out=out)
+            assert got is out and keep is None and got.tobytes() == x.tobytes()
 
     def test_invalid_rate(self):
         for rate in (-0.1, 1.0, 1.5):
@@ -445,7 +476,8 @@ class TestDropout:
             return
         keep = (b.uniform([shape[1], shape[0], *shape[2:]]) >= rate).swapaxes(0, 1)
         expected = keep.astype(np.float64) / (1.0 - rate)
-        assert mask.tobytes() == np.ascontiguousarray(expected).tobytes()
+        assert mask.dtype == bool
+        assert mask.tobytes() == np.ascontiguousarray(keep).tobytes()
         assert out.tobytes() == (x * expected).tobytes()
         assert a.next_u64() == b.next_u64()
 
@@ -474,6 +506,21 @@ class TestDense:
         assert rel_err(grads["w"], fd[0]) < 1e-6
         assert rel_err(grads["b"], fd[1]) < 1e-6
         assert rel_err(dx, fd[2]) < 1e-6
+
+    # RecurrentStack.backward takes d input time-major through a batch-major
+    # view of out; the per-row GEMMs must give the bytes of the batch-major
+    # product, transposed (16 is birnn quad's last width)
+    @pytest.mark.parametrize("width", [8, 16, 32, 64, 128, 256])
+    def test_backward_into_a_time_major_out(self, width):
+        layer = Dense(_rand((width, 51), seed=width), _rand(51, seed=1))
+        x = _rand((16, 30, width), seed=2)
+        dout = _rand((16, 30, 51), seed=3)
+        dx, grads = layer.backward(x, dout)
+        time_major = np.empty((30, 16, width))
+        into, grads_into = layer.backward(x, dout, out=time_major.swapaxes(0, 1))
+        assert into.base is time_major
+        assert time_major.tobytes() == np.ascontiguousarray(dx.swapaxes(0, 1)).tobytes()
+        assert all(grads[k].tobytes() == grads_into[k].tobytes() for k in grads)
 
 
 def _tiny_stack(kind="lstm", vocab=2, embed=2, hidden=1, zero=True):
@@ -542,6 +589,50 @@ class TestStack:
         grads = stack.backward(tape, _rand((1, 4, 4)))
         assert list(grads) == list(stack.params())
         assert all(grads[k].shape == stack.params()[k].shape for k in grads)
+
+
+class TestStackGradientWithDropout:
+    """Central differences through the whole stack with dropout on. Each
+    forward draws its masks from its own Rng(seed), so ce_loss(forward(x,
+    train=True, dropout_rng=Rng(seed))) is a deterministic function of the
+    weights, and its gradient must be what backward returns (criterion 1's
+    1e-4, on sampled coordinates of every tensor)."""
+
+    # 26 and 51 steps cross the _BLOCK = 25 boundary once and twice
+    @pytest.mark.parametrize("length", [26, 51])
+    @pytest.mark.parametrize("kind", ["lstm", "gru", "birnn"])
+    def test_central_differences(self, kind, length):
+        from charrnn.objective import ce_loss
+
+        config = ModelConfig(kind=kind, layer_widths=(5, 4), vocab_size=6, batch_size=2,
+                             embed_dim=3, dropout=0.4, seq_len=length, init_seed=11)
+        model = build_model(config, Vocabulary(tuple("abcdef")))
+        rng = np.random.default_rng(length)
+        for p in model.params().values():
+            p += rng.normal(scale=0.3, size=p.shape)
+        ids = rng.integers(0, 6, (2, length + 1))
+        inputs, targets = ids[:, :-1], ids[:, 1:]
+
+        def loss():
+            logits, tape = model.forward(inputs, train=True, dropout_rng=Rng(17))
+            return ce_loss(logits, targets), tape
+
+        report, tape = loss()
+        assert all(keep is not None and not keep.all() for keep in tape.masks)
+        grads = model.backward(tape, report.grad)
+        h, worst = 1e-5, 0.0
+        for name, p in model.params().items():
+            flat, analytic = p.reshape(-1), grads[name].reshape(-1)
+            for i in rng.choice(flat.size, size=min(8, flat.size), replace=False):
+                orig = flat[i]
+                flat[i] = orig + h
+                up = loss()[0].mean_loss
+                flat[i] = orig - h
+                down = loss()[0].mean_loss
+                flat[i] = orig
+                fd = (up - down) / (2.0 * h)
+                worst = max(worst, abs(fd - analytic[i]) / max(1e-6, abs(fd) + abs(analytic[i])))
+        assert worst < 1e-4, f"worst rel err {worst:.3e}"
 
 
 def _leaves(state):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from charrnn.corpus import Vocabulary, build_vocab
+from charrnn.corpus import CorpusPlan, Vocabulary, build_vocab, make_sequences, shuffle_batches
 from charrnn.exceptions import (
     CharRnnError,
     CheckpointFormatError,
@@ -33,7 +33,8 @@ from charrnn.model import (
     save_checkpoint,
 )
 from charrnn.numerics import Rng
-from charrnn.objective import ce_loss
+from charrnn.objective import RmspropState, ce_loss
+from charrnn.trainer import TrainPlan, train_epoch
 
 VOCAB5 = Vocabulary(tuple("abcde"))
 
@@ -207,11 +208,20 @@ class TestParamCounts:
         assert np.all(gru["dense.b"] == 0.0)
 
 
+# tracemalloc also counts Python objects and arrays of a few values (states
+# of one step, per-block sums) that expected_step_floats leaves out
+_STEP_SLACK = 64 * 1024
+
+
 class TestStepCap:
-    @pytest.mark.parametrize("kind, expected", [("lstm", 164), ("gru", 136), ("birnn", 268)])
+    @pytest.mark.parametrize("kind, expected", [("lstm", 425), ("gru", 351), ("birnn", 673)])
     def test_worked_example(self, kind, expected):
-        # B=2, L=3, H=2, V=5. lstm: gates 2*3*8 = 48, h and c 2*2*4*2 = 32,
-        # dropout output and mask 2*6*2 = 24, logits and their gradient 2*30 = 60
+        # B=2, L=3, H=2, V=5, E=3. lstm, held: gates 2*3*8 = 48, h and c
+        # 2*2*4*2 = 32, dropout output 2*3*2 = 12 and its mask ceil(12/8) = 2,
+        # logits and their gradient 2*30 = 60, one gradient per parameter
+        # 15 + 48 + 15 = 78: 232. Transient, the layer's backward: output
+        # gradient 12, d table terms 5*(8 + 3*2 + 3) = 85, block scratch
+        # 2*4*3*2*2 = 96: 193, above the loss's 30 and the update's 3*24 = 72
         cfg = _config(kind=kind, widths=(2,), seq_len=3)
         assert model_module.expected_step_floats(cfg) == expected
 
@@ -221,11 +231,47 @@ class TestStepCap:
         model = build_model(cfg, VOCAB5)
         ids = np.zeros((cfg.batch_size, cfg.seq_len), dtype=np.int64)
         logits, tape = model.forward(ids, train=True, dropout_rng=Rng(1))
-        directions = [d for t in tape.cell_tapes for d in ((t["f"], t["b"]) if "f" in t else (t,))]
-        held = sum(v.size for d in directions for k, v in d.items() if k != "xs")
-        outputs = [(t["f"] if "f" in t else t)["xs"] for t in tape.cell_tapes[1:]]
-        held += sum(x.size for x in [*outputs, tape.dense_input, *tape.masks])
-        assert model_module.expected_step_floats(cfg) == held + 2 * logits.size
+        cell_tapes = [(t["f"], t["b"]) if "f" in t else (t,) for t in tape.cell_tapes]
+        held = sum(v.size for dirs in cell_tapes for d in dirs for k, v in d.items() if k != "xs")
+        outputs = [dirs[0]["xs"] for dirs in cell_tapes[1:]] + [tape.dense_input]
+        held += sum(x.size for x in outputs) + sum(-(-m.size // 8) for m in tape.masks)
+        params = list(model.params().values())
+        held += 2 * logits.size + sum(p.size for p in params)
+        # the largest transient: the loss's shifted logits, the update's three
+        # temporaries of the largest parameter, or one layer's backward: its
+        # output gradient, an input gradient per direction and block scratch
+        v, e = model.embedding.table.shape
+        transient = [logits.size, 3 * max(p.size for p in params)]
+        for i, (dirs, out) in enumerate(zip(cell_tapes, outputs)):
+            gates = dirs[0]["gates"]  # [L, B, kH], and L < _BLOCK: one block
+            d_in = v * (gates.shape[2] + ids.size + e) if i == 0 else dirs[0]["xs"].size
+            transient.append(out.size + len(dirs) * d_in + 2 * gates.size)
+        assert model_module.expected_step_floats(cfg) == held + max(transient)
+
+    # A step's tracemalloc peak, over two steps after a warm-up step, so a
+    # step's arrays must also be gone before the next one's forward
+    @pytest.mark.parametrize("dropout", [0.0, 0.4])
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_measured_peak_within_the_count(self, fixture_text, fixture_vocab, kind, depth,
+                                            dropout):
+        cfg = ModelConfig(kind=kind, layer_widths=(64, 48, 32)[:depth],
+                          vocab_size=fixture_vocab.size, batch_size=16, embed_dim=32,
+                          dropout=dropout, seq_len=30, init_seed=5)
+        model = build_model(cfg, fixture_vocab)
+        plan = CorpusPlan(cfg.seq_len, cfg.batch_size, 0)
+        windows = make_sequences(fixture_vocab.encode(fixture_text), plan)
+        batches = shuffle_batches(windows, plan, Rng(1))[:3]
+        opt = RmspropState.for_params(model.params())
+        dropout_rng = Rng(2)
+        train_epoch(model, batches[:1], TrainPlan(), opt, dropout_rng)
+        tracemalloc.start()
+        try:
+            train_epoch(model, batches[1:], TrainPlan(), opt, dropout_rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * model_module.expected_step_floats(cfg) + _STEP_SLACK
 
     @pytest.mark.parametrize("kind", ["lstm", "gru", "birnn"])
     @pytest.mark.parametrize("preset", ["uni", "bi", "quad"])
