@@ -29,6 +29,14 @@ Checkpoint file format, all integers little-endian:
     u32 CRC-32 of the payload (every byte after the version field and before
         this checksum)
 
+The header's config fixes every parameter's rank, dims and offset, so loading
+is one walk of that layout. Its checks run in this order: magic, version and
+a length of at least 16 bytes; the header length, then the header; per
+parameter, that its block ends before the checksum, its rank, its dims; no
+stray bytes; the CRC; finite values. The header is read before the CRC is
+checked because only the config says where the blocks end: a truncated file
+must read as a format error, not as a CRC mismatch.
+
 Training arithmetic is float64; checkpoints store float32, so values are
 rounded once on save and save -> load -> save is byte-identical. Saving
 streams the file to its temp file one part at a time (magic and version, the
@@ -155,8 +163,8 @@ def expected_step_floats(config: ModelConfig) -> int:
     embedding, the [V, kH] sums, the [V, _BLOCK*B] one-hot of
     Embedding.backward and d table [V, E]) and the scratch of one BPTT block
     of min(L, _BLOCK) steps, 2k*B*H per step. The loss's shifted logits
-    (B*L*V) and the update's three temporaries of the largest parameter are
-    the other candidates.
+    (B*L*V) and the update's one scratch array the size of the largest
+    parameter are the other candidates.
     """
     cell, directions = _KIND_TABLE[config.kind]
     d, k, s = len(directions), cell.GATES, len(cell.STATES)
@@ -164,7 +172,7 @@ def expected_step_floats(config: ModelConfig) -> int:
     block = min(t, _BLOCK)
     held = 2 * b * t * v + expected_param_count(config)
     largest = max(math.prod(shape) for shape in expected_param_shapes(config).values())
-    transient = max(b * t * v, 3 * largest)
+    transient = max(b * t * v, largest)
     for h, h_in in zip(config.layer_widths, (None, *config.layer_widths)):
         f = d * h
         held += d * b * (k * t + s * (t + 1)) * h + b * t * f + -(-b * t * f // 8)
@@ -278,59 +286,32 @@ def save_checkpoint(model: Model, path) -> None:
     _write_atomic(path, _checkpoint_chunks(model))
 
 
-def _scan_structure(blob: bytes) -> list[tuple[int, tuple[int, ...]]]:
-    """Walk the length fields; returns (data offset, dims) per parameter.
-
-    Raises CheckpointFormatError, with the offset, on any structural problem.
-    """
-    n = len(blob)
-    if n < 16:
-        raise CheckpointFormatError(f"file is {n} bytes, too short for a checkpoint")
-    pos = 8
-    (header_len,) = struct.unpack_from("<I", blob, pos)
-    pos += 4
-    if pos + header_len > n - 4:
-        raise CheckpointFormatError(f"header of {header_len} bytes overruns the file at offset {pos}")
-    pos += header_len
-    layout = []
-    while pos < n - 4:
-        if pos + 4 > n - 4:
-            raise CheckpointFormatError(f"truncated parameter block at offset {pos}")
-        (rank,) = struct.unpack_from("<I", blob, pos)
-        pos += 4
-        if rank == 0 or rank > 3:
-            raise CheckpointFormatError(f"parameter rank {rank} at offset {pos - 4} is not in 1..3")
-        if pos + 4 * rank > n - 4:
-            raise CheckpointFormatError(f"truncated dims at offset {pos}")
-        dims = struct.unpack_from(f"<{rank}I", blob, pos)
-        pos += 4 * rank
-        count = math.prod(dims)  # exact: u32 dims can overflow a fixed-width product
-        if count == 0 or count > (1 << 32):
-            raise CheckpointFormatError(f"implausible dims {dims} at offset {pos}")
-        if not 0 <= pos <= pos + 4 * count <= n - 4:
-            raise CheckpointFormatError(f"truncated parameter data at offset {pos}")
-        layout.append((pos, dims))
-        pos += 4 * count
-    if pos != n - 4:
-        raise CheckpointFormatError(f"stray bytes before the checksum at offset {pos}")
-    return layout
-
-
 def load_checkpoint(path) -> Model:
-    """Read, verify (magic, version, structure, CRC, finite values) and rebuild the model."""
+    """Read, verify and rebuild the model in one walk of the layout its header implies.
+
+    Checks run in this order: magic, version and a length of at least 16
+    bytes; the header length, then the header; then, per parameter of
+    expected_param_shapes(config), that its block ends before the checksum,
+    its rank and its dims; no stray bytes before the checksum; the CRC;
+    finite values. The header comes before the CRC because only the config
+    says where each block ends, so a truncated file reads as a format error
+    rather than a CRC mismatch.
+    """
     blob = Path(path).read_bytes()
-    if len(blob) < 8 or blob[:4] != _MAGIC:
+    n = len(blob)
+    if n < 8 or blob[:4] != _MAGIC:
         raise CheckpointFormatError("bad magic: not a checkpoint file")
     (version,) = struct.unpack_from("<I", blob, 4)
     if version != _VERSION:
         raise CheckpointFormatError(f"unsupported version {version}, expected {_VERSION}")
-    layout = _scan_structure(blob)
-    (stored_crc,) = struct.unpack_from("<I", blob, len(blob) - 4)
-    if zlib.crc32(memoryview(blob)[8:-4]) != stored_crc:
-        raise CheckpointIntegrityError("payload CRC-32 mismatch")
+    if n < 16:
+        raise CheckpointFormatError(f"file is {n} bytes, too short for a checkpoint")
     (header_len,) = struct.unpack_from("<I", blob, 8)
+    pos = 12 + header_len
+    if pos > n - 4:
+        raise CheckpointFormatError(f"header of {header_len} bytes overruns the file at offset 12")
     try:
-        header = json.loads(blob[12 : 12 + header_len].decode("utf-8"))
+        header = json.loads(blob[12:pos].decode("utf-8"))
         config = ModelConfig(**header["config"])
         vocab = Vocabulary(tuple(chr(c) for c in header["vocab"]))
     except (ValueError, KeyError, TypeError, OverflowError) as exc:
@@ -341,22 +322,33 @@ def load_checkpoint(path) -> Model:
         raise CheckpointIntegrityError(
             f"header vocab has {vocab.size} characters, config says {config.vocab_size}"
         )
-    expected = expected_param_shapes(config)
-    if len(layout) != len(expected):
-        raise CheckpointIntegrityError(
-            f"checkpoint holds {len(layout)} parameters, config implies {len(expected)}"
-        )
-    params = {}
-    for (offset, dims), (name, shape) in zip(layout, expected.items()):
-        if dims != shape:
-            raise CheckpointIntegrityError(
-                f"parameter {name} has dims {dims}, expected {shape}"
+    values = {}
+    for name, shape in expected_param_shapes(config).items():
+        rank, count = len(shape), math.prod(shape)
+        data = pos + 4 * (1 + rank)
+        if data + 4 * count > n - 4:
+            raise CheckpointFormatError(f"truncated parameter {name} at offset {pos}")
+        (stored_rank,) = struct.unpack_from("<I", blob, pos)
+        if stored_rank != rank:
+            # the block's length is then unknown, so the walk cannot go on
+            raise CheckpointFormatError(
+                f"parameter {name} has rank {stored_rank} at offset {pos}, expected {rank}"
             )
-        count = math.prod(dims)
-        raw = np.frombuffer(blob, dtype="<f4", count=count, offset=offset)
+        dims = struct.unpack_from(f"<{rank}I", blob, pos + 4)
+        if dims != shape:
+            raise CheckpointIntegrityError(f"parameter {name} has dims {dims}, expected {shape}")
+        values[name] = np.frombuffer(blob, dtype="<f4", count=count, offset=data).reshape(shape)
+        pos = data + 4 * count
+    if pos != n - 4:
+        raise CheckpointFormatError(f"stray bytes before the checksum at offset {pos}")
+    (stored_crc,) = struct.unpack_from("<I", blob, pos)
+    if zlib.crc32(memoryview(blob)[8:pos]) != stored_crc:
+        raise CheckpointIntegrityError("payload CRC-32 mismatch")
+    params = {}
+    for name, raw in values.items():
         if not np.isfinite(raw).all():
             raise CheckpointIntegrityError(f"parameter {name} holds non-finite values")
-        params[name] = raw.astype(np.float64).reshape(shape)
+        params[name] = raw.astype(np.float64)
     return Model(config, vocab, params)
 
 

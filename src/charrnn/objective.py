@@ -76,12 +76,24 @@ class RmspropState:
 
 def rmsprop_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
                  state: RmspropState) -> None:
-    """One in-place update of every parameter and its accumulator."""
+    """One in-place update of every parameter and its accumulator.
+
+    The gradients are consumed: each is scaled in place into its step, so the
+    update holds one scratch array the size of a parameter at a time. The
+    products and sums are those of the formula above, in the same order, so
+    the result is bitwise that of the out-of-place form.
+    """
     for name, p in params.items():
         g = grads[name]
         if not np.all(np.isfinite(g)):
             raise OptimizerError(f"non-finite gradient for {name}")
         v = state.v[name]
+        t = g * (1.0 - state.rho)
+        t *= g
         v *= state.rho
-        v += (1.0 - state.rho) * g * g
-        p -= state.alpha * g / np.sqrt(v + state.epsilon)
+        v += t
+        np.add(v, state.epsilon, out=t)
+        np.sqrt(t, out=t)
+        g *= state.alpha
+        g /= t
+        p -= g

@@ -1,3 +1,4 @@
+import ctypes
 from pathlib import Path
 
 import numpy as np
@@ -7,6 +8,23 @@ from charrnn.corpus import build_vocab, load_corpus
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 FIXTURE_CORPUS = REPO_ROOT / "data" / "tiny_script.txt"
+
+
+def openblas_corename() -> str | None:
+    """The kernel set numpy's bundled OpenBLAS runs on here, such as "SkylakeX".
+
+    Read through ctypes from the scipy-openblas library in numpy.libs, which
+    the process has already loaded; None when numpy bundles no such library.
+    OPENBLAS_CORETYPE in the environment forces the kernel set.
+    """
+    libs = Path(np.__file__).resolve().parents[1] / "numpy.libs"
+    for lib in sorted(libs.glob("libscipy_openblas*")):
+        corename = getattr(ctypes.CDLL(str(lib)), "scipy_openblas_get_corename64_", None)
+        if corename is not None:
+            corename.argtypes = []
+            corename.restype = ctypes.c_char_p
+            return corename().decode()
+    return None
 
 
 @pytest.fixture(scope="session")

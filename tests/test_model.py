@@ -1,12 +1,15 @@
 import hashlib
 import json
+import os
 import struct
+import subprocess
+import sys
 import tracemalloc
 import zlib
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from charrnn.corpus import CorpusPlan, Vocabulary, build_vocab, make_sequences, shuffle_batches
@@ -35,6 +38,7 @@ from charrnn.model import (
 from charrnn.numerics import Rng
 from charrnn.objective import RmspropState, ce_loss
 from charrnn.trainer import TrainPlan, train_epoch
+from tests.conftest import REPO_ROOT, openblas_corename
 
 VOCAB5 = Vocabulary(tuple("abcde"))
 
@@ -221,7 +225,7 @@ class TestStepCap:
         # logits and their gradient 2*30 = 60, one gradient per parameter
         # 15 + 48 + 15 = 78: 232. Transient, the layer's backward: output
         # gradient 12, d table terms 5*(8 + 3*2 + 3) = 85, block scratch
-        # 2*4*3*2*2 = 96: 193, above the loss's 30 and the update's 3*24 = 72
+        # 2*4*3*2*2 = 96: 193, above the loss's 30 and the update's 24
         cfg = _config(kind=kind, widths=(2,), seq_len=3)
         assert model_module.expected_step_floats(cfg) == expected
 
@@ -237,11 +241,12 @@ class TestStepCap:
         held += sum(x.size for x in outputs) + sum(-(-m.size // 8) for m in tape.masks)
         params = list(model.params().values())
         held += 2 * logits.size + sum(p.size for p in params)
-        # the largest transient: the loss's shifted logits, the update's three
-        # temporaries of the largest parameter, or one layer's backward: its
-        # output gradient, an input gradient per direction and block scratch
+        # the largest transient: the loss's shifted logits, the update's one
+        # scratch array the size of the largest parameter, or one layer's
+        # backward: its output gradient, an input gradient per direction and
+        # block scratch
         v, e = model.embedding.table.shape
-        transient = [logits.size, 3 * max(p.size for p in params)]
+        transient = [logits.size, max(p.size for p in params)]
         for i, (dirs, out) in enumerate(zip(cell_tapes, outputs)):
             gates = dirs[0]["gates"]  # [L, B, kH], and L < _BLOCK: one block
             d_in = v * (gates.shape[2] + ids.size + e) if i == 0 else dirs[0]["xs"].size
@@ -319,22 +324,77 @@ class TestForwardIndexCheck:
 
 
 # SHA-256 of the first training step's logits bytes and the repr of its mean
-# loss, per kind and depth, with dropout on (see _first_step). A layout or
-# kernel change that moves any bit of the forward pass changes an entry.
+# loss, per kind and depth, with dropout on (see test_first_step_digest), keyed
+# by the OpenBLAS kernel set they were made on, since kernel sets round some
+# GEMM outputs differently. The sets other than SkylakeX were made from the
+# same code under a forced OPENBLAS_CORETYPE; forcing Prescott, Core2 or
+# Penryn reports Katmai. A layout or kernel change that moves any bit of the
+# forward pass changes an entry.
 _GOLDEN_FORWARD = {
-    "lstm1": ("efd96b03d32c490a8c1dce89b2232137ca5b937af60199ffdd317a9569bf520c",
-              "3.936144909173832"),
-    "lstm2": ("6bb87a4ac47748011b54d920821571754c6afdfa6268902aa3297a5a3f1c41c7",
-              "3.9344556635422623"),
-    "gru1": ("013ac60f47a7e1fdb3071f94812c583305e640fad6c49dbd8be56a0f7c8940f3",
-             "3.9285539793206605"),
-    "gru2": ("38f8e2a05d045e51b84be5f876543a9394df88c8bc72a56d96ae335e117f217a",
-             "3.931320512700102"),
-    "birnn1": ("609da3e99fd8f7e219f2bc8ac564343fb4c93a83b40361c2a1ed6de007bf9097",
-               "3.929153730816488"),
-    "birnn2": ("0fb88077d064830dd11edf32f76abf4b044861fa2fcde9f3815a5f3548f51144",
-               "3.930269621075852"),
+    "SkylakeX": {
+        "lstm1": ("efd96b03d32c490a8c1dce89b2232137ca5b937af60199ffdd317a9569bf520c",
+                  "3.936144909173832"),
+        "lstm2": ("6bb87a4ac47748011b54d920821571754c6afdfa6268902aa3297a5a3f1c41c7",
+                  "3.9344556635422623"),
+        "gru1": ("013ac60f47a7e1fdb3071f94812c583305e640fad6c49dbd8be56a0f7c8940f3",
+                 "3.9285539793206605"),
+        "gru2": ("38f8e2a05d045e51b84be5f876543a9394df88c8bc72a56d96ae335e117f217a",
+                 "3.931320512700102"),
+        "birnn1": ("609da3e99fd8f7e219f2bc8ac564343fb4c93a83b40361c2a1ed6de007bf9097",
+                   "3.929153730816488"),
+        "birnn2": ("0fb88077d064830dd11edf32f76abf4b044861fa2fcde9f3815a5f3548f51144",
+                   "3.930269621075852"),
+    },
+    "Haswell": {
+        "lstm1": ("d3b076eb4d1aafb280c71032d83d454bae3d7390eef2fa5c2952fb6defdcfc62",
+                  "3.936144909173832"),
+        "lstm2": ("6b8ce25fbb44066b194c7114ed8c7ebd36ac4f0e9b0d1d8f994d7ef51f2b6b28",
+                  "3.9344556635422623"),
+        "gru1": ("31b55689ec51b722171ff3ca3909a6cbacd0f5164588bccba1327cee44911f99",
+                 "3.9285539793206605"),
+        "gru2": ("ced3a754ce0dabc454e55548960f46da712cd9d9da07b753a0780edbebb2e3e5",
+                 "3.931320512700102"),
+        "birnn1": ("394b8dd5873956932c92856ed457ef9bbd056bc203f9ede2f02709dd6bd21f12",
+                   "3.929153730816488"),
+        "birnn2": ("793660cf4be8d71c09d7fdf44e32706842deb4422166c6de7191c87f6fc3ed44",
+                   "3.930269621075852"),
+    },
+    "Sandybridge": {
+        "lstm1": ("c2c42dc1527529394223b5e4160ec65c3ebdffad24399efacab78a2eb3967b60",
+                  "3.936144909173832"),
+        "lstm2": ("47eddf4bb849dcdf002554286ad5d41956fb2169140bade75ace9b3a372f95c3",
+                  "3.9344556635422623"),
+        "gru1": ("fa4358fb3b0dcfb199912e157831f90d231c84150df9c6f70e69927126f3783e",
+                 "3.9285539793206605"),
+        "gru2": ("149b1d187107c9fefb7198e1fc49d562d6dc6ab691a37ee86bb3485cad45759c",
+                 "3.9313205127001023"),
+        "birnn1": ("4c81d743d01ec7a03971d16f8ff0ba253d0e22ffeb3b9c775c0f253c5f976da4",
+                   "3.929153730816488"),
+        "birnn2": ("cd2d810e093aa5549325e55fb11c78d4cdf99196487b5f31b0d873b7d8f78946",
+                   "3.930269621075852"),
+    },
+    "Katmai": {
+        "lstm1": ("27d7deb54b8a1de3dfc6db9f979ce983412eeaa398052673bdbea6f9d03329bf",
+                  "3.936144909173832"),
+        "lstm2": ("6aa8745bfbf5e3390151fdb8767138490dc30c5877790a0369e09f658b71716a",
+                  "3.9344556635422623"),
+        "gru1": ("70e2cd04a67e1531b8f1fcdd631b9ecbc296ec556bad24e92c23375ce4ca4100",
+                 "3.9285539793206605"),
+        "gru2": ("39ac0d9c60a9a01f9c2deccbf9c1a0035ed2feb0a1a64cbe63e6070f8eef80e1",
+                 "3.9313205127001023"),
+        "birnn1": ("2313a7eb1485af0de2b2990e3eb2aefbe813cb42a2f7b79a9e04456843806f54",
+                   "3.929153730816488"),
+        "birnn2": ("85beefb2a490727746a5ea522da78a1d5c04d71deaa24990758d5f3fb5c93f4a",
+                   "3.930269621075852"),
+    },
 }
+
+
+def _forward_goldens(core: str | None) -> dict[str, tuple[str, str]]:
+    if core not in _GOLDEN_FORWARD:
+        pytest.fail(f"no golden logits digests for the OpenBLAS core {core!r}; "
+                    f"known cores: {', '.join(_GOLDEN_FORWARD)}")
+    return _GOLDEN_FORWARD[core]
 
 
 # sha256 of the checkpoint file of an untrained model; see test_file_digest
@@ -359,7 +419,26 @@ class TestGoldenForward:
         logits, _ = model.forward(rows[:, :-1], train=True, dropout_rng=Rng(3))
         report = ce_loss(logits, rows[:, 1:])
         got = (hashlib.sha256(logits.tobytes()).hexdigest(), repr(report.mean_loss))
-        assert got == _GOLDEN_FORWARD[f"{kind}{layers}"]
+        assert got == _forward_goldens(openblas_corename())[f"{kind}{layers}"]
+
+    def test_unknown_core_fails_with_its_name(self):
+        with pytest.raises(pytest.fail.Exception, match="OpenBLAS core 'Zen9'"):
+            _forward_goldens("Zen9")
+
+    def test_digests_hold_under_a_forced_haswell_kernel(self):
+        # the child alone gets OPENBLAS_CORETYPE; it reports the core it runs
+        # on, then runs the digest tests against that core's set
+        src = str(REPO_ROOT / "src")
+        env = {**os.environ, "OPENBLAS_CORETYPE": "Haswell",
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        code = ("import sys, pytest; from tests.conftest import openblas_corename; "
+                "print('core', openblas_corename()); "
+                "sys.exit(pytest.main(['-q', '-p', 'no:cacheprovider', "
+                "'tests/test_model.py::TestGoldenForward::test_first_step_digest']))")
+        child = subprocess.run([sys.executable, "-c", code], cwd=REPO_ROOT, env=env,
+                               capture_output=True, text=True, timeout=300)
+        assert child.stdout.startswith("core Haswell\n"), child.stdout
+        assert child.returncode == 0 and "6 passed" in child.stdout, child.stdout
 
 
 class TestCheckpoint:
@@ -497,7 +576,31 @@ class TestCheckpoint:
     def test_overflowing_dims_are_format_error(self, tmp_path):
         p = tmp_path / "m.ckpt"
         write_overflowing_dims_checkpoint(p)
-        with pytest.raises(CheckpointFormatError, match="implausible dims"):
+        with pytest.raises(CheckpointFormatError, match="embedding.table has rank 3"):
+            load_checkpoint(p)
+
+    def test_changed_rank_is_format_error_naming_the_parameter(self, tmp_path):
+        # the block's length is unknown once its rank is wrong
+        p = tmp_path / "m.ckpt"
+        save_checkpoint(build_model(_config(), VOCAB5), p)
+        blob = bytearray(p.read_bytes())
+        offset = _block_offset(bytes(blob), "rnn0.b")
+        blob[offset : offset + 4] = struct.pack("<I", 2)
+        p.write_bytes(_recrc(bytes(blob)))
+        with pytest.raises(CheckpointFormatError, match="rnn0.b has rank 2"):
+            load_checkpoint(p)
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_changed_dim_is_integrity_error_naming_the_parameter(self, tmp_path, axis):
+        # same rank, one dim one larger: the block's length comes from the config
+        p = tmp_path / "m.ckpt"
+        save_checkpoint(build_model(_config(), VOCAB5), p)
+        blob = bytearray(p.read_bytes())
+        field = _block_offset(bytes(blob), "rnn0.w_h") + 4 + 4 * axis
+        (dim,) = struct.unpack_from("<I", blob, field)
+        blob[field : field + 4] = struct.pack("<I", dim + 1)
+        p.write_bytes(_recrc(bytes(blob)))
+        with pytest.raises(CheckpointIntegrityError, match="rnn0.w_h has dims"):
             load_checkpoint(p)
 
 
@@ -526,6 +629,18 @@ def _recrc(blob: bytes) -> bytes:
 def _header(blob: bytes) -> dict:
     (header_len,) = struct.unpack_from("<I", blob, 8)
     return json.loads(blob[12 : 12 + header_len])
+
+
+def _block_offset(blob: bytes, name: str) -> int:
+    """Offset of the rank field of parameter name's block in a saved file."""
+    (header_len,) = struct.unpack_from("<I", blob, 8)
+    pos = 12 + header_len
+    config = ModelConfig(**_header(blob)["config"])
+    for key, shape in expected_param_shapes(config).items():
+        if key == name:
+            return pos
+        pos += 4 * (1 + len(shape) + int(np.prod(shape)))
+    raise KeyError(name)
 
 
 def _with_header(blob: bytes, header: dict) -> bytes:
@@ -598,6 +713,32 @@ class TestCheckpointFuzz:
         else:
             header["config"][key.split(".", 1)[1]] = value
         self._load(tmp_path_factory, _with_header(blob, header))
+
+    # Any other valid value of a field that fixes a parameter's shape makes
+    # the header disagree with the blocks, so a CRC-valid file is refused.
+    @settings(max_examples=200, deadline=None)
+    @given(edit=st.one_of(
+        st.tuples(st.just("kind"), st.sampled_from(KINDS)),
+        st.tuples(st.just("embed_dim"), st.integers(1, 64)),
+        st.tuples(st.just("layer_widths"), st.tuples(st.integers(0, 1), st.integers(1, 64))),
+        st.tuples(st.just("vocab_size"), st.integers(1, 64)),
+    ))
+    def test_shape_field_edits_are_refused(self, tmp_path_factory, blob, edit):
+        field, value = edit
+        header = _header(blob)
+        config = header["config"]
+        if field == "layer_widths":
+            i, width = value
+            config["layer_widths"][i] = width
+        else:
+            config[field] = value
+        if field == "vocab_size":
+            header["vocab"] = list(range(97, 97 + value))
+        assume(config != _header(blob)["config"])
+        p = tmp_path_factory.getbasetemp() / "shape-edit.ckpt"
+        p.write_bytes(_with_header(blob, header))
+        with pytest.raises((CheckpointFormatError, CheckpointIntegrityError)):
+            load_checkpoint(p)
 
 
 class TestRebuildForGeneration:

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -160,3 +161,38 @@ class TestRmsprop:
         state = RmspropState.for_params(params)
         with pytest.raises(OptimizerError, match="w"):
             rmsprop_step(params, {"w": np.array([np.nan])}, state)
+
+    def test_in_place_update_equals_the_formula_bitwise(self):
+        # the out-of-place form of the module docstring is the reference
+        rng = np.random.default_rng(4)
+        shapes = {"w": (7, 5), "b": (5,)}
+        params = {k: rng.normal(size=s) for k, s in shapes.items()}
+        state = RmspropState.for_params(params, alpha=3e-3, rho=0.95, epsilon=1e-7)
+        ref_p = {k: p.copy() for k, p in params.items()}
+        ref_v = {k: np.zeros(s) for k, s in shapes.items()}
+        for step in range(4):
+            grads = {k: rng.normal(scale=10.0 ** (step - 2), size=s) for k, s in shapes.items()}
+            grads["w"][0, :2] = [0.0, -0.0]
+            for k, g in grads.items():
+                ref_v[k] *= 0.95
+                ref_v[k] += (1.0 - 0.95) * g * g
+                ref_p[k] -= 3e-3 * g / np.sqrt(ref_v[k] + 1e-7)
+            rmsprop_step(params, grads, state)
+            for k in shapes:
+                assert params[k].tobytes() == ref_p[k].tobytes(), (step, k)
+                assert state.v[k].tobytes() == ref_v[k].tobytes(), (step, k)
+
+    def test_update_holds_one_scratch_per_parameter(self):
+        # the gradient becomes the step in place; the out-of-place form held
+        # three temporaries the size of the parameter
+        params = {"w": np.ones((256, 256))}
+        state = RmspropState.for_params(params)
+        rmsprop_step(params, {"w": np.ones((256, 256))}, state)  # warm-up
+        grads = {"w": np.full((256, 256), 0.5)}
+        tracemalloc.start()
+        try:
+            rmsprop_step(params, grads, state)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= params["w"].nbytes * 1.25 + 16_384, peak
