@@ -38,8 +38,21 @@ all the block's steps at once; the loop then carries dh (and the LSTM's dc)
 back one step at a time, scales da in place, and makes the recurrent
 matmuls: dh = da W_h^T (the GRU also da_n Wh_n^T for the reset path). After
 the loop, dW_x, dW_h, db and dxs are one GEMM or reduction each over the
-block's _BLOCK * B rows. Blocking bounds the extra memory of backward to
-[_BLOCK, B, kH] whatever the sequence length.
+block's _BLOCK * B rows.
+
+A training scan's tape holds the gates [L, B, kH] (their values, written
+over the pre-activations) and the layer's input. The GRU also tapes its
+whole h [L + 1, B, H], whose tail is its output: replaying
+h' = n + z*(h - n) would cost three ufuncs a step. The LSTM tapes h and c
+only at each block start t = 0, _BLOCK, 2 _BLOCK, ... ([2, ceil(L / _BLOCK),
+B, H]). Per block, its backward replays c from the block start with the
+forward's own ufuncs (c' = f*c, then += i*g) and rebuilds h_prev as
+tanh(c) * o from the tanh(c) the set-up takes anyway. Both equal the
+forward's states bit for bit, and neither needs a matmul, since each taped
+gate row already includes h W_h (recomputation instead of storage, as in
+Chen et al., arXiv:1604.06174). Blocking bounds the extra memory of backward
+to da [_BLOCK, B, kH] and a rebuild scratch [2, _BLOCK + 1, B, H], whatever
+the sequence length.
 
 The embedding is folded into layer 0. Its input is table[ids] with no dropout
 in between, so RecurrentStack.forward hands it an Embedded (the ids and the
@@ -62,9 +75,10 @@ per call, bit for bit.
 
 Cells hold only gate math. LstmCell and GruCell each define GATES, STATES
 (the names of the state arrays, h first: a cell's state is a tuple of [B, H]
-arrays in that order, then P in layer 0), _recur (one forward step) and
-_back_block (one backward block: the non-recurrent factors of da, the
-recurrent loop and dW_h). The private base _Cell holds the rest: the
+arrays in that order, then P in layer 0), KEEPS_H (whether the tape holds
+every h), _recur (one forward step) and _back_block (one backward block: the
+states the tape lacks, the non-recurrent factors of da, the recurrent loop
+and dW_h). The private base _Cell holds the rest: the
 kernels, the zero state, the block projection _project (rows W_x + b: one
 GEMM, then the bias added in place), the recurrence loop _loop, _step
 (time-major positions from a given state) and the scan _scan (a whole
@@ -79,9 +93,9 @@ Dropout keeps a boolean keep mask, one byte a unit, and scales in place:
 x * keep * s equals x times a float mask of 0 and s bit for bit. Its
 backward scales the gradient in place, which is safe because every such
 array is made by the stack or by a layer's backward; dropout never writes
-into a layer's output, since an LSTM or GRU output is its tape's h. A
-training step's memory peaks in the backward of one layer, on top of the
-tapes, dropout outputs and masks the forward left; model.expected_step_floats
+into a layer's output, since a GRU's output is its tape's h. A training
+step's memory peaks in the backward of one layer, on top of the tapes,
+dropout outputs and masks the forward left; model.expected_step_floats
 counts it.
 
 Parameters and gradients are named owner.name, as in rnn0.fwd.w_x: each
@@ -162,11 +176,12 @@ class _Cell:
 
     k is the subclass's GATES. Holds everything but the gate math: the zero
     state, step, the scan and the BPTT block loop (see the module docstring).
-    A subclass defines GATES, STATES, _recur and _back_block.
+    A subclass defines GATES, STATES, KEEPS_H, _recur and _back_block.
     """
 
     GATES: int
     STATES: tuple[str, ...]  # names of the [B, H] state arrays, h first
+    KEEPS_H: bool  # whether a training tape holds every h, not the block starts (see _scan)
 
     def __init__(self, w_x: np.ndarray, w_h: np.ndarray, b: np.ndarray):
         self.w_x = w_x
@@ -238,51 +253,79 @@ class _Cell:
         x W_x + b has no recurrence, so it is one GEMM before _loop, which
         turns each row gates[t] [B, kH], contiguous, into its gates in place.
         For an Embedded input the GEMM is table W_x + b, [V, kH], and the
-        steps' rows are gathered from it by id. Each state buffer
-        [L + 1, B, H] holds the zero state at index 0, so step t reads t and
-        writes t + 1, and hs is the buffer's contiguous tail.
+        steps' rows are gathered from it by id. h goes into a buffer
+        [L + 1, B, H] that holds the zero state at index 0, so step t reads t
+        and writes t + 1, and hs is the buffer's contiguous tail. Any other
+        state (the LSTM's c) goes into a buffer of _BLOCK steps that each
+        block overwrites from row 0; its first step reads the last block's
+        state before that row is written over.
+
+        The tape holds the gates and the input. A cell with KEEPS_H (the
+        GRU) also tapes the whole h buffer; any other (the LSTM) tapes, in
+        "starts", every state at each block start t0 = 0, _BLOCK, 2 _BLOCK,
+        ... ([S, ceil(L / _BLOCK), B, H]), from which _back_block rebuilds
+        the block's states.
         """
         if isinstance(xs, Embedded):
             gates = self._project(xs.embedding.table)[xs.ids]
         else:
             gates = self._project(xs)
         length, batch = gates.shape[:2]
-        states = [np.zeros((length + 1, batch, self.hidden_size)) for _ in self.STATES]
-        self._loop(gates, [s[0] for s in states], [s[1:] for s in states])
-        tape = {"xs": xs, "gates": gates, **dict(zip(self.STATES, states))} if train else None
-        return states[0][1:], tape
+        shape = (batch, self.hidden_size)
+        h = np.zeros((length + 1, *shape))
+        rest = [np.empty((min(length, _BLOCK), *shape)) for _ in self.STATES[1:]]
+        starts = None
+        if train and not self.KEEPS_H:
+            starts = np.empty((len(self.STATES), -(-length // _BLOCK), *shape))
+        state = self.init_state(batch)
+        for n, t0 in enumerate(range(0, length, _BLOCK)):
+            t1 = min(t0 + _BLOCK, length)
+            if starts is not None:
+                starts[:, n] = state
+            state = self._loop(gates[t0:t1], state, [h[t0 + 1 : t1 + 1],
+                                                     *(s[: t1 - t0] for s in rest)])
+        tape = None
+        if train:
+            kept = {"h": h} if self.KEEPS_H else {"starts": starts}
+            tape = {"xs": xs, "gates": gates, **kept}
+        return h[1:], tape
 
     def _bptt(self, tape, dhs: np.ndarray):
         """BPTT given d loss / d hs [L, B, H]. Returns (dxs, grads). The tape
         is not modified.
 
         Blocks of _BLOCK steps run last first and share one da scratch array
-        [t1 - t0, B, k, H]. _back_block fills da, carries the state
-        gradients across the block and adds its dW_h; the block's da rows are
-        then flushed into db, dW_x and dxs. For an Embedded input the rows are
-        only summed by id into S [V, kH]; the steps' x are rows of the table,
-        so after the last block dW_x = table^T S and d table = S W_x^T.
+        [t1 - t0, B, k, H] and one scratch [2, t1 - t0 + 1, B, H], in which
+        _back_block rebuilds the states the tape does not hold. _back_block
+        fills da, carries the state gradients across the block and adds its
+        dW_h; the block's da rows are then flushed into db, dW_x and dxs. For
+        an Embedded input the rows are only summed by id into S [V, kH]; the
+        steps' x are rows of the table, so after the last block
+        dW_x = table^T S and d table = S W_x^T.
         """
         xs = tape["xs"]
         embedded = isinstance(xs, Embedded)
         w_x_t = self.w_x.T
         length, batch, hidden = dhs.shape
         width = self.GATES * hidden
+        block = min(length, _BLOCK)
         grads = {k: np.zeros_like(v) for k, v in self.params().items()}
         dxs = np.zeros((xs.embedding.table.shape[0], width)) if embedded else np.empty(xs.shape)
         carry = tuple(np.zeros((batch, hidden)) for _ in self.STATES)
-        work = np.empty(batch * min(length, _BLOCK) * width)
+        work = np.empty(batch * block * width)
+        scratch = np.empty((2, block + 1, batch, hidden))
         for t0 in range((length - 1) // _BLOCK * _BLOCK, -1, -_BLOCK):
             t1 = min(t0 + _BLOCK, length)
             da = work[: (t1 - t0) * batch * width].reshape(t1 - t0, batch, self.GATES, hidden)
-            carry = self._back_block(tape, dhs, t0, t1, da, carry, grads["w_h"])
+            carry = self._back_block(tape, dhs, t0, t1, da, carry, grads["w_h"],
+                                     scratch[:, : t1 - t0 + 1])
             da = da.reshape(-1, width)
             grads["b"] += da.sum(axis=0)
             if embedded:
                 dxs += xs.embedding.backward(xs.ids[t0:t1], da)
             else:
                 grads["w_x"] += xs[t0:t1].reshape(-1, xs.shape[2]).T @ da
-                dxs[t0:t1] = (da @ w_x_t).reshape(t1 - t0, batch, -1)
+                np.matmul(da, w_x_t, out=dxs[t0:t1].reshape(-1, xs.shape[2]))
         if embedded:
             grads["w_x"] += xs.embedding.table.T @ dxs
             dxs = dxs @ w_x_t
@@ -294,6 +337,7 @@ class LstmCell(_Cell):
 
     GATES = 4
     STATES = ("h", "c")
+    KEEPS_H = False
     forward_seq, backward_seq, step = _Cell._scan, _Cell._bptt, _Cell._step
 
     def __init__(self, w_x: np.ndarray, w_h: np.ndarray, b: np.ndarray):
@@ -323,13 +367,27 @@ class LstmCell(_Cell):
         np.tanh(c, out=h)
         h *= o
 
-    def _back_block(self, tape, dhs, t0, t1, da, carry, dw_h):
-        """Steps [t0, t1) of BPTT: da, the carried (dh, dc) and dW_h."""
+    def _back_block(self, tape, dhs, t0, t1, da, carry, dw_h, scratch):
+        """Steps [t0, t1) of BPTT: the block's states, da, the carried
+        (dh, dc) and dW_h.
+
+        The tape holds h and c only at the block start. c is rebuilt into
+        scratch[0] ([t1 - t0 + 1, B, H]) by replaying the forward's own
+        ufuncs from there, c' = f*c, then += i*g, so it equals the forward's
+        bit for bit. Once the set-up has read c_prev, h_prev is rebuilt over
+        it, h' = tanh(c') * o from the tanh(c') the set-up takes anyway into
+        scratch[1]. On return scratch[0] holds h_prev for the block's steps
+        and, in its last row, c after step t1 - 1.
+        """
         block = tape["gates"][t0:t1]
-        c_all = tape["c"]
         batch, hs_n = da.shape[1], self.hidden_size
         w_h_t = self.w_h.T
         i, f, g, o = _split(block, 4)
+        cs, tc = scratch[0], scratch[1, 1:]  # c at t0..t1; tanh(c) after each step
+        h0, cs[0] = tape["starts"][:, t0 // _BLOCK]
+        for j in range(t1 - t0):
+            np.multiply(f[j], cs[j], out=cs[j + 1])
+            cs[j + 1] += i[j] * g[j]
         # da starts as the local derivative of each gate's pre-activation;
         # the loop scales it in place by dc (i, f, g) or by dh (o)
         da_i, da_f, da_g, da_o = (da[:, :, k] for k in range(4))
@@ -337,11 +395,14 @@ class LstmCell(_Cell):
         np.subtract(1.0, block, out=da_block)
         da_block *= block  # s * (1 - s), right for every gate but g
         da_i *= g
-        da_f *= c_all[t0:t1]
+        da_f *= cs[:-1]
         np.multiply(g, g, out=da_g)
         np.subtract(1.0, da_g, out=da_g)
         da_g *= i
-        tc = np.tanh(c_all[t0 + 1 : t1 + 1])
+        np.tanh(cs[1:], out=tc)
+        cs[0] = h0  # c_prev is read: the slab now takes h_prev
+        np.multiply(tc[:-1], o[:-1], out=cs[1:-1])
+        h_prev = cs[:-1]
         da_o *= tc
         dc_dh = np.multiply(tc, tc, out=tc)  # becomes o * (1 - tanh(c)^2)
         np.subtract(1.0, dc_dh, out=dc_dh)
@@ -355,7 +416,7 @@ class LstmCell(_Cell):
             da[j, :, 3] *= dh
             dh_next = da[j].reshape(batch, 4 * hs_n) @ w_h_t
             dc_next = dc * f[j]
-        dw_h += tape["h"][t0:t1].reshape(-1, hs_n).T @ da.reshape(-1, 4 * hs_n)
+        dw_h += h_prev.reshape(-1, hs_n).T @ da.reshape(-1, 4 * hs_n)
         return dh_next, dc_next
 
 
@@ -364,6 +425,7 @@ class GruCell(_Cell):
 
     GATES = 3
     STATES = ("h",)
+    KEEPS_H = True  # replaying h' = n + z*(h - n) costs more than its tape saves
     forward_seq, backward_seq, step = _Cell._scan, _Cell._bptt, _Cell._step
 
     def _recur(self, a, h_prev, h) -> None:
@@ -387,8 +449,9 @@ class GruCell(_Cell):
         h *= z
         h += n
 
-    def _back_block(self, tape, dhs, t0, t1, da, carry, dw_h):
-        """Steps [t0, t1) of BPTT: da, the carried dh and dW_h."""
+    def _back_block(self, tape, dhs, t0, t1, da, carry, dw_h, scratch):
+        """Steps [t0, t1) of BPTT: da, the carried dh and dW_h. h_prev is read
+        from the tape's whole h; scratch holds two temporaries."""
         batch, hs_n = da.shape[1], self.hidden_size
         w_h_zr_t = self.w_h[:, : 2 * hs_n].T
         w_h_n_t = self.w_h[:, 2 * hs_n :].T
@@ -404,7 +467,7 @@ class GruCell(_Cell):
         np.subtract(1.0, r, out=da_r)
         da_r *= r
         da_r *= h_prev
-        one_minus_nn = np.multiply(n, n)
+        one_minus_nn = np.multiply(n, n, out=scratch[0, 1:])
         np.subtract(1.0, one_minus_nn, out=one_minus_nn)
         da_n *= one_minus_nn
         (dh_next,) = carry
@@ -420,7 +483,8 @@ class GruCell(_Cell):
         da = da.reshape(-1, 3 * hs_n)
         h_prev = h_prev.reshape(-1, hs_n)
         dw_h[:, : 2 * hs_n] += h_prev.T @ da[:, : 2 * hs_n]
-        dw_h[:, 2 * hs_n :] += (r.reshape(-1, hs_n) * h_prev).T @ da[:, 2 * hs_n :]
+        rh = np.multiply(r.reshape(-1, hs_n), h_prev, out=scratch[1, 1:].reshape(-1, hs_n))
+        dw_h[:, 2 * hs_n :] += rh.T @ da[:, 2 * hs_n :]
         return (dh_next,)
 
 
@@ -572,7 +636,7 @@ class RecurrentStack:
         Embedded). The last dropout writes its output straight into the
         batch-major dense input, through a time-major view, so the logits
         keep their [B, L, V] rows with no transposed copy. Dropout never
-        writes into a layer's output: an LSTM or GRU output is the tape's h.
+        writes into a layer's output: a GRU's output is its tape's h.
         """
         x = Embedded(self.embedding, indices.T)
         cell_tapes = []

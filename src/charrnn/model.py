@@ -153,34 +153,43 @@ def expected_step_floats(config: ModelConfig) -> int:
     a boolean keep mask counts as one value per 8 units.
 
     From its forward to the end of its update a step holds, per direction of
-    a layer of width H, the gate tape B*L*kH and the state buffers
-    s*B*(L+1)*H; per layer of output width F (H, or 2H for birnn), its
-    dropout output B*L*F (the next layer's input, or the batch-major dense
-    input) and its keep mask; the logits and their gradient, B*L*V each; and
-    one gradient per parameter. On top sits the largest transient, which is
-    one layer's backward at every preset: its output gradient B*L*F, an
+    a layer of width H, the gate tape B*L*kH and the GRU's whole h,
+    B*(L+1)*H, or the LSTM's s states at every block start,
+    s*ceil(L/_BLOCK)*B*H, from which its backward rebuilds them; per layer of
+    output width F (H, or 2H for birnn), its dropout output B*L*F (the next
+    layer's input, or the batch-major dense input) and its keep mask; the
+    loss's gradient B*L*V, as the logits are dropped once the loss is taken;
+    and one gradient per parameter. On top sits the largest transient, which
+    is one layer's backward at every preset: its output gradient B*L*F, an
     input gradient per direction (B*L*D; for layer 0, whose input is the
     embedding, the [V, kH] sums, the [V, _BLOCK*B] one-hot of
     Embedding.backward and d table [V, E]) and the scratch of one BPTT block
-    of min(L, _BLOCK) steps, 2k*B*H per step. The loss's shifted logits
-    (B*L*V) and the update's one scratch array the size of the largest
+    of n = min(L, _BLOCK) steps: da, n*B*kH; the rebuild scratch,
+    2*(n+1)*B*H; and the largest product the block makes, of dW_h [H, kH],
+    the flush's [D, kH] and [n*B, D], or for layer 0 the id sums [V, kH]
+    with their boolean one-hot. The loss's logits and shifted logits
+    (2*B*L*V) and the update's one scratch array the size of the largest
     parameter are the other candidates.
     """
     cell, directions = _KIND_TABLE[config.kind]
     d, k, s = len(directions), cell.GATES, len(cell.STATES)
     b, t, v = config.batch_size, config.seq_len, config.vocab_size
-    block = min(t, _BLOCK)
-    held = 2 * b * t * v + expected_param_count(config)
+    block, starts = min(t, _BLOCK), -(-t // _BLOCK)
+    held = b * t * v + expected_param_count(config)
     largest = max(math.prod(shape) for shape in expected_param_shapes(config).values())
-    transient = max(b * t * v, largest)
+    transient = max(2 * b * t * v, largest)
     for h, h_in in zip(config.layer_widths, (None, *config.layer_widths)):
         f = d * h
-        held += d * b * (k * t + s * (t + 1)) * h + b * t * f + -(-b * t * f // 8)
+        tape = k * t + (t + 1 if cell.KEEPS_H else s * starts)
+        held += d * b * tape * h + b * t * f + -(-b * t * f // 8)
         if h_in is None:
             d_in = d * v * (k * h + block * b + config.embed_dim)
+            product = v * k * h + -(-v * block * b // 8)
         else:
             d_in = d * b * t * d * h_in
-        transient = max(transient, b * t * f + d_in + 2 * k * block * b * h)
+            product = max(d * h_in * k * h, block * b * d * h_in)
+        scratch = b * block * k * h + 2 * b * (block + 1) * h + max(k * h * h, product)
+        transient = max(transient, b * t * f + d_in + scratch)
     return held + transient
 
 
@@ -314,7 +323,7 @@ def load_checkpoint(path) -> Model:
         header = json.loads(blob[12:pos].decode("utf-8"))
         config = ModelConfig(**header["config"])
         vocab = Vocabulary(tuple(chr(c) for c in header["vocab"]))
-    except (ValueError, KeyError, TypeError, OverflowError) as exc:
+    except (ValueError, KeyError, TypeError, OverflowError, ConfigError) as exc:
         raise CheckpointFormatError(f"malformed header: {exc}") from exc
     except VocabularyError as exc:  # not sorted and unique
         raise CheckpointIntegrityError(str(exc)) from exc

@@ -77,6 +77,7 @@ def train_epoch(model: Model, batches, plan: TrainPlan, opt_state: RmspropState,
         t0 = time.perf_counter()
         logits, tape = model.forward(batch.inputs, train=True, dropout_rng=dropout_rng)
         report = ce_loss(logits, batch.targets)
+        del logits  # the backward needs only report.grad
         if not math.isfinite(report.mean_loss):
             raise TrainingError(
                 f"non-finite loss {report.mean_loss!r} at batch {k}; aborting epoch"
@@ -87,7 +88,7 @@ def train_epoch(model: Model, batches, plan: TrainPlan, opt_state: RmspropState,
         seconds.append(time.perf_counter() - t0)
         losses.append(report.mean_loss)
         # rebound only by the next step, these would live through its forward
-        del logits, tape, report, grads
+        del tape, report, grads
     return float(np.mean(losses)), 1000.0 * float(np.mean(seconds))
 
 

@@ -27,6 +27,18 @@ def openblas_corename() -> str | None:
     return None
 
 
+def numpy_cpu_features() -> dict[str, bool]:
+    """numpy's SIMD dispatch targets, each with whether it is enabled here.
+
+    NPY_DISABLE_CPU_FEATURES in the environment turns targets off.
+    """
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:  # numpy < 2
+        from numpy.core._multiarray_umath import __cpu_features__
+    return dict(__cpu_features__)
+
+
 @pytest.fixture(scope="session")
 def fixture_path() -> Path:
     return FIXTURE_CORPUS

@@ -255,6 +255,17 @@ class TestGenerateCommand:
         _assert_one_error_line(code, err)
         assert out == "" and "embed_dim must be an integer" in err
 
+    def test_bad_kind_in_header_exit_1(self, checkpoint, tmp_path):
+        blob = checkpoint.read_bytes()
+        header = _header(blob)
+        header["config"]["kind"] = "xx"
+        bad = tmp_path / "kind.ckpt"
+        bad.write_bytes(_with_header(blob, header))
+        code, out, err = _run(["generate", "--checkpoint", str(bad), "--prime", "a",
+                               "--length", "5"])
+        _assert_one_error_line(code, err)
+        assert out == "" and "malformed header: kind must be one of" in err
+
     def test_non_finite_checkpoint_exit_1(self, tmp_path, capsys):
         bad = tmp_path / "nan.ckpt"
         write_non_finite_checkpoint(bad, float("nan"))

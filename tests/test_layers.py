@@ -1,4 +1,7 @@
 import importlib.util
+import os
+import subprocess
+import sys
 from collections import Counter
 
 import numpy as np
@@ -10,6 +13,7 @@ from charrnn.corpus import Vocabulary
 from charrnn.exceptions import ConfigError, ShapeError, VocabularyError
 from charrnn.generator import GenerationPlan, generate
 from charrnn.layers import (
+    _BLOCK,
     BidirectionalLstm,
     Dense,
     Embedded,
@@ -22,7 +26,8 @@ from charrnn.layers import (
 )
 from charrnn.model import ModelConfig, build_model
 from charrnn.numerics import Rng, sample_categorical, sigmoid
-from tests.conftest import REPO_ROOT, finite_difference, rel_err
+from tests.conftest import REPO_ROOT, finite_difference, numpy_cpu_features, rel_err
+from tests.stack_reference import stack_reference
 
 
 def _rand(shape, scale=0.4, seed=0):
@@ -351,6 +356,55 @@ class TestScan:
         assert rel_err(dxs, fd[-1]) < 1e-4
 
 
+class TestLstmRebuild:
+    """The LSTM tapes h and c only at block starts, and its backward rebuilds
+    them: c by replaying the forward's ufuncs, h_prev as tanh(c) * o. Both
+    must equal the scan's states bit for bit, though the rebuild takes tanh
+    over a whole block where the scan takes it per step on [B, H] rows. After
+    _back_block over steps [t0, t1), scratch[0] holds h_prev for those steps
+    and, in its last row, c after step t1 - 1."""
+
+    @pytest.mark.parametrize("length", [1, 24, 25, 26, 51, 100])
+    def test_rebuild_is_bitwise(self, length):
+        batch = 3
+        for hidden in (7, 64):
+            cell = _cell("lstm", d_in=5, hidden=hidden, seed=40 + hidden)
+            xs = _rand((length, batch, 5), scale=1.0, seed=41)
+            hs, tape = cell.forward_seq(xs, train=True)
+            # every step's h and c from the scan's recurrence and projection
+            h_all, c_all = np.empty((2, length, batch, hidden))
+            cell._loop(cell._project(xs), cell.init_state(batch), [h_all, c_all])
+            assert h_all.tobytes() == hs.tobytes()
+            zero = np.zeros((batch, hidden))
+            h_prev = np.concatenate([zero[None], h_all[:-1]])
+            for t0 in range(0, length, _BLOCK):
+                for t1 in range(t0 + 1, min(t0 + _BLOCK, length) + 1):
+                    n = t1 - t0
+                    scratch = np.empty((2, n + 1, batch, hidden))
+                    cell._back_block(tape, np.zeros_like(hs), t0, t1,
+                                     np.empty((n, batch, 4, hidden)), (zero, zero),
+                                     np.zeros_like(cell.w_h), scratch)
+                    assert scratch[0, n].tobytes() == c_all[t1 - 1].tobytes(), (hidden, t1)
+                    assert scratch[0, :n].tobytes() == h_prev[t0:t1].tobytes(), (hidden, t1)
+
+    def test_rebuild_is_bitwise_without_avx512(self):
+        # the child alone runs with numpy's AVX-512 dispatch targets off, so
+        # its ufuncs take the AVX2 paths; it reports that X86_V4 is off
+        if not numpy_cpu_features().get("X86_V4"):
+            pytest.skip("numpy has no X86_V4 dispatch path on this host")
+        src = str(REPO_ROOT / "src")
+        env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR",
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        code = ("import sys, pytest; from tests.conftest import numpy_cpu_features; "
+                "print('X86_V4', numpy_cpu_features()['X86_V4']); "
+                "sys.exit(pytest.main(['-q', '-p', 'no:cacheprovider', "
+                "'tests/test_layers.py::TestLstmRebuild::test_rebuild_is_bitwise']))")
+        child = subprocess.run([sys.executable, "-c", code], cwd=REPO_ROOT, env=env,
+                               capture_output=True, text=True, timeout=300)
+        assert child.stdout.startswith("X86_V4 False\n"), child.stdout
+        assert child.returncode == 0 and "6 passed" in child.stdout, child.stdout
+
+
 class TestEmbeddingFold:
     """Layer 0 reads (table W_x + b)[ids] and returns d table; the reference
     gathers table[ids], runs layer 0 on it as on any other layer's input and
@@ -633,6 +687,53 @@ class TestStackGradientWithDropout:
                 fd = (up - down) / (2.0 * h)
                 worst = max(worst, abs(fd - analytic[i]) / max(1e-6, abs(fd) + abs(analytic[i])))
         assert worst < 1e-4, f"worst rel err {worst:.3e}"
+
+
+def _norm_rel(got: np.ndarray, ref: np.ndarray) -> float:
+    """||got - ref|| / ||ref||; 0 where both are all zeros."""
+    diff = float(np.linalg.norm(got - ref))
+    return diff if diff == 0.0 else diff / float(np.linalg.norm(ref))
+
+
+class TestStackAgainstReference:
+    """The whole training step against tests/stack_reference.py: a per-step,
+    batch-major reference with no hoisted projection, no backward blocks and
+    no folded embedding, fed the keep masks the model's forward drew. Lengths
+    1, 24, 25, 26 and 51 end before, at and after the _BLOCK = 25 boundaries,
+    where the LSTM's backward rebuilds h and c from its block starts and
+    carries dh and dc across."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(kind=st.sampled_from(["lstm", "gru", "birnn"]),
+           widths=st.lists(st.integers(1, 9), min_size=1, max_size=3),
+           embed=st.integers(1, 9), vocab=st.integers(2, 9), batch=st.integers(1, 4),
+           length=st.sampled_from([1, 24, 25, 26, 51]), dropout=st.sampled_from([0.0, 0.4]),
+           seed=st.integers(0, 2**16))
+    def test_step_matches_reference(self, kind, widths, embed, vocab, batch, length,
+                                    dropout, seed):
+        from charrnn.objective import ce_loss
+
+        config = ModelConfig(kind=kind, layer_widths=tuple(widths), vocab_size=vocab,
+                             batch_size=batch, embed_dim=embed, dropout=dropout,
+                             seq_len=length, init_seed=seed)
+        model = build_model(config, Vocabulary(tuple("abcdefghi"[:vocab])))
+        rng = np.random.default_rng(seed)
+        for p in model.params().values():
+            p += rng.normal(scale=0.3, size=p.shape)
+        ids = rng.integers(0, vocab, (batch, length + 1))
+        inputs, targets = ids[:, :-1], ids[:, 1:]
+
+        logits, tape = model.forward(inputs, train=True, dropout_rng=Rng(seed))
+        report = ce_loss(logits, targets)
+        grads = model.backward(tape, report.grad)
+        ref_logits, ref_loss, ref_grads = stack_reference(
+            model.params(), kind, dropout, inputs, targets, tape.masks)
+
+        assert _norm_rel(logits, ref_logits) <= 1e-12
+        assert abs(report.mean_loss - ref_loss) <= 1e-12 * abs(ref_loss)
+        assert set(ref_grads) == set(grads)
+        worst = max(grads, key=lambda k: _norm_rel(grads[k], ref_grads[k]))
+        assert _norm_rel(grads[worst], ref_grads[worst]) <= 1e-12, worst
 
 
 def _leaves(state):

@@ -218,14 +218,16 @@ _STEP_SLACK = 64 * 1024
 
 
 class TestStepCap:
-    @pytest.mark.parametrize("kind, expected", [("lstm", 425), ("gru", 351), ("birnn", 673)])
+    @pytest.mark.parametrize("kind, expected", [("lstm", 399), ("gru", 351), ("birnn", 623)])
     def test_worked_example(self, kind, expected):
-        # B=2, L=3, H=2, V=5, E=3. lstm, held: gates 2*3*8 = 48, h and c
-        # 2*2*4*2 = 32, dropout output 2*3*2 = 12 and its mask ceil(12/8) = 2,
-        # logits and their gradient 2*30 = 60, one gradient per parameter
-        # 15 + 48 + 15 = 78: 232. Transient, the layer's backward: output
-        # gradient 12, d table terms 5*(8 + 3*2 + 3) = 85, block scratch
-        # 2*4*3*2*2 = 96: 193, above the loss's 30 and the update's 24
+        # B=2, L=3, H=2, V=5, E=3. lstm, held: gates 2*3*8 = 48, h and c at
+        # the one block start 2*1*2*2 = 8, dropout output 2*3*2 = 12 and its
+        # mask ceil(12/8) = 2, the loss gradient 2*3*5 = 30, one gradient per
+        # parameter 15 + 48 + 15 = 78: 178. Transient, the layer's backward:
+        # output gradient 12, d table terms 5*(8 + 3*2 + 3) = 85, block
+        # scratch: da 3*2*8 = 48, rebuild 2*4*2*2 = 32 and the id sums with
+        # their one-hot 5*8 + ceil(5*3*2/8) = 44, above dW_h's 2*8 = 16: 221,
+        # above the loss's 60 and the update's 24
         cfg = _config(kind=kind, widths=(2,), seq_len=3)
         assert model_module.expected_step_floats(cfg) == expected
 
@@ -240,17 +242,28 @@ class TestStepCap:
         outputs = [dirs[0]["xs"] for dirs in cell_tapes[1:]] + [tape.dense_input]
         held += sum(x.size for x in outputs) + sum(-(-m.size // 8) for m in tape.masks)
         params = list(model.params().values())
-        held += 2 * logits.size + sum(p.size for p in params)
-        # the largest transient: the loss's shifted logits, the update's one
-        # scratch array the size of the largest parameter, or one layer's
-        # backward: its output gradient, an input gradient per direction and
-        # block scratch
+        held += logits.size + sum(p.size for p in params)
+        # the largest transient: the loss's logits and shifted logits, the
+        # update's one scratch array the size of the largest parameter, or
+        # one layer's backward: its output gradient, an input gradient per
+        # direction and block scratch (da, the rebuild's two slabs and the
+        # largest product of the block)
         v, e = model.embedding.table.shape
-        transient = [logits.size, max(p.size for p in params)]
+        transient = [2 * logits.size, max(p.size for p in params)]
         for i, (dirs, out) in enumerate(zip(cell_tapes, outputs)):
             gates = dirs[0]["gates"]  # [L, B, kH], and L < _BLOCK: one block
-            d_in = v * (gates.shape[2] + ids.size + e) if i == 0 else dirs[0]["xs"].size
-            transient.append(out.size + len(dirs) * d_in + 2 * gates.size)
+            xs = dirs[0]["xs"]
+            length, batch, width = gates.shape
+            hidden = out.shape[2] // len(dirs)
+            if i == 0:
+                d_in = v * (width + ids.size + e)
+                product = v * width + -(-v * ids.size // 8)
+            else:
+                d_in = xs.size
+                product = max(xs.shape[2] * width, xs.size)
+            scratch = gates.size + 2 * (length + 1) * batch * hidden
+            transient.append(out.size + len(dirs) * d_in + scratch
+                             + max(hidden * width, product))
         assert model_module.expected_step_floats(cfg) == held + max(transient)
 
     # A step's tracemalloc peak, over two steps after a warm-up step, so a
@@ -610,6 +623,24 @@ class TestCheckpoint:
         write_non_finite_checkpoint(p, value)
         with pytest.raises(CheckpointIntegrityError, match="dense.b"):
             load_checkpoint(p)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("kind", "xx", "kind must be one of"),
+        ("embed_dim", 0, "embed_dim must be >= 1"),
+        ("dropout", 1.5, "dropout must be in [0, 1)"),
+    ])
+    def test_bad_config_value_is_format_error(self, tmp_path, field, value, message):
+        # a CRC-valid header whose config ModelConfig refuses: the error names
+        # the checkpoint as bad and keeps the field's own text
+        p = tmp_path / "m.ckpt"
+        save_checkpoint(build_model(_config(), VOCAB5), p)
+        header = _header(p.read_bytes())
+        header["config"][field] = value
+        p.write_bytes(_with_header(p.read_bytes(), header))
+        with pytest.raises(CheckpointFormatError, match=r"^malformed header: ") as info:
+            load_checkpoint(p)
+        assert message in str(info.value)
+        assert isinstance(info.value.__cause__, ConfigError)
 
     def test_unsorted_vocab_is_integrity_error(self, tmp_path):
         p = tmp_path / "m.ckpt"
