@@ -40,19 +40,18 @@ matmuls: dh = da W_h^T (the GRU also da_n Wh_n^T for the reset path). After
 the loop, dW_x, dW_h, db and dxs are one GEMM or reduction each over the
 block's _BLOCK * B rows.
 
-A training scan's tape holds the gates [L, B, kH] (their values, written
-over the pre-activations) and the layer's input. The GRU also tapes its
-whole h [L + 1, B, H], whose tail is its output: replaying
-h' = n + z*(h - n) would cost three ufuncs a step. The LSTM tapes h and c
-only at each block start t = 0, _BLOCK, 2 _BLOCK, ... ([2, ceil(L / _BLOCK),
-B, H]). Per block, its backward replays c from the block start with the
-forward's own ufuncs (c' = f*c, then += i*g) and rebuilds h_prev as
-tanh(c) * o from the tanh(c) the set-up takes anyway. Both equal the
-forward's states bit for bit, and neither needs a matmul, since each taped
-gate row already includes h W_h (recomputation instead of storage, as in
-Chen et al., arXiv:1604.06174). Blocking bounds the extra memory of backward
-to da [_BLOCK, B, kH] and a rebuild scratch [2, _BLOCK + 1, B, H], whatever
-the sequence length.
+A training scan's tape holds the layer's input, the gates [L, B, kH] (their
+values, written over the pre-activations) and, in "starts", every state at
+each block start t = 0, _BLOCK, 2 _BLOCK, ... ([S, ceil(L / _BLOCK), B, H]
+for a cell of S states); it holds no array the scan returns. Before each
+block, backward replays the block's states from its start with the cell's
+_advance, the state update the forward runs after its gate math (the LSTM's
+c' = f*c + i*g, h' = o*tanh(c'); the GRU's h' = n + z*(h - n)). The replay
+needs no matmul, since each taped gate row already includes h W_h, and it
+equals the forward's states bit for bit, as it is the same code
+(recomputation instead of storage, as in Chen et al., arXiv:1604.06174).
+Blocking bounds the extra memory of backward to da [_BLOCK, B, kH] and a
+replay scratch [2, _BLOCK + 1, B, H], whatever the sequence length.
 
 The embedding is folded into layer 0. Its input is table[ids] with no dropout
 in between, so RecurrentStack.forward hands it an Embedded (the ids and the
@@ -75,28 +74,29 @@ per call, bit for bit.
 
 Cells hold only gate math. LstmCell and GruCell each define GATES, STATES
 (the names of the state arrays, h first: a cell's state is a tuple of [B, H]
-arrays in that order, then P in layer 0), KEEPS_H (whether the tape holds
-every h), _recur (one forward step) and _back_block (one backward block: the
-states the tape lacks, the non-recurrent factors of da, the recurrent loop
-and dW_h). The private base _Cell holds the rest: the
+arrays in that order, then P in layer 0), _recur (one forward step: the
+gates, then _advance), _advance (the state update from finished gates) and
+_back_block (one backward block: the non-recurrent factors of da, the
+recurrent loop and dW_h). The private base _Cell holds the rest: the
 kernels, the zero state, the block projection _project (rows W_x + b: one
 GEMM, then the bias added in place), the recurrence loop _loop, _step
 (time-major positions from a given state) and the scan _scan (a whole
 sequence from the zero state, with its hoisted projection and tape), which
-both run _loop, and the BPTT block loop _bptt with its flush of da into
-dW_x, db and dxs (or S). Each cell binds forward_seq, backward_seq and step
-to _Cell's methods in its own class body, because perfbench/tracing.py
-rebinds them through the class __dict__, where a name that is only inherited
-is not found; tests/test_layers.py checks those names resolve.
+both run _loop, the replay _replay, and the BPTT block loop _bptt with its
+flush of da into dW_x, db and dxs (or S). Each cell binds forward_seq,
+backward_seq and step to _Cell's methods in its own class body, because
+perfbench/tracing.py rebinds them through the class __dict__, where a name
+that is only inherited is not found; tests/test_layers.py checks those names
+resolve.
 
 Dropout keeps a boolean keep mask, one byte a unit, and scales in place:
 x * keep * s equals x times a float mask of 0 and s bit for bit. Its
 backward scales the gradient in place, which is safe because every such
-array is made by the stack or by a layer's backward; dropout never writes
-into a layer's output, since a GRU's output is its tape's h. A training
-step's memory peaks in the backward of one layer, on top of the tapes,
-dropout outputs and masks the forward left; model.expected_step_floats
-counts it.
+array is made by the stack or by a layer's backward. The forward writes a
+new array (or the dense input); no tape holds a layer's output, so it could
+write in place. A training step's memory peaks in the backward of one
+layer, on top of the tapes, dropout outputs and masks the forward left;
+model.expected_step_floats counts it.
 
 Parameters and gradients are named owner.name, as in rnn0.fwd.w_x: each
 owner (the stack for its layers, the bidirectional wrapper for its two
@@ -108,6 +108,7 @@ here wrap arrays they are given.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import cycle
 
 import numpy as np
 
@@ -175,13 +176,13 @@ class _Cell:
     """One recurrent direction: kernels w_x [D, kH], w_h [H, kH], bias b [kH].
 
     k is the subclass's GATES. Holds everything but the gate math: the zero
-    state, step, the scan and the BPTT block loop (see the module docstring).
-    A subclass defines GATES, STATES, KEEPS_H, _recur and _back_block.
+    state, step, the scan, the replay and the BPTT block loop (see the module
+    docstring). A subclass defines GATES, STATES, _recur, _advance and
+    _back_block.
     """
 
     GATES: int
     STATES: tuple[str, ...]  # names of the [B, H] state arrays, h first
-    KEEPS_H: bool  # whether a training tape holds every h, not the block starts (see _scan)
 
     def __init__(self, w_x: np.ndarray, w_h: np.ndarray, b: np.ndarray):
         self.w_x = w_x
@@ -211,16 +212,24 @@ class _Cell:
         out += self.b
         return out.reshape(*rows.shape[:-1], -1)
 
-    def _loop(self, gates, prev, out) -> list[np.ndarray]:
-        """The recurrence: from the state arrays prev ([B, H] each), turn each
-        row gates[t] [B, kH] of x W_x + b into its gates in place and write
-        position t's state into out[:][t] ([L, B, H] each). Returns the last
-        position's state arrays. The scan and the step both run it."""
-        for t in range(len(gates)):
-            now = [s[t] for s in out]
-            self._recur(gates[t], *prev, *now)
-            prev = now
-        return prev
+    def _loop(self, gates, state, starts=None):
+        """The recurrence: from the state arrays ([B, H] each), turn each row
+        gates[t] [B, kH] of x W_x + b into its gates in place. Returns (hs
+        [L, B, H], the last position's state arrays); the state passed in is
+        not written. Any state but h (the LSTM's c) goes into a buffer of
+        _BLOCK rows, step t writing row t % _BLOCK, so a block's first step
+        reads the last block's state before that row is written over. Given
+        starts [S, ceil(L / _BLOCK), B, H], the state at each block start
+        t = 0, _BLOCK, 2 _BLOCK, ... is copied into it. The scan and the step
+        both run it."""
+        hs = np.empty((len(gates), *state[0].shape))
+        rest = [cycle(np.empty((min(len(gates), _BLOCK), *s.shape))) for s in state[1:]]
+        for t, (a, *now) in enumerate(zip(gates, hs, *rest)):
+            if starts is not None and t % _BLOCK == 0:
+                starts[:, t // _BLOCK] = state
+            self._recur(a, *state, *now)
+            state = now
+        return hs, state
 
     def _step(self, x, state):
         """Run the time-major positions x [L, B, D] from state. Returns
@@ -242,9 +251,8 @@ class _Cell:
         if gates.ndim != 3 or gates.shape[1] != len(state[0]):
             raise ShapeError(f"step takes x [L, B, D] or Embedded ids [L, B] with the state's "
                              f"batch B = {len(state[0])}; its gates are {gates.shape}")
-        out = [np.empty((len(gates), *s.shape)) for s in state[:k]]
-        last = self._loop(gates, state[:k], out)
-        return out[0], (*last, *state[k:])
+        hs, last = self._loop(gates, state[:k])
+        return hs, (*last, *state[k:])
 
     def _scan(self, xs, train: bool):
         """Scan the whole time-major sequence xs [L, B, D] from a zero state.
@@ -253,55 +261,47 @@ class _Cell:
         x W_x + b has no recurrence, so it is one GEMM before _loop, which
         turns each row gates[t] [B, kH], contiguous, into its gates in place.
         For an Embedded input the GEMM is table W_x + b, [V, kH], and the
-        steps' rows are gathered from it by id. h goes into a buffer
-        [L + 1, B, H] that holds the zero state at index 0, so step t reads t
-        and writes t + 1, and hs is the buffer's contiguous tail. Any other
-        state (the LSTM's c) goes into a buffer of _BLOCK steps that each
-        block overwrites from row 0; its first step reads the last block's
-        state before that row is written over.
+        steps' rows are gathered from it by id.
 
-        The tape holds the gates and the input. A cell with KEEPS_H (the
-        GRU) also tapes the whole h buffer; any other (the LSTM) tapes, in
-        "starts", every state at each block start t0 = 0, _BLOCK, 2 _BLOCK,
-        ... ([S, ceil(L / _BLOCK), B, H]), from which _back_block rebuilds
-        the block's states.
+        The tape holds the input, the gates and, in "starts", every state at
+        each block start ([S, ceil(L / _BLOCK), B, H]), from which _replay
+        rebuilds a block's states. It holds no array the scan returns.
         """
         if isinstance(xs, Embedded):
             gates = self._project(xs.embedding.table)[xs.ids]
         else:
             gates = self._project(xs)
         length, batch = gates.shape[:2]
-        shape = (batch, self.hidden_size)
-        h = np.zeros((length + 1, *shape))
-        rest = [np.empty((min(length, _BLOCK), *shape)) for _ in self.STATES[1:]]
         starts = None
-        if train and not self.KEEPS_H:
-            starts = np.empty((len(self.STATES), -(-length // _BLOCK), *shape))
-        state = self.init_state(batch)
-        for n, t0 in enumerate(range(0, length, _BLOCK)):
-            t1 = min(t0 + _BLOCK, length)
-            if starts is not None:
-                starts[:, n] = state
-            state = self._loop(gates[t0:t1], state, [h[t0 + 1 : t1 + 1],
-                                                     *(s[: t1 - t0] for s in rest)])
-        tape = None
         if train:
-            kept = {"h": h} if self.KEEPS_H else {"starts": starts}
-            tape = {"xs": xs, "gates": gates, **kept}
-        return h[1:], tape
+            starts = np.empty((len(self.STATES), -(-length // _BLOCK), batch, self.hidden_size))
+        hs, _ = self._loop(gates, self.init_state(batch), starts)
+        return hs, ({"xs": xs, "gates": gates, "starts": starts} if train else None)
+
+    def _replay(self, tape, t0, t1, scratch) -> None:
+        """Rebuild the states of steps [t0, t1) into scratch [S, t1 - t0 + 1,
+        B, H]: scratch[:, j] is the state step t0 + j reads, and scratch[:, -1]
+        the state after step t1 - 1. It runs _advance from the tape's block
+        start over the taped gates, which already include h W_h, so no matmul
+        is made and the states equal the forward's bit for bit."""
+        scratch[:, 0] = tape["starts"][:, t0 // _BLOCK]
+        steps = list(zip(*scratch))  # each step's tuple of [B, H] state arrays
+        gates = zip(*_split(tape["gates"][t0:t1], self.GATES))
+        for row, prev, now in zip(gates, steps, steps[1:]):
+            self._advance(row, prev, now)
 
     def _bptt(self, tape, dhs: np.ndarray):
         """BPTT given d loss / d hs [L, B, H]. Returns (dxs, grads). The tape
         is not modified.
 
         Blocks of _BLOCK steps run last first and share one da scratch array
-        [t1 - t0, B, k, H] and one scratch [2, t1 - t0 + 1, B, H], in which
-        _back_block rebuilds the states the tape does not hold. _back_block
-        fills da, carries the state gradients across the block and adds its
-        dW_h; the block's da rows are then flushed into db, dW_x and dxs. For
-        an Embedded input the rows are only summed by id into S [V, kH]; the
-        steps' x are rows of the table, so after the last block
-        dW_x = table^T S and d table = S W_x^T.
+        [t1 - t0, B, k, H] and one scratch [2, t1 - t0 + 1, B, H]. Per block,
+        _replay rebuilds the block's states into the scratch's first S slabs;
+        _back_block then fills da, carries the state gradients across the
+        block and adds its dW_h, and the block's da rows are flushed into db,
+        dW_x and dxs. For an Embedded input the rows are only summed by id
+        into S [V, kH]; the steps' x are rows of the table, so after the last
+        block dW_x = table^T S and d table = S W_x^T.
         """
         xs = tape["xs"]
         embedded = isinstance(xs, Embedded)
@@ -317,8 +317,9 @@ class _Cell:
         for t0 in range((length - 1) // _BLOCK * _BLOCK, -1, -_BLOCK):
             t1 = min(t0 + _BLOCK, length)
             da = work[: (t1 - t0) * batch * width].reshape(t1 - t0, batch, self.GATES, hidden)
-            carry = self._back_block(tape, dhs, t0, t1, da, carry, grads["w_h"],
-                                     scratch[:, : t1 - t0 + 1])
+            states = scratch[:, : t1 - t0 + 1]
+            self._replay(tape, t0, t1, states[: len(self.STATES)])
+            carry = self._back_block(tape, dhs, t0, t1, da, carry, grads["w_h"], states)
             da = da.reshape(-1, width)
             grads["b"] += da.sum(axis=0)
             if embedded:
@@ -337,7 +338,6 @@ class LstmCell(_Cell):
 
     GATES = 4
     STATES = ("h", "c")
-    KEEPS_H = False
     forward_seq, backward_seq, step = _Cell._scan, _Cell._bptt, _Cell._step
 
     def __init__(self, w_x: np.ndarray, w_h: np.ndarray, b: np.ndarray):
@@ -360,34 +360,28 @@ class LstmCell(_Cell):
         np.tanh(a, out=a)
         a *= self._scale
         a += self._shift
-        hs = c.shape[1]
-        i, f, g, o = a[:, :hs], a[:, hs : 2 * hs], a[:, 2 * hs : 3 * hs], a[:, 3 * hs :]
-        np.multiply(f, c_prev, out=c)
+        self._advance(_split(a, 4), (h_prev, c_prev), (h, c))
+
+    def _advance(self, gates, prev, now) -> None:
+        """The state update from the gates (i, f, g, o), [B, H] each:
+        c' = f*c + i*g, h' = o*tanh(c'), written into now (h, c)."""
+        i, f, g, o = gates
+        h, c = now
+        np.multiply(f, prev[1], out=c)
         c += i * g
         np.tanh(c, out=h)
         h *= o
 
     def _back_block(self, tape, dhs, t0, t1, da, carry, dw_h, scratch):
-        """Steps [t0, t1) of BPTT: the block's states, da, the carried
-        (dh, dc) and dW_h.
-
-        The tape holds h and c only at the block start. c is rebuilt into
-        scratch[0] ([t1 - t0 + 1, B, H]) by replaying the forward's own
-        ufuncs from there, c' = f*c, then += i*g, so it equals the forward's
-        bit for bit. Once the set-up has read c_prev, h_prev is rebuilt over
-        it, h' = tanh(c') * o from the tanh(c') the set-up takes anyway into
-        scratch[1]. On return scratch[0] holds h_prev for the block's steps
-        and, in its last row, c after step t1 - 1.
-        """
+        """Steps [t0, t1) of BPTT: da, the carried (dh, dc) and dW_h, given
+        the replayed h and c in scratch[0] and scratch[1] (see _replay);
+        tanh(c) after each step is taken over scratch[1]'s rows in place,
+        once the set-up has read c_prev."""
         block = tape["gates"][t0:t1]
         batch, hs_n = da.shape[1], self.hidden_size
         w_h_t = self.w_h.T
         i, f, g, o = _split(block, 4)
-        cs, tc = scratch[0], scratch[1, 1:]  # c at t0..t1; tanh(c) after each step
-        h0, cs[0] = tape["starts"][:, t0 // _BLOCK]
-        for j in range(t1 - t0):
-            np.multiply(f[j], cs[j], out=cs[j + 1])
-            cs[j + 1] += i[j] * g[j]
+        h_prev, cs = scratch[0, :-1], scratch[1]
         # da starts as the local derivative of each gate's pre-activation;
         # the loop scales it in place by dc (i, f, g) or by dh (o)
         da_i, da_f, da_g, da_o = (da[:, :, k] for k in range(4))
@@ -399,10 +393,7 @@ class LstmCell(_Cell):
         np.multiply(g, g, out=da_g)
         np.subtract(1.0, da_g, out=da_g)
         da_g *= i
-        np.tanh(cs[1:], out=tc)
-        cs[0] = h0  # c_prev is read: the slab now takes h_prev
-        np.multiply(tc[:-1], o[:-1], out=cs[1:-1])
-        h_prev = cs[:-1]
+        tc = np.tanh(cs[1:], out=cs[1:])
         da_o *= tc
         dc_dh = np.multiply(tc, tc, out=tc)  # becomes o * (1 - tanh(c)^2)
         np.subtract(1.0, dc_dh, out=dc_dh)
@@ -425,7 +416,6 @@ class GruCell(_Cell):
 
     GATES = 3
     STATES = ("h",)
-    KEEPS_H = True  # replaying h' = n + z*(h - n) costs more than its tape saves
     forward_seq, backward_seq, step = _Cell._scan, _Cell._bptt, _Cell._step
 
     def _recur(self, a, h_prev, h) -> None:
@@ -445,18 +435,26 @@ class GruCell(_Cell):
         n += a[:, 2 * hs :]
         np.tanh(n, out=n)
         a[:, 2 * hs :] = n
-        np.subtract(h_prev, n, out=h)  # h' = z*h + (1-z)*n = n + z*(h - n)
+        self._advance((z, r, n), (h_prev,), (h,))
+
+    def _advance(self, gates, prev, now) -> None:
+        """The state update from the gates (z, r, n), [B, H] each:
+        h' = z*h + (1-z)*n, as n + z*(h - n), written into now (h,)."""
+        z, _, n = gates
+        (h,) = now
+        np.subtract(prev[0], n, out=h)
         h *= z
         h += n
 
     def _back_block(self, tape, dhs, t0, t1, da, carry, dw_h, scratch):
-        """Steps [t0, t1) of BPTT: da, the carried dh and dW_h. h_prev is read
-        from the tape's whole h; scratch holds two temporaries."""
+        """Steps [t0, t1) of BPTT: da, the carried dh and dW_h, given the
+        replayed h in scratch[0] (see _replay); scratch[1] holds two
+        temporaries in turn."""
         batch, hs_n = da.shape[1], self.hidden_size
         w_h_zr_t = self.w_h[:, : 2 * hs_n].T
         w_h_n_t = self.w_h[:, 2 * hs_n :].T
         z, r, n = _split(tape["gates"][t0:t1], 3)
-        h_prev = tape["h"][t0:t1]
+        h_prev, temp = scratch[0, :-1], scratch[1, 1:]
         # da starts as the local derivative of each pre-activation; the
         # loop scales it in place by dh (z, n) or by d loss / d (r*h) (r)
         da_z, da_r, da_n = (da[:, :, k] for k in range(3))
@@ -467,7 +465,7 @@ class GruCell(_Cell):
         np.subtract(1.0, r, out=da_r)
         da_r *= r
         da_r *= h_prev
-        one_minus_nn = np.multiply(n, n, out=scratch[0, 1:])
+        one_minus_nn = np.multiply(n, n, out=temp)
         np.subtract(1.0, one_minus_nn, out=one_minus_nn)
         da_n *= one_minus_nn
         (dh_next,) = carry
@@ -483,7 +481,7 @@ class GruCell(_Cell):
         da = da.reshape(-1, 3 * hs_n)
         h_prev = h_prev.reshape(-1, hs_n)
         dw_h[:, : 2 * hs_n] += h_prev.T @ da[:, : 2 * hs_n]
-        rh = np.multiply(r.reshape(-1, hs_n), h_prev, out=scratch[1, 1:].reshape(-1, hs_n))
+        rh = np.multiply(r.reshape(-1, hs_n), h_prev, out=temp.reshape(-1, hs_n))
         dw_h[:, 2 * hs_n :] += rh.T @ da[:, 2 * hs_n :]
         return (dh_next,)
 
@@ -635,8 +633,7 @@ class RecurrentStack:
         reads the transposed ids and the table, not gathered rows (see
         Embedded). The last dropout writes its output straight into the
         batch-major dense input, through a time-major view, so the logits
-        keep their [B, L, V] rows with no transposed copy. Dropout never
-        writes into a layer's output: a GRU's output is its tape's h.
+        keep their [B, L, V] rows with no transposed copy.
         """
         x = Embedded(self.embedding, indices.T)
         cell_tapes = []

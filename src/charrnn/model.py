@@ -153,18 +153,18 @@ def expected_step_floats(config: ModelConfig) -> int:
     a boolean keep mask counts as one value per 8 units.
 
     From its forward to the end of its update a step holds, per direction of
-    a layer of width H, the gate tape B*L*kH and the GRU's whole h,
-    B*(L+1)*H, or the LSTM's s states at every block start,
-    s*ceil(L/_BLOCK)*B*H, from which its backward rebuilds them; per layer of
-    output width F (H, or 2H for birnn), its dropout output B*L*F (the next
-    layer's input, or the batch-major dense input) and its keep mask; the
+    a layer of width H, the gate tape B*L*kH and the cell's s states at
+    every block start, s*ceil(L/_BLOCK)*B*H, from which its backward replays
+    them; per layer of output width F (H, or 2H for birnn), its dropout
+    output B*L*F (the next layer's input, or the batch-major dense input)
+    and its keep mask; the
     loss's gradient B*L*V, as the logits are dropped once the loss is taken;
     and one gradient per parameter. On top sits the largest transient, which
     is one layer's backward at every preset: its output gradient B*L*F, an
     input gradient per direction (B*L*D; for layer 0, whose input is the
     embedding, the [V, kH] sums, the [V, _BLOCK*B] one-hot of
     Embedding.backward and d table [V, E]) and the scratch of one BPTT block
-    of n = min(L, _BLOCK) steps: da, n*B*kH; the rebuild scratch,
+    of n = min(L, _BLOCK) steps: da, n*B*kH; the replay scratch,
     2*(n+1)*B*H; and the largest product the block makes, of dW_h [H, kH],
     the flush's [D, kH] and [n*B, D], or for layer 0 the id sums [V, kH]
     with their boolean one-hot. The loss's logits and shifted logits
@@ -180,8 +180,7 @@ def expected_step_floats(config: ModelConfig) -> int:
     transient = max(2 * b * t * v, largest)
     for h, h_in in zip(config.layer_widths, (None, *config.layer_widths)):
         f = d * h
-        tape = k * t + (t + 1 if cell.KEEPS_H else s * starts)
-        held += d * b * tape * h + b * t * f + -(-b * t * f // 8)
+        held += d * b * (k * t + s * starts) * h + b * t * f + -(-b * t * f // 8)
         if h_in is None:
             d_in = d * v * (k * h + block * b + config.embed_dim)
             product = v * k * h + -(-v * block * b // 8)

@@ -355,37 +355,55 @@ class TestScan:
             assert rel_err(grads[name], numeric) < 1e-4, name
         assert rel_err(dxs, fd[-1]) < 1e-4
 
+    @pytest.mark.parametrize("kind", ["lstm", "gru", "birnn"])
+    def test_backward_never_reads_the_output(self, kind):
+        # the tape holds the input, the gates and the block starts, never the
+        # returned hs, so a caller may write over hs before backward
+        layer = _cell(kind, d_in=4, hidden=5, seed=50)
+        xs = _rand((53, 3, 4), seed=51)
+        dhs = _rand((53, 3, 10 if kind == "birnn" else 5), seed=52)
+        _, tape = layer.forward_seq(xs, train=True)
+        want_dxs, want = layer.backward_seq(tape, dhs)
+        hs, tape = layer.forward_seq(xs, train=True)
+        for cell_tape in (tape["f"], tape["b"]) if kind == "birnn" else (tape,):
+            assert set(cell_tape) == {"xs", "gates", "starts"}
+        hs.fill(np.nan)
+        dxs, grads = layer.backward_seq(tape, dhs)
+        assert dxs.tobytes() == want_dxs.tobytes()
+        assert all(grads[k].tobytes() == want[k].tobytes() for k in want)
 
-class TestLstmRebuild:
-    """The LSTM tapes h and c only at block starts, and its backward rebuilds
-    them: c by replaying the forward's ufuncs, h_prev as tanh(c) * o. Both
-    must equal the scan's states bit for bit, though the rebuild takes tanh
-    over a whole block where the scan takes it per step on [B, H] rows. After
-    _back_block over steps [t0, t1), scratch[0] holds h_prev for those steps
-    and, in its last row, c after step t1 - 1."""
+
+class TestRebuild:
+    """Every cell tapes its states only at block starts, and _replay rebuilds
+    a block's states from there with the cell's _advance, the update the
+    forward runs. They must equal the scan's states bit for bit. After
+    _replay over steps [t0, t1), scratch[:, j] holds the states step t0 + j
+    reads and scratch[:, -1] the states after step t1 - 1."""
 
     @pytest.mark.parametrize("length", [1, 24, 25, 26, 51, 100])
-    def test_rebuild_is_bitwise(self, length):
+    @pytest.mark.parametrize("kind", ["lstm", "gru"])
+    def test_rebuild_is_bitwise(self, kind, length):
         batch = 3
         for hidden in (7, 64):
-            cell = _cell("lstm", d_in=5, hidden=hidden, seed=40 + hidden)
+            cell = _cell(kind, d_in=5, hidden=hidden, seed=40 + hidden)
             xs = _rand((length, batch, 5), scale=1.0, seed=41)
             hs, tape = cell.forward_seq(xs, train=True)
-            # every step's h and c from the scan's recurrence and projection
-            h_all, c_all = np.empty((2, length, batch, hidden))
-            cell._loop(cell._project(xs), cell.init_state(batch), [h_all, c_all])
-            assert h_all.tobytes() == hs.tobytes()
-            zero = np.zeros((batch, hidden))
-            h_prev = np.concatenate([zero[None], h_all[:-1]])
+            # every step's states from the scan's recurrence and projection;
+            # states[:, t] is what step t reads
+            states = [cell.init_state(batch)]
+            for a in cell._project(xs):
+                now = tuple(np.empty((batch, hidden)) for _ in cell.STATES)
+                cell._recur(a, *states[-1], *now)
+                states.append(now)
+            states = np.array(states).swapaxes(0, 1)  # [S, L + 1, B, H]
+            assert states[0, 1:].tobytes() == hs.tobytes()
             for t0 in range(0, length, _BLOCK):
                 for t1 in range(t0 + 1, min(t0 + _BLOCK, length) + 1):
                     n = t1 - t0
-                    scratch = np.empty((2, n + 1, batch, hidden))
-                    cell._back_block(tape, np.zeros_like(hs), t0, t1,
-                                     np.empty((n, batch, 4, hidden)), (zero, zero),
-                                     np.zeros_like(cell.w_h), scratch)
-                    assert scratch[0, n].tobytes() == c_all[t1 - 1].tobytes(), (hidden, t1)
-                    assert scratch[0, :n].tobytes() == h_prev[t0:t1].tobytes(), (hidden, t1)
+                    scratch = np.empty((len(cell.STATES), n + 1, batch, hidden))
+                    cell._replay(tape, t0, t1, scratch)
+                    assert scratch[:, n].tobytes() == states[:, t1].tobytes(), (hidden, t1)
+                    assert scratch[:, :n].tobytes() == states[:, t0:t1].tobytes(), (hidden, t1)
 
     def test_rebuild_is_bitwise_without_avx512(self):
         # the child alone runs with numpy's AVX-512 dispatch targets off, so
@@ -398,11 +416,11 @@ class TestLstmRebuild:
         code = ("import sys, pytest; from tests.conftest import numpy_cpu_features; "
                 "print('X86_V4', numpy_cpu_features()['X86_V4']); "
                 "sys.exit(pytest.main(['-q', '-p', 'no:cacheprovider', "
-                "'tests/test_layers.py::TestLstmRebuild::test_rebuild_is_bitwise']))")
+                "'tests/test_layers.py::TestRebuild::test_rebuild_is_bitwise']))")
         child = subprocess.run([sys.executable, "-c", code], cwd=REPO_ROOT, env=env,
                                capture_output=True, text=True, timeout=300)
         assert child.stdout.startswith("X86_V4 False\n"), child.stdout
-        assert child.returncode == 0 and "6 passed" in child.stdout, child.stdout
+        assert child.returncode == 0 and "12 passed" in child.stdout, child.stdout
 
 
 class TestEmbeddingFold:
