@@ -35,7 +35,10 @@ a length of at least 16 bytes; the header length, then the header; per
 parameter, that its block ends before the checksum, its rank, its dims; no
 stray bytes; the CRC; finite values. The header is read before the CRC is
 checked because only the config says where the blocks end: a truncated file
-must read as a format error, not as a CRC mismatch.
+must read as a format error, not as a CRC mismatch. The walk streams: it
+needs a regular file, whose size it takes from fstat, and reads the values
+in bounded chunks into one float64 block that the parameters view, with a
+running CRC, so a load never holds the file.
 
 Training arithmetic is float64; checkpoints store float32, so values are
 rounded once on save and save -> load -> save is byte-identical. Saving
@@ -50,10 +53,11 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import os
+import stat
 import struct
 import zlib
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -84,6 +88,7 @@ _VERSION = 1
 MAX_PARAMS = 2**31
 # ... and configs whose training step holds more float64 values: 16 GiB, 16x birnn uni
 MAX_STEP_FLOATS = 2**31
+_LOAD_CHUNK = 1 << 16  # float32 values per read in load_checkpoint
 
 
 def preset_widths(name: str, scale: float = 1.0) -> tuple[int, ...]:
@@ -295,31 +300,57 @@ def save_checkpoint(model: Model, path) -> None:
 
 
 def load_checkpoint(path) -> Model:
-    """Read, verify and rebuild the model in one walk of the layout its header implies.
+    """Read, verify and rebuild the model in one streaming walk of the layout its header implies.
 
-    Checks run in this order: magic, version and a length of at least 16
-    bytes; the header length, then the header; then, per parameter of
+    path must name a regular file, whose size fstat gives before anything is
+    read. Checks run in this order: magic, version and a length of at least
+    16 bytes; the header length, then the header; then, per parameter of
     expected_param_shapes(config), that its block ends before the checksum,
     its rank and its dims; no stray bytes before the checksum; the CRC;
     finite values. The header comes before the CRC because only the config
     says where each block ends, so a truncated file reads as a format error
     rather than a CRC mismatch.
+
+    Values are read _LOAD_CHUNK at a time into one reused float32 array and
+    cast into one float64 block that the parameters are views of, the CRC-32
+    running over the bytes as they are read, so a load holds the parameters
+    and one chunk, never the file. A read that comes up short, as when the
+    file shrank after fstat, is the format error of a file that short.
     """
-    blob = Path(path).read_bytes()
-    n = len(blob)
-    if n < 8 or blob[:4] != _MAGIC:
+    # without O_NONBLOCK, opening a FIFO would wait for a writer; a regular
+    # file reads the same either way
+    with open(os.open(path, os.O_RDONLY | getattr(os, "O_NONBLOCK", 0)), "rb") as f:
+        info = os.fstat(f.fileno())
+        if not stat.S_ISREG(info.st_mode):
+            raise CheckpointFormatError(f"{os.fspath(path)} is not a regular file")
+        return _read_checkpoint(f, info.st_size)
+
+
+def _read_checkpoint(f, n: int) -> Model:
+    """The model in the checkpoint f, a file of n bytes open at its start."""
+    def read(size: int, error: str) -> bytes:
+        data = f.read(size)
+        if len(data) != size:
+            raise CheckpointFormatError(error)
+        return data
+
+    head = f.read(12)
+    if len(head) < 8 or head[:4] != _MAGIC:
         raise CheckpointFormatError("bad magic: not a checkpoint file")
-    (version,) = struct.unpack_from("<I", blob, 4)
+    (version,) = struct.unpack_from("<I", head, 4)
     if version != _VERSION:
         raise CheckpointFormatError(f"unsupported version {version}, expected {_VERSION}")
-    if n < 16:
+    if n < 16 or len(head) < 12:
         raise CheckpointFormatError(f"file is {n} bytes, too short for a checkpoint")
-    (header_len,) = struct.unpack_from("<I", blob, 8)
+    (header_len,) = struct.unpack_from("<I", head, 8)
     pos = 12 + header_len
+    overrun = f"header of {header_len} bytes overruns the file at offset 12"
     if pos > n - 4:
-        raise CheckpointFormatError(f"header of {header_len} bytes overruns the file at offset 12")
+        raise CheckpointFormatError(overrun)
+    text = read(header_len, overrun)
+    crc = zlib.crc32(text, zlib.crc32(head[8:]))
     try:
-        header = json.loads(blob[12:pos].decode("utf-8"))
+        header = json.loads(text.decode("utf-8"))
         config = ModelConfig(**header["config"])
         vocab = Vocabulary(tuple(chr(c) for c in header["vocab"]))
     except (ValueError, KeyError, TypeError, OverflowError, ConfigError) as exc:
@@ -330,33 +361,54 @@ def load_checkpoint(path) -> Model:
         raise CheckpointIntegrityError(
             f"header vocab has {vocab.size} characters, config says {config.vocab_size}"
         )
-    values = {}
-    for name, shape in expected_param_shapes(config).items():
-        rank, count = len(shape), math.prod(shape)
+    shapes = expected_param_shapes(config)
+    counts = [math.prod(shape) for shape in shapes.values()]
+    # One allocation for all values. With one per parameter, glibc trimmed
+    # and refaulted the heap on every load of a process that loads again.
+    # Every value that passes its block's bound check fits in n // 4.
+    block = np.empty(min(sum(counts), n // 4))
+    staging = np.empty(min(_LOAD_CHUNK, max(counts)), dtype="<f4")
+    staged = memoryview(staging).cast("B")
+    params = {}
+    offset = 0
+    for (name, shape), count in zip(shapes.items(), counts):
+        rank = len(shape)
         data = pos + 4 * (1 + rank)
+        truncated = f"truncated parameter {name} at offset {pos}"
         if data + 4 * count > n - 4:
-            raise CheckpointFormatError(f"truncated parameter {name} at offset {pos}")
-        (stored_rank,) = struct.unpack_from("<I", blob, pos)
+            raise CheckpointFormatError(truncated)
+        fields = read(4 * (1 + rank), truncated)
+        crc = zlib.crc32(fields, crc)
+        (stored_rank,) = struct.unpack_from("<I", fields)
         if stored_rank != rank:
             # the block's length is then unknown, so the walk cannot go on
             raise CheckpointFormatError(
                 f"parameter {name} has rank {stored_rank} at offset {pos}, expected {rank}"
             )
-        dims = struct.unpack_from(f"<{rank}I", blob, pos + 4)
+        dims = struct.unpack_from(f"<{rank}I", fields, 4)
         if dims != shape:
             raise CheckpointIntegrityError(f"parameter {name} has dims {dims}, expected {shape}")
-        values[name] = np.frombuffer(blob, dtype="<f4", count=count, offset=data).reshape(shape)
+        for start in range(offset, offset + count, _LOAD_CHUNK):
+            k = min(_LOAD_CHUNK, offset + count - start)
+            if f.readinto(staged[: 4 * k]) != 4 * k:
+                raise CheckpointFormatError(truncated)
+            crc = zlib.crc32(staged[: 4 * k], crc)
+            # a signalling NaN raises the invalid flag as it widens; the
+            # finite check below is what refuses it
+            with np.errstate(invalid="ignore"):
+                np.copyto(block[start : start + k], staging[:k])
+        params[name] = block[offset : offset + count].reshape(shape)
+        offset += count
         pos = data + 4 * count
     if pos != n - 4:
         raise CheckpointFormatError(f"stray bytes before the checksum at offset {pos}")
-    (stored_crc,) = struct.unpack_from("<I", blob, pos)
-    if zlib.crc32(memoryview(blob)[8:pos]) != stored_crc:
+    # a file cut inside the checksum leaves the last block short of it
+    (stored_crc,) = struct.unpack("<I", read(4, truncated))
+    if crc != stored_crc:
         raise CheckpointIntegrityError("payload CRC-32 mismatch")
-    params = {}
-    for name, raw in values.items():
-        if not np.isfinite(raw).all():
+    for name, values in params.items():
+        if not np.isfinite(values).all():
             raise CheckpointIntegrityError(f"parameter {name} holds non-finite values")
-        params[name] = raw.astype(np.float64)
     return Model(config, vocab, params)
 
 

@@ -266,6 +266,27 @@ class TestGenerateCommand:
         _assert_one_error_line(code, err)
         assert out == "" and "malformed header: kind must be one of" in err
 
+    @pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="no /dev/zero")
+    def test_endless_checkpoint_exit_1(self):
+        # a device never ends, so the loader refuses it before reading
+        code, out, err = _run(["generate", "--checkpoint", "/dev/zero", "--prime", "a",
+                               "--length", "5"])
+        _assert_one_error_line(code, err)
+        assert out == "" and "/dev/zero is not a regular file" in err
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    def test_fifo_checkpoint_exit_1(self, tmp_path):
+        # no writer ever opens the pipe; a child, so a wait cannot hang the suite
+        fifo = tmp_path / "pipe.ckpt"
+        os.mkfifo(fifo)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+        child = subprocess.run([sys.executable, "-m", "charrnn", "generate", "--checkpoint",
+                                str(fifo), "--prime", "a", "--length", "5"],
+                               env=env, capture_output=True, text=True, timeout=60)
+        _assert_one_error_line(child.returncode, child.stderr)
+        assert child.stdout == "" and "is not a regular file" in child.stderr
+
     def test_non_finite_checkpoint_exit_1(self, tmp_path, capsys):
         bad = tmp_path / "nan.ckpt"
         write_non_finite_checkpoint(bad, float("nan"))

@@ -5,7 +5,9 @@ import struct
 import subprocess
 import sys
 import tracemalloc
+import warnings
 import zlib
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -38,6 +40,7 @@ from charrnn.model import (
 from charrnn.numerics import Rng
 from charrnn.objective import RmspropState, ce_loss
 from charrnn.trainer import TrainPlan, train_epoch
+from tests.checkpoint_reference import reference_load
 from tests.conftest import REPO_ROOT, openblas_corename
 
 VOCAB5 = Vocabulary(tuple("abcde"))
@@ -485,14 +488,14 @@ class TestCheckpoint:
         save_checkpoint(build_model(_config(), VOCAB5), p2)
         assert p1.read_bytes() == p2.read_bytes()
 
-    def test_load_holds_one_copy_of_the_file(self, tmp_path):
-        # the file's bytes, the float64 parameters, one temporary the size of
-        # the largest parameter and some slack; a copy of the payload is more
+    def test_load_holds_no_copy_of_the_file(self, tmp_path):
+        # the float64 parameters, one temporary the size of the largest
+        # parameter and some slack; the file's bytes held whole are more
         model = build_model(_config(widths=(48, 48, 48), embed_dim=16), VOCAB5)
         p = tmp_path / "m.ckpt"
         save_checkpoint(model, p)
         sizes = [a.size for a in model.params().values()]
-        bound = p.stat().st_size + 8 * sum(sizes) + 8 * max(sizes) + 16_384
+        bound = 8 * sum(sizes) + 8 * max(sizes) + 16_384
         load_checkpoint(p)  # lazy imports and caches are not the load's
         tracemalloc.start()
         try:
@@ -537,6 +540,11 @@ class TestCheckpoint:
         p = tmp_path / "m.ckpt"
         save_checkpoint(build_model(config, fixture_vocab), p)
         assert hashlib.sha256(p.read_bytes()).hexdigest() == _GOLDEN_CHECKPOINT[kind]
+        # widths whose kernels span several load chunks at the smaller size
+        for chunk in (model_module._LOAD_CHUNK, 4093):
+            with mock.patch.object(model_module, "_LOAD_CHUNK", chunk):
+                loaded = _load_outcome(load_checkpoint, p)
+            assert loaded == _load_outcome(reference_load, p)
 
     def test_truncation_is_format_error(self, tmp_path):
         p = tmp_path / "m.ckpt"
@@ -546,6 +554,30 @@ class TestCheckpoint:
             p.write_bytes(blob[:cut])
             with pytest.raises(CheckpointFormatError):
                 load_checkpoint(p)
+
+    @pytest.mark.parametrize("name, into", [
+        ("embedding.table", 6),  # in its dims
+        ("rnn0.w_h", 30),  # in its values
+        ("dense.b", 30),  # in the checksum after it
+    ])
+    def test_file_shrinking_after_fstat_is_format_error(self, tmp_path, monkeypatch,
+                                                        name, into):
+        # the reads then come up short of the size fstat gave; the error is
+        # the one the reference gives for a file cut there from the start
+        p = tmp_path / "m.ckpt"
+        save_checkpoint(build_model(_config(), VOCAB5), p)
+        offset = _block_offset(p.read_bytes(), name)
+        real_fstat = os.fstat
+        def fstat_then_shrink(fd):
+            info = real_fstat(fd)
+            os.truncate(p, offset + into)
+            return info
+        monkeypatch.setattr(model_module.os, "fstat", fstat_then_shrink)
+        with pytest.raises(CheckpointFormatError,
+                           match=rf"^truncated parameter {name} at offset {offset}$") as info:
+            load_checkpoint(p)
+        monkeypatch.undo()
+        assert _load_outcome(reference_load, p) == (CheckpointFormatError, str(info.value))
 
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "m.ckpt"
@@ -627,6 +659,21 @@ class TestCheckpoint:
         write_non_finite_checkpoint(p, value)
         with pytest.raises(CheckpointIntegrityError, match="dense.b"):
             load_checkpoint(p)
+
+    def test_signalling_nan_is_integrity_error_without_a_warning(self, tmp_path):
+        # widening a signalling NaN to float64 raises the invalid flag; the
+        # one outcome is the finite check's error
+        p = tmp_path / "m.ckpt"
+        save_checkpoint(build_model(_config(), VOCAB5), p)
+        blob = bytearray(p.read_bytes())
+        first = _block_offset(bytes(blob), "dense.b") + 8  # rank 1, one dim
+        blob[first : first + 4] = struct.pack("<I", 0x7F800001)
+        p.write_bytes(_recrc(bytes(blob)))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(CheckpointIntegrityError, match="dense.b holds non-finite"):
+                load_checkpoint(p)
+        assert caught == []
 
     @pytest.mark.parametrize("field, value, message", [
         ("kind", "xx", "kind must be one of"),
@@ -774,6 +821,47 @@ class TestCheckpointFuzz:
         p.write_bytes(_with_header(blob, header))
         with pytest.raises((CheckpointFormatError, CheckpointIntegrityError)):
             load_checkpoint(p)
+
+
+def _load_outcome(load, path):
+    """What load(path) gives: the error's class and message, or the model's
+    config, vocabulary and parameter bytes."""
+    try:
+        model = load(path)
+    except CharRnnError as exc:
+        return type(exc), str(exc)
+    return (model.config, model.vocab.chars,
+            {name: (p.dtype, p.shape, p.tobytes()) for name, p in model.params().items()})
+
+
+class TestAgainstReference:
+    """The streaming loader and the whole-file reference agree on every file."""
+
+    @pytest.fixture(scope="class")
+    def blob(self, tmp_path_factory):
+        p = tmp_path_factory.mktemp("reference") / "m.ckpt"
+        save_checkpoint(build_model(_config(kind="birnn", widths=(3, 2)), VOCAB5), p)
+        return p.read_bytes()
+
+    @settings(max_examples=400, deadline=None)
+    @given(edit=_BYTE_EDITS, recrc=st.booleans(), chunk=st.integers(1, 40))
+    @example(edit=("truncate", 0), recrc=False, chunk=1)
+    def test_byte_edits(self, tmp_path_factory, blob, edit, recrc, chunk):
+        edited = _apply(blob, edit)
+        p = tmp_path_factory.getbasetemp() / "edited.ckpt"
+        p.write_bytes(_recrc(edited) if recrc and len(edited) >= 12 else edited)
+        with mock.patch.object(model_module, "_LOAD_CHUNK", chunk):
+            streamed = _load_outcome(load_checkpoint, p)
+        assert streamed == _load_outcome(reference_load, p)
+
+    def test_crc_comes_before_the_finite_check(self, tmp_path, blob):
+        # a NaN written without fixing the CRC is a CRC mismatch to both
+        edited = bytearray(blob)
+        edited[-6:-4] = b"\xff\xff"  # the high half of dense.b's last value
+        p = tmp_path / "nan.ckpt"
+        p.write_bytes(bytes(edited))
+        expected = (CheckpointIntegrityError, "payload CRC-32 mismatch")
+        assert _load_outcome(load_checkpoint, p) == _load_outcome(reference_load, p) == expected
 
 
 class TestRebuildForGeneration:
