@@ -6,6 +6,9 @@ x uni, bi, quad), each recording per-epoch mean loss and ms per step. Outputs
 one checkpoint and history CSV per run plus a merged long-format report.csv
 ready for plotting loss-vs-epoch curves.
 
+Every flag but --outdir goes to `charrnn train` as is, which parses it; the
+corpus defaults to the bundled sample.
+
 Example:
     python scripts/run_comparison.py --outdir runs --epochs 10 --scale 0.0625
 """
@@ -22,38 +25,29 @@ from charrnn.model import KINDS, PRESETS
 from charrnn.trainer import parse_history
 
 
-def parse_args():
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--corpus", default=str(REPO_ROOT / "data" / "tiny_script.txt"))
+def main() -> int:
+    # no prefix matching, so an --out... flag goes to train, not to --outdir
+    parser = argparse.ArgumentParser(
+        description=__doc__.splitlines()[0], allow_abbrev=False,
+        epilog="Every other flag is passed to charrnn train; see its --help.")
     parser.add_argument("--outdir", default="comparison_runs")
-    parser.add_argument("--epochs", type=int, default=75)
-    parser.add_argument("--scale", type=float, default=1.0,
-                        help="multiply preset widths (use e.g. 0.0625 for a quick pass)")
-    parser.add_argument("--seq-len", type=int, default=100)
-    parser.add_argument("--batch-size", type=int, default=64)
-    parser.add_argument("--embed-dim", type=int, default=256)
-    parser.add_argument("--lr", type=float, default=1e-3)
-    parser.add_argument("--dropout", type=float, default=0.4)
-    parser.add_argument("--seed", type=int, default=0)
-    return parser.parse_args()
-
-
-def main():
-    args = parse_args()
+    args, train_args = parser.parse_known_args()
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     runs = [f"{kind}_{preset}" for kind in KINDS for preset in PRESETS]
     for run in runs:
         kind, preset = run.split("_")
         print(f"== {run}")
-        # the flags carry the train subcommand's dest names and defaults
-        cli.cmd_train(argparse.Namespace(**vars(args), kind=kind, preset=preset,
-                                         out=str(outdir / f"{run}.ckpt"),
-                                         history=str(outdir / f"{run}.csv")))
+        # the bundled corpus comes first, so a --corpus among train_args wins
+        if code := cli.main(["train", "--corpus", str(REPO_ROOT / "data" / "tiny_script.txt"),
+                             *train_args, "--model", kind, "--preset", preset,
+                             "--out", str(outdir / f"{run}.ckpt"),
+                             "--history", str(outdir / f"{run}.csv")]):
+            return code
 
     histories = [str(outdir / f"{run}.csv") for run in runs]
-    if cli.main(["report", "--history", *histories, "--out", str(outdir / "report.csv")]):
-        sys.exit(1)
+    if code := cli.main(["report", "--history", *histories, "--out", str(outdir / "report.csv")]):
+        return code
 
     print("\nfinal epoch summary")
     print(f"{'run':<14} {'mean_loss':>12} {'ms_per_step':>12}")
@@ -61,11 +55,12 @@ def main():
         last = parse_history(path)[-1]
         print(f"{run:<14} {last.mean_loss:>12.6f} {last.ms_per_step:>12.3f}")
     print(f"\nwrote {outdir}/report.csv")
+    return 0
 
 
 if __name__ == "__main__":
     try:
-        main()
-    except cli.RUNTIME_ERRORS as exc:  # e.g. --scale 0 or a missing --corpus
+        sys.exit(main())
+    except cli.RUNTIME_ERRORS as exc:  # e.g. an --outdir that names a file
         print(f"error: {exc}", file=sys.stderr)
         sys.exit(1)

@@ -18,7 +18,7 @@ from .exceptions import CharRnnError
 from .generator import MODES, GenerationPlan, generate
 from .model import KINDS, PRESETS, ModelConfig, load_checkpoint, preset_widths
 from .numerics import Rng
-from .trainer import TrainPlan, parse_history, train
+from .trainer import _HISTORY_HEADER, TrainPlan, parse_history, train
 
 
 def _positive_float(text: str) -> float:
@@ -64,7 +64,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--corpus", required=True, help="UTF-8 text file")
     p_train.add_argument("--model", required=True, choices=KINDS, dest="kind")
     p_train.add_argument("--preset", required=True, choices=tuple(PRESETS),
-                         help="layer widths: uni=1024, bi=512,256, quad=512,256,128,64")
+                         help="layer widths: " + ", ".join(
+                             f"{name}={','.join(map(str, widths))}"
+                             for name, widths in PRESETS.items()))
     p_train.add_argument("--seq-len", type=_positive_int, default=100)
     p_train.add_argument("--batch-size", type=_positive_int, default=64)
     p_train.add_argument("--epochs", type=_positive_int, default=75)
@@ -162,7 +164,7 @@ def cmd_generate(args) -> int:
 def cmd_report(args) -> int:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")  # quotes a run name holding a comma
-    writer.writerow(["run", "epoch", "mean_loss", "ms_per_step"])
+    writer.writerow(["run", *_HISTORY_HEADER])
     for path in args.history:
         run = Path(path).stem
         for row in parse_history(path):

@@ -270,21 +270,23 @@ def _header_bytes(config: ModelConfig, vocab: Vocabulary) -> bytes:
     return json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
 
-def _payload_parts(model: Model):
-    """The payload in file order: the header, then each parameter's rank and
-    dims and its float32 values (an array, written through the buffer
-    protocol)."""
-    header = _header_bytes(model.config, model.vocab)
-    yield struct.pack("<I", len(header)) + header
-    for arr in model.params().values():
-        yield struct.pack(f"<{arr.ndim + 1}I", arr.ndim, *arr.shape)
-        yield arr.astype("<f4", order="C")
-
-
 def _checkpoint_chunks(model: Model):
+    """The file in order: magic and version; then the payload, which is the
+    header and, per parameter in the order of expected_param_shapes (the
+    table load_checkpoint walks), its rank and dims and its float32 values
+    (an array, written through the buffer protocol); then the payload's CRC."""
     yield _MAGIC + struct.pack("<I", _VERSION)
-    crc = 0
-    for part in _payload_parts(model):
+    header = _header_bytes(model.config, model.vocab)
+    part = struct.pack("<I", len(header)) + header
+    crc = zlib.crc32(part)
+    yield part
+    params = model.params()
+    for name in expected_param_shapes(model.config):
+        arr = params[name]
+        part = struct.pack(f"<{arr.ndim + 1}I", arr.ndim, *arr.shape)
+        crc = zlib.crc32(part, crc)
+        yield part
+        part = arr.astype("<f4", order="C")  # part held the dims: one float32 copy at a time
         crc = zlib.crc32(part, crc)
         yield part
     yield struct.pack("<I", crc)

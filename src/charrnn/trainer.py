@@ -9,6 +9,7 @@ RMSprop step. Wall time per step is the monotonic clock around that compute
 from __future__ import annotations
 
 import csv
+import io
 import math
 import time
 from dataclasses import dataclass
@@ -43,6 +44,11 @@ class TrainPlan:
 
 
 _HISTORY_HEADER = ["epoch", "mean_loss", "ms_per_step"]
+# parse_history refuses a longer file before decoding it, so an endless one
+# (/dev/zero) is an error, not a failed allocation. An exported line is under
+# about 60 bytes (the epoch and two float reprs), so this holds over 250,000
+# epochs, thousands of times the paper's 75.
+MAX_HISTORY_BYTES = 2**24
 
 
 @dataclass(frozen=True)
@@ -55,11 +61,20 @@ class HistoryRow:
 def clip_global_norm(grads: dict[str, np.ndarray], max_norm: float) -> float:
     """Scale all gradients jointly so their Euclidean norm is <= max_norm.
 
-    Returns the pre-clip norm. Mutates the gradient arrays in place.
+    Returns the pre-clip norm. Mutates the gradient arrays in place. When
+    finite gradients' squares overflow, the norm is taken again over the
+    gradients divided by their largest magnitude, so they still clip to
+    max_norm rather than to 0. Non-finite gradients are left for
+    rmsprop_step to refuse.
     """
-    total = math.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
+    with np.errstate(over="ignore"):
+        total = math.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
     if total > max_norm:
         scale = max_norm / total
+        if total == math.inf and all(np.isfinite(g).all() for g in grads.values()):
+            peak = max(float(np.max(np.abs(g), initial=0.0)) for g in grads.values())
+            root = math.sqrt(sum(float(np.sum(np.square(g / peak))) for g in grads.values()))
+            total, scale = peak * root, max_norm / peak / root
         for g in grads.values():
             g *= scale
     return total
@@ -75,8 +90,10 @@ def train_epoch(model: Model, batches, plan: TrainPlan, opt_state: RmspropState,
     params = model.params()
     for k, batch in enumerate(batches):
         t0 = time.perf_counter()
-        logits, tape = model.forward(batch.inputs, train=True, dropout_rng=dropout_rng)
-        report = ce_loss(logits, batch.targets)
+        # an overflow here is refused by the finite check below, with one message
+        with np.errstate(over="ignore", invalid="ignore"):
+            logits, tape = model.forward(batch.inputs, train=True, dropout_rng=dropout_rng)
+            report = ce_loss(logits, batch.targets)
         del logits  # the backward needs only report.grad
         if not math.isfinite(report.mean_loss):
             raise TrainingError(
@@ -144,10 +161,14 @@ def parse_history(path) -> list[HistoryRow]:
     """Inverse of export_history; raises HistoryFormatError with a line number.
 
     Accepts only what export_history writes: three fields per row and epochs
-    that strictly increase from 1.
+    that strictly increase from 1, in at most MAX_HISTORY_BYTES bytes.
     """
+    with open(path, "rb") as f:
+        data = f.read(MAX_HISTORY_BYTES + 1)  # a pipe is read to its end or to the cap
+    if len(data) > MAX_HISTORY_BYTES:
+        raise HistoryFormatError(f"{path}: longer than {MAX_HISTORY_BYTES} bytes")
     rows: list[HistoryRow] = []
-    with open(path, encoding="utf-8", newline="") as f:
+    with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="") as f:
         reader = csv.reader(f)
         try:
             header = next(reader, None)

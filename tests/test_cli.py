@@ -48,6 +48,23 @@ def _run(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def _run_child(argv, address_space=None):
+    """python -m charrnn argv in a child process, optionally under an
+    RLIMIT_AS of address_space bytes, so that a runaway read fails in the
+    child instead of exhausting the host. Warnings reach its real stderr."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+
+    def limit():
+        import resource
+
+        resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
+
+    return subprocess.run([sys.executable, "-m", "charrnn", *argv], env=env,
+                          capture_output=True, text=True, timeout=60,
+                          preexec_fn=limit if address_space else None)
+
+
 def _assert_one_error_line(code, err):
     assert code == 1
     assert err.startswith("error: ") and err.count("\n") == 1, err
@@ -143,6 +160,16 @@ class TestTrainCommand:
                              "--out", str(ckpt), "--history", str(tmp_path / "x.csv")])
         _assert_one_error_line(code, err)
         assert "parameters" in err and not ckpt.exists()
+
+    def test_overflowing_loss_is_one_error_line(self, fixture_path, tmp_path):
+        # the weights overflow after one step; numpy's overflow warnings
+        # would precede the error line, and only a child's stderr shows them
+        ckpt = tmp_path / "x.ckpt"
+        child = _run_child(["train", "--corpus", str(fixture_path), *TRAIN_ARGS,
+                            "--lr", "1e306", "--out", str(ckpt),
+                            "--history", str(tmp_path / "x.csv")])
+        _assert_one_error_line(child.returncode, child.stderr)
+        assert "non-finite loss inf" in child.stderr and not ckpt.exists()
 
     def test_oversized_step_is_one_error_line(self, fixture_path, tmp_path):
         # width 1024, L=50000, B=10: about 30 GiB of tape, refused before the
@@ -279,11 +306,8 @@ class TestGenerateCommand:
         # no writer ever opens the pipe; a child, so a wait cannot hang the suite
         fifo = tmp_path / "pipe.ckpt"
         os.mkfifo(fifo)
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")]))}
-        child = subprocess.run([sys.executable, "-m", "charrnn", "generate", "--checkpoint",
-                                str(fifo), "--prime", "a", "--length", "5"],
-                               env=env, capture_output=True, text=True, timeout=60)
+        child = _run_child(["generate", "--checkpoint", str(fifo), "--prime", "a",
+                            "--length", "5"])
         _assert_one_error_line(child.returncode, child.stderr)
         assert child.stdout == "" and "is not a regular file" in child.stderr
 
@@ -408,6 +432,14 @@ class TestReportCommand:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert "line 3" in captured.err
+
+    @pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="no /dev/zero")
+    def test_endless_history_exit_1(self):
+        # unbounded, the read would grow until the 1 GiB limit ends it in a
+        # MemoryError traceback
+        child = _run_child(["report", "--history", "/dev/zero"], address_space=1 << 30)
+        _assert_one_error_line(child.returncode, child.stderr)
+        assert child.stdout == "" and "longer than" in child.stderr
 
     def test_out_file(self, tmp_path, capsys):
         p = self._history(tmp_path, "r", 1)

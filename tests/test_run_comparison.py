@@ -1,3 +1,4 @@
+import os
 import subprocess
 import sys
 
@@ -8,14 +9,16 @@ from charrnn.model import KINDS, PRESETS
 from tests.conftest import REPO_ROOT
 
 SCALE_ARGS = ["--epochs", "1", "--scale", "0.0078125", "--seq-len", "20",
-              "--batch-size", "8", "--embed-dim", "8", "--seed", "3"]
+              "--batch-size", "8", "--embed-dim", "8", "--lr", "0.002",
+              "--dropout", "0.25", "--seed", "3"]
+SCRIPT = str(REPO_ROOT / "scripts" / "run_comparison.py")
 
 
 def test_comparison_matches_cli_train_and_report(fixture_path, tmp_path, capsys):
     outdir = tmp_path / "runs"
     subprocess.run(
-        [sys.executable, str(REPO_ROOT / "scripts" / "run_comparison.py"),
-         "--corpus", str(fixture_path), "--outdir", str(outdir), *SCALE_ARGS],
+        [sys.executable, SCRIPT, "--corpus", str(fixture_path), "--outdir", str(outdir),
+         *SCALE_ARGS],
         check=True, capture_output=True,
     )
     runs = [f"{kind}_{preset}" for kind in KINDS for preset in PRESETS]
@@ -32,12 +35,25 @@ def test_comparison_matches_cli_train_and_report(fixture_path, tmp_path, capsys)
     assert (outdir / "report.csv").read_text(encoding="utf-8") == capsys.readouterr().out
 
 
-@pytest.mark.parametrize("args", [["--scale", "0"], ["--corpus", "missing.txt"]],
-                         ids=["scale_0", "missing_corpus"])
+def test_bad_train_flag_ends_as_charrnn_train_does(fixture_path, tmp_path):
+    # the script forwards the flag, so charrnn train's usage error is its own
+    def run(argv):
+        return subprocess.run([sys.executable, *argv, "--corpus", str(fixture_path),
+                               "--scale", "0"], capture_output=True, text=True, cwd=tmp_path,
+                              env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")})
+
+    script = run([SCRIPT, "--outdir", str(tmp_path / "runs")])
+    train = run(["-m", "charrnn", "train", "--model", "lstm", "--preset", "uni",
+                 "--out", "x.ckpt", "--history", "x.csv"])
+    assert train.returncode == 2 and "argument --scale: must be finite" in train.stderr
+    assert (script.returncode, script.stderr) == (train.returncode, train.stderr)
+
+
+@pytest.mark.parametrize("args", [["--corpus", "missing.txt"]], ids=["missing_corpus"])
 def test_bad_input_is_one_error_line_and_exit_1(fixture_path, tmp_path, args):
     run = subprocess.run(
-        [sys.executable, str(REPO_ROOT / "scripts" / "run_comparison.py"),
-         "--corpus", str(fixture_path), "--outdir", str(tmp_path / "runs"), *args],
+        [sys.executable, SCRIPT, "--corpus", str(fixture_path),
+         "--outdir", str(tmp_path / "runs"), *args],
         capture_output=True, text=True, cwd=tmp_path,
     )
     assert run.returncode == 1

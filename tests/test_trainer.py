@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,10 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from charrnn.corpus import CorpusPlan, SequenceBatch, make_sequences, shuffle_batches
-from charrnn.exceptions import ConfigError, HistoryFormatError, TrainingError
+from charrnn.exceptions import ConfigError, HistoryFormatError, OptimizerError, TrainingError
 from charrnn.model import ModelConfig, build_model, load_checkpoint
 from charrnn.numerics import Rng
-from charrnn.objective import RmspropState
+from charrnn.objective import RmspropState, rmsprop_step
 from charrnn.trainer import (
     HistoryRow,
     TrainPlan,
@@ -41,6 +42,26 @@ class TestClip:
         assert pre == pytest.approx(13.0)
         total = math.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
         assert total == pytest.approx(5.0)
+
+    def test_overflowing_squares_still_clip(self):
+        # 1e200 squared overflows; the norm used to read inf and zero every gradient
+        grads = {"a": np.array([1e200, 1.0]), "b": np.array([3.0])}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pre = clip_global_norm(grads, 5.0)
+        assert pre == 1e200
+        assert grads["a"][0] == pytest.approx(5.0)
+        assert math.hypot(*grads["a"], *grads["b"]) == pytest.approx(5.0)
+        assert grads["b"][0] == pytest.approx(1.5e-199)
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_gradient_still_refused(self, bad):
+        grads = {"a": np.array([bad, 1.0]), "b": np.array([3.0])}
+        params = {name: np.zeros_like(g) for name, g in grads.items()}
+        with np.errstate(invalid="ignore"):
+            clip_global_norm(grads, 5.0)
+        with pytest.raises(OptimizerError, match="a"):
+            rmsprop_step(params, grads, RmspropState.for_params(params))
 
     def test_small_norm_untouched(self):
         grads = {"a": np.array([0.3, 0.4])}
