@@ -8,9 +8,13 @@ the block's last character only. Chained calls give the same bits as one
 call over the whole prime, and the blocks bound the prime's working memory
 (its gate rows and per-position states) whatever its length. Then the loop
 alternates select-next-character / feed-it-back until the requested length
-is reached. The last character is not fed back, since nothing reads the
-logits that step would give, so a request makes
-ceil(len(prime) / _PRIME_BLOCK) + max(length - 1, 0) step() calls.
+is reached. Each drawn character is fed back through the stack's feeder
+(RecurrentStack.feeder), which runs the same cells on state, gate and logits
+buffers allocated once per request from the prime's final state, with none
+of step()'s checks and allocations: the id is one the loop itself drew. The
+last character is not fed back, since nothing reads the logits that step
+would give, so a request makes ceil(len(prime) / _PRIME_BLOCK) step() calls
+and max(length - 1, 0) feeds. The softmax is written into one reused buffer.
 Temperature divides the logits before the softmax:
 T -> 0 sharpens the distribution toward the argmax, large T flattens it
 toward uniform. Dividing the post-softmax probabilities instead would cancel
@@ -74,20 +78,26 @@ def generate(model: Model, plan: GenerationPlan) -> str:
     state = model.init_state(1)
     for t0 in range(0, prime.shape[1], _PRIME_BLOCK):
         logits, state = model.step(prime[:, t0 : t0 + _PRIME_BLOCK], state)
+    logits = logits[0]
+    feed = model.feeder(state)
+    probs = np.empty_like(logits)
+    temperature, argmax = plan.temperature, plan.mode == "argmax"
     rng = Rng(plan.sample_seed)
     out = []
     with np.errstate(over="ignore"):  # a tiny T overflows to -inf: the argmax limit
         for n in range(plan.length):
             if n:  # feed back the last character; the final one is never fed
-                logits, state = model.step(np.array([out[-1]], dtype=np.int64), state)
-            if plan.mode == "argmax":
+                logits = feed(nxt)
+            if argmax:
                 # dividing by T > 0 keeps the argmax; rounding in softmax would not
-                nxt = int(np.argmax(logits[0]))
+                nxt = int(logits.argmax())
             else:
-                # softmax with the shift taken once, before T divides
-                probs = (logits[0] - logits[0].max()) / plan.temperature
-                np.exp(probs, out=probs)
-                probs /= probs.sum()
+                # softmax with the shift taken once, before T divides; the
+                # ufuncs are those of max(), sum() and the operators
+                np.subtract(logits, np.maximum.reduce(logits), probs)
+                np.true_divide(probs, temperature, probs)
+                np.exp(probs, probs)
+                np.true_divide(probs, np.add.reduce(probs), probs)
                 nxt = sample_categorical(probs, rng)
             out.append(nxt)
     return plan.prime_text + model.vocab.decode(out)

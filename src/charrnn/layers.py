@@ -70,7 +70,9 @@ equal the training forward's bit for bit. RecurrentStack.step runs
 layer by layer, each layer over every position fed; deeper layers project
 one position at a time, since one GEMM over all positions rounds
 differently, so a prime in one call equals the same prime fed one character
-per call, bit for bit.
+per call, bit for bit. After the prime, generation feeds each character
+through RecurrentStack.feeder: the same cells' _recur, with the arithmetic of
+a one-position step() call, on buffers allocated once per request.
 
 Cells hold only gate math. LstmCell and GruCell each define GATES, STATES
 (the names of the state arrays, h first: a cell's state is a tuple of [B, H]
@@ -694,6 +696,69 @@ class RecurrentStack:
         for i, layer in enumerate(self.recurrent):
             x, state[i] = layer.step(x, state[i])
         return self.dense.forward(x[-1]), state
+
+    def feeder(self, state):
+        """Generation's per-character step, from a batch-1 state that step()
+        returned: feed(i) runs the one id i, carries the state on and returns
+        the logits [V], in a buffer the next call writes over. The id is not
+        checked: it must be an index the caller drew from these logits.
+
+        Every array is allocated here, once: per layer, one gate row and two
+        output rows that take turns as the state read and the state written
+        (with the LSTM's c beside them), and the logits row. Each cell runs
+        its own _recur on them, the arithmetic step() runs: layer 0 copies
+        its P[i] row, deeper layers make x W_x + b with out=, and the dense
+        layer writes x W + b into the logits. A birnn layer writes its two
+        directions into the two halves of one [1, 2H] output row, and
+        alternates which runs first, so that the two GEMVs in a row read the
+        same W_h, which is still in cache.
+        """
+        # runs[read]: per layer (gate row, output row, per cell (its _recur,
+        # w_x, b, P or None, the state arrays read then written)), for a call
+        # that reads buffer `read` and writes the other one
+        runs = ([], [])
+        for layer, s in zip(self.recurrent, state):
+            cells, states = (((layer.fwd, layer.bwd), s) if isinstance(layer, BidirectionalLstm)
+                             else ((layer,), (s,)))
+            h = layer.hidden_size
+            outs = np.empty((2, 1, len(cells) * h))
+            gate = np.empty((1, cells[0].w_h.shape[1]))
+            steps = ([], [])
+            for d, (cell, st) in enumerate(zip(cells, states)):
+                k = len(cell.STATES)
+                bufs = [(o[:, d * h : (d + 1) * h], *(np.empty((1, h)) for _ in st[1:k]))
+                        for o in outs]
+                for buf, now in zip(bufs[0], st):
+                    buf[...] = now
+                p = st[k] if len(st) > k else None  # layer 0's state ends with P
+                for read in (0, 1):
+                    steps[read].append((cell._recur, cell.w_x, cell.b, p,
+                                        (*bufs[read], *bufs[1 - read])))
+            runs[0].append((gate, outs[1], steps[0]))
+            runs[1].append((gate, outs[0], steps[1][::-1]))  # birnn: the other direction first
+        w, b = self.dense.w, self.dense.b
+        logits = np.empty((1, w.shape[1]))
+        row = logits[0]
+        read = 0
+
+        def feed(i: int) -> np.ndarray:
+            nonlocal read
+            x = None
+            for gate, out, steps in runs[read]:
+                for recur, w_x, b_x, p, states in steps:
+                    if p is not None:
+                        gate[0] = p[i]
+                    else:
+                        np.matmul(x, w_x, out=gate)
+                        gate += b_x
+                    recur(gate, *states)
+                x = out
+            read ^= 1
+            np.matmul(x, w, out=logits)
+            np.add(logits, b, out=logits)
+            return row
+
+        return feed
 
     def params(self) -> dict[str, np.ndarray]:
         """Parameters in canonical order: embedding, each layer, dense."""

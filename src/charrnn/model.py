@@ -45,7 +45,9 @@ rounded once on save and save -> load -> save is byte-identical. Saving
 streams the file to its temp file one part at a time (magic and version, the
 header, each parameter's dims and float32 values, the CRC), the CRC-32
 running over the payload parts as they are written, so no copy of the
-payload is built.
+payload is built. A parameter that is not finite at float32 (a diverged
+weight past float32's range, say) is a CheckpointIntegrityError raised before
+the rename, so a save never leaves a file that load would refuse.
 """
 
 from __future__ import annotations
@@ -274,7 +276,9 @@ def _checkpoint_chunks(model: Model):
     """The file in order: magic and version; then the payload, which is the
     header and, per parameter in the order of expected_param_shapes (the
     table load_checkpoint walks), its rank and dims and its float32 values
-    (an array, written through the buffer protocol); then the payload's CRC."""
+    (an array, written through the buffer protocol); then the payload's CRC.
+    A parameter that is not finite at float32 (a weight past its range, say)
+    is a CheckpointIntegrityError, as the loader would refuse the file."""
     yield _MAGIC + struct.pack("<I", _VERSION)
     header = _header_bytes(model.config, model.vocab)
     part = struct.pack("<I", len(header)) + header
@@ -286,7 +290,11 @@ def _checkpoint_chunks(model: Model):
         part = struct.pack(f"<{arr.ndim + 1}I", arr.ndim, *arr.shape)
         crc = zlib.crc32(part, crc)
         yield part
-        part = arr.astype("<f4", order="C")  # part held the dims: one float32 copy at a time
+        with np.errstate(over="ignore"):  # beyond float32's range casts to inf: refused below
+            part = arr.astype("<f4", order="C")  # part held the dims: one float32 copy at a time
+        if not (math.isfinite(part.min()) and math.isfinite(part.max())):
+            raise CheckpointIntegrityError(
+                f"parameter {name} holds values that are not finite at float32; not saved")
         crc = zlib.crc32(part, crc)
         yield part
     yield struct.pack("<I", crc)

@@ -244,12 +244,12 @@ def sample_categorical(probs: np.ndarray, rng: Rng) -> int:
     if np.fmin.reduce(p) < 0.0:  # fmin skips NaN, which the sum check catches
         bad = int(np.argmin(p))
         raise DistributionError(f"negative probability {p[bad]!r} at index {bad}")
-    cum = np.cumsum(p)
+    cum = np.add.accumulate(p)  # np.cumsum's ufunc, without its wrappers
     total = float(cum[-1])
     if not abs(total - 1.0) <= 1e-9:  # written so that a NaN total fails too
         raise DistributionError(f"probabilities sum to {total!r}, not 1")
     u = rng.uniform()
-    idx = int(np.searchsorted(cum, u, side="right"))
+    idx = int(cum.searchsorted(u, "right"))
     if idx >= p.size:  # u landed in the tolerance slack above cum[-1]
         idx = int(np.nonzero(p > 0.0)[0][-1])
     return idx

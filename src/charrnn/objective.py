@@ -94,6 +94,8 @@ def rmsprop_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
         v += t
         np.add(v, state.epsilon, out=t)
         np.sqrt(t, out=t)
-        g *= state.alpha
-        g /= t
-        p -= g
+        # a step past float64's range is left to the caller's finite-loss check
+        with np.errstate(over="ignore"):
+            g *= state.alpha
+            g /= t
+            p -= g

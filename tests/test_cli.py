@@ -171,6 +171,26 @@ class TestTrainCommand:
         _assert_one_error_line(child.returncode, child.stderr)
         assert "non-finite loss inf" in child.stderr and not ckpt.exists()
 
+    def test_weights_past_float32_are_one_error_line(self, fixture_path, tmp_path):
+        # the loss stays finite but the weights grow past float32's range, so
+        # the checkpoint would hold inf: the save refuses it and leaves no file
+        ckpt = tmp_path / "x.ckpt"
+        child = _run_child(["train", "--corpus", str(fixture_path), *TRAIN_ARGS,
+                            "--lr", "1e300", "--out", str(ckpt),
+                            "--history", str(tmp_path / "x.csv")])
+        _assert_one_error_line(child.returncode, child.stderr)
+        assert "not finite at float32" in child.stderr
+        assert [p.name for p in tmp_path.iterdir() if p.suffix != ".csv"] == []
+
+    def test_overflowing_update_is_one_error_line(self, fixture_path, tmp_path):
+        # the RMSprop step itself overflows; the next loss reports it
+        ckpt = tmp_path / "x.ckpt"
+        child = _run_child(["train", "--corpus", str(fixture_path), *TRAIN_ARGS,
+                            "--lr", "1e308", "--out", str(ckpt),
+                            "--history", str(tmp_path / "x.csv")])
+        _assert_one_error_line(child.returncode, child.stderr)
+        assert "non-finite loss" in child.stderr and not ckpt.exists()
+
     def test_oversized_step_is_one_error_line(self, fixture_path, tmp_path):
         # width 1024, L=50000, B=10: about 30 GiB of tape, refused before the
         # corpus (far too short for one window here) is cut

@@ -1,5 +1,8 @@
 import dataclasses
 import hashlib
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -14,6 +17,8 @@ from charrnn.generator import GenerationPlan, generate
 from charrnn.layers import RecurrentStack
 from charrnn.model import ModelConfig, build_model, load_checkpoint, save_checkpoint
 from charrnn.numerics import Rng, sample_categorical, softmax
+from tests.conftest import REPO_ROOT
+from tests.generator_reference import reference_generate
 
 VOCAB = Vocabulary(tuple("abcde"))
 
@@ -151,21 +156,36 @@ class TestGenerate:
         pytest.param("abcde" * 30, 3, 5, id="long-prime"),  # blocks of 64, 64 and 22
     ])
     def test_step_calls(self, monkeypatch, prime, length, calls):
-        # one call per prime block, then one per sampled character but the last
+        # one step() call per prime block, then one feed per sampled character
+        # but the last, each feeding the character just drawn
         counted = []
-        real_step = RecurrentStack.step
+        real_step, real_feeder = RecurrentStack.step, RecurrentStack.feeder
 
         def counting_step(self, ids, state):
             counted.append(np.shape(ids))
             return real_step(self, ids, state)
 
+        def counting_feeder(self, state):
+            feed = real_feeder(self, state)
+
+            def counting_feed(i):
+                counted.append(i)
+                return feed(i)
+
+            return counting_feed
+
         monkeypatch.setattr(RecurrentStack, "step", counting_step)
-        generate(_gen_model(), GenerationPlan(prime_text=prime, length=length, sample_seed=2))
+        monkeypatch.setattr(RecurrentStack, "feeder", counting_feeder)
+        model = _gen_model()
+        out = generate(model, GenerationPlan(prime_text=prime, length=length, sample_seed=2))
         block = generator._PRIME_BLOCK
         blocks = [(1, min(block, len(prime) - t0)) for t0 in range(0, len(prime), block)]
         assert len(counted) == calls
         assert counted[: len(blocks)] == blocks
-        assert all(shape == (1,) for shape in counted[len(blocks) :])
+        fed = counted[len(blocks) :]
+        assert len(fed) == max(length - 1, 0)
+        assert all(type(i) is int for i in fed)
+        assert fed == model.vocab.encode(out[len(prime) : -1]).tolist()
 
     @pytest.mark.parametrize("kind", ["lstm", "gru", "birnn"])
     def test_prime_memory_does_not_grow_with_its_length(self, fixture_text, fixture_vocab, kind):
@@ -209,6 +229,33 @@ class TestGenerate:
         assert len(out) == len(prime) + length
         assert out.startswith(prime)
         assert set(out) <= set(VOCAB.chars)
+
+
+class TestAgainstReference:
+    """generate returns the text of the loop that feeds every drawn character
+    back through the public step() (tests/generator_reference.py)."""
+
+    @given(
+        kind=st.sampled_from(["lstm", "gru", "birnn"]),
+        layers=st.integers(min_value=1, max_value=2),
+        mode=st.sampled_from(["sample", "argmax"]),
+        temperature=st.floats(min_value=0.05, max_value=5.0),
+        prime_len=st.sampled_from([1, 2, 63, 64, 65, 100, 127, 128, 129, 150]),
+        length=st.integers(min_value=0, max_value=80),
+        seed=st.integers(min_value=0, max_value=2**32),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_same_text_as_the_reference(self, kind, layers, mode, temperature, prime_len,
+                                        length, seed):
+        config = ModelConfig(kind=kind, layer_widths=(7, 5)[:layers], vocab_size=5,
+                             batch_size=1, embed_dim=4, dropout=0.0, init_seed=seed)
+        model = build_model(config, VOCAB)
+        for p in model.params().values():
+            p *= 4.0  # wide logits, so that T changes what is sampled
+        prime = VOCAB.decode(np.random.default_rng(seed).integers(0, 5, prime_len))
+        plan = GenerationPlan(prime_text=prime, length=length, temperature=temperature,
+                              mode=mode, sample_seed=seed)
+        assert generate(model, plan) == reference_generate(model, plan)
 
 
 class TestSelectionFrequencies:
@@ -290,6 +337,21 @@ class TestGoldenText:
     def test_sampled_text_digests(self, tmp_path, fixture_vocab, kind, layers):
         got, want = _golden_digests(tmp_path, fixture_vocab, kind, layers)
         assert got == want
+
+    def test_digests_hold_under_a_forced_haswell_kernel(self):
+        # the child alone gets OPENBLAS_CORETYPE; it reports the core it runs
+        # on, then reruns the digest tests, whose text is the same on every core
+        src = str(REPO_ROOT / "src")
+        env = {**os.environ, "OPENBLAS_CORETYPE": "Haswell",
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        code = ("import sys, pytest; from tests.conftest import openblas_corename; "
+                "print('core', openblas_corename()); "
+                "sys.exit(pytest.main(['-q', '-p', 'no:cacheprovider', "
+                "'tests/test_generator.py::TestGoldenText::test_sampled_text_digests']))")
+        child = subprocess.run([sys.executable, "-c", code], cwd=REPO_ROOT, env=env,
+                               capture_output=True, text=True, timeout=300)
+        assert child.stdout.startswith("core Haswell\n"), child.stdout
+        assert child.returncode == 0 and "6 passed" in child.stdout, child.stdout
 
     @pytest.mark.parametrize("block", [1, 7])
     @pytest.mark.parametrize("kind", ["lstm", "gru", "birnn"])

@@ -289,8 +289,9 @@ def test_traced_functions_in_module(module, name):
 def test_tracer_spans_one_layer_step_per_stack_step(kind):
     # install() reads every traced method from its class __dict__ and every
     # traced function with getattr, so a name a refactor drops fails here. A
-    # request makes one stack step for the prime and one per sampled
-    # character but the last; each runs every layer once, whatever its length
+    # request makes one stack step for its 8-character prime, which runs
+    # every layer once; the 3 characters fed back go through the feeder,
+    # whose cells still call the traced sigmoid (the GRU's, one per position)
     config = ModelConfig(kind=kind, layer_widths=(4, 3), vocab_size=5, batch_size=1,
                          embed_dim=3, dropout=0.0, init_seed=1)
     stack = build_model(config, Vocabulary(tuple("abcde")))
@@ -302,9 +303,10 @@ def test_tracer_spans_one_layer_step_per_stack_step(kind):
     finally:
         tracer.remove()
     spans = Counter(span[0] for span in tracer.spans)
-    assert spans["layers.step.prime"] + spans["layers.step.sample"] == 4
-    assert spans[f"layers.{kind}.step"] == 2 * 4
-    assert spans["layers.birnn.step.cell"] == (4 * 4 if kind == "birnn" else 0)
+    assert spans["layers.step.prime"] + spans["layers.step.sample"] == 1
+    assert spans[f"layers.{kind}.step"] == 2
+    assert spans["layers.birnn.step.cell"] == (4 if kind == "birnn" else 0)
+    assert spans["numerics.sigmoid"] == (2 * (8 + 3) if kind == "gru" else 0)
     assert RecurrentStack.__dict__["step"] is original
 
 

@@ -62,10 +62,16 @@ def write_overflowing_dims_checkpoint(path) -> None:
 
 
 def write_non_finite_checkpoint(path, value) -> None:
-    """A checkpoint with a valid CRC whose dense.b[0] is value (NaN or inf)."""
-    model = build_model(_config(), VOCAB5)
-    model.params()["dense.b"][0] = value
-    save_checkpoint(model, path)
+    """A checkpoint with a valid CRC whose dense.b[0] is value (NaN or inf).
+
+    save_checkpoint refuses such a model, so a finite one is saved and the
+    float32 value written over its first dense.b entry, as the cast would.
+    """
+    save_checkpoint(build_model(_config(), VOCAB5), path)
+    blob = bytearray(path.read_bytes())
+    first = _block_offset(bytes(blob), "dense.b") + 8  # rank 1, one dim
+    blob[first : first + 4] = np.float32(value).astype("<f4").tobytes()
+    path.write_bytes(_recrc(bytes(blob)))
 
 
 def _config(kind="lstm", widths=(4,), v=5, **kw):
@@ -518,6 +524,19 @@ class TestCheckpoint:
         finally:
             tracemalloc.stop()
         assert peak < bound, (peak, bound)
+
+    @pytest.mark.parametrize("value", [1e39, -3.5e38, np.nan, np.inf])
+    @pytest.mark.parametrize("name", ["embedding.table", "rnn0.w_h", "dense.b"])
+    def test_value_not_finite_at_float32_leaves_no_file(self, tmp_path, name, value):
+        # float32 would store inf or nan, which load refuses: the save is
+        # refused instead, with no warning, no file and no temp file
+        model = build_model(_config(widths=(4, 3)), VOCAB5)
+        model.params()[name].flat[-1] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(CheckpointIntegrityError, match=f"parameter {name} .*float32"):
+                save_checkpoint(model, tmp_path / "m.ckpt")
+        assert list(tmp_path.iterdir()) == []
 
     def test_failure_mid_stream_leaves_no_file(self, tmp_path, monkeypatch):
         # the temp file is open and the magic written when the header fails
