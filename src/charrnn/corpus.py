@@ -13,7 +13,8 @@ code points _CHUNK characters at a time, so no temporary grows with the
 corpus, and shuffle_batches takes its Fisher-Yates draws from one bulk
 Rng.randint call.
 
-_write_atomic is the temp-file-and-rename writer of checkpoints, history CSVs
+_read_capped is the bounded read of the corpus and of history CSVs, and
+_write_atomic the temp-file-and-rename writer of checkpoints, history CSVs
 and the CLI's --out files.
 """
 
@@ -29,13 +30,32 @@ from .exceptions import ConfigError, CorpusError, ShapeError, VocabularyError
 from .numerics import Rng, check_ids, check_int_fields
 
 
-def load_corpus(path) -> str:
-    """Read a UTF-8 text file in full.
+# load_corpus refuses a longer file, so an endless one (/dev/zero) is an
+# error, not a failed allocation. The pipeline holds about 18-25 bytes a
+# character (the str, the int64 ids, an epoch's window gather), so a corpus
+# at the cap needs 1.2-1.6 GiB; it is 64 times the benchmark's 1M characters.
+MAX_CORPUS_BYTES = 2**26
 
-    Raises FileNotFoundError for a missing file and UnicodeDecodeError (which
-    carries the byte offset) for invalid UTF-8.
+
+def load_corpus(path) -> str:
+    """Read a UTF-8 text file (or pipe) of at most MAX_CORPUS_BYTES bytes.
+
+    Raises FileNotFoundError for a missing file, CorpusError for a longer one
+    and UnicodeDecodeError (which carries the byte offset) for invalid UTF-8.
     """
-    return Path(path).read_bytes().decode("utf-8")
+    return _read_capped(path, MAX_CORPUS_BYTES, CorpusError).decode("utf-8")
+
+
+def _read_capped(path, cap: int, error) -> bytes:
+    """The bytes of path in one read of at most cap + 1, so a pipe is read to
+    its end or to the cap; more than cap raises error("{path}: longer than
+    {cap} bytes"). The read reserves cap + 1 bytes up front, but pages it
+    never touches are not resident."""
+    with open(path, "rb") as f:
+        data = f.read(cap + 1)
+    if len(data) > cap:
+        raise error(f"{path}: longer than {cap} bytes")
+    return data
 
 
 def _write_atomic(path, chunks) -> None:

@@ -72,7 +72,8 @@ one position at a time, since one GEMM over all positions rounds
 differently, so a prime in one call equals the same prime fed one character
 per call, bit for bit. After the prime, generation feeds each character
 through RecurrentStack.feeder: the same cells' _recur, with the arithmetic of
-a one-position step() call, on buffers allocated once per request.
+a one-position step() call, on state rows allocated once per request, which
+each feed advances in place.
 
 Cells hold only gate math. LstmCell and GruCell each define GATES, STATES
 (the names of the state arrays, h first: a cell's state is a tuple of [B, H]
@@ -110,7 +111,6 @@ here wrap arrays they are given.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import cycle
 
 import numpy as np
 
@@ -218,20 +218,21 @@ class _Cell:
         """The recurrence: from the state arrays ([B, H] each), turn each row
         gates[t] [B, kH] of x W_x + b into its gates in place. Returns (hs
         [L, B, H], the last position's state arrays); the state passed in is
-        not written. Any state but h (the LSTM's c) goes into a buffer of
-        _BLOCK rows, step t writing row t % _BLOCK, so a block's first step
-        reads the last block's state before that row is written over. Given
-        starts [S, ceil(L / _BLOCK), B, H], the state at each block start
-        t = 0, _BLOCK, 2 _BLOCK, ... is copied into it. The scan and the step
-        both run it."""
+        not written. Step t writes its h into hs[t], and any other state (the
+        LSTM's c) in place into one private copy of the given one: exact, as
+        _recur reads h_prev in its matmuls first and _advance reads each
+        element of the old state before writing it. Given starts [S,
+        ceil(L / _BLOCK), B, H], the state at each block start t = 0, _BLOCK,
+        2 _BLOCK, ... is copied into it. The scan and the step both run it."""
         hs = np.empty((len(gates), *state[0].shape))
-        rest = [cycle(np.empty((min(len(gates), _BLOCK), *s.shape))) for s in state[1:]]
-        for t, (a, *now) in enumerate(zip(gates, hs, *rest)):
+        h, *rest = state
+        rest = [s.copy() for s in rest]
+        for t, (a, now) in enumerate(zip(gates, hs)):
             if starts is not None and t % _BLOCK == 0:
-                starts[:, t // _BLOCK] = state
-            self._recur(a, *state, *now)
-            state = now
-        return hs, state
+                starts[:, t // _BLOCK] = (h, *rest)
+            self._recur(a, h, *rest, now, *rest)
+            h = now
+        return hs, (h, *rest)
 
     def _step(self, x, state):
         """Run the time-major positions x [L, B, D] from state. Returns
@@ -703,48 +704,41 @@ class RecurrentStack:
         the logits [V], in a buffer the next call writes over. The id is not
         checked: it must be an index the caller drew from these logits.
 
-        Every array is allocated here, once: per layer, one gate row and two
-        output rows that take turns as the state read and the state written
-        (with the LSTM's c beside them), and the logits row. Each cell runs
-        its own _recur on them, the arithmetic step() runs: layer 0 copies
-        its P[i] row, deeper layers make x W_x + b with out=, and the dense
-        layer writes x W + b into the logits. A birnn layer writes its two
-        directions into the two halves of one [1, 2H] output row, and
-        alternates which runs first, so that the two GEMVs in a row read the
-        same W_h, which is still in cache.
+        Every array is allocated here, once: per layer one gate row and one
+        output row (a birnn layer's two directions in its halves), per LSTM
+        cell one c row, and the logits row. Each cell runs its own _recur on
+        them, the arithmetic step() runs, with its state as both the state
+        read and the state written, as in _loop: layer 0 copies its P[i] row,
+        deeper layers make x W_x + b with out=, and the dense layer writes
+        x W + b into the logits. A birnn layer alternates which direction runs
+        first, so that the two GEMVs in a row read the same W_h, still in cache.
         """
-        # runs[read]: per layer (gate row, output row, per cell (its _recur,
-        # w_x, b, P or None, the state arrays read then written)), for a call
-        # that reads buffer `read` and writes the other one
-        runs = ([], [])
+        # per layer (gate row, output row, per cell (its _recur, w_x, b,
+        # P or None, its state arrays as read and as written))
+        layers = []
         for layer, s in zip(self.recurrent, state):
             cells, states = (((layer.fwd, layer.bwd), s) if isinstance(layer, BidirectionalLstm)
                              else ((layer,), (s,)))
             h = layer.hidden_size
-            outs = np.empty((2, 1, len(cells) * h))
-            gate = np.empty((1, cells[0].w_h.shape[1]))
-            steps = ([], [])
+            out = np.concatenate([st[0] for st in states], axis=1)  # never the given h
+            steps = []
             for d, (cell, st) in enumerate(zip(cells, states)):
                 k = len(cell.STATES)
-                bufs = [(o[:, d * h : (d + 1) * h], *(np.empty((1, h)) for _ in st[1:k]))
-                        for o in outs]
-                for buf, now in zip(bufs[0], st):
-                    buf[...] = now
+                now = (out[:, d * h : (d + 1) * h], *(c.copy() for c in st[1:k]))
                 p = st[k] if len(st) > k else None  # layer 0's state ends with P
-                for read in (0, 1):
-                    steps[read].append((cell._recur, cell.w_x, cell.b, p,
-                                        (*bufs[read], *bufs[1 - read])))
-            runs[0].append((gate, outs[1], steps[0]))
-            runs[1].append((gate, outs[0], steps[1][::-1]))  # birnn: the other direction first
+                steps.append((cell._recur, cell.w_x, cell.b, p, now + now))
+            layers.append((np.empty((1, cells[0].w_h.shape[1])), out, steps))
+        # the cell orders of alternate feeds: a birnn's other direction first
+        orders = (layers, [(gate, out, steps[::-1]) for gate, out, steps in layers])
         w, b = self.dense.w, self.dense.b
         logits = np.empty((1, w.shape[1]))
         row = logits[0]
-        read = 0
+        turn = 0
 
         def feed(i: int) -> np.ndarray:
-            nonlocal read
+            nonlocal turn
             x = None
-            for gate, out, steps in runs[read]:
+            for gate, out, steps in orders[turn]:
                 for recur, w_x, b_x, p, states in steps:
                     if p is not None:
                         gate[0] = p[i]
@@ -753,7 +747,7 @@ class RecurrentStack:
                         gate += b_x
                     recur(gate, *states)
                 x = out
-            read ^= 1
+            turn ^= 1
             np.matmul(x, w, out=logits)
             np.add(logits, b, out=logits)
             return row

@@ -17,7 +17,8 @@ from typing import Callable
 
 import numpy as np
 
-from .corpus import CorpusPlan, Vocabulary, _write_atomic, make_sequences, shuffle_batches
+from .corpus import (CorpusPlan, Vocabulary, _read_capped, _write_atomic, make_sequences,
+                     shuffle_batches)
 from .exceptions import ConfigError, HistoryFormatError, TrainingError
 from .model import Model, ModelConfig, build_model, save_checkpoint
 from .numerics import Rng, check_int_fields, check_real_fields
@@ -163,10 +164,7 @@ def parse_history(path) -> list[HistoryRow]:
     Accepts only what export_history writes: three fields per row and epochs
     that strictly increase from 1, in at most MAX_HISTORY_BYTES bytes.
     """
-    with open(path, "rb") as f:
-        data = f.read(MAX_HISTORY_BYTES + 1)  # a pipe is read to its end or to the cap
-    if len(data) > MAX_HISTORY_BYTES:
-        raise HistoryFormatError(f"{path}: longer than {MAX_HISTORY_BYTES} bytes")
+    data = _read_capped(path, MAX_HISTORY_BYTES, HistoryFormatError)
     rows: list[HistoryRow] = []
     with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="") as f:
         reader = csv.reader(f)

@@ -100,6 +100,14 @@ class TestVocabCommand:
         assert captured.out == ""
         assert "error" in captured.err
 
+    @pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="no /dev/zero")
+    def test_endless_corpus_exit_1(self):
+        # unbounded, the read would grow until the 1 GiB limit ends it in a
+        # MemoryError traceback
+        child = _run_child(["vocab", "--corpus", "/dev/zero"], address_space=1 << 30)
+        _assert_one_error_line(child.returncode, child.stderr)
+        assert child.stdout == "" and "longer than" in child.stderr
+
 
 class TestTrainCommand:
     def test_writes_outputs_and_progress(self, fixture_path, tmp_path, capsys):
@@ -160,6 +168,15 @@ class TestTrainCommand:
                              "--out", str(ckpt), "--history", str(tmp_path / "x.csv")])
         _assert_one_error_line(code, err)
         assert "parameters" in err and not ckpt.exists()
+
+    @pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="no /dev/zero")
+    def test_endless_corpus_exit_1(self, tmp_path):
+        ckpt = tmp_path / "x.ckpt"
+        child = _run_child(["train", "--corpus", "/dev/zero", *TRAIN_ARGS, "--out", str(ckpt),
+                            "--history", str(tmp_path / "x.csv")], address_space=1 << 30)
+        _assert_one_error_line(child.returncode, child.stderr)
+        assert child.stdout == "" and "longer than" in child.stderr
+        assert list(tmp_path.iterdir()) == []
 
     def test_overflowing_loss_is_one_error_line(self, fixture_path, tmp_path):
         # the weights overflow after one step; numpy's overflow warnings

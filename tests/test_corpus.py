@@ -1,4 +1,6 @@
 import hashlib
+import os
+import threading
 from collections import Counter
 
 import numpy as np
@@ -6,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from charrnn import corpus
 from charrnn.corpus import (
     CorpusPlan,
     Vocabulary,
@@ -60,6 +63,29 @@ class TestLoadCorpus:
         with pytest.raises(UnicodeDecodeError) as exc:
             load_corpus(p)
         assert exc.value.start == 2
+
+    def test_cap_is_inclusive(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(corpus, "MAX_CORPUS_BYTES", 8)
+        p = tmp_path / "c.txt"
+        p.write_bytes(b"abcdefgh")
+        assert load_corpus(p) == "abcdefgh"
+        p.write_bytes(b"abcdefghi")
+        with pytest.raises(CorpusError, match="c.txt: longer than 8 bytes"):
+            load_corpus(p)
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    def test_pipe_loads(self, tmp_path):
+        # a pipe (as --corpus <(zcat ...) gives) is read to its end, over
+        # several of the pipe's buffers; the checkpoint loader refuses pipes
+        text = "pipe — 管道\n" * 20_000
+        fifo = tmp_path / "corpus.fifo"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_text, args=(text,),
+                                  kwargs={"encoding": "utf-8"}, daemon=True)
+        writer.start()
+        assert load_corpus(fifo) == text
+        writer.join(timeout=60)
+        assert not writer.is_alive()
 
 
 class TestVocabulary:

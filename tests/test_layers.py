@@ -891,6 +891,22 @@ class TestGenerationStep:
             assert unchanged(final, [a.tobytes() for a in _leaves(whole[1])])
 
     @pytest.mark.parametrize("kind", ["lstm", "gru", "birnn"])
+    def test_feeder_never_writes_the_given_state(self, kind):
+        # generate discards the prime's state, so its text cannot show a
+        # feeder that advances that state instead of its own copy
+        stack = self._stack(kind, widths=(6, 4))
+        gen = np.random.default_rng(14)
+        _, state = stack.step(gen.integers(0, 7, (1, 9)), stack.init_state(1))
+        given = [a.tobytes() for a in _leaves(state)]
+        ids = gen.integers(0, 7, 30).tolist()
+        runs = []
+        for _ in range(2):
+            feed = stack.feeder(state)
+            runs.append([feed(i).tobytes() for i in ids])
+            assert [a.tobytes() for a in _leaves(state)] == given
+        assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("kind", ["lstm", "gru", "birnn"])
     def test_prime_and_sampling_leave_p_unchanged(self, kind):
         # each step gathers rows of P and works on them in place; P is never written
         stack = self._stack(kind, widths=(6, 4))
