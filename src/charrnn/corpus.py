@@ -13,13 +13,15 @@ code points _CHUNK characters at a time, so no temporary grows with the
 corpus, and shuffle_batches takes its Fisher-Yates draws from one bulk
 Rng.randint call.
 
-_read_capped is the bounded read of the corpus and of history CSVs, and
+_read_capped is the bounded read of the corpus and of history CSVs,
 _write_atomic the temp-file-and-rename writer of checkpoints, history CSVs
-and the CLI's --out files.
+and the CLI's --out files, and _check_writable its early refusal of a path
+it could not write.
 """
 
 from __future__ import annotations
 
+import errno
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -75,6 +77,21 @@ def _write_atomic(path, chunks) -> None:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def _check_writable(path) -> None:
+    """Refuse, before any work, a path that _write_atomic could not write:
+    one that names a directory, or whose directory (where the temp file
+    would go) does not exist or is not a directory. Raises the OSError
+    subclass that writing would, naming path."""
+    target = Path(path)
+    if target.is_dir():
+        code = errno.EISDIR
+    elif not target.parent.is_dir():
+        code = errno.ENOTDIR if target.parent.exists() else errno.ENOENT
+    else:
+        return
+    raise OSError(code, os.strerror(code), os.fspath(path))
 
 
 _CHUNK = 1 << 16  # characters per UTF-32 pass in build_vocab and encode

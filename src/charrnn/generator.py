@@ -1,20 +1,13 @@
 """Stepwise text generation with temperature-controlled selection.
 
-The prime text is fed in blocks of _PRIME_BLOCK characters, one step() call
-per block, each carrying the state on from the last. A call runs the
-recurrent layers one after another, each over every character of its block
-(layer 0 on the block's P rows, gathered at once), and the dense layer on
-the block's last character only. Chained calls give the same bits as one
-call over the whole prime, and the blocks bound the prime's working memory
-(its gate rows and per-position states) whatever its length. Then the loop
-alternates select-next-character / feed-it-back until the requested length
-is reached. Each drawn character is fed back through the stack's feeder
-(RecurrentStack.feeder), which runs the same cells on state, gate and logits
-buffers allocated once per request from the prime's final state, with none
-of step()'s checks and allocations: the id is one the loop itself drew. The
-last character is not fed back, since nothing reads the logits that step
-would give, so a request makes ceil(len(prime) / _PRIME_BLOCK) step() calls
-and max(length - 1, 0) feeds. The softmax is written into one reused buffer.
+One call to the stack's feeder (RecurrentStack.feeder) primes it with the
+encoded prime text and returns the logits of the prime's last character and
+a feed function. Then the loop alternates select-next-character / feed-it-back
+until the requested length is reached. Each drawn character is fed back
+through the feeder's one in-place step, with none of step()'s checks: the id
+is one the loop itself drew. The last character is not fed back, since
+nothing reads the logits that step would give, so a request makes
+max(length - 1, 0) feeds. The softmax is written into one reused buffer.
 Temperature divides the logits before the softmax:
 T -> 0 sharpens the distribution toward the argmax, large T flattens it
 toward uniform. Dividing the post-softmax probabilities instead would cancel
@@ -42,9 +35,6 @@ from .numerics import Rng, check_int_fields, check_real_fields, sample_categoric
 
 MODES = ("sample", "argmax")
 
-# Prime characters per step() call (see the module docstring)
-_PRIME_BLOCK = 64
-
 
 @dataclass(frozen=True)
 class GenerationPlan:
@@ -71,15 +61,11 @@ def generate(model: Model, plan: GenerationPlan) -> str:
     """Prime the model, then emit plan.length characters.
 
     Returns prime + generated text, exactly len(prime) + length characters.
-    Runs on any model, whatever its configured batch size: it steps a batch-1
-    state of its own, never applies dropout and never writes a weight.
+    Runs on any model, whatever its configured batch size: the feeder primes
+    a batch-1 state of its own, never applies dropout and never writes a
+    weight.
     """
-    prime = model.vocab.encode(plan.prime_text)[None, :]
-    state = model.init_state(1)
-    for t0 in range(0, prime.shape[1], _PRIME_BLOCK):
-        logits, state = model.step(prime[:, t0 : t0 + _PRIME_BLOCK], state)
-    logits = logits[0]
-    feed = model.feeder(state)
+    feed, logits = model.feeder(model.vocab.encode(plan.prime_text))
     probs = np.empty_like(logits)
     temperature, argmax = plan.temperature, plan.mode == "argmax"
     rng = Rng(plan.sample_seed)

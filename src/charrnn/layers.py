@@ -70,10 +70,11 @@ equal the training forward's bit for bit. RecurrentStack.step runs
 layer by layer, each layer over every position fed; deeper layers project
 one position at a time, since one GEMM over all positions rounds
 differently, so a prime in one call equals the same prime fed one character
-per call, bit for bit. After the prime, generation feeds each character
-through RecurrentStack.feeder: the same cells' _recur, with the arithmetic of
-a one-position step() call, on state rows allocated once per request, which
-each feed advances in place.
+per call, bit for bit. Generation makes one call, RecurrentStack.feeder: it
+primes a batch-1 state from init_state with step() calls of _PRIME_BLOCK
+characters, then takes that state over, and each feed runs the same cells'
+_recur, with the arithmetic of a one-position step() call, on state rows
+allocated once per request, which it advances in place.
 
 Cells hold only gate math. LstmCell and GruCell each define GATES, STATES
 (the names of the state arrays, h first: a cell's state is a tuple of [B, H]
@@ -119,6 +120,8 @@ from .numerics import Rng, check_ids, sigmoid
 
 # Time steps per backward block (see the module docstring).
 _BLOCK = 25
+# Prime characters per step() call in RecurrentStack.feeder.
+_PRIME_BLOCK = 64
 
 
 def _split(a: np.ndarray, parts: int) -> list[np.ndarray]:
@@ -698,21 +701,38 @@ class RecurrentStack:
             x, state[i] = layer.step(x, state[i])
         return self.dense.forward(x[-1]), state
 
-    def feeder(self, state):
-        """Generation's per-character step, from a batch-1 state that step()
-        returned: feed(i) runs the one id i, carries the state on and returns
-        the logits [V], in a buffer the next call writes over. The id is not
-        checked: it must be an index the caller drew from these logits.
+    def feeder(self, ids: np.ndarray):
+        """Generation: prime the stack with the encoded prime ids [L], then
+        feed it one drawn id at a time. Returns (feed, logits), the logits
+        [V] of the prime's last position; feed(i) runs the one id i, carries
+        the state on and returns the next logits [V], in a buffer the next
+        call writes over. The fed id is not checked: it must be an index the
+        caller drew from these logits. Empty ids raise step()'s ShapeError.
 
-        Every array is allocated here, once: per layer one gate row and one
-        output row (a birnn layer's two directions in its halves), per LSTM
-        cell one c row, and the logits row. Each cell runs its own _recur on
-        them, the arithmetic step() runs, with its state as both the state
-        read and the state written, as in _loop: layer 0 copies its P[i] row,
-        deeper layers make x W_x + b with out=, and the dense layer writes
-        x W + b into the logits. A birnn layer alternates which direction runs
-        first, so that the two GEMVs in a row read the same W_h, still in cache.
+        The prime runs from init_state(1) in step() calls of _PRIME_BLOCK
+        characters, each carrying the state on from the last. A call runs the
+        layers one after another, each over every character of its block
+        (layer 0 on the block's P rows, gathered at once), and the dense
+        layer on the block's last character only. Chained calls give the same
+        bits as one call over the whole prime, and the blocks bound the
+        prime's working memory (its gate rows and per-position states)
+        whatever its length. Layer-major blocks keep one direction's W_h in
+        cache for a whole block, where feeding the prime position by position
+        reads both of a birnn layer's W_h on every character.
+
+        The feeds then take the prime's final state over. Every other array
+        is allocated here, once: per layer one gate row and one output row (a
+        birnn layer's two directions in its halves) and the logits row. Each
+        cell runs its own _recur on them, the arithmetic step() runs, with
+        its state as both the state read and the state written, as in _loop:
+        layer 0 copies its P[i] row, deeper layers make x W_x + b with out=,
+        and the dense layer writes x W + b into the logits. A birnn layer
+        alternates which direction runs first, so that the two GEMVs in a
+        row read the same W_h, still in cache.
         """
+        state = self.init_state(1)
+        for t0 in range(0, len(ids) or 1, _PRIME_BLOCK):  # no ids: step() raises
+            last, state = self.step(ids[None, t0 : t0 + _PRIME_BLOCK], state)
         # per layer (gate row, output row, per cell (its _recur, w_x, b,
         # P or None, its state arrays as read and as written))
         layers = []
@@ -720,11 +740,12 @@ class RecurrentStack:
             cells, states = (((layer.fwd, layer.bwd), s) if isinstance(layer, BidirectionalLstm)
                              else ((layer,), (s,)))
             h = layer.hidden_size
-            out = np.concatenate([st[0] for st in states], axis=1)  # never the given h
+            out = np.concatenate([st[0] for st in states], axis=1)
             steps = []
             for d, (cell, st) in enumerate(zip(cells, states)):
                 k = len(cell.STATES)
-                now = (out[:, d * h : (d + 1) * h], *(c.copy() for c in st[1:k]))
+                # the LSTM's c rows come from _loop's private copies
+                now = (out[:, d * h : (d + 1) * h], *st[1:k])
                 p = st[k] if len(st) > k else None  # layer 0's state ends with P
                 steps.append((cell._recur, cell.w_x, cell.b, p, now + now))
             layers.append((np.empty((1, cells[0].w_h.shape[1])), out, steps))
@@ -752,7 +773,7 @@ class RecurrentStack:
             np.add(logits, b, out=logits)
             return row
 
-        return feed
+        return feed, last[0]
 
     def params(self) -> dict[str, np.ndarray]:
         """Parameters in canonical order: embedding, each layer, dense."""

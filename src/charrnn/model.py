@@ -328,11 +328,14 @@ def load_checkpoint(path) -> Model:
     file shrank after fstat, is the format error of a file that short.
     """
     # without O_NONBLOCK, opening a FIFO would wait for a writer; a regular
-    # file reads the same either way
-    with open(os.open(path, os.O_RDONLY | getattr(os, "O_NONBLOCK", 0)), "rb") as f:
-        info = os.fstat(f.fileno())
-        if not stat.S_ISREG(info.st_mode):
-            raise CheckpointFormatError(f"{os.fspath(path)} is not a regular file")
+    # file reads the same either way. A directory opens too, but open(fd)
+    # would refuse it, so the raw fd is checked and closed here first.
+    fd = os.open(path, os.O_RDONLY | getattr(os, "O_NONBLOCK", 0))
+    info = os.fstat(fd)
+    if not stat.S_ISREG(info.st_mode):
+        os.close(fd)
+        raise CheckpointFormatError(f"{os.fspath(path)} is not a regular file")
+    with open(fd, "rb") as f:
         return _read_checkpoint(f, info.st_size)
 
 

@@ -17,8 +17,8 @@ from typing import Callable
 
 import numpy as np
 
-from .corpus import (CorpusPlan, Vocabulary, _read_capped, _write_atomic, make_sequences,
-                     shuffle_batches)
+from .corpus import (CorpusPlan, Vocabulary, _check_writable, _read_capped, _write_atomic,
+                     make_sequences, shuffle_batches)
 from .exceptions import ConfigError, HistoryFormatError, TrainingError
 from .model import Model, ModelConfig, build_model, save_checkpoint
 from .numerics import Rng, check_int_fields, check_real_fields
@@ -116,11 +116,18 @@ def train(text: str, vocab: Vocabulary, config: ModelConfig, plan: TrainPlan,
           ) -> tuple[Model, list[HistoryRow]]:
     """Full training run on a corpus text and its vocabulary (see build_vocab).
 
-    Writes the checkpoint and history CSV when paths are given (both
-    atomically, so a failed run never leaves partial files). Returns the
-    trained model and one history row per epoch.
+    Writes the checkpoint and history CSV when paths are given. A path that
+    names a directory, or whose directory is missing or is a file, is
+    refused before the first epoch. Each file is written atomically, so
+    neither is ever left partial, but the checkpoint is written first: a
+    history write that fails late (a full disk, say) leaves the new
+    checkpoint in place. Returns the trained model and one history row per
+    epoch.
     """
     model = build_model(config, vocab)  # refuses a bad config before the corpus is cut
+    for path in (ckpt_path, history_path):
+        if path is not None:
+            _check_writable(path)
     cplan = CorpusPlan(config.seq_len, config.batch_size, plan.shuffle_seed)
     windows = make_sequences(vocab.encode(text), cplan)
     opt_state = RmspropState.for_params(model.params(), alpha=plan.lr)

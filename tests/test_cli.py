@@ -169,6 +169,23 @@ class TestTrainCommand:
         _assert_one_error_line(code, err)
         assert "parameters" in err and not ckpt.exists()
 
+    @pytest.mark.parametrize("ckpt, hist, bad", [
+        pytest.param("out/m.ckpt", "nodir/h.csv", "nodir/h.csv", id="missing-directory"),
+        pytest.param("out", "h.csv", "out", id="directory"),
+        pytest.param("out/m.ckpt", "out/f/h.csv", "out/f/h.csv", id="file-as-directory"),
+    ])
+    def test_unwritable_output_refused_before_training(self, fixture_path, tmp_path,
+                                                       ckpt, hist, bad):
+        # refused before the first epoch, so nothing is trained or written
+        (tmp_path / "out").mkdir()
+        (tmp_path / "out" / "f").write_bytes(b"")
+        before = sorted(tmp_path.rglob("*"))
+        code, out, err = _run(["train", "--corpus", str(fixture_path), *TRAIN_ARGS,
+                               "--out", str(tmp_path / ckpt), "--history", str(tmp_path / hist)])
+        _assert_one_error_line(code, err)
+        assert out == "" and repr(str(tmp_path / bad)) in err
+        assert sorted(tmp_path.rglob("*")) == before
+
     @pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="no /dev/zero")
     def test_endless_corpus_exit_1(self, tmp_path):
         ckpt = tmp_path / "x.ckpt"
@@ -337,6 +354,12 @@ class TestGenerateCommand:
                                "--length", "5"])
         _assert_one_error_line(code, err)
         assert out == "" and "/dev/zero is not a regular file" in err
+
+    def test_directory_checkpoint_exit_1(self, tmp_path):
+        code, out, err = _run(["generate", "--checkpoint", str(tmp_path), "--prime", "a",
+                               "--length", "1"])
+        _assert_one_error_line(code, err)
+        assert out == "" and f"{tmp_path} is not a regular file" in err
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
     def test_fifo_checkpoint_exit_1(self, tmp_path):

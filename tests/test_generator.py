@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from charrnn import generator
+from charrnn import generator, layers
 from charrnn.corpus import Vocabulary
 from charrnn.exceptions import ConfigError, VocabularyError
 from charrnn.generator import GenerationPlan, generate
@@ -156,29 +156,32 @@ class TestGenerate:
         pytest.param("abcde" * 30, 3, 5, id="long-prime"),  # blocks of 64, 64 and 22
     ])
     def test_step_calls(self, monkeypatch, prime, length, calls):
-        # one step() call per prime block, then one feed per sampled character
+        # one feeder call per request, given the prime's ids; inside it one
+        # step() call per prime block, then one feed per sampled character
         # but the last, each feeding the character just drawn
-        counted = []
+        counted, primed = [], []
         real_step, real_feeder = RecurrentStack.step, RecurrentStack.feeder
 
         def counting_step(self, ids, state):
             counted.append(np.shape(ids))
             return real_step(self, ids, state)
 
-        def counting_feeder(self, state):
-            feed = real_feeder(self, state)
+        def counting_feeder(self, ids):
+            primed.append(ids.tolist())
+            feed, logits = real_feeder(self, ids)
 
             def counting_feed(i):
                 counted.append(i)
                 return feed(i)
 
-            return counting_feed
+            return counting_feed, logits
 
         monkeypatch.setattr(RecurrentStack, "step", counting_step)
         monkeypatch.setattr(RecurrentStack, "feeder", counting_feeder)
         model = _gen_model()
         out = generate(model, GenerationPlan(prime_text=prime, length=length, sample_seed=2))
-        block = generator._PRIME_BLOCK
+        assert primed == [model.vocab.encode(prime).tolist()]
+        block = layers._PRIME_BLOCK
         blocks = [(1, min(block, len(prime) - t0)) for t0 in range(0, len(prime), block)]
         assert len(counted) == calls
         assert counted[: len(blocks)] == blocks
@@ -205,7 +208,7 @@ class TestGenerate:
             finally:
                 tracemalloc.stop()
 
-        short = 2 * generator._PRIME_BLOCK
+        short = 2 * layers._PRIME_BLOCK
         assert len(fixture_text) >= 2_000
         assert peak(2_000) <= peak(short) + 8 * (2_000 - short) + 4_096
 
@@ -359,6 +362,6 @@ class TestGoldenText:
     def test_prime_block_size_keeps_the_digests(self, monkeypatch, tmp_path, fixture_vocab,
                                                 kind, layers, block):
         # the 27-character prime in 27 or 4 calls samples the same text as in one
-        monkeypatch.setattr(generator, "_PRIME_BLOCK", block)
+        monkeypatch.setattr("charrnn.layers._PRIME_BLOCK", block)
         got, want = _golden_digests(tmp_path, fixture_vocab, kind, layers)
         assert got == want

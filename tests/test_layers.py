@@ -891,20 +891,32 @@ class TestGenerationStep:
             assert unchanged(final, [a.tobytes() for a in _leaves(whole[1])])
 
     @pytest.mark.parametrize("kind", ["lstm", "gru", "birnn"])
-    def test_feeder_never_writes_the_given_state(self, kind):
-        # generate discards the prime's state, so its text cannot show a
-        # feeder that advances that state instead of its own copy
+    def test_feeder_repeats_and_never_writes_a_weight(self, kind):
+        # two feeders primed with the same ids give the same logits bytes,
+        # so neither advances a state the other reads, and priming and
+        # feeding leave every parameter as it was
         stack = self._stack(kind, widths=(6, 4))
         gen = np.random.default_rng(14)
-        _, state = stack.step(gen.integers(0, 7, (1, 9)), stack.init_state(1))
-        given = [a.tobytes() for a in _leaves(state)]
+        prime = gen.integers(0, 7, 9)
+        weights = {name: p.tobytes() for name, p in stack.params().items()}
         ids = gen.integers(0, 7, 30).tolist()
         runs = []
         for _ in range(2):
-            feed = stack.feeder(state)
-            runs.append([feed(i).tobytes() for i in ids])
-            assert [a.tobytes() for a in _leaves(state)] == given
-        assert runs[0] == runs[1]
+            feed, logits = stack.feeder(prime)
+            runs.append([logits.tobytes()] + [feed(i).tobytes() for i in ids])
+            assert {name: p.tobytes() for name, p in stack.params().items()} == weights
+        # and both equal the same prime and ids through step(), bit for bit
+        logits, state = stack.step(prime[None], stack.init_state(1))
+        stepped = [logits[0].tobytes()]
+        for i in ids:
+            logits, state = stack.step(np.array([i]), state)
+            stepped.append(logits[0].tobytes())
+        assert runs[0] == runs[1] == stepped
+
+    def test_feeder_on_empty_ids_raises_shape_error(self):
+        stack = self._stack("lstm")
+        with pytest.raises(ShapeError, match="L >= 1"):
+            stack.feeder(np.array([], dtype=np.int64))
 
     @pytest.mark.parametrize("kind", ["lstm", "gru", "birnn"])
     def test_prime_and_sampling_leave_p_unchanged(self, kind):

@@ -721,6 +721,15 @@ class TestCheckpoint:
         with pytest.raises(CheckpointIntegrityError, match="not sorted and unique"):
             load_checkpoint(p)
 
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc/self/fd")
+    def test_directory_is_refused_without_leaking_its_fd(self, tmp_path):
+        # a directory opens, so its descriptor must be closed on the refusal
+        before = len(os.listdir("/proc/self/fd"))
+        for _ in range(50):
+            with pytest.raises(CheckpointFormatError, match="is not a regular file"):
+                load_checkpoint(tmp_path)
+        assert len(os.listdir("/proc/self/fd")) == before
+
 
 def _recrc(blob: bytes) -> bytes:
     """The blob with its trailing CRC-32 recomputed over the payload."""
