@@ -13,7 +13,7 @@ import math
 import sys
 from pathlib import Path
 
-from .corpus import _write_atomic, build_vocab, load_corpus
+from .corpus import _check_writable, _write_atomic, build_vocab, load_corpus
 from .exceptions import CharRnnError
 from .generator import MODES, GenerationPlan, generate
 from .model import KINDS, PRESETS, ModelConfig, load_checkpoint, preset_widths
@@ -21,32 +21,23 @@ from .numerics import Rng
 from .trainer import _HISTORY_HEADER, TrainPlan, parse_history, train
 
 
-def _positive_float(text: str) -> float:
-    value = float(text)
-    if not 0 < value < math.inf:
-        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text}")
-    return value
+def _number(parse, ok, rule: str):
+    """An argparse type: parse the text, then refuse a value that is not ok
+    with "must be {rule}, got {text}". Text that does not parse reads as
+    "invalid {parse.__name__} value", argparse's wording for type=int."""
+    def check(text: str):
+        value = parse(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text}")
+        return value
+    check.__name__ = parse.__name__
+    return check
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {text}")
-    return value
-
-
-def _nonnegative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
-    return value
-
-
-def _dropout_rate(text: str) -> float:
-    value = float(text)
-    if not 0.0 <= value < 1.0:
-        raise argparse.ArgumentTypeError(f"must be in [0, 1), got {text}")
-    return value
+_positive_float = _number(float, lambda v: 0 < v < math.inf, "finite and > 0")
+_positive_int = _number(int, lambda v: v > 0, ">= 1")
+_nonnegative_int = _number(int, lambda v: v >= 0, ">= 0")
+_dropout_rate = _number(float, lambda v: 0.0 <= v < 1.0, "in [0, 1)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -153,6 +144,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_generate(args) -> int:
+    if args.out:
+        _check_writable(args.out)
     plan = GenerationPlan(
         prime_text=args.prime, length=args.length,
         temperature=args.temperature, mode=args.mode, sample_seed=args.seed,
@@ -162,6 +155,8 @@ def cmd_generate(args) -> int:
 
 
 def cmd_report(args) -> int:
+    if args.out:
+        _check_writable(args.out)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")  # quotes a run name holding a comma
     writer.writerow(["run", *_HISTORY_HEADER])
@@ -173,8 +168,9 @@ def cmd_report(args) -> int:
     return 0
 
 
-# Errors a command ends in on bad input: one "error:" line on stderr, exit 1
-RUNTIME_ERRORS = (CharRnnError, OSError, UnicodeDecodeError)
+# Errors a command ends in on bad input: one "error:" line on stderr, exit 1.
+# UnicodeError covers a corpus that is not UTF-8 and text stdout cannot encode.
+RUNTIME_ERRORS = (CharRnnError, OSError, UnicodeError)
 
 
 def main(argv=None) -> int:

@@ -15,8 +15,8 @@ Rng.randint call.
 
 _read_capped is the bounded read of the corpus and of history CSVs,
 _write_atomic the temp-file-and-rename writer of checkpoints, history CSVs
-and the CLI's --out files, and _check_writable its early refusal of a path
-it could not write.
+and the CLI's --out files, and _check_writable its early refusal of paths
+it could not write or that name one file twice.
 """
 
 from __future__ import annotations
@@ -79,19 +79,29 @@ def _write_atomic(path, chunks) -> None:
         raise
 
 
-def _check_writable(path) -> None:
-    """Refuse, before any work, a path that _write_atomic could not write:
-    one that names a directory, or whose directory (where the temp file
-    would go) does not exist or is not a directory. Raises the OSError
-    subclass that writing would, naming path."""
-    target = Path(path)
-    if target.is_dir():
-        code = errno.EISDIR
-    elif not target.parent.is_dir():
-        code = errno.ENOTDIR if target.parent.exists() else errno.ENOENT
-    else:
-        return
-    raise OSError(code, os.strerror(code), os.fspath(path))
+def _check_writable(*paths) -> None:
+    """Refuse, before any work, output paths that _write_atomic could not
+    write. A path that names a directory, or whose directory (where the temp
+    file would go) does not exist or is not a directory, raises the OSError
+    subclass that writing would, naming that path. Two paths that resolve to
+    the same file, where the later write would replace the earlier, raise
+    ConfigError naming both."""
+    seen = {}
+    for path in paths:
+        target = Path(path)
+        if target.is_dir():
+            code = errno.EISDIR
+        elif not target.parent.is_dir():
+            code = errno.ENOTDIR if target.parent.exists() else errno.ENOENT
+        else:
+            code = 0
+        if code:
+            raise OSError(code, os.strerror(code), os.fspath(path))
+        key = target.resolve()
+        if key in seen:
+            raise ConfigError(f"outputs {os.fspath(seen[key])!r} and "
+                              f"{os.fspath(path)!r} are the same file")
+        seen[key] = path
 
 
 _CHUNK = 1 << 16  # characters per UTF-32 pass in build_vocab and encode
@@ -221,11 +231,11 @@ def shuffle_batches(windows: np.ndarray, plan: CorpusPlan, rng: Rng) -> list[Seq
     """Seeded Fisher-Yates permutation of the windows, then grouping into
     full batches.
 
-    The swap partner of position i (n - 1 down to 1) is rng.randint(i + 1);
-    the n - 1 draws come from one array call, equal to the scalar calls in
-    that order. The final partial batch is dropped so every batch has fixed
-    dimensions. The kept windows are gathered once; each batch's inputs and
-    targets are views of that gather.
+    The swap partner of position i (n - 1 down to 1) is the draw for bound
+    i + 1 of one rng.randint call over the bounds n, n - 1, ..., 2, in that
+    order (so n is below 2^32). The final partial batch is dropped so
+    every batch has fixed dimensions. The kept windows are gathered once;
+    each batch's inputs and targets are views of that gather.
     """
     n = len(windows)
     order = list(range(n))

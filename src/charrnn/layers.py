@@ -722,13 +722,16 @@ class RecurrentStack:
 
         The feeds then take the prime's final state over. Every other array
         is allocated here, once: per layer one gate row and one output row (a
-        birnn layer's two directions in its halves) and the logits row. Each
-        cell runs its own _recur on them, the arithmetic step() runs, with
-        its state as both the state read and the state written, as in _loop:
-        layer 0 copies its P[i] row, deeper layers make x W_x + b with out=,
-        and the dense layer writes x W + b into the logits. A birnn layer
-        alternates which direction runs first, so that the two GEMVs in a
-        row read the same W_h, still in cache.
+        birnn layer's two directions write its np.hsplit halves) and the
+        logits row. Each cell runs its own _recur on them, the arithmetic
+        step() runs, with its state as both the state read and the state
+        written, as in _loop: layer 0 copies its P[i] row, deeper layers make
+        x W_x + b with out=, and the dense layer writes x W + b into the
+        logits. After a layer runs, its list of cell steps is reversed in
+        place (a no-op for one cell), so a birnn layer alternates which
+        direction runs first and the two GEMVs in a row read the same W_h,
+        still in cache. Each direction writes only its own state and its own
+        half of the row, so the order cannot change a bit.
         """
         state = self.init_state(1)
         for t0 in range(0, len(ids) or 1, _PRIME_BLOCK):  # no ids: step() raises
@@ -739,27 +742,22 @@ class RecurrentStack:
         for layer, s in zip(self.recurrent, state):
             cells, states = (((layer.fwd, layer.bwd), s) if isinstance(layer, BidirectionalLstm)
                              else ((layer,), (s,)))
-            h = layer.hidden_size
             out = np.concatenate([st[0] for st in states], axis=1)
             steps = []
-            for d, (cell, st) in enumerate(zip(cells, states)):
+            for cell, st, half in zip(cells, states, np.hsplit(out, len(cells))):
                 k = len(cell.STATES)
                 # the LSTM's c rows come from _loop's private copies
-                now = (out[:, d * h : (d + 1) * h], *st[1:k])
+                now = (half, *st[1:k])
                 p = st[k] if len(st) > k else None  # layer 0's state ends with P
                 steps.append((cell._recur, cell.w_x, cell.b, p, now + now))
             layers.append((np.empty((1, cells[0].w_h.shape[1])), out, steps))
-        # the cell orders of alternate feeds: a birnn's other direction first
-        orders = (layers, [(gate, out, steps[::-1]) for gate, out, steps in layers])
         w, b = self.dense.w, self.dense.b
         logits = np.empty((1, w.shape[1]))
         row = logits[0]
-        turn = 0
 
         def feed(i: int) -> np.ndarray:
-            nonlocal turn
             x = None
-            for gate, out, steps in orders[turn]:
+            for gate, out, steps in layers:
                 for recur, w_x, b_x, p, states in steps:
                     if p is not None:
                         gate[0] = p[i]
@@ -767,8 +765,8 @@ class RecurrentStack:
                         np.matmul(x, w_x, out=gate)
                         gate += b_x
                     recur(gate, *states)
+                steps.reverse()  # a birnn's other direction runs first next feed
                 x = out
-            turn ^= 1
             np.matmul(x, w, out=logits)
             np.add(logits, b, out=logits)
             return row

@@ -87,7 +87,7 @@ class Rng:
     identical streams on any platform and in any future version, which is
     what makes seeded runs reproducible.
 
-    Bulk draws (array uniform, uniform_at_least, array randint) emit exactly
+    Bulk draws (array uniform, uniform_at_least, randint) emit exactly
     the same stream as repeated single draws. They share one private path,
     _chunks, that computes the stream _CHUNK draws at a time into two reused
     uint64 buffers; each method converts a chunk straight into its slice of
@@ -171,21 +171,20 @@ class Rng:
         return out
 
     def randint(self, bound):
-        """Uniform integer in [0, bound) via the multiply-shift reduction
-        (z * bound) >> 64 of one draw z.
+        """Uniform integers in [0, bound) via the multiply-shift reduction
+        (z * bound) >> 64 of one draw z per bound.
 
-        bound may also be an integer ndarray of bounds in [1, 2^32): the result
-        is an int64 array of one draw per bound, in order, equal to the scalar
-        calls. With 32-bit limbs z = hi * 2^32 + lo, (z * b) >> 64 is
+        bound is an integer or an integer ndarray, each bound in [1, 2^32);
+        others raise ValueError before any draw. The result is an int64
+        array of bound's shape (0-d for an integer), one draw per bound in
+        order, so a scalar bound gives the next draw's (z * bound) >> 64.
+        With 32-bit limbs z = hi * 2^32 + lo, (z * b) >> 64 is
         (hi * b + ((lo * b) >> 32)) >> 32, which cannot overflow uint64 for
-        b < 2^32; larger bounds raise ValueError.
+        b < 2^32.
         """
-        if not isinstance(bound, np.ndarray):
-            if bound <= 0:
-                raise ValueError(f"bound must be positive, got {bound}")
-            return (self.next_u64() * bound) >> 64
+        bound = np.asarray(bound)
         if bound.size and (bound.min() <= 0 or bound.max() >= 1 << 32):
-            raise ValueError(f"array bounds must lie in [1, 2^32), got "
+            raise ValueError(f"bounds must lie in [1, 2^32), got "
                              f"[{bound.min()}, {bound.max()}]")
         bounds = bound.reshape(-1)
         out = np.empty(bound.shape, dtype=np.int64)

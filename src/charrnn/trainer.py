@@ -118,16 +118,14 @@ def train(text: str, vocab: Vocabulary, config: ModelConfig, plan: TrainPlan,
 
     Writes the checkpoint and history CSV when paths are given. A path that
     names a directory, or whose directory is missing or is a file, is
-    refused before the first epoch. Each file is written atomically, so
-    neither is ever left partial, but the checkpoint is written first: a
-    history write that fails late (a full disk, say) leaves the new
-    checkpoint in place. Returns the trained model and one history row per
-    epoch.
+    refused before the first epoch, and so are two paths to one file. Each
+    file is written atomically, so neither is ever left partial, but the
+    checkpoint is written first: a history write that fails late (a full
+    disk, say) leaves the new checkpoint in place. Returns the trained model
+    and one history row per epoch.
     """
     model = build_model(config, vocab)  # refuses a bad config before the corpus is cut
-    for path in (ckpt_path, history_path):
-        if path is not None:
-            _check_writable(path)
+    _check_writable(*(path for path in (ckpt_path, history_path) if path is not None))
     cplan = CorpusPlan(config.seq_len, config.batch_size, plan.shuffle_seed)
     windows = make_sequences(vocab.encode(text), cplan)
     opt_state = RmspropState.for_params(model.params(), alpha=plan.lr)

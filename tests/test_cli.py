@@ -108,6 +108,14 @@ class TestVocabCommand:
         _assert_one_error_line(child.returncode, child.stderr)
         assert child.stdout == "" and "longer than" in child.stderr
 
+    def test_unencodable_stdout_exit_1(self, tmp_path, monkeypatch):
+        corpus = tmp_path / "c.txt"
+        corpus.write_text("café", encoding="utf-8")
+        monkeypatch.setenv("PYTHONIOENCODING", "ascii")
+        child = _run_child(["vocab", "--corpus", str(corpus)])
+        _assert_one_error_line(child.returncode, child.stderr)
+        assert "can't encode" in child.stderr
+
 
 class TestTrainCommand:
     def test_writes_outputs_and_progress(self, fixture_path, tmp_path, capsys):
@@ -173,17 +181,21 @@ class TestTrainCommand:
         pytest.param("out/m.ckpt", "nodir/h.csv", "nodir/h.csv", id="missing-directory"),
         pytest.param("out", "h.csv", "out", id="directory"),
         pytest.param("out/m.ckpt", "out/f/h.csv", "out/f/h.csv", id="file-as-directory"),
+        pytest.param("out/m.ckpt", "out/m.ckpt", "out/m.ckpt", id="same-path"),
+        pytest.param("out/m.ckpt", "out/./m.ckpt", "out/./m.ckpt", id="same-file"),
     ])
     def test_unwritable_output_refused_before_training(self, fixture_path, tmp_path,
                                                        ckpt, hist, bad):
-        # refused before the first epoch, so nothing is trained or written
+        # refused before the first epoch, so nothing is trained or written;
+        # os.path.join keeps the "./" that pathlib would drop
         (tmp_path / "out").mkdir()
         (tmp_path / "out" / "f").write_bytes(b"")
         before = sorted(tmp_path.rglob("*"))
         code, out, err = _run(["train", "--corpus", str(fixture_path), *TRAIN_ARGS,
-                               "--out", str(tmp_path / ckpt), "--history", str(tmp_path / hist)])
+                               "--out", os.path.join(tmp_path, ckpt),
+                               "--history", os.path.join(tmp_path, hist)])
         _assert_one_error_line(code, err)
-        assert out == "" and repr(str(tmp_path / bad)) in err
+        assert out == "" and repr(os.path.join(tmp_path, bad)) in err
         assert sorted(tmp_path.rglob("*")) == before
 
     @pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="no /dev/zero")
@@ -310,6 +322,17 @@ class TestGenerateCommand:
         assert capsys.readouterr().out == ""
         assert len(target.read_text(encoding="utf-8")) == 13
 
+    def test_unencodable_stdout_exit_1(self, tmp_path, monkeypatch):
+        corpus = tmp_path / "c.txt"
+        corpus.write_text("café au lait. " * 40, encoding="utf-8")
+        code, ckpt, _ = _train(corpus, tmp_path)
+        assert code == 0
+        monkeypatch.setenv("PYTHONIOENCODING", "ascii")
+        child = _run_child(["generate", "--checkpoint", str(ckpt), "--prime", "café",
+                            "--length", "3"])
+        _assert_one_error_line(child.returncode, child.stderr)
+        assert child.stdout == "" and "can't encode" in child.stderr
+
     def test_unknown_prime_char_runtime_error(self, checkpoint, capsys):
         code = main(["generate", "--checkpoint", str(checkpoint),
                      "--prime", "é", "--length", "5"])
@@ -423,6 +446,22 @@ class TestOutFileAtomic:
         assert command == "generate" or text.endswith("\n")
         assert _run(argv)[:2] == (0, text if text.endswith("\n") else text + "\n")
 
+    @pytest.mark.parametrize("command", ["generate", "report"])
+    @pytest.mark.parametrize("target", ["nodir/out.txt", "dir"])
+    def test_unwritable_out_refused_before_work(self, checkpoint, tmp_path, command, target):
+        # refused by the path the user gave, not by _write_atomic's temp file
+        history = tmp_path / "run.csv"
+        history.write_text("epoch,mean_loss,ms_per_step\n1,0.5,1.0\n")
+        (tmp_path / "dir").mkdir()
+        before = sorted(tmp_path.rglob("*"))
+        argv = (["generate", "--checkpoint", str(checkpoint), "--prime", "The",
+                 "--length", "20"] if command == "generate" else
+                ["report", "--history", str(history)])
+        code, out, err = _run([*argv, "--out", str(tmp_path / target)])
+        _assert_one_error_line(code, err)
+        assert out == "" and repr(str(tmp_path / target)) in err and ".tmp" not in err
+        assert sorted(tmp_path.rglob("*")) == before
+
     def test_new_file_has_the_mode_of_a_plain_write(self, checkpoint, tmp_path):
         plain = tmp_path / "plain.txt"
         plain.write_text("x")
@@ -507,6 +546,34 @@ class TestReportCommand:
         main(["report", "--history", str(p), "--out", str(target)])
         assert capsys.readouterr().out == ""
         assert target.read_text().startswith("run,epoch")
+
+
+_COMMAND_ARGS = {
+    "train": ["train", "--corpus", "c.txt", "--model", "lstm", "--preset", "uni",
+              "--out", "m.ckpt", "--history", "h.csv"],
+    "generate": ["generate", "--checkpoint", "m.ckpt", "--prime", "a", "--length", "1"],
+}
+
+
+@pytest.mark.parametrize("command, flag, value, message", [
+    ("train", "--seq-len", "0", "must be >= 1, got 0"),
+    ("train", "--batch-size", "-1", "must be >= 1, got -1"),
+    ("train", "--epochs", "0", "must be >= 1, got 0"),
+    ("train", "--embed-dim", "-5", "must be >= 1, got -5"),
+    ("train", "--lr", "-1e-3", "must be finite and > 0, got -1e-3"),
+    ("train", "--scale", "0", "must be finite and > 0, got 0"),
+    ("train", "--dropout", "1", "must be in [0, 1), got 1"),
+    ("generate", "--length", "-1", "must be >= 0, got -1"),
+    ("generate", "--temperature", "-inf", "must be finite and > 0, got -inf"),
+    # text that is not a number: argparse's wording for type=int (as --seed)
+    ("train", "--epochs", "x", "invalid int value: 'x'"),
+    ("generate", "--temperature", "x", "invalid float value: 'x'"),
+])
+def test_number_flag_refusal_is_usage_error(command, flag, value, message):
+    # flag=value, since argparse reads "-1e-3" and "-inf" as flags otherwise
+    code, out, err = _run([*_COMMAND_ARGS[command], f"{flag}={value}"])
+    assert code == 2 and out == ""
+    assert err.endswith(f"argument {flag}: {message}\n") and "Traceback" not in err
 
 
 @pytest.fixture(scope="module")

@@ -918,6 +918,28 @@ class TestGenerationStep:
         with pytest.raises(ShapeError, match="L >= 1"):
             stack.feeder(np.array([], dtype=np.int64))
 
+    def test_feeder_alternates_birnn_directions(self):
+        # each layer runs fwd first on the first feed and the other direction
+        # first on the next, so the two GEMVs in a row read the same W_h
+        stack = self._stack("birnn", widths=(6, 4))
+        calls = []
+        for i, layer in enumerate(stack.recurrent):
+            for name in ("fwd", "bwd"):
+                cell = getattr(layer, name)
+
+                def recording(*args, _recur=cell._recur, _tag=(i, name)):
+                    calls.append(_tag)
+                    _recur(*args)
+
+                cell._recur = recording
+        feed, _ = stack.feeder(np.array([1, 2, 3]))
+        calls.clear()  # the prime's step() calls
+        for i in (4, 5, 6, 0):
+            feed(i)
+        orders = [("fwd", "bwd"), ("bwd", "fwd")] * 2
+        assert calls == [(layer, name) for order in orders for layer in (0, 1)
+                         for name in order]
+
     @pytest.mark.parametrize("kind", ["lstm", "gru", "birnn"])
     def test_prime_and_sampling_leave_p_unchanged(self, kind):
         # each step gathers rows of P and works on them in place; P is never written

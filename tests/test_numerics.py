@@ -164,6 +164,20 @@ class TestRng:
             r.randint(np.array(bounds, dtype=np.int64))
         assert r.next_u64() == Rng(4).next_u64()  # nothing was drawn
 
+    @given(seed=st.integers(min_value=0, max_value=2**64 - 1),
+           bound=st.integers(min_value=1, max_value=2**32 - 1))
+    @settings(max_examples=100)
+    def test_randint_scalar_is_the_multiply_shift_draw(self, seed, bound):
+        got = Rng(seed).randint(bound)
+        assert got.dtype == np.int64 and got.shape == ()
+        assert int(got) == (Rng(seed).next_u64() * bound) >> 64
+
+    def test_randint_scalar_bound_outside_rejected(self):
+        r = Rng(4)
+        with pytest.raises(ValueError, match=r"\[1, 2\^32\)"):
+            r.randint(2**32)
+        assert r.next_u64() == Rng(4).next_u64()  # nothing was drawn
+
     def test_randint_empty_array_draws_nothing(self):
         r = Rng(4)
         got = r.randint(np.zeros(0, dtype=np.int64))
