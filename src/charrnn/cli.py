@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import math
 import sys
 from pathlib import Path
 
@@ -17,27 +16,28 @@ from .corpus import _check_writable, _write_atomic, build_vocab, load_corpus
 from .exceptions import CharRnnError
 from .generator import MODES, GenerationPlan, generate
 from .model import KINDS, PRESETS, ModelConfig, load_checkpoint, preset_widths
-from .numerics import Rng
+from .numerics import AT_LEAST_0, AT_LEAST_1, FINITE_POSITIVE, UNIT_RATE, Rng, Rule
 from .trainer import _HISTORY_HEADER, TrainPlan, parse_history, train
 
 
-def _number(parse, ok, rule: str):
-    """An argparse type: parse the text, then refuse a value that is not ok
-    with "must be {rule}, got {text}". Text that does not parse reads as
+def _number(parse, rule: Rule):
+    """An argparse type: parse the text, then refuse a value outside the
+    rule with "must be {rule.text}, got {text}", the wording of the
+    ConfigError the field would raise. Text that does not parse reads as
     "invalid {parse.__name__} value", argparse's wording for type=int."""
     def check(text: str):
         value = parse(text)
-        if not ok(value):
-            raise argparse.ArgumentTypeError(f"must be {rule}, got {text}")
+        if not rule.ok(value):
+            raise argparse.ArgumentTypeError(f"must be {rule.text}, got {text}")
         return value
     check.__name__ = parse.__name__
     return check
 
 
-_positive_float = _number(float, lambda v: 0 < v < math.inf, "finite and > 0")
-_positive_int = _number(int, lambda v: v > 0, ">= 1")
-_nonnegative_int = _number(int, lambda v: v >= 0, ">= 0")
-_dropout_rate = _number(float, lambda v: 0.0 <= v < 1.0, "in [0, 1)")
+_positive_float = _number(float, FINITE_POSITIVE)
+_positive_int = _number(int, AT_LEAST_1)
+_nonnegative_int = _number(int, AT_LEAST_0)
+_dropout_rate = _number(float, UNIT_RATE)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -58,12 +58,12 @@ def build_parser() -> argparse.ArgumentParser:
                          help="layer widths: " + ", ".join(
                              f"{name}={','.join(map(str, widths))}"
                              for name, widths in PRESETS.items()))
-    p_train.add_argument("--seq-len", type=_positive_int, default=100)
+    p_train.add_argument("--seq-len", type=_positive_int, default=ModelConfig.seq_len)
     p_train.add_argument("--batch-size", type=_positive_int, default=64)
-    p_train.add_argument("--epochs", type=_positive_int, default=75)
-    p_train.add_argument("--lr", type=_positive_float, default=1e-3)
-    p_train.add_argument("--dropout", type=_dropout_rate, default=0.4)
-    p_train.add_argument("--embed-dim", type=_positive_int, default=256)
+    p_train.add_argument("--epochs", type=_positive_int, default=TrainPlan.epochs)
+    p_train.add_argument("--lr", type=_positive_float, default=TrainPlan.lr)
+    p_train.add_argument("--dropout", type=_dropout_rate, default=ModelConfig.dropout)
+    p_train.add_argument("--embed-dim", type=_positive_int, default=ModelConfig.embed_dim)
     p_train.add_argument("--seed", type=int, default=0,
                          help="master seed; init/shuffle/dropout streams derive from it")
     p_train.add_argument("--scale", type=_positive_float, default=1.0,
@@ -76,9 +76,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--checkpoint", required=True)
     p_gen.add_argument("--prime", required=True, help="text fed before generation")
     p_gen.add_argument("--length", type=_nonnegative_int, required=True)
-    p_gen.add_argument("--temperature", type=_positive_float, default=1.0)
-    p_gen.add_argument("--mode", choices=MODES, default="sample")
-    p_gen.add_argument("--seed", type=int, default=0)
+    p_gen.add_argument("--temperature", type=_positive_float, default=GenerationPlan.temperature)
+    p_gen.add_argument("--mode", choices=MODES, default=GenerationPlan.mode)
+    p_gen.add_argument("--seed", type=int, default=GenerationPlan.sample_seed)
     p_gen.add_argument("--out", help="write here instead of stdout")
     p_gen.set_defaults(run=cmd_generate)
 
@@ -105,9 +105,9 @@ def _render_char(c: str) -> str:
 
 def cmd_vocab(args) -> int:
     vocab = build_vocab(load_corpus(args.corpus))
-    print(f"vocab_size\t{vocab.size}")
-    for i, c in enumerate(vocab.chars):
-        print(f"{i}\t{_render_char(c)}")
+    rows = [f"vocab_size\t{vocab.size}"]
+    rows += [f"{i}\t{_render_char(c)}" for i, c in enumerate(vocab.chars)]
+    _emit("\n".join(rows), None)  # one write: stdout gets the whole table or none of it
     return 0
 
 
@@ -117,6 +117,7 @@ def _derive_seeds(seed: int) -> tuple[int, int, int]:
 
 
 def cmd_train(args) -> int:
+    _check_writable(args.out, args.history, inputs=(args.corpus,))
     text = load_corpus(args.corpus)
     vocab = build_vocab(text)
     init_seed, shuffle_seed, dropout_seed = _derive_seeds(args.seed)
@@ -145,7 +146,7 @@ def cmd_train(args) -> int:
 
 def cmd_generate(args) -> int:
     if args.out:
-        _check_writable(args.out)
+        _check_writable(args.out, inputs=(args.checkpoint,))
     plan = GenerationPlan(
         prime_text=args.prime, length=args.length,
         temperature=args.temperature, mode=args.mode, sample_seed=args.seed,
@@ -156,7 +157,7 @@ def cmd_generate(args) -> int:
 
 def cmd_report(args) -> int:
     if args.out:
-        _check_writable(args.out)
+        _check_writable(args.out, inputs=args.history)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")  # quotes a run name holding a comma
     writer.writerow(["run", *_HISTORY_HEADER])
@@ -180,6 +181,9 @@ def main(argv=None) -> int:
     except RUNTIME_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except KeyboardInterrupt:  # Ctrl-C: a temp file being written is already removed
+        print("error: interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

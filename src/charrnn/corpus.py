@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .exceptions import ConfigError, CorpusError, ShapeError, VocabularyError
-from .numerics import Rng, check_ids, check_int_fields
+from .numerics import AT_LEAST_1, Rng, check_ids, check_int_fields
 
 
 # load_corpus refuses a longer file, so an endless one (/dev/zero) is an
@@ -79,13 +79,15 @@ def _write_atomic(path, chunks) -> None:
         raise
 
 
-def _check_writable(*paths) -> None:
+def _check_writable(*paths, inputs=()) -> None:
     """Refuse, before any work, output paths that _write_atomic could not
     write. A path that names a directory, or whose directory (where the temp
     file would go) does not exist or is not a directory, raises the OSError
-    subclass that writing would, naming that path. Two paths that resolve to
-    the same file, where the later write would replace the earlier, raise
-    ConfigError naming both."""
+    subclass that writing would, naming that path. An output that resolves
+    to the same file as one of the command's inputs, which the write would
+    replace, or as an earlier output, which the later write would replace,
+    raises ConfigError naming both paths as given."""
+    sources = {Path(path).resolve(): path for path in inputs}
     seen = {}
     for path in paths:
         target = Path(path)
@@ -98,6 +100,9 @@ def _check_writable(*paths) -> None:
         if code:
             raise OSError(code, os.strerror(code), os.fspath(path))
         key = target.resolve()
+        if key in sources:
+            raise ConfigError(f"output {os.fspath(path)!r} and input "
+                              f"{os.fspath(sources[key])!r} are the same file")
         if key in seen:
             raise ConfigError(f"outputs {os.fspath(seen[key])!r} and "
                               f"{os.fspath(path)!r} are the same file")
@@ -194,11 +199,8 @@ class CorpusPlan:
     shuffle_seed: int = 0
 
     def __post_init__(self):
-        check_int_fields(self, ("seq_len", "batch_size", "shuffle_seed"))
-        if self.seq_len < 1:
-            raise ConfigError(f"seq_len must be >= 1, got {self.seq_len}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
+        check_int_fields(self, ("seq_len", "batch_size"), AT_LEAST_1)
+        check_int_fields(self, ("shuffle_seed",))
 
 
 @dataclass(frozen=True)

@@ -24,14 +24,14 @@ the lowest index) and makes temperature irrelevant.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .exceptions import ConfigError
 from .model import Model
-from .numerics import Rng, check_int_fields, check_real_fields, sample_categorical
+from .numerics import (AT_LEAST_0, FINITE_POSITIVE, Rng, check_int_fields, check_real_fields,
+                       sample_categorical)
 
 MODES = ("sample", "argmax")
 
@@ -47,12 +47,9 @@ class GenerationPlan:
     def __post_init__(self):
         if not self.prime_text:
             raise ConfigError("prime_text must be non-empty")
-        check_int_fields(self, ("length", "sample_seed"))
-        check_real_fields(self, ("temperature",))
-        if self.length < 0:
-            raise ConfigError(f"length must be >= 0, got {self.length}")
-        if not 0.0 < self.temperature < math.inf:
-            raise ConfigError(f"temperature must be finite and > 0, got {self.temperature}")
+        check_int_fields(self, ("length",), AT_LEAST_0)
+        check_int_fields(self, ("sample_seed",))
+        check_real_fields(self, ("temperature",), FINITE_POSITIVE)
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
 

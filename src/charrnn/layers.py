@@ -116,7 +116,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import ConfigError, ShapeError, VocabularyError
-from .numerics import Rng, check_ids, sigmoid
+from .numerics import UNIT_RATE, Rng, check_ids, sigmoid
 
 # Time steps per backward block (see the module docstring).
 _BLOCK = 25
@@ -586,8 +586,7 @@ def dropout_forward(x: np.ndarray, rate: float, train: bool, rng: Rng | None,
     Returns (output, keep) where keep is the boolean mask [L, B, ...], a view
     of the batch-major draw, and None when nothing was dropped.
     """
-    if not 0.0 <= rate < 1.0:
-        raise ConfigError(f"dropout rate must be in [0, 1), got {rate}")
+    UNIT_RATE.check("dropout rate", rate)
     if not train or rate == 0.0:
         if out is None:
             return x, None

@@ -72,7 +72,7 @@ from .exceptions import (
     VocabularyError,
 )
 from .layers import _BLOCK, BidirectionalLstm, Dense, Embedding, GruCell, LstmCell, RecurrentStack
-from .numerics import Rng, check_int_fields, check_real_fields, is_int
+from .numerics import AT_LEAST_1, UNIT_RATE, Rng, check_int_fields, check_real_fields, is_int
 
 # kind -> (cell class, parameter-name prefix of each direction, in order)
 _KIND_TABLE = {
@@ -123,13 +123,9 @@ class ModelConfig:
         if not widths or not all(is_int(w) and w >= 1 for w in widths):
             raise ConfigError(f"layer_widths must be positive integers, got {widths}")
         object.__setattr__(self, "layer_widths", tuple(int(w) for w in widths))
-        check_int_fields(self, ("vocab_size", "batch_size", "embed_dim", "seq_len", "init_seed"))
-        check_real_fields(self, ("dropout",))
-        for name in ("vocab_size", "batch_size", "embed_dim", "seq_len"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
+        check_int_fields(self, ("vocab_size", "batch_size", "embed_dim", "seq_len"), AT_LEAST_1)
+        check_int_fields(self, ("init_seed",))
+        check_real_fields(self, ("dropout",), UNIT_RATE)
 
 
 def expected_param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:

@@ -1,9 +1,12 @@
 """The deterministic RNG used by every other module, the float64 kernels
 (softmax, sigmoid, categorical sampling) the layers and the sampler share, and
 the field rules: check_ids, what a valid id is for the layers, the loss and
-the vocabulary; is_int / check_int_fields, what a valid size or seed is for
-the configs and plans; and check_real_fields, what a valid learning rate,
-clip norm, dropout rate or temperature is.
+the vocabulary; the four ranges a setting may have (AT_LEAST_1 for sizes and
+counts, AT_LEAST_0 for a generated length, FINITE_POSITIVE for a learning
+rate, clip norm, temperature or scale, and UNIT_RATE for a dropout rate),
+each one test and one wording; and is_int / check_int_fields and
+check_real_fields, which refuse a config or plan field of the wrong type or
+outside its range.
 
 Conventions: arrays are C-order (row-major) float64 ndarrays of rank <= 3,
 enough for (batch x time x features). Gradients are hand-derived in the layer
@@ -15,6 +18,7 @@ from __future__ import annotations
 
 import math
 import numbers
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -36,21 +40,48 @@ def is_int(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
-def check_int_fields(obj, names) -> None:
-    """Raise ConfigError unless every attribute of obj in names is_int."""
-    for name in names:
-        if not is_int(getattr(obj, name)):
-            raise ConfigError(f"{name} must be an integer, got {getattr(obj, name)!r}")
+class Rule(NamedTuple):
+    """A range a setting must lie in: ok is its one test and text its one
+    wording, which the CLI's number flags share."""
+
+    ok: Callable[[object], bool]
+    text: str
+
+    def check(self, name: str, value) -> None:
+        """Raise ConfigError("{name} must be {text}, got {value}") unless ok(value)."""
+        if not self.ok(value):
+            raise ConfigError(f"{name} must be {self.text}, got {value}")
 
 
-def check_real_fields(obj, names) -> None:
+AT_LEAST_1 = Rule(lambda v: v >= 1, ">= 1")
+AT_LEAST_0 = Rule(lambda v: v >= 0, ">= 0")
+FINITE_POSITIVE = Rule(lambda v: 0 < v < math.inf, "finite and > 0")  # also refuses nan
+UNIT_RATE = Rule(lambda v: 0.0 <= v < 1.0, "in [0, 1)")
+
+
+def check_int_fields(obj, names, rule: Rule | None = None) -> None:
+    """Raise ConfigError unless every attribute of obj in names is_int and,
+    when a rule is given, lies in its range."""
+    _check_fields(obj, names, rule, numbers.Integral, "an integer")
+
+
+def check_real_fields(obj, names, rule: Rule | None = None) -> None:
     """Raise ConfigError unless every attribute of obj in names is a real
-    number: bool, str and None are refused before any range check compares
-    them."""
+    number and, when a rule is given, lies in its range: bool, str and None
+    are refused before the range compares them."""
+    _check_fields(obj, names, rule, numbers.Real, "a real number")
+
+
+def _check_fields(obj, names, rule, kind: type, words: str) -> None:
+    """check_int_fields and check_real_fields: one field at a time, its type
+    (an instance of kind, and no bool) then its range, so the first bad
+    field in names is the one named."""
     for name in names:
         value = getattr(obj, name)
-        if not isinstance(value, numbers.Real) or isinstance(value, bool):
-            raise ConfigError(f"{name} must be a real number, got {value!r}")
+        if not isinstance(value, kind) or isinstance(value, bool):
+            raise ConfigError(f"{name} must be {words}, got {value!r}")
+        if rule:
+            rule.check(name, value)
 
 
 def check_ids(ids: np.ndarray, size: int, error: type, what: str) -> None:

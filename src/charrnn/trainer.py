@@ -19,9 +19,9 @@ import numpy as np
 
 from .corpus import (CorpusPlan, Vocabulary, _check_writable, _read_capped, _write_atomic,
                      make_sequences, shuffle_batches)
-from .exceptions import ConfigError, HistoryFormatError, TrainingError
+from .exceptions import HistoryFormatError, TrainingError
 from .model import Model, ModelConfig, build_model, save_checkpoint
-from .numerics import Rng, check_int_fields, check_real_fields
+from .numerics import AT_LEAST_1, FINITE_POSITIVE, Rng, check_int_fields, check_real_fields
 from .objective import RmspropState, ce_loss, rmsprop_step
 
 
@@ -34,14 +34,9 @@ class TrainPlan:
     dropout_seed: int = 0
 
     def __post_init__(self):
-        check_int_fields(self, ("epochs", "shuffle_seed", "dropout_seed"))
-        check_real_fields(self, ("lr", "clip_norm"))
-        if self.epochs < 1:
-            raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
-        if not 0 < self.lr < math.inf:
-            raise ConfigError(f"lr must be positive and finite, got {self.lr}")
-        if not 0 < self.clip_norm < math.inf:
-            raise ConfigError(f"clip_norm must be positive and finite, got {self.clip_norm}")
+        check_int_fields(self, ("epochs",), AT_LEAST_1)
+        check_int_fields(self, ("shuffle_seed", "dropout_seed"))
+        check_real_fields(self, ("lr", "clip_norm"), FINITE_POSITIVE)
 
 
 _HISTORY_HEADER = ["epoch", "mean_loss", "ms_per_step"]

@@ -2,18 +2,25 @@ import contextlib
 import csv
 import io
 import os
+import shutil
+import signal
 import stat
 import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from charrnn.cli import main
-from charrnn.model import load_checkpoint
-from charrnn.trainer import parse_history
+from charrnn.cli import build_parser, main
+from charrnn.exceptions import ConfigError
+from charrnn.generator import GenerationPlan
+from charrnn.layers import dropout_forward
+from charrnn.model import ModelConfig, load_checkpoint
+from charrnn.numerics import Rng
+from charrnn.trainer import TrainPlan, parse_history
 from tests.conftest import REPO_ROOT
 from tests.test_model import (
     _header,
@@ -48,12 +55,16 @@ def _run(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def _child_env():
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+
+
 def _run_child(argv, address_space=None):
     """python -m charrnn argv in a child process, optionally under an
     RLIMIT_AS of address_space bytes, so that a runaway read fails in the
     child instead of exhausting the host. Warnings reach its real stderr."""
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    env = _child_env()
 
     def limit():
         import resource
@@ -114,7 +125,8 @@ class TestVocabCommand:
         monkeypatch.setenv("PYTHONIOENCODING", "ascii")
         child = _run_child(["vocab", "--corpus", str(corpus)])
         _assert_one_error_line(child.returncode, child.stderr)
-        assert "can't encode" in child.stderr
+        # the table is one write, so none of its rows reach stdout
+        assert child.stdout == "" and "can't encode" in child.stderr
 
 
 class TestTrainCommand:
@@ -197,6 +209,25 @@ class TestTrainCommand:
         _assert_one_error_line(code, err)
         assert out == "" and repr(os.path.join(tmp_path, bad)) in err
         assert sorted(tmp_path.rglob("*")) == before
+
+    @pytest.mark.skipif(sys.platform == "win32", reason="needs POSIX signals")
+    def test_ctrl_c_is_one_line_and_no_outputs(self, fixture_path, tmp_path):
+        # interrupted after its first epoch, train ends in one line and exit
+        # 130, with no checkpoint, history or temp file written
+        child = subprocess.Popen(
+            [sys.executable, "-m", "charrnn", "train", "--corpus", str(fixture_path),
+             *TRAIN_ARGS, "--epochs", "100000", "--out", str(tmp_path / "m.ckpt"),
+             "--history", str(tmp_path / "h.csv")],
+            env=_child_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        try:
+            assert child.stdout.readline().startswith("epoch 1 ")
+            child.send_signal(signal.SIGINT)
+            _, err = child.communicate(timeout=60)
+        finally:
+            child.kill()
+            child.wait()
+        assert child.returncode == 130 and err == "error: interrupted\n"
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="no /dev/zero")
     def test_endless_corpus_exit_1(self, tmp_path):
@@ -472,6 +503,42 @@ class TestOutFileAtomic:
         assert stat.S_IMODE(target.stat().st_mode) == stat.S_IMODE(plain.stat().st_mode)
 
 
+class TestOutputsSpareInputs:
+    """No command writes over one of its own inputs: an output that
+    resolves to an input is refused before any work."""
+
+    @pytest.mark.parametrize("spelling", ["same", "dot-slash"])
+    @pytest.mark.parametrize("command, flag", [
+        ("generate", "--out"), ("report", "--out"), ("train", "--out"), ("train", "--history"),
+    ])
+    def test_output_naming_an_input_exit_1(self, checkpoint, fixture_path, tmp_path,
+                                           command, flag, spelling):
+        name = {"generate": "m.ckpt", "report": "h.csv", "train": "c.txt"}[command]
+        source = tmp_path / name
+        if command == "report":
+            source.write_text("epoch,mean_loss,ms_per_step\n1,0.5,1.0\n")
+        else:
+            shutil.copyfile(checkpoint if command == "generate" else fixture_path, source)
+        original = source.read_bytes()
+        given = str(source)
+        # os.path.join keeps the "./" that pathlib would drop
+        target = given if spelling == "same" else os.path.join(tmp_path, ".", name)
+        outputs = {"--out": str(tmp_path / "m.out"), "--history": str(tmp_path / "h.out"),
+                   flag: target}
+        argv = {
+            "generate": ["generate", "--checkpoint", given, "--prime", "The",
+                         "--length", "20", "--out", target],
+            "report": ["report", "--history", given, "--out", target],
+            "train": ["train", "--corpus", given, *TRAIN_ARGS,
+                      "--out", outputs["--out"], "--history", outputs["--history"]],
+        }[command]
+        code, out, err = _run(argv)
+        _assert_one_error_line(code, err)
+        assert out == "" and repr(given) in err and repr(target) in err
+        assert [p.name for p in tmp_path.iterdir()] == [name]
+        assert source.read_bytes() == original
+
+
 class TestReportCommand:
     def _history(self, tmp_path, name, epochs):
         from charrnn.trainer import HistoryRow, export_history
@@ -574,6 +641,57 @@ def test_number_flag_refusal_is_usage_error(command, flag, value, message):
     code, out, err = _run([*_COMMAND_ARGS[command], f"{flag}={value}"])
     assert code == 2 and out == ""
     assert err.endswith(f"argument {flag}: {message}\n") and "Traceback" not in err
+
+
+_CONFIG_BASE = {
+    ModelConfig: {"kind": "lstm", "layer_widths": (4,), "vocab_size": 3, "batch_size": 1},
+    TrainPlan: {},
+    GenerationPlan: {"prime_text": "a", "length": 1},
+}
+
+
+def _field(cls, name):
+    return lambda value: cls(**{**_CONFIG_BASE[cls], name: value})
+
+
+_SHARED_RULES = [
+    ("train", "--seq-len", "0", 0, "seq_len", _field(ModelConfig, "seq_len")),
+    ("train", "--batch-size", "-1", -1, "batch_size", _field(ModelConfig, "batch_size")),
+    ("train", "--epochs", "0", 0, "epochs", _field(TrainPlan, "epochs")),
+    ("train", "--embed-dim", "-5", -5, "embed_dim", _field(ModelConfig, "embed_dim")),
+    ("train", "--lr", "-1.0", -1.0, "lr", _field(TrainPlan, "lr")),
+    ("train", "--lr", "inf", float("inf"), "clip_norm", _field(TrainPlan, "clip_norm")),
+    ("train", "--dropout", "1.0", 1.0, "dropout", _field(ModelConfig, "dropout")),
+    ("train", "--dropout", "-0.5", -0.5, "dropout rate",
+     lambda rate: dropout_forward(np.zeros(3), rate, True, Rng(0))),
+    ("generate", "--length", "-1", -1, "length", _field(GenerationPlan, "length")),
+    ("generate", "--temperature", "0.0", 0.0, "temperature",
+     _field(GenerationPlan, "temperature")),
+]
+
+
+@pytest.mark.parametrize("command, flag, text, value, name, build", [
+    pytest.param(*case, id=f"{case[1]}-{case[4]}") for case in _SHARED_RULES])
+def test_flag_and_field_share_one_rule(command, flag, text, value, name, build):
+    # the usage error and the ConfigError of the field the flag fills (or of
+    # a field or argument under the same rule) end in the same words
+    code, out, err = _run([*_COMMAND_ARGS[command], f"{flag}={text}"])
+    assert code == 2 and out == "" and f"argument {flag}: must be " in err
+    usage = err.rstrip("\n").split(f"argument {flag}: ")[-1]
+    with pytest.raises(ConfigError) as info:
+        build(value)
+    assert str(info.value) == f"{name} {usage}"
+
+
+def test_flag_defaults_are_the_config_and_plan_defaults():
+    parser = build_parser()
+    train = parser.parse_args(_COMMAND_ARGS["train"])
+    gen = parser.parse_args(_COMMAND_ARGS["generate"])
+    assert ((train.seq_len, train.embed_dim, train.dropout)
+            == (ModelConfig.seq_len, ModelConfig.embed_dim, ModelConfig.dropout))
+    assert (train.epochs, train.lr) == (TrainPlan.epochs, TrainPlan.lr)
+    assert ((gen.temperature, gen.mode, gen.seed)
+            == (GenerationPlan.temperature, GenerationPlan.mode, GenerationPlan.sample_seed))
 
 
 @pytest.fixture(scope="module")
