@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from .corpus import _check_writable, _write_atomic, build_vocab, load_corpus
-from .exceptions import CharRnnError
+from .exceptions import CharRnnError, ConfigError
 from .generator import MODES, GenerationPlan, generate
 from .model import KINDS, PRESETS, ModelConfig, load_checkpoint, preset_widths
 from .numerics import AT_LEAST_0, AT_LEAST_1, FINITE_POSITIVE, UNIT_RATE, Rng, Rule
@@ -156,13 +156,17 @@ def cmd_generate(args) -> int:
 
 
 def cmd_report(args) -> int:
+    runs = [Path(path).stem for path in args.history]  # a run's name is its file's stem
+    for i, run in enumerate(runs):
+        if run in runs[:i]:
+            raise ConfigError(f"histories {args.history[runs.index(run)]!r} and "
+                              f"{args.history[i]!r} share the run name {run!r}")
     if args.out:
         _check_writable(args.out, inputs=args.history)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")  # quotes a run name holding a comma
     writer.writerow(["run", *_HISTORY_HEADER])
-    for path in args.history:
-        run = Path(path).stem
+    for run, path in zip(runs, args.history):
         for row in parse_history(path):
             writer.writerow([run, row.epoch, repr(row.mean_loss), repr(row.ms_per_step)])
     _emit(buf.getvalue(), args.out)  # ends in "\n" already, so stdout gets it as is

@@ -45,6 +45,8 @@ class GenerationPlan:
     sample_seed: int = 0
 
     def __post_init__(self):
+        if not isinstance(self.prime_text, str):
+            raise ConfigError(f"prime_text must be a str, got {type(self.prime_text).__name__}")
         if not self.prime_text:
             raise ConfigError("prime_text must be non-empty")
         check_int_fields(self, ("length",), AT_LEAST_0)

@@ -30,15 +30,18 @@ Checkpoint file format, all integers little-endian:
         this checksum)
 
 The header's config fixes every parameter's rank, dims and offset, so loading
-is one walk of that layout. Its checks run in this order: magic, version and
-a length of at least 16 bytes; the header length, then the header; per
-parameter, that its block ends before the checksum, its rank, its dims; no
-stray bytes; the CRC; finite values. The header is read before the CRC is
+is one walk of that layout, which _layout generates a parameter at a time as
+the walk goes. No table of it is held, so a header naming 10^6 layers is
+refused at its first short block without 3 * 10^6 shapes being built first.
+Its checks run in this order: magic, version and a length of at least 16
+bytes; the header length, then the header; per parameter, that its block
+ends before the checksum, its rank, its dims; no stray bytes; the CRC;
+finite values. The header is read before the CRC is
 checked because only the config says where the blocks end: a truncated file
 must read as a format error, not as a CRC mismatch. The walk streams: it
 needs a regular file, whose size it takes from fstat, and reads the values
-in bounded chunks into one float64 block that the parameters view, with a
-running CRC, so a load never holds the file.
+in bounded chunks into one float64 block, sized by the file, that the
+parameters view, with a running CRC, so a load never holds the file.
 
 Training arithmetic is float64; checkpoints store float32, so values are
 rounded once on save and save -> load -> save is byte-identical. Saving
@@ -85,10 +88,10 @@ PRESETS = {"uni": (1024,), "bi": (512, 256), "quad": (512, 256, 128, 64)}
 
 _MAGIC = b"CRNF"
 _VERSION = 1
-# build_model refuses larger models before drawing anything: about 200x the
-# paper's largest preset, and a ConfigError instead of a failed allocation
-MAX_PARAMS = 2**31
-# ... and configs whose training step holds more float64 values: 16 GiB, 16x birnn uni
+# build_model refuses a config whose training step would hold more float64
+# values (16 GiB, 16x birnn uni) before drawing anything: a ConfigError instead
+# of a failed allocation. The step holds every parameter's gradient, so this
+# also caps the model at 2^31 parameters.
 MAX_STEP_FLOATS = 2**31
 _LOAD_CHUNK = 1 << 16  # float32 values per read in load_checkpoint
 
@@ -126,29 +129,33 @@ class ModelConfig:
         check_int_fields(self, ("vocab_size", "batch_size", "embed_dim", "seq_len"), AT_LEAST_1)
         check_int_fields(self, ("init_seed",))
         check_real_fields(self, ("dropout",), UNIT_RATE)
+        if not isinstance(self.unit_forget_bias, bool):
+            raise ConfigError(f"unit_forget_bias must be a bool, got {self.unit_forget_bias!r}")
+
+
+def _layout(config: ModelConfig):
+    """(name, shape) of each parameter in canonical order, one at a time."""
+    cell, directions = _KIND_TABLE[config.kind]
+    yield "embedding.table", (config.vocab_size, config.embed_dim)
+    d = config.embed_dim
+    for i, h in enumerate(config.layer_widths):
+        for prefix in directions:
+            yield f"rnn{i}.{prefix}w_x", (d, cell.GATES * h)
+            yield f"rnn{i}.{prefix}w_h", (h, cell.GATES * h)
+            yield f"rnn{i}.{prefix}b", (cell.GATES * h,)
+        d = len(directions) * h
+    yield "dense.w", (d, config.vocab_size)
+    yield "dense.b", (config.vocab_size,)
 
 
 def expected_param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
     """Canonical parameter names and shapes implied by the config."""
-    cell, directions = _KIND_TABLE[config.kind]
-    shapes: dict[str, tuple[int, ...]] = {
-        "embedding.table": (config.vocab_size, config.embed_dim)
-    }
-    d = config.embed_dim
-    for i, h in enumerate(config.layer_widths):
-        for prefix in directions:
-            shapes[f"rnn{i}.{prefix}w_x"] = (d, cell.GATES * h)
-            shapes[f"rnn{i}.{prefix}w_h"] = (h, cell.GATES * h)
-            shapes[f"rnn{i}.{prefix}b"] = (cell.GATES * h,)
-        d = len(directions) * h
-    shapes["dense.w"] = (d, config.vocab_size)
-    shapes["dense.b"] = (config.vocab_size,)
-    return shapes
+    return dict(_layout(config))
 
 
 def expected_param_count(config: ModelConfig) -> int:
     # math.prod is exact; np.prod wraps at 2^63 on large configs
-    return sum(math.prod(s) for s in expected_param_shapes(config).values())
+    return sum(math.prod(shape) for _, shape in _layout(config))
 
 
 def expected_step_floats(config: ModelConfig) -> int:
@@ -179,7 +186,7 @@ def expected_step_floats(config: ModelConfig) -> int:
     b, t, v = config.batch_size, config.seq_len, config.vocab_size
     block, starts = min(t, _BLOCK), -(-t // _BLOCK)
     held = b * t * v + expected_param_count(config)
-    largest = max(math.prod(shape) for shape in expected_param_shapes(config).values())
+    largest = max(math.prod(shape) for _, shape in _layout(config))
     transient = max(2 * b * t * v, largest)
     for h, h_in in zip(config.layer_widths, (None, *config.layer_widths)):
         f = d * h
@@ -206,7 +213,7 @@ def _init_params(config: ModelConfig) -> dict[str, np.ndarray]:
     forget_bias = config.unit_forget_bias and cell is LstmCell
     rng = Rng(config.init_seed)
     params: dict[str, np.ndarray] = {}
-    for name, shape in expected_param_shapes(config).items():
+    for name, shape in _layout(config):
         if len(shape) == 1:
             b = np.zeros(shape)
             if forget_bias and name != "dense.b":
@@ -250,13 +257,10 @@ def build_model(config: ModelConfig, vocab: Vocabulary) -> Model:
             f"config.vocab_size is {config.vocab_size} but the vocabulary has "
             f"{vocab.size} characters"
         )
-    count = expected_param_count(config)
-    if count > MAX_PARAMS:
-        raise ConfigError(f"the model would hold {count} parameters, more than {MAX_PARAMS}")
     floats = expected_step_floats(config)
     if floats > MAX_STEP_FLOATS:
-        raise ConfigError(f"one training step would hold {floats} float64 values, "
-                          f"more than {MAX_STEP_FLOATS}")
+        raise ConfigError(f"one training step would hold {floats} float64 values, more than "
+                          f"{MAX_STEP_FLOATS}, for {expected_param_count(config)} parameters")
     return Model(config, vocab, _init_params(config))
 
 
@@ -270,8 +274,8 @@ def _header_bytes(config: ModelConfig, vocab: Vocabulary) -> bytes:
 
 def _checkpoint_chunks(model: Model):
     """The file in order: magic and version; then the payload, which is the
-    header and, per parameter in the order of expected_param_shapes (the
-    table load_checkpoint walks), its rank and dims and its float32 values
+    header and, per parameter in the order of _layout (the layout
+    load_checkpoint walks), its rank and dims and its float32 values
     (an array, written through the buffer protocol); then the payload's CRC.
     A parameter that is not finite at float32 (a weight past its range, say)
     is a CheckpointIntegrityError, as the loader would refuse the file."""
@@ -281,7 +285,7 @@ def _checkpoint_chunks(model: Model):
     crc = zlib.crc32(part)
     yield part
     params = model.params()
-    for name in expected_param_shapes(model.config):
+    for name, _ in _layout(model.config):
         arr = params[name]
         part = struct.pack(f"<{arr.ndim + 1}I", arr.ndim, *arr.shape)
         crc = zlib.crc32(part, crc)
@@ -311,17 +315,19 @@ def load_checkpoint(path) -> Model:
     path must name a regular file, whose size fstat gives before anything is
     read. Checks run in this order: magic, version and a length of at least
     16 bytes; the header length, then the header; then, per parameter of
-    expected_param_shapes(config), that its block ends before the checksum,
-    its rank and its dims; no stray bytes before the checksum; the CRC;
-    finite values. The header comes before the CRC because only the config
-    says where each block ends, so a truncated file reads as a format error
-    rather than a CRC mismatch.
+    _layout(config), generated as it is walked and never held whole, that
+    its block ends before the checksum, its rank and its dims; no stray
+    bytes before the checksum; the CRC; finite values. The header comes
+    before the CRC because only the config says where each block ends, so a
+    truncated file reads as a format error rather than a CRC mismatch.
 
-    Values are read _LOAD_CHUNK at a time into one reused float32 array and
-    cast into one float64 block that the parameters are views of, the CRC-32
-    running over the bytes as they are read, so a load holds the parameters
-    and one chunk, never the file. A read that comes up short, as when the
-    file shrank after fstat, is the format error of a file that short.
+    Values are read at most _LOAD_CHUNK at a time into a float32 staging
+    array, one per parameter and no longer than it, and cast into one
+    float64 block of n // 4 values, the most a file of n bytes can hold,
+    that the parameters are views of. The CRC-32 runs over the bytes as
+    they are read, so a load holds the parameters and one chunk, never the
+    file. A read that comes up short, as when the file shrank after fstat,
+    is the format error of a file that short.
     """
     # without O_NONBLOCK, opening a FIFO would wait for a writer; a regular
     # file reads the same either way. A directory opens too, but open(fd)
@@ -370,18 +376,14 @@ def _read_checkpoint(f, n: int) -> Model:
         raise CheckpointIntegrityError(
             f"header vocab has {vocab.size} characters, config says {config.vocab_size}"
         )
-    shapes = expected_param_shapes(config)
-    counts = [math.prod(shape) for shape in shapes.values()]
     # One allocation for all values. With one per parameter, glibc trimmed
     # and refaulted the heap on every load of a process that loads again.
     # Every value that passes its block's bound check fits in n // 4.
-    block = np.empty(min(sum(counts), n // 4))
-    staging = np.empty(min(_LOAD_CHUNK, max(counts)), dtype="<f4")
-    staged = memoryview(staging).cast("B")
+    block = np.empty(n // 4)
     params = {}
     offset = 0
-    for (name, shape), count in zip(shapes.items(), counts):
-        rank = len(shape)
+    for name, shape in _layout(config):  # walked, never held: a header may name 10^6 layers
+        rank, count = len(shape), math.prod(shape)
         data = pos + 4 * (1 + rank)
         truncated = f"truncated parameter {name} at offset {pos}"
         if data + 4 * count > n - 4:
@@ -397,6 +399,8 @@ def _read_checkpoint(f, n: int) -> Model:
         dims = struct.unpack_from(f"<{rank}I", fields, 4)
         if dims != shape:
             raise CheckpointIntegrityError(f"parameter {name} has dims {dims}, expected {shape}")
+        staging = np.empty(min(_LOAD_CHUNK, count), dtype="<f4")
+        staged = memoryview(staging).cast("B")
         for start in range(offset, offset + count, _LOAD_CHUNK):
             k = min(_LOAD_CHUNK, offset + count - start)
             if f.readinto(staged[: 4 * k]) != 4 * k:

@@ -28,7 +28,7 @@ from .objective import RmspropState, ce_loss, rmsprop_step
 @dataclass(frozen=True)
 class TrainPlan:
     epochs: int = 75
-    lr: float = 1e-3
+    lr: float = RmspropState.alpha
     clip_norm: float = 5.0
     shuffle_seed: int = 0
     dropout_seed: int = 0

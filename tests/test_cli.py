@@ -14,6 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from charrnn import cli as cli_module
 from charrnn.cli import build_parser, main
 from charrnn.exceptions import ConfigError
 from charrnn.generator import GenerationPlan
@@ -606,6 +607,23 @@ class TestReportCommand:
         child = _run_child(["report", "--history", "/dev/zero"], address_space=1 << 30)
         _assert_one_error_line(child.returncode, child.stderr)
         assert child.stdout == "" and "longer than" in child.stderr
+
+    @pytest.mark.parametrize("spelling", ["two-dirs", "twice", "dot-slash"])
+    def test_shared_run_name_exit_1_before_reading(self, tmp_path, monkeypatch, spelling):
+        # each file's rows would be tagged with the same run, mixing two runs
+        # (or one run twice) under one name
+        (tmp_path / "x").mkdir()
+        (tmp_path / "y").mkdir()
+        first = str(self._history(tmp_path / "x", "lstm", 2))
+        second = {"two-dirs": str(self._history(tmp_path / "y", "lstm", 3)), "twice": first,
+                  "dot-slash": os.path.join(tmp_path, "x", ".", "lstm.csv")}[spelling]
+        read = []
+        monkeypatch.setattr(cli_module, "parse_history", lambda path: read.append(path) or [])
+        target = tmp_path / "merged.csv"
+        code, out, err = _run(["report", "--history", first, second, "--out", str(target)])
+        _assert_one_error_line(code, err)
+        assert out == "" and read == [] and not target.exists()
+        assert repr(first) in err and repr(second) in err and "'lstm'" in err
 
     def test_out_file(self, tmp_path, capsys):
         p = self._history(tmp_path, "r", 1)

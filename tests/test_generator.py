@@ -92,6 +92,12 @@ class TestPlanValidation:
         with pytest.raises(ConfigError):
             GenerationPlan(prime_text="", length=5)
 
+    @pytest.mark.parametrize("prime, name", [(b"The", "bytes"), (5, "int"), (None, "NoneType")])
+    def test_non_str_prime(self, prime, name):
+        # unchecked, generate() ended in a raw AttributeError or TypeError
+        with pytest.raises(ConfigError, match=f"^prime_text must be a str, got {name}$"):
+            GenerationPlan(prime_text=prime, length=3)
+
     def test_negative_length(self):
         with pytest.raises(ConfigError):
             GenerationPlan(prime_text="a", length=-1)

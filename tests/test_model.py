@@ -27,7 +27,7 @@ from charrnn import model as model_module
 from charrnn.generator import GenerationPlan, generate
 from charrnn.model import (
     KINDS,
-    MAX_PARAMS,
+    MAX_STEP_FLOATS,
     ModelConfig,
     build_model,
     expected_param_count,
@@ -128,6 +128,13 @@ class TestConfig:
         with pytest.raises(ConfigError):
             _config(dropout=1.0)
 
+    @pytest.mark.parametrize("value", ["no", 1, 0, None])
+    def test_non_bool_unit_forget_bias(self, value):
+        # "no" is truthy: unchecked, it would start the forget gates at 1.0
+        with pytest.raises(ConfigError) as info:
+            _config(unit_forget_bias=value)
+        assert str(info.value) == f"unit_forget_bias must be a bool, got {value!r}"
+
     def test_vocab_size_checked_at_build(self):
         with pytest.raises(ConfigError):
             build_model(_config(v=7), VOCAB5)
@@ -185,7 +192,7 @@ class TestParamCounts:
                              ids=["embed_dim", "width"])
     def test_oversized_model_rejected_before_allocation(self, kw):
         cfg = _config(**kw)
-        assert expected_param_count(cfg) > MAX_PARAMS
+        assert expected_param_count(cfg) > MAX_STEP_FLOATS
         with pytest.raises(ConfigError, match="parameters"):
             build_model(cfg, VOCAB5)
 
@@ -311,10 +318,23 @@ class TestStepCap:
                           batch_size=64)
         assert model_module.expected_step_floats(cfg) <= model_module.MAX_STEP_FLOATS
 
+    @settings(max_examples=300, deadline=None)
+    @given(kind=st.sampled_from(KINDS),
+           widths=st.lists(st.integers(1, 10**6), min_size=1, max_size=5),
+           v=st.integers(1, 10**4), batch_size=st.integers(1, 10**4),
+           seq_len=st.integers(1, 10**5), embed_dim=st.integers(1, 10**6))
+    def test_step_floats_cover_the_parameters(self, kind, widths, v, batch_size, seq_len,
+                                              embed_dim):
+        # a step holds a gradient per parameter, so MAX_STEP_FLOATS also caps
+        # the parameter count and build_model needs no cap of its own for it
+        cfg = _config(kind=kind, widths=tuple(widths), v=v, batch_size=batch_size,
+                      seq_len=seq_len, embed_dim=embed_dim)
+        assert model_module.expected_step_floats(cfg) >= expected_param_count(cfg)
+
     def test_oversized_step_rejected_before_allocation(self, monkeypatch):
         # about 30 GiB of tape; _init_params must not be reached
         cfg = _config(widths=(1024,), seq_len=50_000, batch_size=10)
-        assert expected_param_count(cfg) <= MAX_PARAMS
+        assert expected_param_count(cfg) <= MAX_STEP_FLOATS
 
         def draw(config):
             raise AssertionError("parameters drawn for a refused config")
@@ -698,6 +718,7 @@ class TestCheckpoint:
         ("kind", "xx", "kind must be one of"),
         ("embed_dim", 0, "embed_dim must be >= 1"),
         ("dropout", 1.5, "dropout must be in [0, 1)"),
+        ("unit_forget_bias", "no", "unit_forget_bias must be a bool, got 'no'"),
     ])
     def test_bad_config_value_is_format_error(self, tmp_path, field, value, message):
         # a CRC-valid header whose config ModelConfig refuses: the error names
@@ -711,6 +732,29 @@ class TestCheckpoint:
             load_checkpoint(p)
         assert message in str(info.value)
         assert isinstance(info.value.__cause__, ConfigError)
+
+    def test_header_of_many_layers_is_refused_in_the_memory_of_one_block(self, tmp_path):
+        # a 20 KB header of 10^4 one-wide layers and no blocks: the loader
+        # walks the layout, so it reaches the first short block without
+        # building the 3 * 10^4 shapes that a table of the layout would hold
+        cfg = _config(widths=(1,) * 10**4)
+        text = model_module._header_bytes(cfg, VOCAB5)
+        payload = struct.pack("<I", len(text)) + text
+        p = tmp_path / "layers.ckpt"
+        p.write_bytes(b"CRNF" + struct.pack("<I", 1) + payload
+                      + struct.pack("<I", zlib.crc32(payload)))
+        size = p.stat().st_size
+        expected = _load_outcome(reference_load, p)
+        assert expected == (CheckpointFormatError,
+                            f"truncated parameter embedding.table at offset {size - 4}")
+        assert _load_outcome(load_checkpoint, p) == expected  # lazy imports and caches
+        tracemalloc.start()
+        try:
+            assert _load_outcome(load_checkpoint, p) == expected
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 20 * size, (peak, size)
 
     def test_unsorted_vocab_is_integrity_error(self, tmp_path):
         p = tmp_path / "m.ckpt"
