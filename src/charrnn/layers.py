@@ -26,19 +26,23 @@ GRU step:    z,r = sigmoid(x W_x + b + h W_h)[gates]
 Note the GRU candidate applies the reset gate to h before its recurrent
 matmul, and z is a "keep" gate (z = 1 preserves the old state).
 
+Each affine map is written once. _Cell._project is the only x W_x + b and
+Dense.forward the only x W + b; both take an optional out, and every caller,
+the scan, init_state, step() and the feeder, goes through them, so the step
+paths hold no product or bias add of their own.
+
 Only the recurrence runs inside the time loops. Forward: x W_x + b for every
-step is one GEMM before the loop (_Cell._project, the one place rows are
-projected as a block), and each step adds h W_h to its row of the
-tape and turns it into the gates in place (the LSTM with one tanh over the
-whole row, the GRU with a sigmoid over z and r and a tanh over n). That loop,
-_Cell._loop, is shared by the scan and by step(). Backward walks the sequence
-in blocks of _BLOCK steps, last block first. Per block it first computes
-every factor of d loss / d pre-activation (da) that needs no recurrence, for
-all the block's steps at once; the loop then carries dh (and the LSTM's dc)
-back one step at a time, scales da in place, and makes the recurrent
-matmuls: dh = da W_h^T (the GRU also da_n Wh_n^T for the reset path). After
-the loop, dW_x, dW_h, db and dxs are one GEMM or reduction each over the
-block's _BLOCK * B rows.
+step is one _project GEMM before the loop, and each step adds h W_h to its
+row of the tape and turns it into the gates in place (the LSTM with one
+tanh over the whole row, the GRU with a sigmoid over z and r and a tanh over
+n). That loop, _Cell._loop, is shared by the scan and by step(). Backward
+walks the sequence in blocks of _BLOCK steps, last block first. Per block
+it first computes every factor of d loss / d pre-activation (da) that needs
+no recurrence, for all the block's steps at once; the loop then carries dh
+(and the LSTM's dc) back one step at a time, scales da in place, and makes
+the recurrent matmuls: dh = da W_h^T (the GRU also da_n Wh_n^T for the reset
+path). After the loop, dW_x, dW_h, db and dxs are one GEMM or reduction each
+over the block's _BLOCK * B rows.
 
 A training scan's tape holds the layer's input, the gates [L, B, kH] (their
 values, written over the pre-activations) and, in "starts", every state at
@@ -67,14 +71,15 @@ init_state builds P for each layer-0 direction and keeps it in the state it
 returns (never on the cell), and step gathers P[ids]. The scan and
 init_state both take P from _Cell._project, so layer 0's hidden states
 equal the training forward's bit for bit. RecurrentStack.step runs
-layer by layer, each layer over every position fed; deeper layers project
-one position at a time, since one GEMM over all positions rounds
-differently, so a prime in one call equals the same prime fed one character
-per call, bit for bit. Generation makes one call, RecurrentStack.feeder: it
-primes a batch-1 state from init_state with step() calls of _PRIME_BLOCK
-characters, then takes that state over, and each feed runs the same cells'
-_recur, with the arithmetic of a one-position step() call, on state rows
-allocated once per request, which it advances in place.
+layer by layer, each layer over every position fed; deeper layers call
+_project one position at a time, into that position's gate row, since one
+GEMM over all positions rounds differently, so a prime in one call equals
+the same prime fed one character per call, bit for bit. Generation makes one
+call, RecurrentStack.feeder: it primes a batch-1 state from init_state with
+step() calls of _PRIME_BLOCK characters, then takes that state over, and
+each feed runs the same cells' _project and _recur and the dense layer's
+forward, the calls of a one-position step() call, on rows allocated once per
+request, which it advances in place.
 
 Cells hold only gate math. LstmCell and GruCell each define GATES, STATES
 (the names of the state arrays, h first: a cell's state is a tuple of [B, H]
@@ -82,12 +87,12 @@ arrays in that order, then P in layer 0), _recur (one forward step: the
 gates, then _advance), _advance (the state update from finished gates) and
 _back_block (one backward block: the non-recurrent factors of da, the
 recurrent loop and dW_h). The private base _Cell holds the rest: the
-kernels, the zero state, the block projection _project (rows W_x + b: one
-GEMM, then the bias added in place), the recurrence loop _loop, _step
-(time-major positions from a given state) and the scan _scan (a whole
-sequence from the zero state, with its hoisted projection and tape), which
-both run _loop, the replay _replay, and the BPTT block loop _bptt with its
-flush of da into dW_x, db and dxs (or S). Each cell binds forward_seq,
+kernels, the zero state, the projection _project (rows W_x + b: one GEMM,
+into a given row or a new array, then the bias added in place), the
+recurrence loop _loop, _step (time-major positions from a given state) and
+the scan _scan (a whole sequence from the zero state, with its hoisted
+projection and tape), which both run _loop, the replay _replay, and the BPTT
+block loop _bptt with its flush of da into dW_x, db and dxs (or S). Each cell binds forward_seq,
 backward_seq and step to _Cell's methods in its own class body, because
 perfbench/tracing.py rebinds them through the class __dict__, where a name
 that is only inherited is not found; tests/test_layers.py checks those names
@@ -210,12 +215,14 @@ class _Cell:
             return zeros
         return (*zeros, self._project(embedding.table))
 
-    def _project(self, rows: np.ndarray) -> np.ndarray:
-        """rows [..., D] W_x + b [..., kH]: one GEMM over the rows as [N, D],
-        then the bias added in place."""
-        out = rows.reshape(-1, rows.shape[-1]) @ self.w_x
+    def _project(self, rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """rows [N, D] W_x + b [N, kH], the one place this map is written: one
+        GEMM, into out when given, then the bias added in place. The scan
+        and init_state pass a block of rows; step() and the feeder pass one
+        position's rows and its gate rows as out."""
+        out = np.matmul(rows, self.w_x, out=out)
         out += self.b
-        return out.reshape(*rows.shape[:-1], -1)
+        return out
 
     def _loop(self, gates, state, starts=None):
         """The recurrence: from the state arrays ([B, H] each), turn each row
@@ -242,9 +249,10 @@ class _Cell:
         (hs [L, B, H], the new state); the state passed in is not written.
 
         An Embedded x (layer 0, ids [L, B]) gathers P[ids], the rows _scan
-        gathers, from the state's P in one go; any other x is projected as
-        x W_x + b one position at a time, the GEMV a one-position call makes
-        (one _project GEMM over all positions would round differently).
+        gathers, from the state's P in one go; any other x goes through
+        _project one position at a time, into that position's gate row: the
+        GEMV a one-position call makes (one _project GEMM over all positions
+        would round differently).
         """
         k = len(self.STATES)
         if isinstance(x, Embedded):
@@ -252,8 +260,7 @@ class _Cell:
         else:
             gates = np.empty((*x.shape[:-1], self.w_x.shape[1]))
             for xt, at in zip(x, gates):
-                np.matmul(xt, self.w_x, out=at)
-                at += self.b
+                self._project(xt, out=at)
         if gates.ndim != 3 or gates.shape[1] != len(state[0]):
             raise ShapeError(f"step takes x [L, B, D] or Embedded ids [L, B] with the state's "
                              f"batch B = {len(state[0])}; its gates are {gates.shape}")
@@ -276,7 +283,7 @@ class _Cell:
         if isinstance(xs, Embedded):
             gates = self._project(xs.embedding.table)[xs.ids]
         else:
-            gates = self._project(xs)
+            gates = self._project(xs.reshape(-1, xs.shape[2])).reshape(*xs.shape[:2], -1)
         length, batch = gates.shape[:2]
         starts = None
         if train:
@@ -548,14 +555,19 @@ class BidirectionalLstm:
 
 
 class Dense:
-    """Affine map on the last axis; no activation (the loss owns the softmax)."""
+    """Affine map x W + b on the last axis; no activation (the loss owns the
+    softmax). forward is the one place this map is written: the training
+    logits, step()'s last position and every feed of the feeder call it."""
 
     def __init__(self, w: np.ndarray, b: np.ndarray):
         self.w = w
         self.b = b
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        return x @ self.w + self.b
+    def forward(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """x W into out when given (else a new array), then b added in place."""
+        out = np.matmul(x, self.w, out=out)
+        out += self.b
+        return out
 
     def backward(self, x: np.ndarray, dout: np.ndarray, out: np.ndarray | None = None):
         """(d loss / d x, grads) given dout = d loss / d forward(x). d x =
@@ -724,19 +736,20 @@ class RecurrentStack:
         birnn layer's two directions write its np.hsplit halves) and the
         logits row. Each cell runs its own _recur on them, the arithmetic
         step() runs, with its state as both the state read and the state
-        written, as in _loop: layer 0 copies its P[i] row, deeper layers make
-        x W_x + b with out=, and the dense layer writes x W + b into the
-        logits. After a layer runs, its list of cell steps is reversed in
-        place (a no-op for one cell), so a birnn layer alternates which
-        direction runs first and the two GEMVs in a row read the same W_h,
-        still in cache. Each direction writes only its own state and its own
-        half of the row, so the order cannot change a bit.
+        written, as in _loop: layer 0 copies its P[i] row, deeper layers call
+        their cell's _project with the gate row as out, and Dense.forward
+        writes the logits row; the feed itself holds no product or bias add.
+        After a layer runs, its list of cell steps is reversed in place (a
+        no-op for one cell), so a birnn layer alternates which direction runs
+        first and the two GEMVs in a row read the same W_h, still in cache.
+        Each direction writes only its own state and its own half of the
+        row, so the order cannot change a bit.
         """
         state = self.init_state(1)
         for t0 in range(0, len(ids) or 1, _PRIME_BLOCK):  # no ids: step() raises
             last, state = self.step(ids[None, t0 : t0 + _PRIME_BLOCK], state)
-        # per layer (gate row, output row, per cell (its _recur, w_x, b,
-        # P or None, its state arrays as read and as written))
+        # per layer (gate row, output row, per cell (its _recur, its
+        # _project, P or None, its state arrays as read and as written))
         layers = []
         for layer, s in zip(self.recurrent, state):
             cells, states = (((layer.fwd, layer.bwd), s) if isinstance(layer, BidirectionalLstm)
@@ -748,26 +761,23 @@ class RecurrentStack:
                 # the LSTM's c rows come from _loop's private copies
                 now = (half, *st[1:k])
                 p = st[k] if len(st) > k else None  # layer 0's state ends with P
-                steps.append((cell._recur, cell.w_x, cell.b, p, now + now))
+                steps.append((cell._recur, cell._project, p, now + now))
             layers.append((np.empty((1, cells[0].w_h.shape[1])), out, steps))
-        w, b = self.dense.w, self.dense.b
-        logits = np.empty((1, w.shape[1]))
+        logits = np.empty((1, self.dense.w.shape[1]))
         row = logits[0]
 
         def feed(i: int) -> np.ndarray:
             x = None
             for gate, out, steps in layers:
-                for recur, w_x, b_x, p, states in steps:
+                for recur, project, p, states in steps:
                     if p is not None:
                         gate[0] = p[i]
                     else:
-                        np.matmul(x, w_x, out=gate)
-                        gate += b_x
+                        project(x, out=gate)
                     recur(gate, *states)
                 steps.reverse()  # a birnn's other direction runs first next feed
                 x = out
-            np.matmul(x, w, out=logits)
-            np.add(logits, b, out=logits)
+            self.dense.forward(x, out=logits)
             return row
 
         return feed, last[0]

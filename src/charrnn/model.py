@@ -22,7 +22,8 @@ Checkpoint file format, all integers little-endian:
 
     magic "CRNF"
     u32 version (currently 1)
-    u32 header length, then that many bytes of canonical UTF-8 JSON holding
+    u32 header length, then that many bytes of canonical UTF-8 JSON (sorted
+        keys, no spaces, exactly as _header_bytes writes it) holding
         {"config": {...}, "vocab": [code points in index order]}
     per parameter in canonical order:
         u32 rank, u32 dims[rank], then IEEE-754 float32 values in row-major
@@ -34,14 +35,17 @@ is one walk of that layout, which _layout generates a parameter at a time as
 the walk goes. No table of it is held, so a header naming 10^6 layers is
 refused at its first short block without 3 * 10^6 shapes being built first.
 Its checks run in this order: magic, version and a length of at least 16
-bytes; the header length, then the header; per parameter, that its block
-ends before the checksum, its rank, its dims; no stray bytes; the CRC;
-finite values. The header is read before the CRC is
-checked because only the config says where the blocks end: a truncated file
-must read as a format error, not as a CRC mismatch. The walk streams: it
-needs a regular file, whose size it takes from fstat, and reads the values
-in bounded chunks into one float64 block, sized by the file, that the
-parameters view, with a running CRC, so a load never holds the file.
+bytes; the header length, then the header: its config and vocabulary, that
+it is the canonical JSON _header_bytes writes for them, and that their sizes
+agree; per parameter, that its block ends before the checksum, its rank, its
+dims; no stray bytes; the CRC; finite values. The header is read before the
+CRC is checked because only the config says where the blocks end: a
+truncated file must read as a format error, not as a CRC mismatch. The walk
+streams: it needs a regular file, whose size it takes from fstat, and reads
+the values in bounded chunks into one float64 block, sized by the file, that
+the parameters view, with a running CRC, so a load never holds the file. Only
+the bytes _header_bytes writes pass the header check, so every file that
+loads re-saves to the same bytes.
 
 Training arithmetic is float64; checkpoints store float32, so values are
 rounded once on save and save -> load -> save is byte-identical. Saving
@@ -264,12 +268,28 @@ def build_model(config: ModelConfig, vocab: Vocabulary) -> Model:
     return Model(config, vocab, _init_params(config))
 
 
+# the one spelling of the header's JSON: sorted keys, no spaces, ASCII only
+_HEADER_JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
+def _header(config: ModelConfig, vocab: Vocabulary) -> dict:
+    return {"config": dataclasses.asdict(config), "vocab": [ord(c) for c in vocab.chars]}
+
+
 def _header_bytes(config: ModelConfig, vocab: Vocabulary) -> bytes:
-    header = {
-        "config": dataclasses.asdict(config),
-        "vocab": [ord(c) for c in vocab.chars],
-    }
-    return json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    return _HEADER_JSON.encode(_header(config, vocab)).encode("utf-8")
+
+
+def _is_header_of(text: bytes, config: ModelConfig, vocab: Vocabulary) -> bool:
+    """Whether text is _header_bytes(config, vocab), compared a JSON piece at
+    a time: the one-shot encoder holds a string per list item, some 40 times
+    the bytes of a header that lists 10^4 layer widths."""
+    pos = 0
+    for piece in _HEADER_JSON.iterencode(_header(config, vocab)):
+        if not text.startswith(piece.encode("ascii"), pos):
+            return False
+        pos += len(piece)
+    return pos == len(text)
 
 
 def _checkpoint_chunks(model: Model):
@@ -314,12 +334,14 @@ def load_checkpoint(path) -> Model:
 
     path must name a regular file, whose size fstat gives before anything is
     read. Checks run in this order: magic, version and a length of at least
-    16 bytes; the header length, then the header; then, per parameter of
-    _layout(config), generated as it is walked and never held whole, that
-    its block ends before the checksum, its rank and its dims; no stray
-    bytes before the checksum; the CRC; finite values. The header comes
-    before the CRC because only the config says where each block ends, so a
-    truncated file reads as a format error rather than a CRC mismatch.
+    16 bytes; the header length, then the header (its config and
+    vocabulary, that it is byte-equal to _header_bytes of them, and that
+    their sizes agree); then, per parameter of _layout(config), generated as
+    it is walked and never held whole, that its block ends before the
+    checksum, its rank and its dims; no stray bytes before the checksum; the
+    CRC; finite values. The header comes before the CRC because only the
+    config says where each block ends, so a truncated file reads as a format
+    error rather than a CRC mismatch.
 
     Values are read at most _LOAD_CHUNK at a time into a float32 staging
     array, one per parameter and no longer than it, and cast into one
@@ -372,6 +394,11 @@ def _read_checkpoint(f, n: int) -> Model:
         raise CheckpointFormatError(f"malformed header: {exc}") from exc
     except VocabularyError as exc:  # not sorted and unique
         raise CheckpointIntegrityError(str(exc)) from exc
+    # JSON that parses to the same config can be other bytes (true for a code
+    # point 1, a spaced or reordered key, an extra key); only the bytes this
+    # program writes load, so every file that loads re-saves to itself
+    if not _is_header_of(text, config, vocab):
+        raise CheckpointFormatError("malformed header: not the canonical JSON of its content")
     if vocab.size != config.vocab_size:
         raise CheckpointIntegrityError(
             f"header vocab has {vocab.size} characters, config says {config.vocab_size}"

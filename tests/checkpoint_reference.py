@@ -2,9 +2,11 @@
 
 It reads the file into one bytes object and checks it in the order the
 charrnn.model module docstring gives: magic, version and a length of at least
-16 bytes; the header length, then the header; per parameter, that its block
-ends before the checksum, its rank, its dims; no stray bytes; the CRC over
-the whole payload at once; finite values, on the float32 values as stored.
+16 bytes; the header length, then the header (its config and vocabulary,
+that its bytes are the sorted-key, space-free JSON of them, and that their
+sizes agree); per parameter, that its block ends before the checksum, its
+rank, its dims; no stray bytes; the CRC over the whole payload at once;
+finite values, on the float32 values as stored.
 The streaming loader must raise the same class with the same message on
 every file, or return the same config, vocabulary and parameter bytes.
 
@@ -13,6 +15,7 @@ reference_load(path) returns a charrnn.model.Model.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import struct
@@ -56,6 +59,9 @@ def reference_load(path) -> Model:
         raise CheckpointFormatError(f"malformed header: {exc}") from exc
     except VocabularyError as exc:
         raise CheckpointIntegrityError(str(exc)) from exc
+    canonical = {"config": dataclasses.asdict(config), "vocab": [ord(c) for c in vocab.chars]}
+    if blob[12:pos] != json.dumps(canonical, sort_keys=True, separators=(",", ":")).encode("utf-8"):
+        raise CheckpointFormatError("malformed header: not the canonical JSON of its content")
     if vocab.size != config.vocab_size:
         raise CheckpointIntegrityError(
             f"header vocab has {vocab.size} characters, config says {config.vocab_size}"

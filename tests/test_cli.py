@@ -16,12 +16,13 @@ from hypothesis import strategies as st
 
 from charrnn import cli as cli_module
 from charrnn.cli import build_parser, main
-from charrnn.exceptions import ConfigError
+from charrnn.exceptions import CheckpointFormatError, ConfigError
 from charrnn.generator import GenerationPlan
 from charrnn.layers import dropout_forward
 from charrnn.model import ModelConfig, load_checkpoint
 from charrnn.numerics import Rng
 from charrnn.trainer import TrainPlan, parse_history
+from tests.checkpoint_reference import reference_load
 from tests.conftest import REPO_ROOT
 from tests.test_model import (
     _header,
@@ -390,6 +391,24 @@ class TestGenerateCommand:
                                "--length", "5"])
         _assert_one_error_line(code, err)
         assert out == "" and "embed_dim must be an integer" in err
+
+    def test_true_code_point_in_header_exit_1(self, checkpoint, tmp_path):
+        # JSON true where code point 10 belongs parses as chr(True), U+0001,
+        # a sorted vocabulary; the header is not the bytes the writer makes
+        blob = checkpoint.read_bytes()
+        header = _header(blob)
+        assert header["vocab"][0] == 10
+        header["vocab"][0] = True
+        bad = tmp_path / "true.ckpt"
+        bad.write_bytes(_with_header(blob, header))
+        code, out, err = _run(["generate", "--checkpoint", str(bad), "--prime", "a",
+                               "--length", "5"])
+        _assert_one_error_line(code, err)
+        message = "malformed header: not the canonical JSON of its content"
+        assert out == "" and err == f"error: {message}\n"
+        with pytest.raises(CheckpointFormatError) as info:
+            reference_load(bad)
+        assert str(info.value) == message
 
     def test_bad_kind_in_header_exit_1(self, checkpoint, tmp_path):
         blob = checkpoint.read_bytes()

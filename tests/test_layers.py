@@ -596,6 +596,19 @@ class TestDense:
         assert time_major.tobytes() == np.ascontiguousarray(dx.swapaxes(0, 1)).tobytes()
         assert all(grads[k].tobytes() == grads_into[k].tobytes() for k in grads)
 
+    # forward is the one x W + b: training passes batch-major [B, L, F] rows
+    # and the feeder a [1, F] row with its logits row as out; both must give
+    # the bytes of x @ w + b
+    @pytest.mark.parametrize("shape", [(16, 30, 64), (1, 64)])
+    def test_forward_into_out_is_x_w_plus_b(self, shape):
+        layer = Dense(_rand((64, 51), seed=5), _rand(51, seed=6))
+        x = _rand(shape, seed=7)
+        expected = (x @ layer.w + layer.b).tobytes()
+        assert layer.forward(x).tobytes() == expected
+        out = np.full((*shape[:-1], 51), np.nan)
+        assert layer.forward(x, out=out) is out
+        assert out.tobytes() == expected
+
 
 def _tiny_stack(kind="lstm", vocab=2, embed=2, hidden=1, zero=True):
     if zero:

@@ -814,6 +814,21 @@ _JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
     lambda inner: st.lists(inner, max_size=3), max_leaves=4,
 )
+# one header entry (the vocabulary or a config field) set to any JSON value
+_HEADER_EDITS = {
+    "key": st.sampled_from(["vocab", *(f"config.{k}" for k in ModelConfig.__dataclass_fields__)]),
+    "value": _JSON_VALUES,
+}
+
+
+def _edit_header(blob: bytes, key: str, value) -> bytes:
+    """The blob with one header entry, "vocab" or "config.<field>", set to value."""
+    header = _header(blob)
+    if key == "vocab":
+        header["vocab"] = value
+    else:
+        header["config"][key.split(".", 1)[1]] = value
+    return _with_header(blob, header)
 
 
 def _apply(blob: bytes, edit) -> bytes:
@@ -855,18 +870,31 @@ class TestCheckpointFuzz:
         self._load(tmp_path_factory, _recrc(edited) if recrc and len(edited) >= 12 else edited)
 
     @settings(max_examples=300, deadline=None)
-    @given(key=st.sampled_from(["vocab", *(f"config.{k}" for k in ModelConfig.__dataclass_fields__)]),
-           value=_JSON_VALUES)
+    @given(**_HEADER_EDITS)
     @example(key="config.layer_widths", value=[float("inf")])  # int(inf) overflows
     @example(key="config.vocab_size", value=5.0)  # equal to 5, so the dims match
     @example(key="config.embed_dim", value=3.0)
     def test_header_edits(self, tmp_path_factory, blob, key, value):
-        header = _header(blob)
-        if key == "vocab":
-            header["vocab"] = value
-        else:
-            header["config"][key.split(".", 1)[1]] = value
-        self._load(tmp_path_factory, _with_header(blob, header))
+        self._load(tmp_path_factory, _edit_header(blob, key, value))
+
+    # A header that loads is the one save writes for what it loaded, so the
+    # file re-saves to its own bytes: JSON true in place of a code point
+    # parses (chr(True) is U+0001) but is not what the writer makes of it.
+    @settings(max_examples=300, deadline=None)
+    @given(**_HEADER_EDITS)
+    @example(key="vocab", value=[True, 98, 99, 100, 101])
+    @example(key="config.dropout", value=0)  # loads as the int 0, written back as 0
+    def test_header_edits_that_load_resave_to_the_same_bytes(self, tmp_path_factory, blob,
+                                                             key, value):
+        edited = _edit_header(blob, key, value)
+        p = tmp_path_factory.getbasetemp() / "header-edit.ckpt"
+        p.write_bytes(edited)
+        try:
+            model = load_checkpoint(p)
+        except CharRnnError:
+            return
+        save_checkpoint(model, p)
+        assert p.read_bytes() == edited
 
     # Any other valid value of a field that fixes a parameter's shape makes
     # the header disagree with the blocks, so a CRC-valid file is refused.
@@ -925,6 +953,27 @@ class TestAgainstReference:
         with mock.patch.object(model_module, "_LOAD_CHUNK", chunk):
             streamed = _load_outcome(load_checkpoint, p)
         assert streamed == _load_outcome(reference_load, p)
+
+    # JSON that parses to a valid config and vocabulary but is not the bytes
+    # the writer makes of them: both loaders refuse it as a malformed header
+    @pytest.mark.parametrize("rewrite", [
+        lambda text: text.replace(b'"vocab":[97,', b'"vocab":[true,'),  # chr(True) is U+0001
+        lambda text: text.replace(b'"vocab":', b'"extra":0,"vocab":'),
+        lambda text: text.replace(b",", b", "),
+        lambda text: json.dumps({"vocab": json.loads(text)["vocab"],
+                                 "config": json.loads(text)["config"]},
+                                separators=(",", ":")).encode(),
+    ], ids=["true-code-point", "extra-key", "spaced", "reordered"])
+    def test_non_canonical_header_is_refused_by_both(self, tmp_path, blob, rewrite):
+        (header_len,) = struct.unpack_from("<I", blob, 8)
+        text = rewrite(blob[12 : 12 + header_len])
+        assert json.loads(text)  # still JSON
+        p = tmp_path / "header.ckpt"
+        p.write_bytes(_recrc(blob[:8] + struct.pack("<I", len(text)) + text
+                             + blob[12 + header_len :]))
+        expected = (CheckpointFormatError,
+                    "malformed header: not the canonical JSON of its content")
+        assert _load_outcome(load_checkpoint, p) == _load_outcome(reference_load, p) == expected
 
     def test_crc_comes_before_the_finite_check(self, tmp_path, blob):
         # a NaN written without fixing the CRC is a CRC mismatch to both
