@@ -79,6 +79,27 @@ def _write_atomic(path, chunks) -> None:
         raise
 
 
+def _resolve(path) -> Path:
+    """Path(path) made absolute with its symlinks followed, as far as it
+    exists (an output not written yet resolves through its directory).
+
+    A symlink loop raises OSError(ELOOP), the error opening path gives,
+    naming path as given: before Python 3.13 resolve raises RuntimeError
+    for one, which no command expects, and from 3.13 only its strict form
+    reports one. Any other path the strict form cannot follow resolves as
+    before, and the read or write that follows reports what is wrong.
+    """
+    try:
+        try:
+            return Path(path).resolve(strict=True)
+        except OSError as exc:
+            if exc.errno != errno.ELOOP:
+                return Path(path).resolve()  # a loop past a missing part raises here
+    except RuntimeError:
+        pass
+    raise OSError(errno.ELOOP, os.strerror(errno.ELOOP), os.fspath(path))
+
+
 def _check_writable(*paths, inputs=()) -> None:
     """Refuse, before any work, output paths that _write_atomic could not
     write. A path that names a directory, or whose directory (where the temp
@@ -86,8 +107,9 @@ def _check_writable(*paths, inputs=()) -> None:
     subclass that writing would, naming that path. An output that resolves
     to the same file as one of the command's inputs, which the write would
     replace, or as an earlier output, which the later write would replace,
-    raises ConfigError naming both paths as given."""
-    sources = {Path(path).resolve(): path for path in inputs}
+    raises ConfigError naming both paths as given. A path that a symlink
+    loop keeps from resolving raises OSError (ELOOP)."""
+    sources = {_resolve(path): path for path in inputs}
     seen = {}
     for path in paths:
         target = Path(path)
@@ -99,7 +121,7 @@ def _check_writable(*paths, inputs=()) -> None:
             code = 0
         if code:
             raise OSError(code, os.strerror(code), os.fspath(path))
-        key = target.resolve()
+        key = _resolve(path)
         if key in sources:
             raise ConfigError(f"output {os.fspath(path)!r} and input "
                               f"{os.fspath(sources[key])!r} are the same file")

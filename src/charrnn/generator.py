@@ -1,20 +1,18 @@
 """Stepwise text generation with temperature-controlled selection.
 
-One call to the stack's feeder (RecurrentStack.feeder) primes it with the
-encoded prime text and returns the logits of the prime's last character and
-a feed function. Then the loop alternates select-next-character / feed-it-back
-until the requested length is reached. Each drawn character is fed back
-through the feeder's one in-place step, with none of step()'s checks: the id
-is one the loop itself drew. The last character is not fed back, since
-nothing reads the logits that step would give, so a request makes
-max(length - 1, 0) feeds. The softmax is written into one reused buffer.
-Temperature divides the logits before the softmax:
-T -> 0 sharpens the distribution toward the argmax, large T flattens it
-toward uniform. Dividing the post-softmax probabilities instead would cancel
-under renormalisation and do nothing, which is why the logits form is the
-one implemented. The softmax's shift to a maximum of 0 comes before the
-division, once per character, so a tiny T (1e-310, say) gives the argmax
-limit rather than nan.
+generate owns the loop and the draw. One call to the stack's feeder
+(RecurrentStack.feeder) primes it with the encoded prime text and returns
+the logits of the prime's last character and a feed function. Then the loop
+alternates select-next-character / feed-it-back until the requested length
+is reached. Each drawn character is fed back through the feeder's one
+in-place step, with none of step()'s checks: the id is one the loop itself
+drew. The last character is not fed back, since nothing reads the logits
+that step would give, so a request makes max(length - 1, 0) feeds.
+
+The distribution is numerics.softmax at the plan's temperature, written
+into one buffer reused for every character; its docstring gives the
+temperature rule and why a tiny T is the argmax limit. The overflow such a T
+causes is silenced once per request, here.
 
 Two selection modes exist because both are defensible readings of common
 practice: "sample" draws from the temperature-scaled distribution with a
@@ -31,7 +29,7 @@ import numpy as np
 from .exceptions import ConfigError
 from .model import Model
 from .numerics import (AT_LEAST_0, FINITE_POSITIVE, Rng, check_int_fields, check_real_fields,
-                       sample_categorical)
+                       sample_categorical, softmax)
 
 MODES = ("sample", "argmax")
 
@@ -77,12 +75,6 @@ def generate(model: Model, plan: GenerationPlan) -> str:
                 # dividing by T > 0 keeps the argmax; rounding in softmax would not
                 nxt = int(logits.argmax())
             else:
-                # softmax with the shift taken once, before T divides; the
-                # ufuncs are those of max(), sum() and the operators
-                np.subtract(logits, np.maximum.reduce(logits), probs)
-                np.true_divide(probs, temperature, probs)
-                np.exp(probs, probs)
-                np.true_divide(probs, np.add.reduce(probs), probs)
-                nxt = sample_categorical(probs, rng)
+                nxt = sample_categorical(softmax(logits, temperature, probs), rng)
             out.append(nxt)
     return plan.prime_text + model.vocab.decode(out)

@@ -1,7 +1,7 @@
 """The deterministic RNG used by every other module, the float64 kernels
-(softmax, sigmoid, categorical sampling) the layers and the sampler share, and
-the field rules: check_ids, what a valid id is for the layers, the loss and
-the vocabulary; the four ranges a setting may have (AT_LEAST_1 for sizes and
+(the sampler's temperature softmax and categorical draw, the cells' sigmoid),
+and the field rules: check_ids, what a valid id is for the layers, the loss
+and the vocabulary; the four ranges a setting may have (AT_LEAST_1 for sizes and
 counts, AT_LEAST_0 for a generated length, FINITE_POSITIVE for a learning
 rate, clip norm, temperature or scale, and UNIT_RATE for a dropout rate),
 each one test and one wording; and is_int / check_int_fields and
@@ -233,14 +233,33 @@ class Rng:
         return out
 
 
-def softmax(logits: np.ndarray) -> np.ndarray:
-    """Probabilities along the last axis, stabilised by max subtraction."""
+def softmax(logits: np.ndarray, temperature: float = 1.0, out=None) -> np.ndarray:
+    """Probabilities along the last axis at temperature T: the softmax of
+    logits / T, the sampler's distribution.
+
+    T -> 0 sharpens the distribution toward the argmax and large T flattens
+    it toward uniform; T = 1 is the plain softmax, since dividing by 1.0 is
+    exact. T divides the logits, not the probabilities, which
+    renormalisation would cancel. Each row is shifted to a maximum of 0
+    before T divides it, so a row's largest entry stays 0 whatever T is:
+    a tiny T (1e-300, say) sends every smaller entry to -inf, whose exp is 0,
+    and gives the argmax limit (a one-hot where the maximum is unique)
+    rather than nan. That division overflows, so a caller passing such a T
+    silences numpy's overflow warning itself (np.errstate(over="ignore")).
+
+    The four steps (shift, divide, exp, normalise) each write out, an array
+    of logits' shape, when it is given (logits itself is allowed), else a
+    new array; either way it is returned. The reductions are
+    np.maximum.reduce and np.add.reduce, the ufuncs of max() and sum().
+    """
     x = np.asarray(logits, dtype=np.float64)
     if x.size == 0:
         raise ShapeError(f"softmax on empty input of shape {x.shape}")
-    z = x - x.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    out = np.subtract(x, np.maximum.reduce(x, axis=-1, keepdims=True), out)
+    np.true_divide(out, temperature, out)
+    np.exp(out, out)
+    np.true_divide(out, np.add.reduce(out, axis=-1, keepdims=True), out)
+    return out
 
 
 def sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

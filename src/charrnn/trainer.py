@@ -78,7 +78,10 @@ def clip_global_norm(grads: dict[str, np.ndarray], max_norm: float) -> float:
 
 def train_epoch(model: Model, batches, plan: TrainPlan, opt_state: RmspropState,
                 dropout_rng: Rng) -> tuple[float, float]:
-    """One pass over the batches. Returns (mean loss, mean ms per step)."""
+    """One pass over the batches. Returns (mean loss, mean ms per step).
+
+    A non-finite batch loss, or finite ones whose mean overflows, raises
+    TrainingError."""
     if not batches:
         raise TrainingError("train_epoch needs at least one batch")
     losses = []
@@ -102,7 +105,11 @@ def train_epoch(model: Model, batches, plan: TrainPlan, opt_state: RmspropState,
         losses.append(report.mean_loss)
         # rebound only by the next step, these would live through its forward
         del tape, report, grads
-    return float(np.mean(losses)), 1000.0 * float(np.mean(seconds))
+    with np.errstate(over="ignore"):  # finite losses near float64's top can sum past it
+        mean_loss = float(np.mean(losses))
+    if not math.isfinite(mean_loss):
+        raise TrainingError(f"the mean of {len(losses)} finite batch losses overflows float64")
+    return mean_loss, 1000.0 * float(np.mean(seconds))
 
 
 def train(text: str, vocab: Vocabulary, config: ModelConfig, plan: TrainPlan,

@@ -24,7 +24,7 @@ from charrnn.model import (
     rebuild_for_generation,
     save_checkpoint,
 )
-from charrnn.numerics import Rng, sample_categorical, softmax
+from charrnn.numerics import Rng, sample_categorical
 from charrnn.objective import RmspropState, ce_grad, ce_loss, rmsprop_step
 from charrnn.trainer import TrainPlan, parse_history, train_epoch
 
@@ -236,6 +236,7 @@ def test_criterion_8_temperature_limit(fixture_text, fixture_vocab):
     sampled index to match the tie-broken argmax.
     """
     from scipy import stats
+    from scipy.special import softmax
 
     with criterion(8, "temperature: T=0.001 equals argmax; chi-square at 3 temps"):
         trained, _ = _train_manual(

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import errno
 import io
 import os
 import shutil
@@ -249,6 +250,21 @@ class TestTrainCommand:
                             "--history", str(tmp_path / "x.csv")])
         _assert_one_error_line(child.returncode, child.stderr)
         assert "non-finite loss inf" in child.stderr and not ckpt.exists()
+
+    def test_overflowing_epoch_mean_is_one_error_line(self, tmp_path):
+        # every batch loss is finite (up to about 2e307) but their sum
+        # overflows; numpy's warning would precede the error line
+        corpus = tmp_path / "c.txt"
+        corpus.write_text("the cat sat on the mat. " * 8, encoding="utf-8")
+        ckpt = tmp_path / "x.ckpt"
+        child = _run_child(["train", "--corpus", str(corpus), "--model", "lstm",
+                            "--preset", "uni", "--scale", "0.015625", "--lr", "1e306",
+                            "--dropout", "0", "--seq-len", "1", "--batch-size", "1",
+                            "--embed-dim", "1", "--epochs", "1", "--out", str(ckpt),
+                            "--history", str(tmp_path / "x.csv")])
+        _assert_one_error_line(child.returncode, child.stderr)
+        assert "overflows float64" in child.stderr and child.stdout == ""
+        assert [p.name for p in tmp_path.iterdir()] == ["c.txt"]
 
     def test_weights_past_float32_are_one_error_line(self, fixture_path, tmp_path):
         # the loss stays finite but the weights grow past float32's range, so
@@ -557,6 +573,41 @@ class TestOutputsSpareInputs:
         assert out == "" and repr(given) in err and repr(target) in err
         assert [p.name for p in tmp_path.iterdir()] == [name]
         assert source.read_bytes() == original
+
+
+def _symlink_loop(path):
+    """Make path a symlink to itself, or skip where symlinks cannot be made."""
+    try:
+        os.symlink(path.name, path)
+    except (AttributeError, NotImplementedError, OSError) as exc:
+        pytest.skip(f"no symlinks here: {exc}")
+
+
+@pytest.mark.parametrize("case", [
+    "train --corpus", "train --out", "train --history", "generate --checkpoint",
+    "generate --out", "report --history", "report --out", "train --corpus missing/../loop",
+])
+def test_symlink_loop_is_one_error_line(checkpoint, fixture_path, tmp_path, case):
+    # Path.resolve raises RuntimeError for a loop before Python 3.13
+    loop = tmp_path / "loop"
+    _symlink_loop(loop)
+    command, flag, *spelling = case.split()
+    history = tmp_path / "h.csv"
+    history.write_text("epoch,mean_loss,ms_per_step\n1,0.5,1.0\n")
+    argv = {
+        "train": ["train", "--corpus", fixture_path, *TRAIN_ARGS,
+                  "--out", tmp_path / "m.out", "--history", tmp_path / "h.out"],
+        "generate": ["generate", "--checkpoint", checkpoint, "--prime", "The",
+                     "--length", "20", "--out", tmp_path / "g.out"],
+        "report": ["report", "--history", history, "--out", tmp_path / "r.out"],
+    }[command]
+    argv[argv.index(flag) + 1] = tmp_path.joinpath(*spelling) if spelling else loop
+    before = sorted(tmp_path.iterdir())
+    code, out, err = _run([str(arg) for arg in argv])
+    _assert_one_error_line(code, err)
+    assert out == "" and os.strerror(errno.ELOOP) in err
+    assert sorted(tmp_path.iterdir()) == before
+    assert os.readlink(loop) == "loop"
 
 
 class TestReportCommand:

@@ -16,7 +16,7 @@ from charrnn.exceptions import ConfigError, VocabularyError
 from charrnn.generator import GenerationPlan, generate
 from charrnn.layers import RecurrentStack
 from charrnn.model import ModelConfig, build_model, load_checkpoint, save_checkpoint
-from charrnn.numerics import Rng, sample_categorical, softmax
+from charrnn.numerics import Rng, sample_categorical
 from tests.conftest import REPO_ROOT
 from tests.generator_reference import reference_generate
 
@@ -58,6 +58,8 @@ class TestApplyTemperature:
     """The temperature rule: generate samples from softmax(logits / T), T > 0 finite."""
 
     def test_identity_at_one(self, monkeypatch):
+        from scipy.special import softmax  # an oracle apart from the code under test
+
         logits = np.array([0.5, -1.0, 2.0])
         probs, _ = _sampled_probs(monkeypatch, _bias_model(logits), 1.0)
         assert np.allclose(probs, softmax(logits), atol=1e-12)
@@ -270,6 +272,7 @@ class TestAgainstReference:
 class TestSelectionFrequencies:
     def test_sample_frequencies_match_tempered_softmax(self):
         from scipy import stats
+        from scipy.special import softmax
 
         logits = np.array([1.2, -0.3, 0.8, 2.0, 0.0])
         n = 10_000

@@ -291,23 +291,26 @@ def test_tracer_spans_one_layer_step_per_stack_step(kind):
     # traced function with getattr, so a name a refactor drops fails here. A
     # request makes one stack step for its 8-character prime, which runs
     # every layer once; the 3 characters fed back go through the feeder,
-    # whose cells still call the traced sigmoid (the GRU's, one per position)
+    # whose cells still call the traced sigmoid (the GRU's, one per position);
+    # each of the 4 characters sampled goes through the traced softmax
     config = ModelConfig(kind=kind, layer_widths=(4, 3), vocab_size=5, batch_size=1,
                          embed_dim=3, dropout=0.0, init_seed=1)
     stack = build_model(config, Vocabulary(tuple("abcde")))
     original = RecurrentStack.__dict__["step"]
-    tracer = _TRACING.Tracer()
-    tracer.install()
-    try:
-        generate(stack, GenerationPlan(prime_text="abcdeabc", length=4))
-    finally:
-        tracer.remove()
-    spans = Counter(span[0] for span in tracer.spans)
-    assert spans["layers.step.prime"] + spans["layers.step.sample"] == 1
-    assert spans[f"layers.{kind}.step"] == 2
-    assert spans["layers.birnn.step.cell"] == (4 if kind == "birnn" else 0)
-    assert spans["numerics.sigmoid"] == (2 * (8 + 3) if kind == "gru" else 0)
-    assert RecurrentStack.__dict__["step"] is original
+    for mode in ("sample", "argmax"):
+        tracer = _TRACING.Tracer()
+        tracer.install()
+        try:
+            generate(stack, GenerationPlan(prime_text="abcdeabc", length=4, mode=mode))
+        finally:
+            tracer.remove()
+        spans = Counter(span[0] for span in tracer.spans)
+        assert spans["layers.step.prime"] + spans["layers.step.sample"] == 1
+        assert spans[f"layers.{kind}.step"] == 2
+        assert spans["layers.birnn.step.cell"] == (4 if kind == "birnn" else 0)
+        assert spans["numerics.sigmoid"] == (2 * (8 + 3) if kind == "gru" else 0)
+        assert spans["numerics.softmax"] == (4 if mode == "sample" else 0)
+        assert RecurrentStack.__dict__["step"] is original
 
 
 def _kinds_at(*lengths):

@@ -191,7 +191,52 @@ class TestRng:
         assert 0 <= r.next_u64() < 2**64
 
 
+def _sampler_softmax(logits, temperature):
+    """The four ufuncs generate ran on a logits vector before it called
+    softmax: the bits softmax(logits, temperature) must keep."""
+    probs = np.empty_like(logits)
+    np.subtract(logits, np.maximum.reduce(logits), probs)
+    np.true_divide(probs, temperature, probs)
+    np.exp(probs, probs)
+    np.true_divide(probs, np.add.reduce(probs), probs)
+    return probs
+
+
+def _plain_softmax(x):
+    """The temperature-free softmax numerics had before: its bits at T = 1."""
+    z = x - x.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
 class TestSoftmax:
+    @pytest.mark.parametrize("temperature", [1e-300, 0.05, 0.5, 1.0, 3.0])
+    def test_bits_of_the_samplers_former_softmax(self, temperature):
+        for size, seed in ((5, 1), (51, 2), (300, 3)):
+            logits = np.random.default_rng(seed).normal(size=size) * 4.0
+            with np.errstate(over="ignore"):  # 1e-300 divides to -inf, as in generate
+                got = softmax(logits, temperature)
+                want = _sampler_softmax(logits, temperature)
+            assert got.tobytes() == want.tobytes(), size
+            if temperature == 1e-300:  # the argmax limit
+                assert got.tobytes() == np.eye(size)[logits.argmax()].tobytes()
+
+    def test_out_is_written_and_returned(self):
+        logits = np.random.default_rng(4).normal(size=(3, 7))
+        want = softmax(logits, 0.5)
+        out = np.full_like(logits, np.nan)
+        assert softmax(logits, 0.5, out) is out
+        assert out.tobytes() == want.tobytes()
+        assert softmax(logits, 0.5, logits) is logits  # in place
+        assert logits.tobytes() == want.tobytes()
+
+    def test_bits_of_the_plain_softmax_at_one(self):
+        rng = np.random.default_rng(6)
+        for x in (rng.normal(size=9) * 3.0, rng.normal(size=(4, 33)) * 3.0):
+            want = _plain_softmax(x)
+            assert softmax(x).tobytes() == want.tobytes()
+            assert softmax(x, 1.0).tobytes() == want.tobytes()
+
     def test_constant_is_uniform(self):
         for c in (0.0, -3.5, 1e3):
             out = softmax(np.full(4, c))

@@ -7,6 +7,7 @@ import pytest
 from charrnn.cli import main
 from charrnn.model import KINDS, PRESETS
 from tests.conftest import REPO_ROOT
+from tests.test_cli import _symlink_loop
 
 SCALE_ARGS = ["--epochs", "1", "--scale", "0.0078125", "--seq-len", "20",
               "--batch-size", "8", "--embed-dim", "8", "--lr", "0.002",
@@ -49,8 +50,11 @@ def test_bad_train_flag_ends_as_charrnn_train_does(fixture_path, tmp_path):
     assert (script.returncode, script.stderr) == (train.returncode, train.stderr)
 
 
-@pytest.mark.parametrize("args", [["--corpus", "missing.txt"]], ids=["missing_corpus"])
+@pytest.mark.parametrize("args", [["--corpus", "missing.txt"], ["--corpus", "loop"]],
+                         ids=["missing_corpus", "symlink_loop_corpus"])
 def test_bad_input_is_one_error_line_and_exit_1(fixture_path, tmp_path, args):
+    if "loop" in args:
+        _symlink_loop(tmp_path / "loop")
     run = subprocess.run(
         [sys.executable, SCRIPT, "--corpus", str(fixture_path),
          "--outdir", str(tmp_path / "runs"), *args],
