@@ -2,22 +2,30 @@
 
 Contract: stdout carries data, stderr carries diagnostics. Exit codes are 0
 on success, 2 for usage errors (argparse), 1 for runtime failures.
+
+Each command owns its outputs: _check_writable refuses, before any work, an
+output path it could not write or that names one of its inputs or another
+output. cmd_train builds the model, prints and collects the rows that
+trainer.train yields, then saves the checkpoint and exports the history.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import io
+import os
 import sys
 from pathlib import Path
 
-from .corpus import _check_writable, _write_atomic, build_vocab, load_corpus
+from .corpus import _write_atomic, build_vocab, load_corpus
 from .exceptions import CharRnnError, ConfigError
 from .generator import MODES, GenerationPlan, generate
-from .model import KINDS, PRESETS, ModelConfig, load_checkpoint, preset_widths
+from .model import (KINDS, PRESETS, ModelConfig, build_model, load_checkpoint, preset_widths,
+                    save_checkpoint)
 from .numerics import AT_LEAST_0, AT_LEAST_1, FINITE_POSITIVE, UNIT_RATE, Rng, Rule
-from .trainer import _HISTORY_HEADER, TrainPlan, parse_history, train
+from .trainer import _HISTORY_HEADER, TrainPlan, export_history, parse_history, train
 
 
 def _number(parse, rule: Rule):
@@ -59,7 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
                              f"{name}={','.join(map(str, widths))}"
                              for name, widths in PRESETS.items()))
     p_train.add_argument("--seq-len", type=_positive_int, default=ModelConfig.seq_len)
-    p_train.add_argument("--batch-size", type=_positive_int, default=64)
+    p_train.add_argument("--batch-size", type=_positive_int, default=ModelConfig.batch_size)
     p_train.add_argument("--epochs", type=_positive_int, default=TrainPlan.epochs)
     p_train.add_argument("--lr", type=_positive_float, default=TrainPlan.lr)
     p_train.add_argument("--dropout", type=_dropout_rate, default=ModelConfig.dropout)
@@ -87,6 +95,59 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep.add_argument("--out", help="write here instead of stdout")
     p_rep.set_defaults(run=cmd_report)
     return parser
+
+
+def _resolve(path) -> Path:
+    """Path(path) made absolute with its symlinks followed, as far as it
+    exists (an output not written yet resolves through its directory).
+
+    A symlink loop raises OSError(ELOOP), the error opening path gives,
+    naming path as given: before Python 3.13 resolve raises RuntimeError
+    for one, which no command expects, and from 3.13 only its strict form
+    reports one. Any other path the strict form cannot follow resolves as
+    before, and the read or write that follows reports what is wrong.
+    """
+    try:
+        try:
+            return Path(path).resolve(strict=True)
+        except OSError as exc:
+            if exc.errno != errno.ELOOP:
+                return Path(path).resolve()  # a loop past a missing part raises here
+    except RuntimeError:
+        pass
+    raise OSError(errno.ELOOP, os.strerror(errno.ELOOP), os.fspath(path))
+
+
+def _check_writable(*paths, inputs=()) -> None:
+    """Refuse, before any work, output paths that _write_atomic could not
+    write. A path that names a directory, or whose directory (where the temp
+    file would go) does not exist or is not a directory, raises the OSError
+    subclass that writing would, naming that path. An output that resolves
+    to the same file as one of the command's inputs, which the write would
+    replace, or as an earlier output, which the later write would replace,
+    raises ConfigError naming both paths as given. A path that a symlink
+    loop keeps from resolving, in its directory or at its end, raises
+    OSError (ELOOP) first: is_dir and exists read a loop as missing."""
+    sources = {_resolve(path): path for path in inputs}
+    seen = {}
+    for path in paths:
+        key = _resolve(path)
+        target = Path(path)
+        if target.is_dir():
+            code = errno.EISDIR
+        elif not target.parent.is_dir():
+            code = errno.ENOTDIR if target.parent.exists() else errno.ENOENT
+        else:
+            code = 0
+        if code:
+            raise OSError(code, os.strerror(code), os.fspath(path))
+        if key in sources:
+            raise ConfigError(f"output {os.fspath(path)!r} and input "
+                              f"{os.fspath(sources[key])!r} are the same file")
+        if key in seen:
+            raise ConfigError(f"outputs {os.fspath(seen[key])!r} and "
+                              f"{os.fspath(path)!r} are the same file")
+        seen[key] = path
 
 
 def _emit(text: str, out) -> None:
@@ -133,14 +194,16 @@ def cmd_train(args) -> int:
     )
     plan = TrainPlan(epochs=args.epochs, lr=args.lr,
                      shuffle_seed=shuffle_seed, dropout_seed=dropout_seed)
-    train(
-        text, vocab, config, plan,
-        ckpt_path=args.out, history_path=args.history,
-        progress=lambda row: print(
-            f"epoch {row.epoch}  loss {row.mean_loss:.6f}  ms/step {row.ms_per_step:.3f}",
-            flush=True,
-        ),
-    )
+    model = build_model(config, vocab)  # refuses a bad config before the corpus is cut
+    history = []
+    for row in train(model, text, plan):
+        print(f"epoch {row.epoch}  loss {row.mean_loss:.6f}  ms/step {row.ms_per_step:.3f}",
+              flush=True)
+        history.append(row)
+    # each write is atomic; a history write that fails late (a full disk,
+    # say) leaves the new checkpoint in place
+    save_checkpoint(model, args.out)
+    export_history(history, args.history)
     return 0
 
 

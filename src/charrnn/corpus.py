@@ -13,22 +13,20 @@ code points _CHUNK characters at a time, so no temporary grows with the
 corpus, and shuffle_batches takes its Fisher-Yates draws from one bulk
 Rng.randint call.
 
-_read_capped is the bounded read of the corpus and of history CSVs,
+_read_capped is the bounded read of the corpus and of history CSVs, and
 _write_atomic the temp-file-and-rename writer of checkpoints, history CSVs
-and the CLI's --out files, and _check_writable its early refusal of paths
-it could not write or that name one file twice.
+and the CLI's --out files.
 """
 
 from __future__ import annotations
 
-import errno
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .exceptions import ConfigError, CorpusError, ShapeError, VocabularyError
+from .exceptions import CorpusError, ShapeError, VocabularyError
 from .numerics import AT_LEAST_1, Rng, check_ids, check_int_fields
 
 
@@ -77,58 +75,6 @@ def _write_atomic(path, chunks) -> None:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
-
-
-def _resolve(path) -> Path:
-    """Path(path) made absolute with its symlinks followed, as far as it
-    exists (an output not written yet resolves through its directory).
-
-    A symlink loop raises OSError(ELOOP), the error opening path gives,
-    naming path as given: before Python 3.13 resolve raises RuntimeError
-    for one, which no command expects, and from 3.13 only its strict form
-    reports one. Any other path the strict form cannot follow resolves as
-    before, and the read or write that follows reports what is wrong.
-    """
-    try:
-        try:
-            return Path(path).resolve(strict=True)
-        except OSError as exc:
-            if exc.errno != errno.ELOOP:
-                return Path(path).resolve()  # a loop past a missing part raises here
-    except RuntimeError:
-        pass
-    raise OSError(errno.ELOOP, os.strerror(errno.ELOOP), os.fspath(path))
-
-
-def _check_writable(*paths, inputs=()) -> None:
-    """Refuse, before any work, output paths that _write_atomic could not
-    write. A path that names a directory, or whose directory (where the temp
-    file would go) does not exist or is not a directory, raises the OSError
-    subclass that writing would, naming that path. An output that resolves
-    to the same file as one of the command's inputs, which the write would
-    replace, or as an earlier output, which the later write would replace,
-    raises ConfigError naming both paths as given. A path that a symlink
-    loop keeps from resolving raises OSError (ELOOP)."""
-    sources = {_resolve(path): path for path in inputs}
-    seen = {}
-    for path in paths:
-        target = Path(path)
-        if target.is_dir():
-            code = errno.EISDIR
-        elif not target.parent.is_dir():
-            code = errno.ENOTDIR if target.parent.exists() else errno.ENOENT
-        else:
-            code = 0
-        if code:
-            raise OSError(code, os.strerror(code), os.fspath(path))
-        key = _resolve(path)
-        if key in sources:
-            raise ConfigError(f"output {os.fspath(path)!r} and input "
-                              f"{os.fspath(sources[key])!r} are the same file")
-        if key in seen:
-            raise ConfigError(f"outputs {os.fspath(seen[key])!r} and "
-                              f"{os.fspath(path)!r} are the same file")
-        seen[key] = path
 
 
 _CHUNK = 1 << 16  # characters per UTF-32 pass in build_vocab and encode
@@ -216,8 +162,8 @@ def build_vocab(text: str) -> Vocabulary:
 class CorpusPlan:
     """How the encoded corpus is cut and batched."""
 
-    seq_len: int = 100
-    batch_size: int = 64
+    seq_len: int
+    batch_size: int
     shuffle_seed: int = 0
 
     def __post_init__(self):

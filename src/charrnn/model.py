@@ -115,7 +115,7 @@ class ModelConfig:
     kind: str
     layer_widths: tuple[int, ...]
     vocab_size: int
-    batch_size: int
+    batch_size: int = 64
     embed_dim: int = 256
     dropout: float = 0.4
     seq_len: int = 100

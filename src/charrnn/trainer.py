@@ -1,26 +1,27 @@
 """Epoch loop, metrics recording, and history CSV export.
 
-Each epoch reshuffles the sequence windows with shuffle_seed + epoch, then for
-every batch runs forward, loss, backward, global-norm clipping, and one
-RMSprop step. Wall time per step is the monotonic clock around that compute
-(data preparation excluded), averaged per epoch and reported in milliseconds.
+train(model, text, plan) is a generator: each epoch reshuffles the sequence
+windows with shuffle_seed + epoch, then for every batch runs forward, loss,
+backward, global-norm clipping, and one RMSprop step, and yields the epoch's
+HistoryRow. It writes nothing: the caller (cli.cmd_train) saves the model
+and exports the rows. Wall time per step is the monotonic clock around that
+compute (data preparation excluded), averaged per epoch and reported in
+milliseconds.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import math
+import reprlib
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from .corpus import (CorpusPlan, Vocabulary, _check_writable, _read_capped, _write_atomic,
-                     make_sequences, shuffle_batches)
+from .corpus import CorpusPlan, _read_capped, _write_atomic, make_sequences, shuffle_batches
 from .exceptions import HistoryFormatError, TrainingError
-from .model import Model, ModelConfig, build_model, save_checkpoint
+from .model import Model
 from .numerics import AT_LEAST_1, FINITE_POSITIVE, Rng, check_int_fields, check_real_fields
 from .objective import RmspropState, ce_loss, rmsprop_step
 
@@ -39,7 +40,10 @@ class TrainPlan:
         check_real_fields(self, ("lr", "clip_norm"), FINITE_POSITIVE)
 
 
-_HISTORY_HEADER = ["epoch", "mean_loss", "ms_per_step"]
+# each history column: its name, how parse_history reads a field, and how
+# export_history spells the value, the one spelling parse_history accepts
+_HISTORY_COLUMNS = (("epoch", int, str), ("mean_loss", float, repr), ("ms_per_step", float, repr))
+_HISTORY_HEADER = [name for name, _, _ in _HISTORY_COLUMNS]
 # parse_history refuses a longer file before decoding it, so an endless one
 # (/dev/zero) is an error, not a failed allocation. An exported line is under
 # about 60 bytes (the epoch and two float reprs), so this holds over 250,000
@@ -112,85 +116,96 @@ def train_epoch(model: Model, batches, plan: TrainPlan, opt_state: RmspropState,
     return mean_loss, 1000.0 * float(np.mean(seconds))
 
 
-def train(text: str, vocab: Vocabulary, config: ModelConfig, plan: TrainPlan,
-          ckpt_path=None, history_path=None,
-          progress: Callable[[HistoryRow], None] | None = None
-          ) -> tuple[Model, list[HistoryRow]]:
-    """Full training run on a corpus text and its vocabulary (see build_vocab).
+def train(model: Model, text: str, plan: TrainPlan) -> Iterator[HistoryRow]:
+    """Train model on a corpus text, yielding one history row as each epoch
+    ends.
 
-    Writes the checkpoint and history CSV when paths are given. A path that
-    names a directory, or whose directory is missing or is a file, is
-    refused before the first epoch, and so are two paths to one file. Each
-    file is written atomically, so neither is ever left partial, but the
-    checkpoint is written first: a history write that fails late (a full
-    disk, say) leaves the new checkpoint in place. Returns the trained model
-    and one history row per epoch.
+    A generator: nothing runs, not even the encoding, until it is iterated.
+    The text is encoded with model.vocab and cut into windows of
+    model.config.seq_len, batched by model.config.batch_size. A caller that
+    stops after k rows holds the model and rows a k-epoch plan gives; saving
+    either is the caller's.
     """
-    model = build_model(config, vocab)  # refuses a bad config before the corpus is cut
-    _check_writable(*(path for path in (ckpt_path, history_path) if path is not None))
-    cplan = CorpusPlan(config.seq_len, config.batch_size, plan.shuffle_seed)
-    windows = make_sequences(vocab.encode(text), cplan)
+    config = model.config
+    cplan = CorpusPlan(config.seq_len, config.batch_size)
+    windows = make_sequences(model.vocab.encode(text), cplan)
     opt_state = RmspropState.for_params(model.params(), alpha=plan.lr)
     dropout_rng = Rng(plan.dropout_seed)
-    history: list[HistoryRow] = []
     for epoch in range(1, plan.epochs + 1):
         batches = shuffle_batches(windows, cplan, Rng(plan.shuffle_seed + epoch))
-        mean_loss, ms_per_step = train_epoch(model, batches, plan, opt_state, dropout_rng)
-        row = HistoryRow(epoch=epoch, mean_loss=mean_loss, ms_per_step=ms_per_step)
-        history.append(row)
-        if progress is not None:
-            progress(row)
-    if ckpt_path is not None:
-        save_checkpoint(model, ckpt_path)
-    if history_path is not None:
-        export_history(history, history_path)
-    return model, history
+        yield HistoryRow(epoch, *train_epoch(model, batches, plan, opt_state, dropout_rng))
+
+
+def _check_row(row: HistoryRow, last: int, error) -> None:
+    """Raise error unless row may follow epoch last in a history: a later
+    epoch, a finite mean_loss and a finite ms_per_step >= 0."""
+    if row.epoch <= last:
+        raise error(f"epoch {row.epoch} does not follow epoch {last}")
+    if not math.isfinite(row.mean_loss):
+        raise error(f"mean_loss {row.mean_loss!r} is not finite")
+    if not 0 <= row.ms_per_step < math.inf:
+        raise error(f"ms_per_step {row.ms_per_step!r} is not finite and >= 0")
 
 
 def export_history(history: list[HistoryRow], path) -> None:
     """CSV with header epoch,mean_loss,ms_per_step, one row per epoch.
 
     Floats are written with repr, so parsing the file recovers them exactly.
+    A row _check_row refuses is a TrainingError before anything is written.
     The file is written atomically.
     """
     if not history:
         raise TrainingError("refusing to export an empty history")
     last = 0
     for row in history:
-        if row.epoch <= last:
-            raise TrainingError(f"history epochs not strictly increasing at {row.epoch}")
+        _check_row(row, last, TrainingError)
         last = row.epoch
     lines = [",".join(_HISTORY_HEADER)]
-    lines += [f"{row.epoch},{row.mean_loss!r},{row.ms_per_step!r}" for row in history]
+    lines += [",".join(spell(getattr(row, name)) for name, _, spell in _HISTORY_COLUMNS)
+              for row in history]
     _write_atomic(path, (("\n".join(lines) + "\n").encode("utf-8"),))
+
+
+def _spelled(text: str, name: str, parse, spell):
+    """parse(text), refused with ValueError unless spell(value) is text, so
+    a sign, space, zero or exponent that export_history never writes is
+    refused."""
+    value = parse(text)
+    if spell(value) != text:
+        raise ValueError(f"{name} {reprlib.repr(text)} is not written as {spell(value)!r}")
+    return value
 
 
 def parse_history(path) -> list[HistoryRow]:
     """Inverse of export_history; raises HistoryFormatError with a line number.
 
-    Accepts only what export_history writes: three fields per row and epochs
-    that strictly increase from 1, in at most MAX_HISTORY_BYTES bytes.
+    Accepts only what export_history writes, in at most MAX_HISTORY_BYTES
+    bytes: the header line, then rows of three fields, each spelled as
+    export_history spells its value (str of the epoch, repr of each float)
+    and each row one that _check_row allows, every line ending in "\n".
     """
     data = _read_capped(path, MAX_HISTORY_BYTES, HistoryFormatError)
+    lines = data.split(b"\n")  # the last item is what follows the last newline
     rows: list[HistoryRow] = []
-    with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="") as f:
-        reader = csv.reader(f)
+    for number, line in enumerate(lines, 1):
         try:
-            header = next(reader, None)
-            if header != _HISTORY_HEADER:
-                raise HistoryFormatError(f"{path}: line 1: bad header {header!r}")
-            for rec in reader:
-                if not rec:
-                    continue
-                if len(rec) != 3:
-                    raise ValueError(f"expected 3 fields, got {len(rec)}")
-                row = HistoryRow(int(rec[0]), float(rec[1]), float(rec[2]))
-                last = rows[-1].epoch if rows else 0
-                if row.epoch <= last:
-                    raise ValueError(f"epoch {row.epoch} does not follow epoch {last}")
+            text = line.decode("utf-8")
+            fields = text.split(",")
+            if number == len(lines):
+                if text:
+                    raise ValueError("no newline at the end of the file")
+            elif number == 1:
+                if fields != _HISTORY_HEADER:
+                    raise ValueError(f"bad header {reprlib.repr(text)}")
+            elif len(fields) != 3:
+                raise ValueError(f"expected 3 fields, got {len(fields)}")
+            else:
+                row = HistoryRow(*(_spelled(field, *column)
+                                   for field, column in zip(fields, _HISTORY_COLUMNS)))
+                _check_row(row, rows[-1].epoch if rows else 0, ValueError)
                 rows.append(row)
-        except (ValueError, csv.Error) as exc:  # csv.Error: e.g. a field over the size limit
-            raise HistoryFormatError(f"{path}: line {reader.line_num}: {exc}") from exc
+        except ValueError as exc:  # UnicodeDecodeError is one
+            raise HistoryFormatError(f"{path}: line {number}: {exc}") from exc
     if not rows:
         raise HistoryFormatError(f"{path}: no data rows")
     return rows

@@ -1,13 +1,41 @@
 import ctypes
+import os
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import is_hypothesis_test, settings
 
 from charrnn.corpus import build_vocab, load_corpus
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 FIXTURE_CORPUS = REPO_ROOT / "data" / "tiny_script.txt"
+
+# Hypothesis profiles, chosen by HYPOTHESIS_PROFILE. "tier1", the default,
+# gives one answer per commit: every property draws the same examples on
+# every run, each at its own max_examples, and no example database replays
+# a failure from an earlier run. "explore" draws fresh random examples,
+# EXPLORE_FACTOR times as many, and prints a blob that reproduces a failure;
+# pin what it finds as an @example. Loaded here, before any test module
+# builds its @settings, so those inherit the profile.
+EXPLORE_FACTOR = 5
+settings.register_profile("tier1", derandomize=True, database=None)
+settings.register_profile("explore", derandomize=False, print_blob=True)
+PROFILE = os.environ.get("HYPOTHESIS_PROFILE", "tier1")
+settings.load_profile(PROFILE)
+
+
+def pytest_collection_modifyitems(items):
+    """Under "explore", multiply each property's max_examples: a test's own
+    @settings(max_examples=...) outranks any profile's."""
+    if PROFILE != "explore":
+        return
+    tests = {item.function for item in items
+             if isinstance(item, pytest.Function) and is_hypothesis_test(item.function)}
+    for test in tests:
+        own = test._hypothesis_internal_use_settings
+        test._hypothesis_internal_use_settings = settings(
+            own, max_examples=EXPLORE_FACTOR * own.max_examples)
 
 
 def openblas_corename() -> str | None:

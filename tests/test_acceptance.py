@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from charrnn.cli import main as cli_main
-from charrnn.corpus import CorpusPlan, SequenceBatch, make_sequences, shuffle_batches
+from charrnn.corpus import SequenceBatch
 from charrnn.generator import GenerationPlan, generate
 from charrnn.model import (
     ModelConfig,
@@ -26,7 +26,7 @@ from charrnn.model import (
 )
 from charrnn.numerics import Rng, sample_categorical
 from charrnn.objective import RmspropState, ce_grad, ce_loss, rmsprop_step
-from charrnn.trainer import TrainPlan, parse_history, train_epoch
+from charrnn.trainer import TrainPlan, parse_history, train, train_epoch
 
 
 @contextmanager
@@ -42,24 +42,16 @@ def criterion(number, description):
 def _train_manual(text, vocab, kind, *, widths=(64,), embed=96, seq_len=30,
                   batch_size=1, lr=0.01, epochs=2, stop_below=None, seed=11,
                   dropout=0.0):
-    """Epoch loop with early stop, returning (model, per-epoch mean losses)."""
+    """train() with an early stop, returning (model, per-epoch mean losses)."""
     config = ModelConfig(kind=kind, layer_widths=widths, vocab_size=vocab.size,
                          batch_size=batch_size, embed_dim=embed, dropout=dropout,
                          seq_len=seq_len, init_seed=seed)
-    plan = TrainPlan(epochs=max(epochs, 1), lr=lr, shuffle_seed=1, dropout_seed=2)
+    plan = TrainPlan(epochs=epochs, lr=lr, shuffle_seed=1, dropout_seed=2)
     model = build_model(config, vocab)
-    pairs = make_sequences(vocab.encode(text), CorpusPlan(seq_len, batch_size, 1))
-    opt = RmspropState.for_params(model.params(), alpha=lr)
-    dropout_rng = Rng(plan.dropout_seed)
     losses = []
-    for epoch in range(1, epochs + 1):
-        batches = shuffle_batches(
-            pairs, CorpusPlan(seq_len, batch_size, plan.shuffle_seed + epoch),
-            Rng(plan.shuffle_seed + epoch),
-        )
-        mean_loss, _ = train_epoch(model, batches, plan, opt, dropout_rng)
-        losses.append(mean_loss)
-        if stop_below is not None and mean_loss < stop_below:
+    for row in train(model, text, plan):
+        losses.append(row.mean_loss)
+        if stop_below is not None and row.mean_loss < stop_below:
             break
     return model, losses
 

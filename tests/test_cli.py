@@ -586,6 +586,8 @@ def _symlink_loop(path):
 @pytest.mark.parametrize("case", [
     "train --corpus", "train --out", "train --history", "generate --checkpoint",
     "generate --out", "report --history", "report --out", "train --corpus missing/../loop",
+    # a loop in an output's directory: is_dir and exists read it as missing
+    "train --out loop/x", "generate --out loop/x", "report --out loop/x",
 ])
 def test_symlink_loop_is_one_error_line(checkpoint, fixture_path, tmp_path, case):
     # Path.resolve raises RuntimeError for a loop before Python 3.13
@@ -659,7 +661,12 @@ class TestReportCommand:
         "1,0.5,1.0\n2," + "9" * 131_073 + ",1.0\n",
         "1,0.5,1.0\n2,0.4,1.0,7\n",
         "1,0.5,1.0\n1,0.4,1.0\n",
-    ], ids=["long_field", "fourth_field", "repeated_epoch"])
+        # rows export_history never writes, which report once merged with exit 0
+        "1,0.5,1.0\n2,nan,-5\n",
+        "1,0.5,1.0\n2, 1.50,1e3\n",
+        "1,0.5,1.0\n03,inf,0\n",
+    ], ids=["long_field", "fourth_field", "repeated_epoch", "nan_loss_short_ms",
+            "spaced_loss_exponent_ms", "zero_padded_epoch_inf_loss"])
     def test_bad_history_is_one_error_line(self, tmp_path, capsys, body):
         p = tmp_path / "bad.csv"
         p.write_text("epoch,mean_loss,ms_per_step\n" + body)
@@ -775,8 +782,9 @@ def test_flag_defaults_are_the_config_and_plan_defaults():
     parser = build_parser()
     train = parser.parse_args(_COMMAND_ARGS["train"])
     gen = parser.parse_args(_COMMAND_ARGS["generate"])
-    assert ((train.seq_len, train.embed_dim, train.dropout)
-            == (ModelConfig.seq_len, ModelConfig.embed_dim, ModelConfig.dropout))
+    assert ((train.seq_len, train.batch_size, train.embed_dim, train.dropout)
+            == (ModelConfig.seq_len, ModelConfig.batch_size, ModelConfig.embed_dim,
+                ModelConfig.dropout))
     assert (train.epochs, train.lr) == (TrainPlan.epochs, TrainPlan.lr)
     assert ((gen.temperature, gen.mode, gen.seed)
             == (GenerationPlan.temperature, GenerationPlan.mode, GenerationPlan.sample_seed))

@@ -387,6 +387,7 @@ _INT_FIELDS = [
 _REAL_FIELDS = [(TrainPlan, "lr"), (TrainPlan, "clip_norm"), (GenerationPlan, "temperature"),
                 (ModelConfig, "dropout")]
 _PLAN_BASE = {
+    CorpusPlan: {"seq_len": 1, "batch_size": 1},
     GenerationPlan: {"prime_text": "a", "length": 1},
     ModelConfig: {"kind": "gru", "layer_widths": (4,), "vocab_size": 7, "batch_size": 1},
 }

@@ -3,12 +3,13 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from charrnn.corpus import CorpusPlan, SequenceBatch, make_sequences, shuffle_batches
-from charrnn.exceptions import ConfigError, HistoryFormatError, OptimizerError, TrainingError
-from charrnn.model import ModelConfig, build_model, load_checkpoint
+from charrnn.exceptions import (ConfigError, HistoryFormatError, OptimizerError, TrainingError,
+                                VocabularyError)
+from charrnn.model import ModelConfig, build_model, load_checkpoint, save_checkpoint
 from charrnn.numerics import Rng
 from charrnn.objective import RmspropState, rmsprop_step
 from charrnn.trainer import (
@@ -111,13 +112,20 @@ class TestTrainEpoch:
             train_epoch(model, [], TrainPlan(), opt, Rng(0))
 
 
+def _train(fixture_text, fixture_vocab, config, plan):
+    """The trained model and every row train yields."""
+    model = build_model(config, fixture_vocab)
+    return model, list(train(model, fixture_text, plan))
+
+
 class TestTrain:
     def test_history_rows_and_outputs(self, fixture_text, fixture_vocab, tmp_path):
         config = _small_config(fixture_vocab)
         ckpt = tmp_path / "m.ckpt"
         csv = tmp_path / "h.csv"
-        _, history = train(fixture_text, fixture_vocab, config, TrainPlan(epochs=3, lr=1e-3),
-                           ckpt_path=ckpt, history_path=csv)
+        model, history = _train(fixture_text, fixture_vocab, config, TrainPlan(epochs=3, lr=1e-3))
+        save_checkpoint(model, ckpt)
+        export_history(history, csv)
         assert [row.epoch for row in history] == [1, 2, 3]
         assert ckpt.exists() and csv.exists()
         assert load_checkpoint(ckpt).config == config
@@ -125,25 +133,34 @@ class TestTrain:
 
     def test_monotone_trend_over_ten_epochs(self, fixture_text, fixture_vocab):
         config = _small_config(fixture_vocab, layer_widths=(32,), embed_dim=32)
-        _, history = train(fixture_text, fixture_vocab, config, TrainPlan(epochs=10, lr=2e-3))
+        _, history = _train(fixture_text, fixture_vocab, config, TrainPlan(epochs=10, lr=2e-3))
         assert history[9].mean_loss < history[0].mean_loss
 
     def test_vocab_size_mismatch(self, fixture_text, fixture_vocab):
         config = _small_config(fixture_vocab, vocab_size=fixture_vocab.size + 1)
         with pytest.raises(ConfigError):
-            train(fixture_text, fixture_vocab, config, TrainPlan(epochs=1))
+            _train(fixture_text, fixture_vocab, config, TrainPlan(epochs=1))
 
     def test_progress_callback(self, fixture_text, fixture_vocab):
         seen = []
-        config = _small_config(fixture_vocab)
-        train(fixture_text, fixture_vocab, config, TrainPlan(epochs=2), progress=seen.append)
+        model = build_model(_small_config(fixture_vocab), fixture_vocab)
+        for row in train(model, fixture_text, TrainPlan(epochs=2)):
+            seen.append(row)
         assert [row.epoch for row in seen] == [1, 2]
+
+    def test_nothing_runs_until_iterated(self, fixture_text, fixture_vocab):
+        model = build_model(_small_config(fixture_vocab), fixture_vocab)
+        before = {k: v.copy() for k, v in model.params().items()}
+        rows = train(model, fixture_text + "\u00ff", TrainPlan(epochs=2))  # not encodable
+        assert all(np.array_equal(before[k], model.params()[k]) for k in before)
+        with pytest.raises(VocabularyError):
+            next(rows)
 
     def test_loss_determinism_across_runs(self, fixture_text, fixture_vocab):
         config = _small_config(fixture_vocab, dropout=0.3)
         plan = TrainPlan(epochs=2, lr=1e-3, shuffle_seed=4, dropout_seed=9)
-        _, h1 = train(fixture_text, fixture_vocab, config, plan)
-        _, h2 = train(fixture_text, fixture_vocab, config, plan)
+        _, h1 = _train(fixture_text, fixture_vocab, config, plan)
+        _, h2 = _train(fixture_text, fixture_vocab, config, plan)
         assert [r.mean_loss for r in h1] == [r.mean_loss for r in h2]
 
     @pytest.mark.parametrize("kind", ["lstm", "gru", "birnn"])
@@ -155,8 +172,30 @@ class TestTrain:
                 fixture_vocab, kind=kind, layer_widths=preset_widths(preset, 1 / 32),
                 batch_size=16, seq_len=50, embed_dim=32, dropout=0.4,
             )
-            _, history = train(fixture_text, fixture_vocab, config, TrainPlan(epochs=10, lr=1e-3))
+            _, history = _train(fixture_text, fixture_vocab, config,
+                                TrainPlan(epochs=10, lr=1e-3))
             assert all(math.isfinite(r.mean_loss) for r in history), (kind, preset)
+
+    @pytest.mark.parametrize("kind", ["lstm", "gru", "birnn"])
+    def test_stopping_after_k_epochs_is_a_k_epoch_plan(self, fixture_text, fixture_vocab, kind):
+        # breaking out of the loop leaves the parameters and rows, bit for
+        # bit, of a plan that asked for k epochs (ms_per_step aside: wall time)
+        config = _small_config(fixture_vocab, kind=kind, dropout=0.3)
+        k = 2
+        stopped = build_model(config, fixture_vocab)
+        rows = []
+        for row in train(stopped, fixture_text, TrainPlan(epochs=5, shuffle_seed=4,
+                                                          dropout_seed=9)):
+            rows.append(row)
+            if row.epoch == k:
+                break
+        planned, planned_rows = _train(fixture_text, fixture_vocab, config,
+                                       TrainPlan(epochs=k, shuffle_seed=4, dropout_seed=9))
+        assert ([(r.epoch, r.mean_loss.hex()) for r in rows]
+                == [(r.epoch, r.mean_loss.hex()) for r in planned_rows])
+        params = stopped.params()
+        assert all(params[name].tobytes() == p.tobytes()
+                   for name, p in planned.params().items())
 
 
 class TestPlanValidation:
@@ -222,11 +261,24 @@ class TestHistoryCsv:
             parse_history(p)
 
     @pytest.mark.parametrize("body, match", [
-        ("1,0.5,2.0\n2," + "9" * 131_073 + ",2.0\n", "line 3: field larger than field limit"),
+        ("1,0.5,2.0\n2," + "9" * 131_073 + ",2.0\n",
+         r"line 3: mean_loss '9+\.\.\.9+' is not written as 'inf'"),
         ("1,0.5,2.0\n2,0.4,2.0,7\n", "line 3: expected 3 fields, got 4"),
         ("1,0.5,2.0\n3,0.4,2.0\n3,0.3,2.0\n", "line 4: epoch 3 does not follow epoch 3"),
         ("0,0.5,2.0\n", "line 2: epoch 0 does not follow epoch 0"),
-    ], ids=["long_field", "fourth_field", "repeated_epoch", "epoch_0"])
+        ("1,0.5,2.0\n2,nan,-5\n", "line 3: ms_per_step '-5' is not written as '-5.0'"),
+        ("1,0.5,2.0\n2, 1.50,1e3\n", "line 3: mean_loss ' 1.50' is not written as '1.5'"),
+        ("1,0.5,2.0\n03,inf,0\n", "line 3: epoch '03' is not written as '3'"),
+        ("1,0.5,2.0\n2,nan,2.0\n", "line 3: mean_loss nan is not finite"),
+        ("1,0.5,2.0\n2,-inf,2.0\n", "line 3: mean_loss -inf is not finite"),
+        ("1,0.5,2.0\n2,0.4,inf\n", "line 3: ms_per_step inf is not finite and >= 0"),
+        ("1,0.5,2.0\n2,0.4,-1.0\n", "line 3: ms_per_step -1.0 is not finite and >= 0"),
+        ("1,0.5,2.0\n\n2,0.4,2.0\n", "line 3: expected 3 fields, got 1"),
+        ("1,0.5,2.0\r\n", r"line 2: ms_per_step '2\.0\\r' is not written as '2\.0'"),
+        ("1,0.5,2.0", "line 2: no newline at the end of the file"),
+    ], ids=["long_field", "fourth_field", "repeated_epoch", "epoch_0", "nan_loss_short_ms",
+            "spaced_loss_exponent_ms", "zero_padded_epoch_inf_loss", "nan_loss", "minus_inf_loss",
+            "inf_ms", "negative_ms", "blank_line", "crlf", "no_final_newline"])
     def test_parse_rejects_what_export_never_writes(self, tmp_path, body, match):
         p = tmp_path / "h.csv"
         p.write_text("epoch,mean_loss,ms_per_step\n" + body)
@@ -236,6 +288,7 @@ class TestHistoryCsv:
     @given(st.one_of(st.text(), st.text("0123456789.,-+e\n\r\"naif ")
                      .map(lambda body: "epoch,mean_loss,ms_per_step\n" + body)))
     @settings(max_examples=300, deadline=None)
+    @example(text="epoch,mean_loss,ms_per_step\n1,0.5,2.0\n3,1e-05,0.0\n")
     def test_parse_arbitrary_text_raises_only_history_format_error(self, tmp_path_factory, text):
         p = tmp_path_factory.getbasetemp() / "fuzzed.csv"
         p.write_text(text, encoding="utf-8", newline="")
@@ -244,6 +297,20 @@ class TestHistoryCsv:
         except HistoryFormatError:
             return
         assert rows and all(b.epoch > a.epoch >= 1 for a, b in zip(rows, rows[1:]))
+        # what parses is what export_history writes: each row re-exports to its own line
+        again = tmp_path_factory.getbasetemp() / "reexported.csv"
+        export_history(rows, again)
+        assert again.read_bytes() == p.read_bytes()
+
+    @pytest.mark.parametrize("row", [
+        HistoryRow(1, math.nan, 1.0), HistoryRow(1, math.inf, 1.0), HistoryRow(1, 0.5, math.inf),
+        HistoryRow(1, 0.5, math.nan), HistoryRow(1, 0.5, -1.0),
+    ], ids=["nan_loss", "inf_loss", "inf_ms", "nan_ms", "negative_ms"])
+    def test_export_refuses_a_row_parse_would_refuse(self, tmp_path, row):
+        target = tmp_path / "h.csv"
+        with pytest.raises(TrainingError, match="is not finite"):
+            export_history([row], target)
+        assert not target.exists()
 
     def test_export_failure_leaves_no_file(self, tmp_path):
         target = tmp_path / "missing_dir" / "h.csv"
