@@ -17,11 +17,10 @@ from .model import (
     expected_param_count,
     load_checkpoint,
     preset_widths,
-    rebuild_for_generation,
     save_checkpoint,
 )
 from .numerics import Rng
-from .objective import LossReport, RmspropState, ce_grad, ce_loss, rmsprop_step
+from .objective import LossReport, RmspropState, ce_loss, rmsprop_step
 from .trainer import HistoryRow, TrainPlan, export_history, parse_history, train, train_epoch
 
 __all__ = [
@@ -38,7 +37,6 @@ __all__ = [
     "Vocabulary",
     "build_model",
     "build_vocab",
-    "ce_grad",
     "ce_loss",
     "expected_param_count",
     "export_history",
@@ -48,7 +46,6 @@ __all__ = [
     "make_sequences",
     "parse_history",
     "preset_widths",
-    "rebuild_for_generation",
     "rmsprop_step",
     "save_checkpoint",
     "shuffle_batches",

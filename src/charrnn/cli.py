@@ -5,7 +5,10 @@ on success, 2 for usage errors (argparse), 1 for runtime failures.
 
 Each command owns its outputs: _check_writable refuses, before any work, an
 output path it could not write or that names one of its inputs or another
-output. cmd_train builds the model, prints and collects the rows that
+output. An output path means the file it resolves to, symlinks followed
+(corpus._resolve), both here and where corpus._write_atomic writes it.
+report spells its rows with trainer._history_fields, as export_history
+does. cmd_train builds the model, prints and collects the rows that
 trainer.train yields, then saves the checkpoint and exports the history.
 """
 
@@ -19,13 +22,14 @@ import os
 import sys
 from pathlib import Path
 
-from .corpus import _write_atomic, build_vocab, load_corpus
+from .corpus import _resolve, _write_atomic, build_vocab, load_corpus
 from .exceptions import CharRnnError, ConfigError
 from .generator import MODES, GenerationPlan, generate
 from .model import (KINDS, PRESETS, ModelConfig, build_model, load_checkpoint, preset_widths,
                     save_checkpoint)
 from .numerics import AT_LEAST_0, AT_LEAST_1, FINITE_POSITIVE, UNIT_RATE, Rng, Rule
-from .trainer import _HISTORY_HEADER, TrainPlan, export_history, parse_history, train
+from .trainer import (_HISTORY_HEADER, TrainPlan, _history_fields, export_history, parse_history,
+                      train)
 
 
 def _number(parse, rule: Rule):
@@ -97,42 +101,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve(path) -> Path:
-    """Path(path) made absolute with its symlinks followed, as far as it
-    exists (an output not written yet resolves through its directory).
-
-    A symlink loop raises OSError(ELOOP), the error opening path gives,
-    naming path as given: before Python 3.13 resolve raises RuntimeError
-    for one, which no command expects, and from 3.13 only its strict form
-    reports one. Any other path the strict form cannot follow resolves as
-    before, and the read or write that follows reports what is wrong.
-    """
-    try:
-        try:
-            return Path(path).resolve(strict=True)
-        except OSError as exc:
-            if exc.errno != errno.ELOOP:
-                return Path(path).resolve()  # a loop past a missing part raises here
-    except RuntimeError:
-        pass
-    raise OSError(errno.ELOOP, os.strerror(errno.ELOOP), os.fspath(path))
-
-
 def _check_writable(*paths, inputs=()) -> None:
     """Refuse, before any work, output paths that _write_atomic could not
-    write. A path that names a directory, or whose directory (where the temp
-    file would go) does not exist or is not a directory, raises the OSError
-    subclass that writing would, naming that path. An output that resolves
-    to the same file as one of the command's inputs, which the write would
-    replace, or as an earlier output, which the later write would replace,
-    raises ConfigError naming both paths as given. A path that a symlink
-    loop keeps from resolving, in its directory or at its end, raises
-    OSError (ELOOP) first: is_dir and exists read a loop as missing."""
+    write. Each is checked as the file _resolve gives for it, the one
+    _write_atomic writes: a target that is a directory, or whose directory
+    (where the temp file would go) does not exist or is not a directory,
+    raises the OSError subclass that writing would, naming the path as
+    given. An output that resolves to the same file as one of the command's
+    inputs, which the write would replace, or as an earlier output, which
+    the later write would replace, raises ConfigError naming both paths as
+    given. A path that a symlink loop keeps from resolving, in its directory
+    or at its end, raises OSError (ELOOP) first: is_dir and exists read a
+    loop as missing."""
     sources = {_resolve(path): path for path in inputs}
     seen = {}
     for path in paths:
-        key = _resolve(path)
-        target = Path(path)
+        target = _resolve(path)
         if target.is_dir():
             code = errno.EISDIR
         elif not target.parent.is_dir():
@@ -141,13 +125,13 @@ def _check_writable(*paths, inputs=()) -> None:
             code = 0
         if code:
             raise OSError(code, os.strerror(code), os.fspath(path))
-        if key in sources:
+        if target in sources:
             raise ConfigError(f"output {os.fspath(path)!r} and input "
-                              f"{os.fspath(sources[key])!r} are the same file")
-        if key in seen:
-            raise ConfigError(f"outputs {os.fspath(seen[key])!r} and "
+                              f"{os.fspath(sources[target])!r} are the same file")
+        if target in seen:
+            raise ConfigError(f"outputs {os.fspath(seen[target])!r} and "
                               f"{os.fspath(path)!r} are the same file")
-        seen[key] = path
+        seen[target] = path
 
 
 def _emit(text: str, out) -> None:
@@ -231,7 +215,7 @@ def cmd_report(args) -> int:
     writer.writerow(["run", *_HISTORY_HEADER])
     for run, path in zip(runs, args.history):
         for row in parse_history(path):
-            writer.writerow([run, row.epoch, repr(row.mean_loss), repr(row.ms_per_step)])
+            writer.writerow([run, *_history_fields(row)])
     _emit(buf.getvalue(), args.out)  # ends in "\n" already, so stdout gets it as is
     return 0
 

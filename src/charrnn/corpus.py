@@ -15,11 +15,14 @@ Rng.randint call.
 
 _read_capped is the bounded read of the corpus and of history CSVs, and
 _write_atomic the temp-file-and-rename writer of checkpoints, history CSVs
-and the CLI's --out files.
+and the CLI's --out files. An output path means the file _resolve gives for
+it, symlinks followed: _write_atomic writes that file, and the CLI's
+_check_writable checks and compares that same path.
 """
 
 from __future__ import annotations
 
+import errno
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -58,13 +61,36 @@ def _read_capped(path, cap: int, error) -> bytes:
     return data
 
 
+def _resolve(path) -> Path:
+    """Path(path) made absolute with its symlinks followed, as far as it
+    exists (an output not written yet resolves through its directory).
+
+    A symlink loop raises OSError(ELOOP), the error opening path gives,
+    naming path as given: before Python 3.13 resolve raises RuntimeError
+    for one, which no command expects, and from 3.13 only its strict form
+    reports one. Any other path the strict form cannot follow resolves as
+    before, and the read or write that follows reports what is wrong.
+    """
+    try:
+        try:
+            return Path(path).resolve(strict=True)
+        except OSError as exc:
+            if exc.errno != errno.ELOOP:
+                return Path(path).resolve()  # a loop past a missing part raises here
+    except RuntimeError:
+        pass
+    raise OSError(errno.ELOOP, os.strerror(errno.ELOOP), os.fspath(path))
+
+
 def _write_atomic(path, chunks) -> None:
-    """Write the bytes-like chunks, in order, through a temp file in the same
-    directory and a rename, so a failed write (an exception from the
-    iterable included) never leaves a partial file at path. The temp file is
-    opened as a plain write opens a new file (mode 0o666 less the umask), so
-    path gets the mode a direct write would give it."""
-    path = Path(path)
+    """Write the bytes-like chunks, in order, to the file path resolves to,
+    as a plain open would: a symlink stays a link and its target (created,
+    if the link dangles) gets the bytes. The write goes through a temp file
+    in the target's directory and a rename, so a failed write (an exception
+    from the iterable included) never leaves a partial file. The temp file
+    is opened as a plain write opens a new file (mode 0o666 less the umask),
+    so the target gets the mode a direct write would give it."""
+    path = _resolve(path)
     tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
     f = open(tmp, "xb")
     try:

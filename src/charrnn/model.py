@@ -152,11 +152,6 @@ def _layout(config: ModelConfig):
     yield "dense.b", (config.vocab_size,)
 
 
-def expected_param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
-    """Canonical parameter names and shapes implied by the config."""
-    return dict(_layout(config))
-
-
 def expected_param_count(config: ModelConfig) -> int:
     # math.prod is exact; np.prod wraps at 2^63 on large configs
     return sum(math.prod(shape) for _, shape in _layout(config))

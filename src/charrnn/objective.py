@@ -7,12 +7,14 @@ the gradient, from the same softmax; ce_grad is the gradient alone.
 
 RMSprop follows the classic running-average form
 
-    V <- rho * V + (1 - rho) * g^2
-    w <- w - alpha * g / sqrt(V + eps)
+    V <- RHO * V + (1 - RHO) * g^2
+    w <- w - alpha * g / sqrt(V + EPSILON)
 
-Some write-ups print a variant with the learning rate divided into the
-accumulator and no alpha in the step; that form is dimensionally inconsistent
-and is not what this module implements.
+where RHO = 0.9 and EPSILON = 1e-7 are this module's constants and the
+learning rate alpha (RmspropState.alpha, 1e-3 unless given) is the one
+setting. Some write-ups print a variant with the learning rate divided into
+the accumulator and no alpha in the step; that form is dimensionally
+inconsistent and is not what this module implements.
 """
 
 from __future__ import annotations
@@ -59,19 +61,21 @@ def ce_grad(logits: np.ndarray, targets: np.ndarray) -> np.ndarray:
     return ce_loss(logits, targets).grad
 
 
+RHO = 0.9  # decay of the squared-gradient average V
+EPSILON = 1e-7  # added to V under the square root, so a zero V steps by 0
+
+
 @dataclass
 class RmspropState:
-    """Per-parameter squared-gradient accumulators plus hyperparameters."""
+    """Per-parameter squared-gradient accumulators plus the learning rate."""
 
     v: dict[str, np.ndarray]
     alpha: float = 1e-3
-    rho: float = 0.9
-    epsilon: float = 1e-7
 
     @classmethod
-    def for_params(cls, params: dict[str, np.ndarray], **hyper) -> "RmspropState":
-        """Zero accumulators shaped like params; hyper sets alpha, rho, epsilon."""
-        return cls(v={name: np.zeros_like(p) for name, p in params.items()}, **hyper)
+    def for_params(cls, params: dict[str, np.ndarray], alpha: float = alpha) -> "RmspropState":
+        """Zero accumulators shaped like params; alpha defaults to the field's."""
+        return cls({name: np.zeros_like(p) for name, p in params.items()}, alpha)
 
 
 def rmsprop_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
@@ -88,11 +92,11 @@ def rmsprop_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
         if not np.all(np.isfinite(g)):
             raise OptimizerError(f"non-finite gradient for {name}")
         v = state.v[name]
-        t = g * (1.0 - state.rho)
+        t = g * (1.0 - RHO)
         t *= g
-        v *= state.rho
+        v *= RHO
         v += t
-        np.add(v, state.epsilon, out=t)
+        np.add(v, EPSILON, out=t)
         np.sqrt(t, out=t)
         # a step past float64's range is left to the caller's finite-loss check
         with np.errstate(over="ignore"):

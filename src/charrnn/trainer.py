@@ -7,6 +7,10 @@ HistoryRow. It writes nothing: the caller (cli.cmd_train) saves the model
 and exports the rows. Wall time per step is the monotonic clock around that
 compute (data preparation excluded), averaged per epoch and reported in
 milliseconds.
+
+A history row has one spelling, _history_fields's: each field through its
+column's parse, then its spell. export_history and cli.cmd_report write it,
+and parse_history accepts nothing else.
 """
 
 from __future__ import annotations
@@ -41,7 +45,8 @@ class TrainPlan:
 
 
 # each history column: its name, how parse_history reads a field, and how
-# export_history spells the value, the one spelling parse_history accepts
+# _history_fields spells the parsed value, the one spelling parse_history
+# accepts
 _HISTORY_COLUMNS = (("epoch", int, str), ("mean_loss", float, repr), ("ms_per_step", float, repr))
 _HISTORY_HEADER = [name for name, _, _ in _HISTORY_COLUMNS]
 # parse_history refuses a longer file before decoding it, so an endless one
@@ -147,22 +152,34 @@ def _check_row(row: HistoryRow, last: int, error) -> None:
         raise error(f"ms_per_step {row.ms_per_step!r} is not finite and >= 0")
 
 
+def _history_fields(row: HistoryRow, error=ValueError) -> list[str]:
+    """The fields of row as a history file spells them: each value through
+    its column's parse, then its spell (str(int(v)), repr(float(v))), so a
+    numpy scalar is written as the Python number it equals. A row that
+    would not read back equal (an epoch of 1.5 reads back as 1) raises
+    error."""
+    parsed = HistoryRow(*(parse(getattr(row, name)) for name, parse, _ in _HISTORY_COLUMNS))
+    if parsed != row:
+        raise error(f"{row} would read back as {parsed}")
+    return [spell(getattr(parsed, name)) for name, _, spell in _HISTORY_COLUMNS]
+
+
 def export_history(history: list[HistoryRow], path) -> None:
     """CSV with header epoch,mean_loss,ms_per_step, one row per epoch.
 
-    Floats are written with repr, so parsing the file recovers them exactly.
-    A row _check_row refuses is a TrainingError before anything is written.
-    The file is written atomically.
+    Each row is spelled by _history_fields, floats with repr, so parsing the
+    file recovers them exactly. A row that _check_row or _history_fields
+    refuses is a TrainingError before anything is written. The file is
+    written atomically.
     """
     if not history:
         raise TrainingError("refusing to export an empty history")
+    lines = [",".join(_HISTORY_HEADER)]
     last = 0
     for row in history:
         _check_row(row, last, TrainingError)
+        lines.append(",".join(_history_fields(row, TrainingError)))
         last = row.epoch
-    lines = [",".join(_HISTORY_HEADER)]
-    lines += [",".join(spell(getattr(row, name)) for name, _, spell in _HISTORY_COLUMNS)
-              for row in history]
     _write_atomic(path, (("\n".join(lines) + "\n").encode("utf-8"),))
 
 
@@ -181,7 +198,7 @@ def parse_history(path) -> list[HistoryRow]:
 
     Accepts only what export_history writes, in at most MAX_HISTORY_BYTES
     bytes: the header line, then rows of three fields, each spelled as
-    export_history spells its value (str of the epoch, repr of each float)
+    _history_fields spells its value (str of the epoch, repr of each float)
     and each row one that _check_row allows, every line ending in "\n".
     """
     data = _read_capped(path, MAX_HISTORY_BYTES, HistoryFormatError)

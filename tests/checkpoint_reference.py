@@ -31,10 +31,31 @@ from charrnn.exceptions import (
     ConfigError,
     VocabularyError,
 )
-from charrnn.model import Model, ModelConfig, expected_param_shapes
+from charrnn.model import Model, ModelConfig
 
 _MAGIC = b"CRNF"
 _VERSION = 1
+_GATES = {"lstm": 4, "gru": 3, "birnn": 4}  # gate blocks per cell, in its columns
+
+
+def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """Each parameter's name and shape, in file order, from the config alone:
+    the embedding table; per layer and direction (fwd. and bwd. for birnn)
+    w_x, w_h and b, each of gates * width columns; then the dense layer,
+    whose input is the last layer's output of directions * width."""
+    prefixes = ("fwd.", "bwd.") if config.kind == "birnn" else ("",)
+    columns = _GATES[config.kind]
+    shapes = {"embedding.table": (config.vocab_size, config.embed_dim)}
+    d = config.embed_dim
+    for i, h in enumerate(config.layer_widths):
+        for prefix in prefixes:
+            shapes[f"rnn{i}.{prefix}w_x"] = (d, columns * h)
+            shapes[f"rnn{i}.{prefix}w_h"] = (h, columns * h)
+            shapes[f"rnn{i}.{prefix}b"] = (columns * h,)
+        d = len(prefixes) * h
+    shapes["dense.w"] = (d, config.vocab_size)
+    shapes["dense.b"] = (config.vocab_size,)
+    return shapes
 
 
 def reference_load(path) -> Model:
@@ -67,7 +88,7 @@ def reference_load(path) -> Model:
             f"header vocab has {vocab.size} characters, config says {config.vocab_size}"
         )
     values = {}
-    for name, shape in expected_param_shapes(config).items():
+    for name, shape in param_shapes(config).items():
         rank, count = len(shape), math.prod(shape)
         data = pos + 4 * (1 + rank)
         if data + 4 * count > n - 4:

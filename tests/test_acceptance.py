@@ -25,7 +25,7 @@ from charrnn.model import (
     save_checkpoint,
 )
 from charrnn.numerics import Rng, sample_categorical
-from charrnn.objective import RmspropState, ce_grad, ce_loss, rmsprop_step
+from charrnn.objective import EPSILON, RHO, RmspropState, ce_grad, ce_loss, rmsprop_step
 from charrnn.trainer import TrainPlan, parse_history, train, train_epoch
 
 
@@ -192,15 +192,15 @@ def test_criterion_6_optimizer_trace():
     """The update matches the hand-computed two-step trace to 1e-12."""
     with criterion(6, "optimizer trace: hand-computed steps to rel 1e-12"):
         params = {"w": np.array([0.0])}
-        state = RmspropState.for_params(params, alpha=1e-3, rho=0.9, epsilon=0.0)
+        state = RmspropState.for_params(params, alpha=1e-3)
         rmsprop_step(params, {"w": np.array([1.0])}, state)
         assert abs(state.v["w"][0] - 0.1) <= 1e-13
-        expected = -1e-3 / math.sqrt(0.1)  # ~ -3.1623e-3
+        expected = -1e-3 / math.sqrt(0.1 + EPSILON)  # ~ -3.1623e-3
         assert abs(params["w"][0] - expected) / abs(expected) < 1e-12
         w, v = float(params["w"][0]), 0.1
         rmsprop_step(params, {"w": np.array([-2.0])}, state)
-        v = 0.9 * v + 0.1 * 4.0
-        w = w - 1e-3 * (-2.0) / math.sqrt(v)
+        v = RHO * v + (1 - RHO) * 4.0
+        w = w - 1e-3 * (-2.0) / math.sqrt(v + EPSILON)
         assert abs(state.v["w"][0] - v) / v < 1e-12
         assert abs(params["w"][0] - w) / abs(w) < 1e-12
 

@@ -28,6 +28,7 @@ from tests.conftest import REPO_ROOT
 from tests.test_model import (
     _header,
     _with_header,
+    symlink_or_skip,
     write_non_finite_checkpoint,
     write_overflowing_dims_checkpoint,
 )
@@ -577,10 +578,7 @@ class TestOutputsSpareInputs:
 
 def _symlink_loop(path):
     """Make path a symlink to itself, or skip where symlinks cannot be made."""
-    try:
-        os.symlink(path.name, path)
-    except (AttributeError, NotImplementedError, OSError) as exc:
-        pytest.skip(f"no symlinks here: {exc}")
+    symlink_or_skip(path, path.name)
 
 
 @pytest.mark.parametrize("case", [
@@ -612,6 +610,84 @@ def test_symlink_loop_is_one_error_line(checkpoint, fixture_path, tmp_path, case
     assert os.readlink(loop) == "loop"
 
 
+_OUTPUT_FLAGS = [("generate", "--out"), ("report", "--out"), ("train", "--out"),
+                 ("train", "--history")]
+
+
+def _argv_with_output(command, flag, path, checkpoint, fixture_path, tmp_path):
+    """argv of command writing its flag output to path, every other output to
+    a plain file in tmp_path, and reading a one-row history at tmp_path/h.csv."""
+    outputs = {"--out": tmp_path / "m.out", "--history": tmp_path / "h.out", flag: path}
+    argv = {
+        "generate": ["generate", "--checkpoint", checkpoint, "--prime", "The",
+                     "--length", "20", "--out", path],
+        "report": ["report", "--history", tmp_path / "h.csv", "--out", path],
+        "train": ["train", "--corpus", fixture_path, *TRAIN_ARGS,
+                  "--out", outputs["--out"], "--history", outputs["--history"]],
+    }[command]
+    return [str(arg) for arg in argv]
+
+
+class TestOutputsThroughSymlinks:
+    """An output path that is a symlink names the file it resolves to, as a
+    plain open would: the link stays a link and its target gets the output."""
+
+    @pytest.mark.parametrize("dangling", [False, True], ids=["to_file", "dangling"])
+    @pytest.mark.parametrize("command, flag", _OUTPUT_FLAGS)
+    def test_link_stays_and_its_target_gets_the_output(self, checkpoint, fixture_path,
+                                                       tmp_path, command, flag, dangling):
+        (tmp_path / "h.csv").write_text("epoch,mean_loss,ms_per_step\n1,0.5,1.0\n")
+        real, link = tmp_path / "real.out", tmp_path / "link.out"
+        if not dangling:
+            real.write_bytes(b"old contents\n")
+        symlink_or_skip(link, real.name)
+        argv = _argv_with_output(command, flag, link, checkpoint, fixture_path, tmp_path)
+        code, out, err = _run(argv)
+        assert (code, err) == (0, "") and (command == "train" or out == "")
+        assert link.is_symlink() and os.readlink(link) == real.name
+        plain = {"--out": ["h.out"], "--history": ["m.out"]}[flag] if command == "train" else []
+        assert (sorted(p.name for p in tmp_path.iterdir()) ==
+                sorted(["h.csv", "link.out", "real.out", *plain]))
+        if command == "train" and flag == "--out":
+            assert real.read_bytes() == checkpoint.read_bytes()  # TRAIN_ARGS train both
+        elif command == "train":
+            losses = [[(r.epoch, r.mean_loss) for r in parse_history(path)]
+                      for path in (real, checkpoint.with_suffix(".csv"))]
+            assert losses[0] == losses[1]
+        else:
+            text = real.read_text(encoding="utf-8")
+            assert _run(argv[:-2])[:2] == (0, text if text.endswith("\n") else text + "\n")
+
+    @pytest.mark.parametrize("command, flag", _OUTPUT_FLAGS)
+    def test_dangling_link_into_a_missing_directory_refused_before_work(
+            self, checkpoint, fixture_path, tmp_path, command, flag):
+        (tmp_path / "h.csv").write_text("epoch,mean_loss,ms_per_step\n1,0.5,1.0\n")
+        link = tmp_path / "link.out"
+        symlink_or_skip(link, os.path.join("nodir", "real.out"))
+        before = sorted(tmp_path.iterdir())
+        argv = _argv_with_output(command, flag, link, checkpoint, fixture_path, tmp_path)
+        code, out, err = _run(argv)
+        _assert_one_error_line(code, err)
+        assert out == "" and os.strerror(errno.ENOENT) in err and repr(str(link)) in err
+        assert sorted(tmp_path.iterdir()) == before and link.is_symlink()
+
+    @pytest.mark.parametrize("command, flag", _OUTPUT_FLAGS)
+    def test_link_to_an_input_is_the_same_file(self, checkpoint, fixture_path, tmp_path,
+                                               command, flag):
+        history = tmp_path / "h.csv"
+        history.write_text("epoch,mean_loss,ms_per_step\n1,0.5,1.0\n")
+        source = {"generate": checkpoint, "report": history, "train": fixture_path}[command]
+        link = tmp_path / "link.out"
+        symlink_or_skip(link, source)
+        original = source.read_bytes()
+        argv = _argv_with_output(command, flag, link, checkpoint, fixture_path, tmp_path)
+        code, out, err = _run(argv)
+        _assert_one_error_line(code, err)
+        assert out == "" and "are the same file" in err and repr(str(link)) in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["h.csv", "link.out"]
+        assert link.is_symlink() and source.read_bytes() == original
+
+
 class TestReportCommand:
     def _history(self, tmp_path, name, epochs):
         from charrnn.trainer import HistoryRow, export_history
@@ -621,6 +697,21 @@ class TestReportCommand:
             [HistoryRow(i + 1, 3.0 / (i + 1), 12.5) for i in range(epochs)], p
         )
         return p
+
+    def test_numpy_scalar_history_reports_as_the_python_one(self, tmp_path):
+        # numpy 2's repr of a scalar names its type (np.float64(0.5)), which
+        # parse_history refuses; export spells the Python number it equals
+        from charrnn.trainer import HistoryRow, export_history
+
+        rows = {"py": [HistoryRow(1, 0.5, 1.25), HistoryRow(2, 0.25, 1.5)],
+                "np": [HistoryRow(np.int64(1), np.float64(0.5), np.float32(1.25)),
+                       HistoryRow(np.int64(2), np.float64(0.25), np.float32(1.5))]}
+        reports = {}
+        for kind, history in rows.items():
+            (tmp_path / kind).mkdir()
+            export_history(history, tmp_path / kind / "run.csv")
+            reports[kind] = _run(["report", "--history", str(tmp_path / kind / "run.csv")])
+        assert reports["np"] == reports["py"] and reports["py"][0] == 0
 
     def test_single_file_tagged_with_stem(self, tmp_path, capsys):
         p = self._history(tmp_path, "lstm_uni", 3)

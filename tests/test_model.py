@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import json
 import os
@@ -31,7 +32,6 @@ from charrnn.model import (
     ModelConfig,
     build_model,
     expected_param_count,
-    expected_param_shapes,
     load_checkpoint,
     preset_widths,
     rebuild_for_generation,
@@ -40,10 +40,18 @@ from charrnn.model import (
 from charrnn.numerics import Rng
 from charrnn.objective import RmspropState, ce_loss
 from charrnn.trainer import TrainPlan, train_epoch
-from tests.checkpoint_reference import reference_load
+from tests.checkpoint_reference import param_shapes, reference_load
 from tests.conftest import REPO_ROOT, openblas_corename
 
 VOCAB5 = Vocabulary(tuple("abcde"))
+
+
+def symlink_or_skip(path, target) -> None:
+    """Make path a symlink to target, or skip where symlinks cannot be made."""
+    try:
+        os.symlink(target, path)
+    except (AttributeError, NotImplementedError, OSError) as exc:
+        pytest.skip(f"no symlinks here: {exc}")
 
 
 def write_overflowing_dims_checkpoint(path) -> None:
@@ -198,7 +206,7 @@ class TestParamCounts:
 
     def test_canonical_order(self):
         cfg = _config(kind="birnn", widths=(3, 2))
-        names = list(expected_param_shapes(cfg))
+        names = list(param_shapes(cfg))
         assert names[0] == "embedding.table"
         assert names[1:7] == [
             "rnn0.fwd.w_x", "rnn0.fwd.w_h", "rnn0.fwd.b",
@@ -571,6 +579,28 @@ class TestCheckpoint:
         assert p.read_bytes() == old
         assert [q.name for q in tmp_path.iterdir()] == ["m.ckpt"]
 
+    @pytest.mark.parametrize("dangling", [False, True], ids=["to_file", "dangling"])
+    def test_save_through_a_symlink_writes_its_target(self, tmp_path, dangling):
+        # as a plain open would: the link stays and its target gets the bytes
+        model = build_model(_config(), VOCAB5)
+        plain, real, link = tmp_path / "plain.ckpt", tmp_path / "real.ckpt", tmp_path / "link"
+        save_checkpoint(model, plain)
+        if not dangling:
+            real.write_bytes(b"old contents")
+        symlink_or_skip(link, real.name)
+        save_checkpoint(model, link)
+        assert link.is_symlink() and os.readlink(link) == real.name
+        assert real.read_bytes() == plain.read_bytes()
+        assert sorted(q.name for q in tmp_path.iterdir()) == ["link", "plain.ckpt", "real.ckpt"]
+
+    def test_save_into_a_symlink_loop_is_eloop(self, tmp_path):
+        loop = tmp_path / "loop"
+        symlink_or_skip(loop, loop.name)
+        with pytest.raises(OSError) as caught:
+            save_checkpoint(build_model(_config(), VOCAB5), loop)
+        assert caught.value.errno == errno.ELOOP and caught.value.filename == str(loop)
+        assert os.readlink(loop) == "loop" and [q.name for q in tmp_path.iterdir()] == ["loop"]
+
     @pytest.mark.parametrize("kind", KINDS)
     def test_file_digest(self, fixture_vocab, tmp_path, kind):
         # widths whose kernels span several of Rng's bulk-draw chunks
@@ -790,7 +820,7 @@ def _block_offset(blob: bytes, name: str) -> int:
     (header_len,) = struct.unpack_from("<I", blob, 8)
     pos = 12 + header_len
     config = ModelConfig(**_header(blob)["config"])
-    for key, shape in expected_param_shapes(config).items():
+    for key, shape in param_shapes(config).items():
         if key == name:
             return pos
         pos += 4 * (1 + len(shape) + int(np.prod(shape)))

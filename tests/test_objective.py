@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from charrnn.exceptions import LabelError, OptimizerError
-from charrnn.objective import RmspropState, ce_grad, ce_loss, rmsprop_step
+from charrnn.objective import EPSILON, RHO, RmspropState, ce_grad, ce_loss, rmsprop_step
 from tests.conftest import finite_difference, rel_err
 
 
@@ -116,7 +116,7 @@ class TestCeGrad:
 class TestRmsprop:
     def test_zero_gradient_decays_accumulator(self):
         params = {"w": np.array([1.0, -2.0])}
-        state = RmspropState.for_params(params, alpha=1e-3, rho=0.9)
+        state = RmspropState.for_params(params, alpha=1e-3)
         state.v["w"][:] = 0.4
         rmsprop_step(params, {"w": np.zeros(2)}, state)
         assert np.array_equal(params["w"], [1.0, -2.0])
@@ -124,30 +124,30 @@ class TestRmsprop:
 
     def test_first_step_hand_trace(self):
         params = {"w": np.array([0.0])}
-        state = RmspropState.for_params(params, alpha=1e-3, rho=0.9, epsilon=0.0)
+        state = RmspropState.for_params(params, alpha=1e-3)
         rmsprop_step(params, {"w": np.array([1.0])}, state)
         assert abs(state.v["w"][0] - 0.1) < 1e-15
-        expected_dw = -1e-3 / math.sqrt(0.1)
+        expected_dw = -1e-3 / math.sqrt(0.1 + EPSILON)
         assert abs(params["w"][0] - expected_dw) / abs(expected_dw) < 1e-12
 
     def test_two_step_scripted_trace(self):
-        # g = (1, -2) with rho=0.9, alpha=1e-3, eps=0, traced arithmetically
+        # g = (1, -2) with RHO, EPSILON and alpha=1e-3, traced arithmetically
         params = {"w": np.array([0.25])}
-        state = RmspropState.for_params(params, alpha=1e-3, rho=0.9, epsilon=0.0)
+        state = RmspropState.for_params(params, alpha=1e-3)
         w, v = 0.25, 0.0
         for g in (1.0, -2.0):
             rmsprop_step(params, {"w": np.array([g])}, state)
-            v = 0.9 * v + 0.1 * g * g
-            w = w - 1e-3 * g / math.sqrt(v)
+            v = RHO * v + (1 - RHO) * g * g
+            w = w - 1e-3 * g / math.sqrt(v + EPSILON)
             assert abs(state.v["w"][0] - v) / abs(v) < 1e-12
             assert abs(params["w"][0] - w) / abs(w) < 1e-12
 
     def test_step_size_bound_from_cold_start(self):
-        # from V=0, |step| = alpha*|g|/sqrt((1-rho)g^2) = alpha/sqrt(1-rho)
+        # from V=0, |step| = alpha*|g|/sqrt((1-rho)g^2 + eps) < alpha/sqrt(1-rho)
         params = {"w": np.array([0.0])}
-        state = RmspropState.for_params(params, alpha=1e-3, rho=0.9, epsilon=0.0)
+        state = RmspropState.for_params(params, alpha=1e-3)
         rmsprop_step(params, {"w": np.array([123.456])}, state)
-        bound = 1e-3 / math.sqrt(0.1)
+        bound = 1e-3 / math.sqrt(1 - RHO)
         assert abs(params["w"][0]) <= bound + 1e-15
 
     def test_epsilon_guards_zero_division(self):
@@ -167,16 +167,16 @@ class TestRmsprop:
         rng = np.random.default_rng(4)
         shapes = {"w": (7, 5), "b": (5,)}
         params = {k: rng.normal(size=s) for k, s in shapes.items()}
-        state = RmspropState.for_params(params, alpha=3e-3, rho=0.95, epsilon=1e-7)
+        state = RmspropState.for_params(params, alpha=3e-3)
         ref_p = {k: p.copy() for k, p in params.items()}
         ref_v = {k: np.zeros(s) for k, s in shapes.items()}
         for step in range(4):
             grads = {k: rng.normal(scale=10.0 ** (step - 2), size=s) for k, s in shapes.items()}
             grads["w"][0, :2] = [0.0, -0.0]
             for k, g in grads.items():
-                ref_v[k] *= 0.95
-                ref_v[k] += (1.0 - 0.95) * g * g
-                ref_p[k] -= 3e-3 * g / np.sqrt(ref_v[k] + 1e-7)
+                ref_v[k] *= RHO
+                ref_v[k] += (1.0 - RHO) * g * g
+                ref_p[k] -= 3e-3 * g / np.sqrt(ref_v[k] + EPSILON)
             rmsprop_step(params, grads, state)
             for k in shapes:
                 assert params[k].tobytes() == ref_p[k].tobytes(), (step, k)

@@ -312,6 +312,33 @@ class TestHistoryCsv:
             export_history([row], target)
         assert not target.exists()
 
+    def test_numpy_scalars_export_as_the_python_row(self, tmp_path):
+        # numpy 2's repr of a scalar names its type (np.float64(0.5)), which
+        # parse_history refuses; export spells the Python number it equals
+        plain, scalars = tmp_path / "plain.csv", tmp_path / "scalars.csv"
+        export_history([HistoryRow(1, 0.5, 1.25)], plain)
+        export_history([HistoryRow(np.int64(1), np.float64(0.5), np.float32(1.25))], scalars)
+        assert scalars.read_bytes() == plain.read_bytes()
+        rows = parse_history(scalars)
+        assert rows == [HistoryRow(1, 0.5, 1.25)]
+        assert [type(v) for v in vars(rows[0]).values()] == [int, float, float]
+
+    @pytest.mark.parametrize("row, match", [
+        (HistoryRow(1.5, 0.5, 1.0), r"epoch=1\.5, .* would read back as .*\(epoch=1, "),
+        (HistoryRow(np.float64(1.5), 0.5, 1.0),
+         r"epoch=np\.float64\(1\.5\), .* would read back as .*\(epoch=1, "),
+        (HistoryRow(2, 0.5, 2**53 + 1),
+         r"ms_per_step=9007199254740993\) would read back as "
+         r".*ms_per_step=9007199254740992\.0\)$"),
+    ], ids=["fractional_epoch", "numpy_fractional_epoch", "int_ms_past_float"])
+    def test_export_refuses_a_field_its_parse_would_change(self, tmp_path, row, match):
+        target = tmp_path / "h.csv"
+        target.write_bytes(b"old contents\n")
+        with pytest.raises(TrainingError, match=match):
+            export_history([HistoryRow(1, 0.5, 1.0), row], target)
+        assert target.read_bytes() == b"old contents\n"
+        assert [q.name for q in tmp_path.iterdir()] == ["h.csv"]
+
     def test_export_failure_leaves_no_file(self, tmp_path):
         target = tmp_path / "missing_dir" / "h.csv"
         with pytest.raises(OSError):
