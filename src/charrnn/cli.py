@@ -4,9 +4,8 @@ Contract: stdout carries data, stderr carries diagnostics. Exit codes are 0
 on success, 2 for usage errors (argparse), 1 for runtime failures.
 
 Each command owns its outputs: _check_writable refuses, before any work, an
-output path it could not write or that names one of its inputs or another
-output. An output path means the file it resolves to, symlinks followed
-(corpus._resolve), both here and where corpus._write_atomic writes it.
+output path that corpus._write_target refuses (the rule corpus._write_atomic
+writes by) or that names one of its inputs or another output.
 report spells its rows with trainer._history_fields, as export_history
 does. cmd_train builds the model, prints and collects the rows that
 trainer.train yields, then saves the checkpoint and exports the history.
@@ -16,13 +15,12 @@ from __future__ import annotations
 
 import argparse
 import csv
-import errno
 import io
 import os
 import sys
 from pathlib import Path
 
-from .corpus import _resolve, _write_atomic, build_vocab, load_corpus
+from .corpus import _resolve, _write_atomic, _write_target, build_vocab, load_corpus
 from .exceptions import CharRnnError, ConfigError
 from .generator import MODES, GenerationPlan, generate
 from .model import (KINDS, PRESETS, ModelConfig, build_model, load_checkpoint, preset_widths,
@@ -103,28 +101,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _check_writable(*paths, inputs=()) -> None:
     """Refuse, before any work, output paths that _write_atomic could not
-    write. Each is checked as the file _resolve gives for it, the one
-    _write_atomic writes: a target that is a directory, or whose directory
-    (where the temp file would go) does not exist or is not a directory,
-    raises the OSError subclass that writing would, naming the path as
-    given. An output that resolves to the same file as one of the command's
-    inputs, which the write would replace, or as an earlier output, which
-    the later write would replace, raises ConfigError naming both paths as
-    given. A path that a symlink loop keeps from resolving, in its directory
-    or at its end, raises OSError (ELOOP) first: is_dir and exists read a
-    loop as missing."""
+    write (corpus._write_target's OSError), and an output that resolves to
+    the same file as one of the command's inputs, which the write would
+    replace, or as an earlier output, which the later write would replace:
+    ConfigError naming both paths as given."""
     sources = {_resolve(path): path for path in inputs}
     seen = {}
     for path in paths:
-        target = _resolve(path)
-        if target.is_dir():
-            code = errno.EISDIR
-        elif not target.parent.is_dir():
-            code = errno.ENOTDIR if target.parent.exists() else errno.ENOENT
-        else:
-            code = 0
-        if code:
-            raise OSError(code, os.strerror(code), os.fspath(path))
+        target = _write_target(path)
         if target in sources:
             raise ConfigError(f"output {os.fspath(path)!r} and input "
                               f"{os.fspath(sources[target])!r} are the same file")

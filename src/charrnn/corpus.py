@@ -16,14 +16,17 @@ Rng.randint call.
 _read_capped is the bounded read of the corpus and of history CSVs, and
 _write_atomic the temp-file-and-rename writer of checkpoints, history CSVs
 and the CLI's --out files. An output path means the file _resolve gives for
-it, symlinks followed: _write_atomic writes that file, and the CLI's
-_check_writable checks and compares that same path.
+it, symlinks followed, and _write_target is the one rule for which of those
+can be written: a regular file, or a new file in an existing directory.
+_write_atomic writes through it, and the CLI's _check_writable calls it
+before any work.
 """
 
 from __future__ import annotations
 
 import errno
 import os
+import stat
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -82,15 +85,40 @@ def _resolve(path) -> Path:
     raise OSError(errno.ELOOP, os.strerror(errno.ELOOP), os.fspath(path))
 
 
+def _write_target(path) -> Path:
+    """The file _write_atomic writes for path, _resolve's, once it is known
+    that the write can go there: a regular file, or a new file in an
+    existing directory. A directory raises the OSError that opening it to
+    write would (EISDIR), as does a missing directory (ENOENT) or a file in
+    its place (ENOTDIR); an existing FIFO, device or socket, which the
+    rename would replace with a regular file, raises OSError("{path} is not
+    a regular file"). Each names path as given."""
+    target = _resolve(path)
+    try:
+        mode = target.stat().st_mode
+    except (FileNotFoundError, NotADirectoryError):
+        if target.parent.is_dir():
+            return target
+        code = errno.ENOTDIR if target.parent.exists() else errno.ENOENT
+    else:
+        if stat.S_ISREG(mode):
+            return target
+        if not stat.S_ISDIR(mode):
+            raise OSError(f"{os.fspath(path)} is not a regular file")
+        code = errno.EISDIR
+    raise OSError(code, os.strerror(code), os.fspath(path))
+
+
 def _write_atomic(path, chunks) -> None:
     """Write the bytes-like chunks, in order, to the file path resolves to,
     as a plain open would: a symlink stays a link and its target (created,
-    if the link dangles) gets the bytes. The write goes through a temp file
-    in the target's directory and a rename, so a failed write (an exception
-    from the iterable included) never leaves a partial file. The temp file
-    is opened as a plain write opens a new file (mode 0o666 less the umask),
-    so the target gets the mode a direct write would give it."""
-    path = _resolve(path)
+    if the link dangles) gets the bytes. _write_target refuses a target it
+    cannot write before anything is made. The write goes through a temp
+    file in the target's directory and a rename, so a failed write (an
+    exception from the iterable included) never leaves a partial file. The
+    temp file is opened as a plain write opens a new file (mode 0o666 less
+    the umask), so the target gets the mode a direct write would give it."""
+    path = _write_target(path)
     tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
     f = open(tmp, "xb")
     try:

@@ -3,16 +3,11 @@
 RecurrentStack takes token indices [B, L] and returns logits [B, L, V], but
 runs time-major inside: the recurrent layers and dropout take and return
 [L, B, features], so each step's rows are one contiguous [B, features] block.
-It transposes the ids once, as a view. The last dropout writes through a
-time-major view of the batch-major dense input, and the dense backward writes
-d input time-major through a batch-major view (the same per-row GEMMs), so
-no transposed copy is made either way. Recurrent layers scan left to
-right from a zero state; the bidirectional wrapper additionally scans right
-to left over the same input, xs[::-1], and concatenates both directions.
-Either input kind takes that time slice: an [L, B, D] array, or an Embedded
-(below), whose __getitem__ slices its ids. Backward passes are exact
-reverse-mode derivatives of the forward code (backpropagation through time),
-written out gate by gate.
+Recurrent layers scan left to right from a zero state; the bidirectional
+wrapper also scans right to left over the same input, xs[::-1] (an array or
+an Embedded, which slices its ids), and concatenates both directions.
+Backward passes are exact reverse-mode derivatives of the forward code
+(backpropagation through time), written out gate by gate.
 
 Gate layouts are fixed so checkpoints stay readable across versions:
   LSTM kernel columns: (input i, forget f, candidate g, output o), each H wide.
@@ -20,98 +15,39 @@ Gate layouts are fixed so checkpoints stay readable across versions:
 
 LSTM step:   i,f,o = sigmoid(x W_x + b + h W_h)[gates], g = tanh(...)
              c' = f*c + i*g,  h' = o*tanh(c')
-             (all four in one tanh pass: sigmoid(x) = 0.5 tanh(0.5 x) + 0.5)
 GRU step:    z,r = sigmoid(x W_x + b + h W_h)[gates]
              n = tanh(x Wx_n + b_n + (r*h) Wh_n),  h' = z*h + (1-z)*n
 Note the GRU candidate applies the reset gate to h before its recurrent
 matmul, and z is a "keep" gate (z = 1 preserves the old state).
 
-Each affine map is written once. _Cell._project is the only x W_x + b and
-Dense.forward the only x W + b; both take an optional out, and every caller,
-the scan, init_state, step() and the feeder, goes through them, so the step
-paths hold no product or bias add of their own.
+Each affine map is written once: _Cell._project is the only x W_x + b and
+Dense.forward the only x W + b. The scan, init_state, step and the feeder
+all go through them, so no other path holds a product or bias add.
 
-Only the recurrence runs inside the time loops. Forward: x W_x + b for every
-step is one _project GEMM before the loop, and each step adds h W_h to its
-row of the tape and turns it into the gates in place (the LSTM with one
-tanh over the whole row, the GRU with a sigmoid over z and r and a tanh over
-n). That loop, _Cell._loop, is shared by the scan and by step(). Backward
-walks the sequence in blocks of _BLOCK steps, last block first. Per block
-it first computes every factor of d loss / d pre-activation (da) that needs
-no recurrence, for all the block's steps at once; the loop then carries dh
-(and the LSTM's dc) back one step at a time, scales da in place, and makes
-the recurrent matmuls: dh = da W_h^T (the GRU also da_n Wh_n^T for the reset
-path). After the loop, dW_x, dW_h, db and dxs are one GEMM or reduction each
-over the block's _BLOCK * B rows.
-
-A training scan's tape holds the layer's input, the gates [L, B, kH] (their
-values, written over the pre-activations) and, in "starts", every state at
-each block start t = 0, _BLOCK, 2 _BLOCK, ... ([S, ceil(L / _BLOCK), B, H]
-for a cell of S states); it holds no array the scan returns. Before each
-block, backward replays the block's states from its start with the cell's
-_advance, the state update the forward runs after its gate math (the LSTM's
-c' = f*c + i*g, h' = o*tanh(c'); the GRU's h' = n + z*(h - n)). The replay
-needs no matmul, since each taped gate row already includes h W_h, and it
-equals the forward's states bit for bit, as it is the same code
-(recomputation instead of storage, as in Chen et al., arXiv:1604.06174).
-Blocking bounds the extra memory of backward to da [_BLOCK, B, kH] and a
+Only the recurrence runs inside the time loop, _Cell._loop, which
+forward_seq and step share. backward_seq walks the sequence in blocks of
+_BLOCK steps, last first, and replays each block's states from the state
+taped at its start (recomputation instead of storage, as in Chen et al.,
+arXiv:1604.06174). So backward's extra memory is da [_BLOCK, B, kH] and a
 replay scratch [2, _BLOCK + 1, B, H], whatever the sequence length.
 
-The embedding is folded into layer 0. Its input is table[ids] with no dropout
-in between, so RecurrentStack.forward hands it an Embedded (the ids and the
-table) instead of gathered [L, B, E] rows. The projection is then
-P = table W_x + b, a [V, kH] GEMM, and gates = P[ids]; backward sums each
-block's da rows by id into S [V, kH] (the one-hot GEMM of
-Embedding.backward) and, after the last block, takes dW_x = table^T S,
-db as usual and d table = S W_x^T, both directions' summed for birnn. With
-V around 60 and E = 256 this replaces three B * L-row GEMMs per layer-0
-direction. P is rebuilt on every forward, as the optimizer updates table
-and W_x in place. Generation uses the same arithmetic: RecurrentStack's
-init_state builds P for each layer-0 direction and keeps it in the state it
-returns (never on the cell), and step gathers P[ids]. The scan and
-init_state both take P from _Cell._project, so layer 0's hidden states
-equal the training forward's bit for bit. RecurrentStack.step runs
-layer by layer, each layer over every position fed; deeper layers call
-_project one position at a time, into that position's gate row, since one
-GEMM over all positions rounds differently, so a prime in one call equals
-the same prime fed one character per call, bit for bit. Generation makes one
-call, RecurrentStack.feeder: it primes a batch-1 state from init_state with
-step() calls of _PRIME_BLOCK characters, then takes that state over, and
-each feed runs the same cells' _project and _recur and the dense layer's
-forward, the calls of a one-position step() call, on rows allocated once per
-request, which it advances in place.
+The embedding is folded into layer 0. Its input is table[ids] with no
+dropout in between, so the stack hands it an Embedded (the ids and the
+table) instead of gathered [L, B, E] rows: layer 0 projects P = table W_x +
+b, a [V, kH] GEMM, and gathers P[ids], and its backward returns d table.
+With V around 60 and E = 256 this replaces three B * L-row GEMMs per
+layer-0 direction. P is rebuilt on every forward, as the optimizer updates
+table and W_x in place; generation keeps it in the state init_state
+returns, never on the cell. Both take P from _project, so layer 0's hidden
+states in generation equal the training forward's bit for bit.
 
-Cells hold only gate math. LstmCell and GruCell each define GATES, STATES
-(the names of the state arrays, h first: a cell's state is a tuple of [B, H]
-arrays in that order, then P in layer 0), _recur (one forward step: the
-gates, then _advance), _advance (the state update from finished gates) and
-_back_block (one backward block: the non-recurrent factors of da, the
-recurrent loop and dW_h). The private base _Cell holds the rest: the
-kernels, the zero state, the projection _project (rows W_x + b: one GEMM,
-into a given row or a new array, then the bias added in place), the
-recurrence loop _loop, _step (time-major positions from a given state) and
-the scan _scan (a whole sequence from the zero state, with its hoisted
-projection and tape), which both run _loop, the replay _replay, and the BPTT
-block loop _bptt with its flush of da into dW_x, db and dxs (or S). Each cell binds forward_seq,
-backward_seq and step to _Cell's methods in its own class body, because
-perfbench/tracing.py rebinds them through the class __dict__, where a name
-that is only inherited is not found; tests/test_layers.py checks those names
-resolve.
-
-Dropout keeps a boolean keep mask, one byte a unit, and scales in place:
-x * keep * s equals x times a float mask of 0 and s bit for bit. Its
-backward scales the gradient in place, which is safe because every such
-array is made by the stack or by a layer's backward. The forward writes a
-new array (or the dense input); no tape holds a layer's output, so it could
-write in place. A training step's memory peaks in the backward of one
-layer, on top of the tapes, dropout outputs and masks the forward left;
+A training step's memory peaks in the backward of one layer, on top of the
+tapes, dropout outputs and masks the forward left;
 model.expected_step_floats counts it.
 
-Parameters and gradients are named owner.name, as in rnn0.fwd.w_x: each
-owner (the stack for its layers, the bidirectional wrapper for its two
-cells) renames its parts' dicts through _prefixed, the one place that rule
-is written. Parameters are drawn only by model._init_params; the classes
-here wrap arrays they are given.
+Parameters and gradients are named owner.name, as in rnn0.fwd.w_x; each
+owner renames its parts' dicts through _prefixed. Parameters are drawn only
+by model._init_params; the classes here wrap arrays they are given.
 """
 
 from __future__ import annotations
@@ -154,7 +90,7 @@ class Embedding:
         """Sum the rows of dout [..., W] by index into [V, W].
 
         With dout = d loss / d forward(indices) this is d loss / d table; the
-        folded layer 0 uses it to sum da by id (see _Cell._bptt). It is
+        folded layer 0 uses it to sum da by id (see _Cell.backward_seq). It is
         one GEMM of the [V, N] one-hot matrix with dout as [N, W] rows.
         """
         onehot = np.arange(self.table.shape[0])[:, None] == indices.reshape(1, -1)
@@ -165,11 +101,11 @@ class Embedded:
     """Layer 0's input, table[ids] [L, B, E], held as the time-major ids
     [L, B] and the table.
 
-    The rows are never gathered: a cell given an Embedded projects the V-row
-    table instead of the B * L rows (see _Cell._scan and _Cell._bptt), and a
-    step gathers rows of that projection (see _Cell._step). A bad id is
-    reported at its batch-major position (b, t), as the stack's callers
-    index their [B, L] ids.
+    The rows are never gathered: a cell given an Embedded projects the
+    V-row table instead of the B * L rows (see _Cell.forward_seq and
+    _Cell.backward_seq), and a step gathers rows of that projection (see
+    _Cell.step). A bad id is reported at its batch-major position (b, t),
+    as the stack's callers index their [B, L] ids.
     """
 
     def __init__(self, embedding: Embedding, ids: np.ndarray):
@@ -186,9 +122,14 @@ class _Cell:
     """One recurrent direction: kernels w_x [D, kH], w_h [H, kH], bias b [kH].
 
     k is the subclass's GATES. Holds everything but the gate math: the zero
-    state, step, the scan, the replay and the BPTT block loop (see the module
-    docstring). A subclass defines GATES, STATES, _recur, _advance and
-    _back_block.
+    state, the projection, the loop, step, the scan forward_seq, the replay
+    and the BPTT block loop backward_seq. A subclass defines GATES, STATES,
+    _recur (one forward step: the gates, then _advance), _advance (the state
+    update from finished gates) and _back_block (one backward block), and
+    binds forward_seq, backward_seq and step in its own class body:
+    perfbench/tracing.py rebinds them through the class __dict__, where a
+    name that is only inherited is not found, and tests/test_layers.py
+    checks that those names resolve.
     """
 
     GATES: int
@@ -244,15 +185,15 @@ class _Cell:
             h = now
         return hs, (h, *rest)
 
-    def _step(self, x, state):
+    def step(self, x, state):
         """Run the time-major positions x [L, B, D] from state. Returns
         (hs [L, B, H], the new state); the state passed in is not written.
 
-        An Embedded x (layer 0, ids [L, B]) gathers P[ids], the rows _scan
-        gathers, from the state's P in one go; any other x goes through
-        _project one position at a time, into that position's gate row: the
-        GEMV a one-position call makes (one _project GEMM over all positions
-        would round differently).
+        An Embedded x (layer 0, ids [L, B]) gathers P[ids], the rows
+        forward_seq gathers, from the state's P in one go; any other x goes
+        through _project one position at a time, into that position's gate
+        row: the GEMV a one-position call makes (one _project GEMM over all
+        positions would round differently).
         """
         k = len(self.STATES)
         if isinstance(x, Embedded):
@@ -267,7 +208,7 @@ class _Cell:
         hs, last = self._loop(gates, state[:k])
         return hs, (*last, *state[k:])
 
-    def _scan(self, xs, train: bool):
+    def forward_seq(self, xs, train: bool):
         """Scan the whole time-major sequence xs [L, B, D] from a zero state.
 
         Returns (hs [L, B, H], tape); the tape is None unless train is set.
@@ -303,18 +244,21 @@ class _Cell:
         for row, prev, now in zip(gates, steps, steps[1:]):
             self._advance(row, prev, now)
 
-    def _bptt(self, tape, dhs: np.ndarray):
+    def backward_seq(self, tape, dhs: np.ndarray):
         """BPTT given d loss / d hs [L, B, H]. Returns (dxs, grads). The tape
         is not modified.
 
         Blocks of _BLOCK steps run last first and share one da scratch array
         [t1 - t0, B, k, H] and one scratch [2, t1 - t0 + 1, B, H]. Per block,
         _replay rebuilds the block's states into the scratch's first S slabs;
-        _back_block then fills da, carries the state gradients across the
-        block and adds its dW_h, and the block's da rows are flushed into db,
-        dW_x and dxs. For an Embedded input the rows are only summed by id
-        into S [V, kH]; the steps' x are rows of the table, so after the last
-        block dW_x = table^T S and d table = S W_x^T.
+        _back_block then fills da (every factor that needs no recurrence for
+        all the block's steps at once, then the loop's), carries the state
+        gradients across the block and adds its dW_h, and the block's da rows
+        are flushed into db, dW_x and dxs, one GEMM or reduction each. For an
+        Embedded input the rows are only summed by id into S [V, kH] (the
+        one-hot GEMM of Embedding.backward); the steps' x are rows of the
+        table, so after the last block dW_x = table^T S and d table =
+        S W_x^T.
         """
         xs = tape["xs"]
         embedded = isinstance(xs, Embedded)
@@ -351,7 +295,7 @@ class LstmCell(_Cell):
 
     GATES = 4
     STATES = ("h", "c")
-    forward_seq, backward_seq, step = _Cell._scan, _Cell._bptt, _Cell._step
+    forward_seq, backward_seq, step = _Cell.forward_seq, _Cell.backward_seq, _Cell.step
 
     def __init__(self, w_x: np.ndarray, w_h: np.ndarray, b: np.ndarray):
         super().__init__(w_x, w_h, b)
@@ -429,7 +373,7 @@ class GruCell(_Cell):
 
     GATES = 3
     STATES = ("h",)
-    forward_seq, backward_seq, step = _Cell._scan, _Cell._bptt, _Cell._step
+    forward_seq, backward_seq, step = _Cell.forward_seq, _Cell.backward_seq, _Cell.step
 
     def _recur(self, a, h_prev, h) -> None:
         """One timestep, writing h.
@@ -687,7 +631,7 @@ class RecurrentStack:
             dx = dropout_backward(dx, tape.masks[i], self.dropout_rate)
             dx, layer_grads = self.recurrent[i].backward_seq(tape.cell_tapes[i], dx)
             grads.update(_prefixed(f"rnn{i}", layer_grads))
-        grads["embedding.table"] = dx  # layer 0 returns d table (see _Cell._bptt)
+        grads["embedding.table"] = dx  # layer 0 returns d table (see _Cell.backward_seq)
         return {name: grads[name] for name in self.params()}
 
     def init_state(self, batch: int = 1):

@@ -30,31 +30,12 @@ Checkpoint file format, all integers little-endian:
     u32 CRC-32 of the payload (every byte after the version field and before
         this checksum)
 
-The header's config fixes every parameter's rank, dims and offset, so loading
-is one walk of that layout, which _layout generates a parameter at a time as
-the walk goes. No table of it is held, so a header naming 10^6 layers is
-refused at its first short block without 3 * 10^6 shapes being built first.
-Its checks run in this order: magic, version and a length of at least 16
-bytes; the header length, then the header: its config and vocabulary, that
-it is the canonical JSON _header_bytes writes for them, and that their sizes
-agree; per parameter, that its block ends before the checksum, its rank, its
-dims; no stray bytes; the CRC; finite values. The header is read before the
-CRC is checked because only the config says where the blocks end: a
-truncated file must read as a format error, not as a CRC mismatch. The walk
-streams: it needs a regular file, whose size it takes from fstat, and reads
-the values in bounded chunks into one float64 block, sized by the file, that
-the parameters view, with a running CRC, so a load never holds the file. Only
-the bytes _header_bytes writes pass the header check, so every file that
-loads re-saves to the same bytes.
-
 Training arithmetic is float64; checkpoints store float32, so values are
-rounded once on save and save -> load -> save is byte-identical. Saving
-streams the file to its temp file one part at a time (magic and version, the
-header, each parameter's dims and float32 values, the CRC), the CRC-32
-running over the payload parts as they are written, so no copy of the
-payload is built. A parameter that is not finite at float32 (a diverged
-weight past float32's range, say) is a CheckpointIntegrityError raised before
-the rename, so a save never leaves a file that load would refuse.
+rounded once on save and save -> load -> save is byte-identical. The
+header's config fixes every parameter's rank, dims and offset, so
+load_checkpoint reads a file in one streaming walk of that layout, which
+_layout generates a parameter at a time; its docstring gives the order of
+the checks and why the header comes before the CRC.
 """
 
 from __future__ import annotations

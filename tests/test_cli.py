@@ -688,6 +688,31 @@ class TestOutputsThroughSymlinks:
         assert link.is_symlink() and source.read_bytes() == original
 
 
+class TestOutputsThatAreNotRegularFiles:
+    """An output path whose target exists and is not a regular file (a FIFO,
+    a device, a socket) is refused before any work, since the rename would
+    replace it with a regular file. No test points at a device: as root, a
+    write that got through would replace the node."""
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    @pytest.mark.parametrize("through_link", [False, True], ids=["fifo", "link_to_fifo"])
+    @pytest.mark.parametrize("command, flag", _OUTPUT_FLAGS)
+    def test_fifo_refused_before_work(self, checkpoint, fixture_path, tmp_path, command, flag,
+                                      through_link):
+        (tmp_path / "h.csv").write_text("epoch,mean_loss,ms_per_step\n1,0.5,1.0\n")
+        fifo = given = tmp_path / "out.fifo"
+        os.mkfifo(fifo)
+        if through_link:
+            given = tmp_path / "link.out"
+            symlink_or_skip(given, fifo.name)
+        before = sorted(tmp_path.iterdir())
+        argv = _argv_with_output(command, flag, given, checkpoint, fixture_path, tmp_path)
+        code, out, err = _run(argv)
+        _assert_one_error_line(code, err)
+        assert out == "" and err == f"error: {given} is not a regular file\n"
+        assert sorted(tmp_path.iterdir()) == before and stat.S_ISFIFO(fifo.stat().st_mode)
+
+
 class TestReportCommand:
     def _history(self, tmp_path, name, epochs):
         from charrnn.trainer import HistoryRow, export_history

@@ -2,6 +2,8 @@ import errno
 import hashlib
 import json
 import os
+import re
+import stat
 import struct
 import subprocess
 import sys
@@ -592,6 +594,16 @@ class TestCheckpoint:
         assert link.is_symlink() and os.readlink(link) == real.name
         assert real.read_bytes() == plain.read_bytes()
         assert sorted(q.name for q in tmp_path.iterdir()) == ["link", "plain.ckpt", "real.ckpt"]
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    def test_save_to_a_fifo_is_refused(self, tmp_path):
+        # the rename would replace the FIFO with a regular file
+        fifo = tmp_path / "out.fifo"
+        os.mkfifo(fifo)
+        with pytest.raises(OSError, match=f"^{re.escape(str(fifo))} is not a regular file$"):
+            save_checkpoint(build_model(_config(), VOCAB5), fifo)
+        assert stat.S_ISFIFO(fifo.stat().st_mode)
+        assert [q.name for q in tmp_path.iterdir()] == ["out.fifo"]
 
     def test_save_into_a_symlink_loop_is_eloop(self, tmp_path):
         loop = tmp_path / "loop"

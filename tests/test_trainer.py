@@ -1,4 +1,10 @@
+import hashlib
 import math
+import os
+import re
+import stat
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -9,7 +15,7 @@ from hypothesis import strategies as st
 from charrnn.corpus import CorpusPlan, SequenceBatch, make_sequences, shuffle_batches
 from charrnn.exceptions import (ConfigError, HistoryFormatError, OptimizerError, TrainingError,
                                 VocabularyError)
-from charrnn.model import ModelConfig, build_model, load_checkpoint, save_checkpoint
+from charrnn.model import KINDS, ModelConfig, build_model, load_checkpoint, save_checkpoint
 from charrnn.numerics import Rng
 from charrnn.objective import RmspropState, rmsprop_step
 from charrnn.trainer import (
@@ -21,6 +27,7 @@ from charrnn.trainer import (
     train,
     train_epoch,
 )
+from tests.conftest import REPO_ROOT, openblas_corename
 
 
 def _small_config(fixture_vocab, kind="lstm", **kw):
@@ -198,6 +205,62 @@ class TestTrain:
                    for name, p in planned.params().items())
 
 
+# SHA-256 of the checkpoint a two-epoch train() writes and the repr of each
+# epoch's mean loss, per kind (see test_trained_model_digest), keyed by the
+# OpenBLAS kernel set they were made on. The sets other than SkylakeX were
+# made from the same code under a forced OPENBLAS_CORETYPE. The untrained
+# goldens (TestGoldenForward, the sampled-text digests) see no training
+# arithmetic; a change to the BPTT, the loss gradient, clipping, RMSprop,
+# dropout or the shuffle that moves a bit changes an entry here.
+_TRAINED_LSTM = ("0627d5a9f1085d062b6f782057d8040d07e7b113554006d3a0c90fa4b0f995b4",
+                 ["3.8027926371692757", "3.5715904861699297"])
+_TRAINED_GRU = ("7386cd3d2262689286a4dad309fecd1f6dcf9119a8b725601e073e58d15f7147",
+                ["3.813539916801941", "3.5407848176044303"])
+_TRAINED_BIRNN = "02d0e165b9b7b8e50a9d67325de49801b1b442ce412d16c57836bf14d12f16be"
+_GOLDEN_TRAINED = {
+    core: {"lstm": _TRAINED_LSTM, "gru": _TRAINED_GRU,
+           "birnn": (_TRAINED_BIRNN, [first_birnn_loss, "3.43541363996877"])}
+    for core, first_birnn_loss in (("SkylakeX", "3.667121232159069"),
+                                   ("Haswell", "3.667121232159069"),
+                                   ("Sandybridge", "3.6671212321590687"),
+                                   ("Katmai", "3.667121232159069"))
+}
+
+
+class TestTrainedDigest:
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_trained_model_digest(self, tmp_path, fixture_text, fixture_vocab, kind):
+        # L = 30 is one full BPTT block and one partial one
+        config = ModelConfig(kind=kind, layer_widths=(24, 16), vocab_size=fixture_vocab.size,
+                             batch_size=8, embed_dim=16, dropout=0.3, seq_len=30,
+                             init_seed=17)
+        model, rows = _train(fixture_text, fixture_vocab, config,
+                             TrainPlan(epochs=2, shuffle_seed=5, dropout_seed=7))
+        save_checkpoint(model, tmp_path / "m.ckpt")
+        got = (hashlib.sha256((tmp_path / "m.ckpt").read_bytes()).hexdigest(),
+               [repr(row.mean_loss) for row in rows])
+        core = openblas_corename()
+        if core not in _GOLDEN_TRAINED:
+            pytest.fail(f"no trained-model digests for the OpenBLAS core {core!r}; "
+                        f"known cores: {', '.join(_GOLDEN_TRAINED)}")
+        assert got == _GOLDEN_TRAINED[core][kind]
+
+    def test_digests_hold_under_a_forced_haswell_kernel(self):
+        # the child alone gets OPENBLAS_CORETYPE; it reports the core it runs
+        # on, then runs the digest tests against that core's set
+        src = str(REPO_ROOT / "src")
+        env = {**os.environ, "OPENBLAS_CORETYPE": "Haswell",
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        code = ("import sys, pytest; from tests.conftest import openblas_corename; "
+                "print('core', openblas_corename()); "
+                "sys.exit(pytest.main(['-q', '-p', 'no:cacheprovider', "
+                "'tests/test_trainer.py::TestTrainedDigest::test_trained_model_digest']))")
+        child = subprocess.run([sys.executable, "-c", code], cwd=REPO_ROOT, env=env,
+                               capture_output=True, text=True, timeout=300)
+        assert child.stdout.startswith("core Haswell\n"), child.stdout
+        assert child.returncode == 0 and "3 passed" in child.stdout, child.stdout
+
+
 class TestPlanValidation:
     def test_bad_epochs(self):
         with pytest.raises(ConfigError):
@@ -338,6 +401,16 @@ class TestHistoryCsv:
             export_history([HistoryRow(1, 0.5, 1.0), row], target)
         assert target.read_bytes() == b"old contents\n"
         assert [q.name for q in tmp_path.iterdir()] == ["h.csv"]
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    def test_export_to_a_fifo_is_refused(self, tmp_path):
+        # the rename would replace the FIFO with a regular file
+        fifo = tmp_path / "h.fifo"
+        os.mkfifo(fifo)
+        with pytest.raises(OSError, match=f"^{re.escape(str(fifo))} is not a regular file$"):
+            export_history([HistoryRow(1, 1.0, 1.0)], fifo)
+        assert stat.S_ISFIFO(fifo.stat().st_mode)
+        assert [q.name for q in tmp_path.iterdir()] == ["h.fifo"]
 
     def test_export_failure_leaves_no_file(self, tmp_path):
         target = tmp_path / "missing_dir" / "h.csv"
