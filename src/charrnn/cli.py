@@ -119,8 +119,9 @@ def _check_writable(*paths, inputs=()) -> None:
 
 
 def _emit(text: str, out) -> None:
-    """Write text to the file out, atomically, or else to stdout ending in a newline."""
-    if out:
+    """Write text to the file out, atomically, or, when out is None, to
+    stdout ending in a newline."""
+    if out is not None:
         _write_atomic(out, (text.encode("utf-8"),))
     else:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
@@ -176,7 +177,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    if args.out:
+    if args.out is not None:
         _check_writable(args.out, inputs=(args.checkpoint,))
     plan = GenerationPlan(
         prime_text=args.prime, length=args.length,
@@ -192,7 +193,7 @@ def cmd_report(args) -> int:
         if run in runs[:i]:
             raise ConfigError(f"histories {args.history[runs.index(run)]!r} and "
                               f"{args.history[i]!r} share the run name {run!r}")
-    if args.out:
+    if args.out is not None:
         _check_writable(args.out, inputs=args.history)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")  # quotes a run name holding a comma

@@ -17,9 +17,10 @@ _read_capped is the bounded read of the corpus and of history CSVs, and
 _write_atomic the temp-file-and-rename writer of checkpoints, history CSVs
 and the CLI's --out files. An output path means the file _resolve gives for
 it, symlinks followed, and _write_target is the one rule for which of those
-can be written: a regular file, or a new file in an existing directory.
-_write_atomic writes through it, and the CLI's _check_writable calls it
-before any work.
+can be written: a regular file, or a new file in an existing directory. An
+empty path, or one that ends in a separator or a "." or ".." part, is
+refused as written, with the error a plain open gives. _write_atomic
+writes through it, and the CLI's _check_writable calls it before any work.
 """
 
 from __future__ import annotations
@@ -92,7 +93,28 @@ def _write_target(path) -> Path:
     write would (EISDIR), as does a missing directory (ENOENT) or a file in
     its place (ENOTDIR); an existing FIFO, device or socket, which the
     rename would replace with a regular file, raises OSError("{path} is not
-    a regular file"). Each names path as given."""
+    a regular file"). Each names path as given.
+
+    A path that ends in a separator or in a "." or ".." part can only name
+    a directory, and Path drops the separator and the ".", so such a path
+    is judged as written first, as is an empty one (ENOENT): it raises
+    what open(path, "wb") raises. A name ending in a separator is EISDIR
+    where its directory exists; a last "." or ".." part is what looking
+    path up gives, or EISDIR once found."""
+    text = os.fspath(path)
+    head = text.rstrip(os.sep + (os.altsep or ""))
+    last = os.path.basename(head)
+    if not text:
+        raise OSError(errno.ENOENT, os.strerror(errno.ENOENT), text)
+    if head != text or last in (".", ".."):
+        # open looks up the directory the last name is in, or the one a
+        # last "." or ".." names, and fails there or at the name
+        probe = head if last in (".", "..") else os.path.dirname(head) or "."
+        try:
+            code = errno.EISDIR if stat.S_ISDIR(os.stat(probe).st_mode) else errno.ENOTDIR
+        except OSError as exc:
+            code = exc.errno
+        raise OSError(code, os.strerror(code), text)
     target = _resolve(path)
     try:
         mode = target.stat().st_mode
@@ -104,9 +126,9 @@ def _write_target(path) -> Path:
         if stat.S_ISREG(mode):
             return target
         if not stat.S_ISDIR(mode):
-            raise OSError(f"{os.fspath(path)} is not a regular file")
+            raise OSError(f"{text} is not a regular file")
         code = errno.EISDIR
-    raise OSError(code, os.strerror(code), os.fspath(path))
+    raise OSError(code, os.strerror(code), text)
 
 
 def _write_atomic(path, chunks) -> None:

@@ -268,7 +268,7 @@ class _Cell:
         block = min(length, _BLOCK)
         grads = {k: np.zeros_like(v) for k, v in self.params().items()}
         dxs = np.zeros((xs.embedding.table.shape[0], width)) if embedded else np.empty(xs.shape)
-        carry = tuple(np.zeros((batch, hidden)) for _ in self.STATES)
+        carry = self.init_state(batch)
         work = np.empty(batch * block * width)
         scratch = np.empty((2, block + 1, batch, hidden))
         for t0 in range((length - 1) // _BLOCK * _BLOCK, -1, -_BLOCK):

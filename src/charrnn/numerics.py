@@ -121,8 +121,9 @@ class Rng:
     Bulk draws (array uniform, uniform_at_least, randint) emit exactly
     the same stream as repeated single draws. They share one private path,
     _chunks, that computes the stream _CHUNK draws at a time into two reused
-    uint64 buffers; each method converts a chunk straight into its slice of
-    one preallocated result, so no temporary grows with the draw count.
+    uint64 buffers and hands each chunk out with its slice of the method's
+    one preallocated result, which the method fills from the chunk, so no
+    temporary grows with the draw count.
     Chunking is exact because draw i depends only on the seed state plus
     i * gamma.
     """
@@ -138,15 +139,20 @@ class Rng:
         z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
         return z ^ (z >> 31)
 
-    def _chunks(self, n: int):
-        """Yield (start, z) over the next n draws: z holds draws start ..
-        start + len(z) - 1 as uint64, identical to that many next_u64 calls,
-        at most _CHUNK of them at a time.
+    def _chunks(self, *arrays):
+        """Yield (z, *parts), one per chunk of the next n draws, n being the
+        size of each array (all the same): z holds the chunk's draws as
+        uint64, identical to that many next_u64 calls, at most _CHUNK of
+        them, and each part is its array's slice, read C-order, at the
+        chunk's positions. The first array is the result, which the caller
+        fills through its parts; any other is an input read alongside.
 
         Draw i (from 1) is the finalizer of state + i * gamma, so each chunk
         starts from its own offset and the state advances by n at once. z is
         one buffer reused for every chunk: read it before the next.
         """
+        flats = [a.reshape(-1) for a in arrays]
+        n = flats[0].size
         base = self._state
         self._state = (base + n * _GAMMA) & _MASK64
         size = min(n, _CHUNK)
@@ -165,7 +171,7 @@ class Rng:
             z *= np.uint64(_MIX2)
             np.right_shift(z, np.uint64(31), out=t)
             z ^= t
-            yield start, z
+            yield (z, *(flat[start : start + m] for flat in flats))
 
     def uniform(self, shape=None, low: float = 0.0, high: float = 1.0):
         """Floats in [low, high) with 53-bit resolution.
@@ -177,9 +183,7 @@ class Rng:
             u = (self.next_u64() >> 11) * _INV_2_53
             return low + (high - low) * u
         out = np.empty(shape)
-        flat = out.reshape(-1)
-        for start, z in self._chunks(flat.size):
-            u = flat[start : start + z.size]
+        for z, u in self._chunks(out):
             z >>= np.uint64(11)
             np.multiply(z, _INV_2_53, out=u)
             u *= high - low
@@ -196,9 +200,8 @@ class Rng:
         """
         bound = np.uint64(math.ceil(threshold * 2.0 ** 53) << 11)
         out = np.empty(shape, dtype=bool)
-        flat = out.reshape(-1)
-        for start, z in self._chunks(flat.size):
-            np.greater_equal(z, bound, out=flat[start : start + z.size])
+        for z, flags in self._chunks(out):
+            np.greater_equal(z, bound, out=flags)
         return out
 
     def randint(self, bound):
@@ -217,11 +220,9 @@ class Rng:
         if bound.size and (bound.min() <= 0 or bound.max() >= 1 << 32):
             raise ValueError(f"bounds must lie in [1, 2^32), got "
                              f"[{bound.min()}, {bound.max()}]")
-        bounds = bound.reshape(-1)
         out = np.empty(bound.shape, dtype=np.int64)
-        flat = out.reshape(-1)
-        for start, z in self._chunks(flat.size):
-            b = bounds[start : start + z.size].astype(np.uint64)
+        for z, got, b in self._chunks(out, bound):
+            b = b.astype(np.uint64)
             lo = z & np.uint64(0xFFFFFFFF)
             lo *= b
             lo >>= np.uint64(32)
@@ -229,7 +230,7 @@ class Rng:
             z *= b
             z += lo
             z >>= np.uint64(32)
-            flat[start : start + z.size] = z
+            got[...] = z
         return out
 
 

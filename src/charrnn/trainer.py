@@ -10,7 +10,8 @@ milliseconds.
 
 A history row has one spelling, _history_fields's: each field through its
 column's parse, then its spell. export_history and cli.cmd_report write it,
-and parse_history accepts nothing else.
+and parse_history, having parsed a row, refuses it unless that spelling
+gives back the fields it read.
 """
 
 from __future__ import annotations
@@ -183,23 +184,15 @@ def export_history(history: list[HistoryRow], path) -> None:
     _write_atomic(path, (("\n".join(lines) + "\n").encode("utf-8"),))
 
 
-def _spelled(text: str, name: str, parse, spell):
-    """parse(text), refused with ValueError unless spell(value) is text, so
-    a sign, space, zero or exponent that export_history never writes is
-    refused."""
-    value = parse(text)
-    if spell(value) != text:
-        raise ValueError(f"{name} {reprlib.repr(text)} is not written as {spell(value)!r}")
-    return value
-
-
 def parse_history(path) -> list[HistoryRow]:
     """Inverse of export_history; raises HistoryFormatError with a line number.
 
     Accepts only what export_history writes, in at most MAX_HISTORY_BYTES
-    bytes: the header line, then rows of three fields, each spelled as
-    _history_fields spells its value (str of the epoch, repr of each float)
-    and each row one that _check_row allows, every line ending in "\n".
+    bytes: the header line, then rows of three fields, every line ending in
+    "\n". A row's fields are read through their columns' parses, then must
+    equal _history_fields's spelling of the row read (str of the epoch,
+    repr of each float), the first field that differs named, and the row
+    must be one that _check_row allows.
     """
     data = _read_capped(path, MAX_HISTORY_BYTES, HistoryFormatError)
     lines = data.split(b"\n")  # the last item is what follows the last newline
@@ -217,8 +210,11 @@ def parse_history(path) -> list[HistoryRow]:
             elif len(fields) != 3:
                 raise ValueError(f"expected 3 fields, got {len(fields)}")
             else:
-                row = HistoryRow(*(_spelled(field, *column)
-                                   for field, column in zip(fields, _HISTORY_COLUMNS)))
+                row = HistoryRow(*(parse(f) for (_, parse, _), f in zip(_HISTORY_COLUMNS, fields)))
+                # a sign, space, zero or exponent that export_history never writes
+                for name, field, want in zip(_HISTORY_HEADER, fields, _history_fields(row)):
+                    if field != want:
+                        raise ValueError(f"{name} {reprlib.repr(field)} is not written as {want!r}")
                 _check_row(row, rows[-1].epoch if rows else 0, ValueError)
                 rows.append(row)
         except ValueError as exc:  # UnicodeDecodeError is one

@@ -1,5 +1,7 @@
 import ctypes
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -65,6 +67,40 @@ def numpy_cpu_features() -> dict[str, bool]:
     except ImportError:  # numpy < 2
         from numpy.core._multiarray_umath import __cpu_features__
     return dict(__cpu_features__)
+
+
+def goldens_for_core(goldens: dict, what: str, core: str | None = None):
+    """goldens[core], core being by default the OpenBLAS kernel set this
+    process runs on; a core with no entry fails the test, naming the core,
+    what has no entry for it and the cores that have one."""
+    core = core or openblas_corename()
+    if core not in goldens:
+        pytest.fail(f"no {what} for the OpenBLAS core {core!r}; "
+                    f"known cores: {', '.join(goldens)}")
+    return goldens[core]
+
+
+def child_env(**forced: str) -> dict[str, str]:
+    """os.environ plus forced, with this checkout's src first on PYTHONPATH,
+    for a child process that imports charrnn."""
+    path = os.pathsep.join(filter(None, [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    return {**os.environ, **forced, "PYTHONPATH": path}
+
+
+def rerun_forced(node: str, passed: int, probe: str, expect: str, **forced: str) -> None:
+    """Run the test node in a child pytest whose environment adds forced,
+    which sets what this process cannot change once numpy is loaded (the
+    OpenBLAS kernel set, numpy's SIMD targets). The child first prints
+    probe, an expression over openblas_corename and numpy_cpu_features,
+    and its value, which must read expect, so a setting the child ignored
+    fails here; then the node must pass, with exactly passed tests."""
+    code = ("import sys, pytest; from tests.conftest import numpy_cpu_features, "
+            f"openblas_corename; print({probe!r}, {probe}); "
+            f"sys.exit(pytest.main(['-q', '-p', 'no:cacheprovider', {node!r}]))")
+    child = subprocess.run([sys.executable, "-c", code], cwd=REPO_ROOT, env=child_env(**forced),
+                           capture_output=True, text=True, timeout=300)
+    assert child.stdout.startswith(f"{probe} {expect}\n"), child.stdout
+    assert child.returncode == 0 and f"\n{passed} passed" in child.stdout, child.stdout
 
 
 @pytest.fixture(scope="session")

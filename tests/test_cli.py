@@ -24,7 +24,7 @@ from charrnn.model import ModelConfig, load_checkpoint
 from charrnn.numerics import Rng
 from charrnn.trainer import TrainPlan, parse_history
 from tests.checkpoint_reference import reference_load
-from tests.conftest import REPO_ROOT
+from tests.conftest import child_env
 from tests.test_model import (
     _header,
     _with_header,
@@ -59,23 +59,16 @@ def _run(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-def _child_env():
-    return {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")]))}
-
-
 def _run_child(argv, address_space=None):
     """python -m charrnn argv in a child process, optionally under an
     RLIMIT_AS of address_space bytes, so that a runaway read fails in the
     child instead of exhausting the host. Warnings reach its real stderr."""
-    env = _child_env()
-
     def limit():
         import resource
 
         resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
 
-    return subprocess.run([sys.executable, "-m", "charrnn", *argv], env=env,
+    return subprocess.run([sys.executable, "-m", "charrnn", *argv], env=child_env(),
                           capture_output=True, text=True, timeout=60,
                           preexec_fn=limit if address_space else None)
 
@@ -222,7 +215,7 @@ class TestTrainCommand:
             [sys.executable, "-m", "charrnn", "train", "--corpus", str(fixture_path),
              *TRAIN_ARGS, "--epochs", "100000", "--out", str(tmp_path / "m.ckpt"),
              "--history", str(tmp_path / "h.csv")],
-            env=_child_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+            env=child_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
         try:
             assert child.stdout.readline().startswith("epoch 1 ")
             child.send_signal(signal.SIGINT)
@@ -302,17 +295,15 @@ class TestTrainCommand:
     # shapes (B=32, L=50, widths 128 and 64, E=256) make the GEMMs threaded.
     @pytest.mark.parametrize("kind", ["gru", "birnn"])
     def test_byte_identical_across_blas_threads(self, fixture_path, tmp_path, kind):
-        src = str(REPO_ROOT / "src")
         outputs = []
         for threads in ("1", "2"):
             ckpt, hist = tmp_path / f"{threads}.ckpt", tmp_path / f"{threads}.csv"
-            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
-                   "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
             subprocess.run([sys.executable, "-m", "charrnn", "train", "--corpus", str(fixture_path),
                             "--model", kind, "--preset", "bi", "--scale", "0.25",
                             "--seq-len", "50", "--batch-size", "32", "--epochs", "1",
                             "--seed", "3", "--out", str(ckpt), "--history", str(hist)],
-                           env=env, check=True, capture_output=True, timeout=300)
+                           env=child_env(OPENBLAS_NUM_THREADS=threads), check=True,
+                           capture_output=True, timeout=300)
             losses = [repr(row.mean_loss) for row in parse_history(hist)]
             outputs.append((ckpt.read_bytes(), losses))
         assert outputs[0] == outputs[1]
@@ -711,6 +702,44 @@ class TestOutputsThatAreNotRegularFiles:
         _assert_one_error_line(code, err)
         assert out == "" and err == f"error: {given} is not a regular file\n"
         assert sorted(tmp_path.iterdir()) == before and stat.S_ISFIFO(fifo.stat().st_mode)
+
+
+class TestOutputPathsAsWritten:
+    """Path drops a trailing separator and a last "." part, so an output path
+    is judged as written too: one that can only name a directory, or an
+    empty one, is refused before any work with the error a plain
+    open(path, "wb") gives, and the file its prefix names is untouched."""
+
+    @pytest.mark.parametrize("prefix", ["real.txt", "new"], ids=["file", "missing"])
+    @pytest.mark.parametrize("suffix", [os.sep, os.sep + "."], ids=["separator", "dot"])
+    @pytest.mark.parametrize("command, flag", _OUTPUT_FLAGS)
+    def test_directory_spelling_refused_before_work(self, checkpoint, fixture_path, tmp_path,
+                                                    command, flag, suffix, prefix):
+        (tmp_path / "h.csv").write_text("epoch,mean_loss,ms_per_step\n1,0.5,1.0\n")
+        (tmp_path / "real.txt").write_bytes(b"old contents\n")
+        given = str(tmp_path / prefix) + suffix
+        before = sorted(tmp_path.iterdir())
+        with pytest.raises(OSError) as plain:
+            open(given, "wb")
+        argv = _argv_with_output(command, flag, given, checkpoint, fixture_path, tmp_path)
+        code, out, err = _run(argv)
+        _assert_one_error_line(code, err)
+        assert out == "" and err == f"error: {plain.value}\n"
+        assert sorted(tmp_path.iterdir()) == before
+        assert (tmp_path / "real.txt").read_bytes() == b"old contents\n"
+
+    @pytest.mark.parametrize("command, flag", _OUTPUT_FLAGS)
+    def test_empty_path_is_enoent(self, checkpoint, fixture_path, tmp_path, command, flag):
+        # an empty --out was read as "no --out", and the output went to stdout
+        (tmp_path / "h.csv").write_text("epoch,mean_loss,ms_per_step\n1,0.5,1.0\n")
+        before = sorted(tmp_path.iterdir())
+        with pytest.raises(OSError) as plain:
+            open("", "wb")
+        argv = _argv_with_output(command, flag, "", checkpoint, fixture_path, tmp_path)
+        code, out, err = _run(argv)
+        _assert_one_error_line(code, err)
+        assert out == "" and err == f"error: {plain.value}\n"
+        assert sorted(tmp_path.iterdir()) == before
 
 
 class TestReportCommand:

@@ -1,8 +1,5 @@
 import dataclasses
 import hashlib
-import os
-import subprocess
-import sys
 import tracemalloc
 
 import numpy as np
@@ -17,7 +14,7 @@ from charrnn.generator import GenerationPlan, generate
 from charrnn.layers import RecurrentStack
 from charrnn.model import ModelConfig, build_model, load_checkpoint, save_checkpoint
 from charrnn.numerics import Rng, sample_categorical
-from tests.conftest import REPO_ROOT
+from tests.conftest import rerun_forced
 from tests.generator_reference import reference_generate
 
 VOCAB = Vocabulary(tuple("abcde"))
@@ -351,19 +348,9 @@ class TestGoldenText:
         assert got == want
 
     def test_digests_hold_under_a_forced_haswell_kernel(self):
-        # the child alone gets OPENBLAS_CORETYPE; it reports the core it runs
-        # on, then reruns the digest tests, whose text is the same on every core
-        src = str(REPO_ROOT / "src")
-        env = {**os.environ, "OPENBLAS_CORETYPE": "Haswell",
-               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        code = ("import sys, pytest; from tests.conftest import openblas_corename; "
-                "print('core', openblas_corename()); "
-                "sys.exit(pytest.main(['-q', '-p', 'no:cacheprovider', "
-                "'tests/test_generator.py::TestGoldenText::test_sampled_text_digests']))")
-        child = subprocess.run([sys.executable, "-c", code], cwd=REPO_ROOT, env=env,
-                               capture_output=True, text=True, timeout=300)
-        assert child.stdout.startswith("core Haswell\n"), child.stdout
-        assert child.returncode == 0 and "6 passed" in child.stdout, child.stdout
+        # the digest tests' text is the same on every core
+        rerun_forced("tests/test_generator.py::TestGoldenText::test_sampled_text_digests", 6,
+                     "openblas_corename()", "Haswell", OPENBLAS_CORETYPE="Haswell")
 
     @pytest.mark.parametrize("block", [1, 7])
     @pytest.mark.parametrize("kind", ["lstm", "gru", "birnn"])

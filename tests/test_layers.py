@@ -1,7 +1,4 @@
 import importlib.util
-import os
-import subprocess
-import sys
 from collections import Counter
 
 import numpy as np
@@ -26,7 +23,8 @@ from charrnn.layers import (
 )
 from charrnn.model import ModelConfig, build_model
 from charrnn.numerics import Rng, sample_categorical, sigmoid
-from tests.conftest import REPO_ROOT, finite_difference, numpy_cpu_features, rel_err
+from tests.conftest import (REPO_ROOT, finite_difference, numpy_cpu_features, rel_err,
+                            rerun_forced)
 from tests.stack_reference import stack_reference
 
 
@@ -411,21 +409,12 @@ class TestRebuild:
                     assert scratch[:, :n].tobytes() == states[:, t0:t1].tobytes(), (hidden, t1)
 
     def test_rebuild_is_bitwise_without_avx512(self):
-        # the child alone runs with numpy's AVX-512 dispatch targets off, so
-        # its ufuncs take the AVX2 paths; it reports that X86_V4 is off
+        # with numpy's AVX-512 dispatch targets off, its ufuncs take the AVX2 paths
         if not numpy_cpu_features().get("X86_V4"):
             pytest.skip("numpy has no X86_V4 dispatch path on this host")
-        src = str(REPO_ROOT / "src")
-        env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR",
-               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        code = ("import sys, pytest; from tests.conftest import numpy_cpu_features; "
-                "print('X86_V4', numpy_cpu_features()['X86_V4']); "
-                "sys.exit(pytest.main(['-q', '-p', 'no:cacheprovider', "
-                "'tests/test_layers.py::TestRebuild::test_rebuild_is_bitwise']))")
-        child = subprocess.run([sys.executable, "-c", code], cwd=REPO_ROOT, env=env,
-                               capture_output=True, text=True, timeout=300)
-        assert child.stdout.startswith("X86_V4 False\n"), child.stdout
-        assert child.returncode == 0 and "12 passed" in child.stdout, child.stdout
+        rerun_forced("tests/test_layers.py::TestRebuild::test_rebuild_is_bitwise", 12,
+                     "numpy_cpu_features()['X86_V4']", "False",
+                     NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR")
 
 
 class TestEmbeddingFold:

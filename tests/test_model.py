@@ -5,8 +5,6 @@ import os
 import re
 import stat
 import struct
-import subprocess
-import sys
 import tracemalloc
 import warnings
 import zlib
@@ -43,7 +41,7 @@ from charrnn.numerics import Rng
 from charrnn.objective import RmspropState, ce_loss
 from charrnn.trainer import TrainPlan, train_epoch
 from tests.checkpoint_reference import param_shapes, reference_load
-from tests.conftest import REPO_ROOT, openblas_corename
+from tests.conftest import goldens_for_core, rerun_forced
 
 VOCAB5 = Vocabulary(tuple("abcde"))
 
@@ -446,13 +444,6 @@ _GOLDEN_FORWARD = {
 }
 
 
-def _forward_goldens(core: str | None) -> dict[str, tuple[str, str]]:
-    if core not in _GOLDEN_FORWARD:
-        pytest.fail(f"no golden logits digests for the OpenBLAS core {core!r}; "
-                    f"known cores: {', '.join(_GOLDEN_FORWARD)}")
-    return _GOLDEN_FORWARD[core]
-
-
 # sha256 of the checkpoint file of an untrained model; see test_file_digest
 _GOLDEN_CHECKPOINT = {
     "lstm": "280c54eea24d3efea12e30481a39496aa1d5ede409ae2f46aed6d5410a4c9143",
@@ -475,26 +466,15 @@ class TestGoldenForward:
         logits, _ = model.forward(rows[:, :-1], train=True, dropout_rng=Rng(3))
         report = ce_loss(logits, rows[:, 1:])
         got = (hashlib.sha256(logits.tobytes()).hexdigest(), repr(report.mean_loss))
-        assert got == _forward_goldens(openblas_corename())[f"{kind}{layers}"]
+        assert got == goldens_for_core(_GOLDEN_FORWARD, "golden logits digests")[f"{kind}{layers}"]
 
     def test_unknown_core_fails_with_its_name(self):
         with pytest.raises(pytest.fail.Exception, match="OpenBLAS core 'Zen9'"):
-            _forward_goldens("Zen9")
+            goldens_for_core(_GOLDEN_FORWARD, "golden logits digests", "Zen9")
 
     def test_digests_hold_under_a_forced_haswell_kernel(self):
-        # the child alone gets OPENBLAS_CORETYPE; it reports the core it runs
-        # on, then runs the digest tests against that core's set
-        src = str(REPO_ROOT / "src")
-        env = {**os.environ, "OPENBLAS_CORETYPE": "Haswell",
-               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        code = ("import sys, pytest; from tests.conftest import openblas_corename; "
-                "print('core', openblas_corename()); "
-                "sys.exit(pytest.main(['-q', '-p', 'no:cacheprovider', "
-                "'tests/test_model.py::TestGoldenForward::test_first_step_digest']))")
-        child = subprocess.run([sys.executable, "-c", code], cwd=REPO_ROOT, env=env,
-                               capture_output=True, text=True, timeout=300)
-        assert child.stdout.startswith("core Haswell\n"), child.stdout
-        assert child.returncode == 0 and "6 passed" in child.stdout, child.stdout
+        rerun_forced("tests/test_model.py::TestGoldenForward::test_first_step_digest", 6,
+                     "openblas_corename()", "Haswell", OPENBLAS_CORETYPE="Haswell")
 
 
 class TestCheckpoint:
@@ -604,6 +584,19 @@ class TestCheckpoint:
             save_checkpoint(build_model(_config(), VOCAB5), fifo)
         assert stat.S_ISFIFO(fifo.stat().st_mode)
         assert [q.name for q in tmp_path.iterdir()] == ["out.fifo"]
+
+    @pytest.mark.parametrize("given", ["old.ckpt/", "old.ckpt/.", "new/", "new/.", ""])
+    def test_save_refuses_what_open_would(self, tmp_path, monkeypatch, given):
+        # Path("old.ckpt/") is Path("old.ckpt"): judged so, the save replaced old.ckpt
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "old.ckpt").write_bytes(b"old contents")
+        with pytest.raises(OSError) as plain:
+            open(given, "wb")
+        with pytest.raises(OSError) as refused:
+            save_checkpoint(build_model(_config(), VOCAB5), given)
+        assert str(refused.value) == str(plain.value)
+        assert [q.name for q in tmp_path.iterdir()] == ["old.ckpt"]
+        assert (tmp_path / "old.ckpt").read_bytes() == b"old contents"
 
     def test_save_into_a_symlink_loop_is_eloop(self, tmp_path):
         loop = tmp_path / "loop"

@@ -3,8 +3,6 @@ import math
 import os
 import re
 import stat
-import subprocess
-import sys
 import warnings
 
 import numpy as np
@@ -27,7 +25,7 @@ from charrnn.trainer import (
     train,
     train_epoch,
 )
-from tests.conftest import REPO_ROOT, openblas_corename
+from tests.conftest import goldens_for_core, rerun_forced
 
 
 def _small_config(fixture_vocab, kind="lstm", **kw):
@@ -239,26 +237,11 @@ class TestTrainedDigest:
         save_checkpoint(model, tmp_path / "m.ckpt")
         got = (hashlib.sha256((tmp_path / "m.ckpt").read_bytes()).hexdigest(),
                [repr(row.mean_loss) for row in rows])
-        core = openblas_corename()
-        if core not in _GOLDEN_TRAINED:
-            pytest.fail(f"no trained-model digests for the OpenBLAS core {core!r}; "
-                        f"known cores: {', '.join(_GOLDEN_TRAINED)}")
-        assert got == _GOLDEN_TRAINED[core][kind]
+        assert got == goldens_for_core(_GOLDEN_TRAINED, "trained-model digests")[kind]
 
     def test_digests_hold_under_a_forced_haswell_kernel(self):
-        # the child alone gets OPENBLAS_CORETYPE; it reports the core it runs
-        # on, then runs the digest tests against that core's set
-        src = str(REPO_ROOT / "src")
-        env = {**os.environ, "OPENBLAS_CORETYPE": "Haswell",
-               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        code = ("import sys, pytest; from tests.conftest import openblas_corename; "
-                "print('core', openblas_corename()); "
-                "sys.exit(pytest.main(['-q', '-p', 'no:cacheprovider', "
-                "'tests/test_trainer.py::TestTrainedDigest::test_trained_model_digest']))")
-        child = subprocess.run([sys.executable, "-c", code], cwd=REPO_ROOT, env=env,
-                               capture_output=True, text=True, timeout=300)
-        assert child.stdout.startswith("core Haswell\n"), child.stdout
-        assert child.returncode == 0 and "3 passed" in child.stdout, child.stdout
+        rerun_forced("tests/test_trainer.py::TestTrainedDigest::test_trained_model_digest", 3,
+                     "openblas_corename()", "Haswell", OPENBLAS_CORETYPE="Haswell")
 
 
 class TestPlanValidation:
@@ -339,9 +322,17 @@ class TestHistoryCsv:
         ("1,0.5,2.0\n\n2,0.4,2.0\n", "line 3: expected 3 fields, got 1"),
         ("1,0.5,2.0\r\n", r"line 2: ms_per_step '2\.0\\r' is not written as '2\.0'"),
         ("1,0.5,2.0", "line 2: no newline at the end of the file"),
+        # int and float read these, but export_history never writes them
+        ("1_000,0.5,2.0\n", "line 2: epoch '1_000' is not written as '1000'"),
+        ("1,0.5,2.0\n+3,0.4,2.0\n", "line 3: epoch '\\+3' is not written as '3'"),
+        ("1,0.5,2.0\n\u0663,0.4,2.0\n", "line 3: epoch '\u0663' is not written as '3'"),
+        ("1,\uff11.\uff15,2.0\n", "line 2: mean_loss '\uff11.\uff15' is not written as '1.5'"),
+        ("1,0.5,infinity\n", "line 2: ms_per_step 'infinity' is not written as 'inf'"),
+        ("1,1E3,2.0\n", "line 2: mean_loss '1E3' is not written as '1000.0'"),
     ], ids=["long_field", "fourth_field", "repeated_epoch", "epoch_0", "nan_loss_short_ms",
             "spaced_loss_exponent_ms", "zero_padded_epoch_inf_loss", "nan_loss", "minus_inf_loss",
-            "inf_ms", "negative_ms", "blank_line", "crlf", "no_final_newline"])
+            "inf_ms", "negative_ms", "blank_line", "crlf", "no_final_newline", "underscore_epoch",
+            "plus_epoch", "arabic_indic_epoch", "fullwidth_loss", "infinity_ms", "capital_e_loss"])
     def test_parse_rejects_what_export_never_writes(self, tmp_path, body, match):
         p = tmp_path / "h.csv"
         p.write_text("epoch,mean_loss,ms_per_step\n" + body)
@@ -401,6 +392,19 @@ class TestHistoryCsv:
             export_history([HistoryRow(1, 0.5, 1.0), row], target)
         assert target.read_bytes() == b"old contents\n"
         assert [q.name for q in tmp_path.iterdir()] == ["h.csv"]
+
+    @pytest.mark.parametrize("given", ["old.csv/", "old.csv/.", "hh/", "hh/.", ""])
+    def test_export_refuses_what_open_would(self, tmp_path, monkeypatch, given):
+        # Path("hh/") is Path("hh"): judged so, the export created a file hh
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "old.csv").write_bytes(b"old contents")
+        with pytest.raises(OSError) as plain:
+            open(given, "wb")
+        with pytest.raises(OSError) as refused:
+            export_history([HistoryRow(1, 1.0, 1.0)], given)
+        assert str(refused.value) == str(plain.value)
+        assert [q.name for q in tmp_path.iterdir()] == ["old.csv"]
+        assert (tmp_path / "old.csv").read_bytes() == b"old contents"
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
     def test_export_to_a_fifo_is_refused(self, tmp_path):
