@@ -2,11 +2,12 @@
 
 The pipeline is load -> build_vocab -> encode -> make_sequences ->
 shuffle_batches. Targets are the input stream shifted one position, so each
-window of seq_len + 1 characters yields an (input, target) pair of length
-seq_len. The windows are one [n, seq_len + 1] view of the encoded stream;
-each epoch gathers its kept windows once, and every batch's inputs and
-targets are views of that gather. Annotation lines (speaker tags and the
-like) are ordinary text and pass through untouched.
+window of seq_len + 1 characters is an (input, target) pair of length
+seq_len: its [:-1] and its [1:]. The windows are one [n, seq_len + 1] view
+of the encoded stream; each epoch gathers its kept windows once, as one
+[n_batches, batch_size, seq_len + 1] array whose row k is batch k.
+Annotation lines (speaker tags and the like) are ordinary text and pass
+through untouched.
 
 Set-up runs as array passes: build_vocab and encode read the text as UTF-32
 code points _CHUNK characters at a time, so no temporary grows with the
@@ -247,14 +248,6 @@ class CorpusPlan:
         check_int_fields(self, ("shuffle_seed",))
 
 
-@dataclass(frozen=True)
-class SequenceBatch:
-    """Integer matrices [batch x L]; targets are inputs shifted by one."""
-
-    inputs: np.ndarray
-    targets: np.ndarray
-
-
 def make_sequences(indices: np.ndarray, plan: CorpusPlan) -> np.ndarray:
     """Cut the index stream into consecutive non-overlapping windows.
 
@@ -273,15 +266,17 @@ def make_sequences(indices: np.ndarray, plan: CorpusPlan) -> np.ndarray:
     return indices[: n_chunks * window].reshape(n_chunks, window)
 
 
-def shuffle_batches(windows: np.ndarray, plan: CorpusPlan, rng: Rng) -> list[SequenceBatch]:
+def shuffle_batches(windows: np.ndarray, plan: CorpusPlan, rng: Rng) -> np.ndarray:
     """Seeded Fisher-Yates permutation of the windows, then grouping into
     full batches.
 
     The swap partner of position i (n - 1 down to 1) is the draw for bound
     i + 1 of one rng.randint call over the bounds n, n - 1, ..., 2, in that
     order (so n is below 2^32). The final partial batch is dropped so
-    every batch has fixed dimensions. The kept windows are gathered once;
-    each batch's inputs and targets are views of that gather.
+    every batch has fixed dimensions. The kept windows are gathered once
+    and returned as one [n_batches, batch_size, seq_len + 1] view of that
+    gather: batch k is row k, B windows, whose inputs are batch[:, :-1]
+    and targets batch[:, 1:].
     """
     n = len(windows)
     order = list(range(n))
@@ -291,7 +286,4 @@ def shuffle_batches(windows: np.ndarray, plan: CorpusPlan, rng: Rng) -> list[Seq
     n_batches = n // size
     if n_batches == 0:
         raise CorpusError(f"{n} sequence pairs cannot fill a single batch of {size}")
-    rows = windows[order[: n_batches * size]]
-    return [SequenceBatch(inputs=rows[b * size : (b + 1) * size, :-1],
-                          targets=rows[b * size : (b + 1) * size, 1:])
-            for b in range(n_batches)]
+    return windows[order[: n_batches * size]].reshape(n_batches, size, -1)

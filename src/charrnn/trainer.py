@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import CorpusPlan, _read_capped, _write_atomic, make_sequences, shuffle_batches
-from .exceptions import HistoryFormatError, TrainingError
+from .exceptions import ConfigError, HistoryFormatError, TrainingError
 from .model import Model
 from .numerics import AT_LEAST_1, FINITE_POSITIVE, Rng, check_int_fields, check_real_fields
 from .objective import RmspropState, ce_loss, rmsprop_step
@@ -88,12 +88,17 @@ def clip_global_norm(grads: dict[str, np.ndarray], max_norm: float) -> float:
 
 def train_epoch(model: Model, batches, plan: TrainPlan, opt_state: RmspropState,
                 dropout_rng: Rng) -> tuple[float, float]:
-    """One pass over the batches. Returns (mean loss, mean ms per step).
+    """One pass over the batches, each a [B, L + 1] array of windows whose
+    inputs are batch[:, :-1] and targets batch[:, 1:] (one row of
+    shuffle_batches' result). Returns (mean loss, mean ms per step).
 
-    A non-finite batch loss, or finite ones whose mean overflows, raises
-    TrainingError."""
-    if not batches:
+    The steps update at opt_state.alpha, so a plan whose lr differs is a
+    ConfigError, naming both, before the first step. A non-finite batch
+    loss, or finite ones whose mean overflows, raises TrainingError."""
+    if len(batches) == 0:
         raise TrainingError("train_epoch needs at least one batch")
+    if plan.lr != opt_state.alpha:
+        raise ConfigError(f"plan lr {plan.lr!r} is not the optimizer's alpha {opt_state.alpha!r}")
     losses = []
     seconds = []
     params = model.params()
@@ -101,8 +106,8 @@ def train_epoch(model: Model, batches, plan: TrainPlan, opt_state: RmspropState,
         t0 = time.perf_counter()
         # an overflow here is refused by the finite check below, with one message
         with np.errstate(over="ignore", invalid="ignore"):
-            logits, tape = model.forward(batch.inputs, train=True, dropout_rng=dropout_rng)
-            report = ce_loss(logits, batch.targets)
+            logits, tape = model.forward(batch[:, :-1], train=True, dropout_rng=dropout_rng)
+            report = ce_loss(logits, batch[:, 1:])
         del logits  # the backward needs only report.grad
         if not math.isfinite(report.mean_loss):
             raise TrainingError(

@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from charrnn.cli import main as cli_main
-from charrnn.corpus import SequenceBatch
 from charrnn.generator import GenerationPlan, generate
 from charrnn.model import (
     ModelConfig,
@@ -154,11 +153,7 @@ def _epoch_timer(kind, vocab, *, hidden=96, embed=64, batch=32, seq_len=64,
                          seq_len=seq_len, init_seed=seed)
     model = build_model(config, vocab)
     rng = np.random.default_rng(3)
-    batches = [
-        SequenceBatch(rng.integers(0, vocab.size, (batch, seq_len)),
-                      rng.integers(0, vocab.size, (batch, seq_len)))
-        for _ in range(n_batches)
-    ]
+    batches = rng.integers(0, vocab.size, (n_batches, batch, seq_len + 1))
     plan = TrainPlan(epochs=1, lr=1e-3)
     opt = RmspropState.for_params(model.params())
     train_epoch(model, batches[:2], plan, opt, Rng(0))  # warmup

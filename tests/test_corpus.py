@@ -306,20 +306,20 @@ class TestShuffleBatches:
         plan = CorpusPlan(seq_len=4, batch_size=4)
         batches = shuffle_batches(self._windows(10), plan, Rng(0))
         assert len(batches) == 2
-        assert all(b.inputs.shape == (4, 4) for b in batches)
+        assert all(b[:, :-1].shape == (4, 4) for b in batches)
 
     def test_seeded_determinism(self):
         plan = CorpusPlan(seq_len=4, batch_size=3)
         a = shuffle_batches(self._windows(11), plan, Rng(9))
         b = shuffle_batches(self._windows(11), plan, Rng(9))
-        assert all(np.array_equal(x.inputs, y.inputs) for x, y in zip(a, b))
+        assert all(np.array_equal(x[:, :-1], y[:, :-1]) for x, y in zip(a, b))
 
     def test_retained_multiset_is_subset(self):
         plan = CorpusPlan(seq_len=4, batch_size=4)
         windows = self._windows(10)
         batches = shuffle_batches(windows, plan, Rng(1))
         retained = Counter(
-            int(row[0]) for b in batches for row in b.inputs
+            int(row[0]) for b in batches for row in b[:, :-1]
         )
         original = Counter(int(w[0]) for w in windows)
         assert all(retained[k] <= original[k] for k in retained)
@@ -330,26 +330,23 @@ class TestShuffleBatches:
         with pytest.raises(CorpusError):
             shuffle_batches(self._windows(3), plan, Rng(0))
 
-    def test_targets_shift_inputs_within_one_gather(self):
+    def test_batches_are_a_view_of_one_gather(self):
         windows = make_sequences(np.arange(50) % 7, CorpusPlan(seq_len=4, batch_size=3))
         batches = shuffle_batches(windows, CorpusPlan(seq_len=4, batch_size=3), Rng(2))
         assert len(batches) == 3
-        rows = batches[0].inputs.base  # the 9 kept windows, gathered once
+        rows = batches.base  # the 9 kept windows, gathered once
         assert rows.shape == (9, 5) and not np.shares_memory(rows, windows)
-        for b in batches:
-            assert b.inputs.shape == b.targets.shape == (3, 4)
-            assert np.array_equal(b.targets[:, :-1], b.inputs[:, 1:])
-            assert b.inputs.base is b.targets.base is rows
+        assert batches.shape == (3, 3, 5) and np.shares_memory(batches, rows)
 
     @pytest.mark.parametrize("seed", sorted(ORDER_5000_B7))
     def test_fisher_yates_order_at_scale(self, seed):
         rng = Rng(seed)
         batches = shuffle_batches(self._windows(5_000), CorpusPlan(seq_len=4, batch_size=7), rng)
-        order = np.array([int(row[0]) for b in batches for row in b.inputs], dtype="<i8")
+        order = np.array([int(row[0]) for b in batches for row in b[:, :-1]], dtype="<i8")
         assert order.size == 5_000 // 7 * 7
         assert (hashlib.sha256(order.tobytes()).hexdigest(), rng.next_u64()) == ORDER_5000_B7[seed]
 
     def test_fisher_yates_order(self):
         # the permutation the seeded Rng draws; any change reorders training
         batches = shuffle_batches(self._windows(11), CorpusPlan(seq_len=4, batch_size=3), Rng(9))
-        assert [int(row[0]) for b in batches for row in b.inputs] == ORDER_11_RNG9
+        assert [int(row[0]) for b in batches for row in b[:, :-1]] == ORDER_11_RNG9

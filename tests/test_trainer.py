@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from charrnn.corpus import CorpusPlan, SequenceBatch, make_sequences, shuffle_batches
+from charrnn.corpus import CorpusPlan, make_sequences, shuffle_batches
 from charrnn.exceptions import (ConfigError, HistoryFormatError, OptimizerError, TrainingError,
                                 VocabularyError)
 from charrnn.model import KINDS, ModelConfig, build_model, load_checkpoint, save_checkpoint
@@ -77,17 +77,54 @@ class TestClip:
 
 
 class TestTrainEpoch:
-    def test_zero_alpha_is_fixed_point(self, fixture_text, fixture_vocab):
-        config = _small_config(fixture_vocab)
+    def test_epoch_repeats_from_a_restored_state(self, fixture_text, fixture_vocab):
+        config = _small_config(fixture_vocab, dropout=0.3)
         model = build_model(config, fixture_vocab)
         batches = _batches(fixture_text, fixture_vocab, config)
         before = {k: v.copy() for k, v in model.params().items()}
-        opt = RmspropState.for_params(model.params(), alpha=0.0)
+        opt = RmspropState.for_params(model.params(), alpha=1e-3)
+        plan = TrainPlan(epochs=1, lr=1e-3)
+        ends = []
+        for _ in range(2):
+            for k, v in model.params().items():
+                v[...] = before[k]
+                opt.v[k][...] = 0.0
+            loss, _ = train_epoch(model, batches, plan, opt, Rng(5))
+            ends.append((loss, {k: v.copy() for k, v in model.params().items()}))
+        (loss1, after1), (loss2, after2) = ends
+        assert loss1 == loss2
+        assert all(np.array_equal(after1[k], after2[k]) for k in before)
+        assert not all(np.array_equal(before[k], after1[k]) for k in before)
+
+    def test_only_the_optimizer_step_writes_params(self, fixture_text, fixture_vocab,
+                                                   monkeypatch):
+        # with the update a no-op, forward, dropout, backward and clipping must
+        # leave the weights as they were, on every run
+        monkeypatch.setattr("charrnn.trainer.rmsprop_step", lambda params, grads, state: None)
+        config = _small_config(fixture_vocab, dropout=0.3)
+        model = build_model(config, fixture_vocab)
+        batches = _batches(fixture_text, fixture_vocab, config)
+        before = {k: v.copy() for k, v in model.params().items()}
+        opt = RmspropState.for_params(model.params(), alpha=1e-3)
         plan = TrainPlan(epochs=1, lr=1e-3)
         loss1, _ = train_epoch(model, batches, plan, opt, Rng(5))
         loss2, _ = train_epoch(model, batches, plan, opt, Rng(5))
         assert all(np.array_equal(before[k], model.params()[k]) for k in before)
         assert loss1 == loss2
+
+    @pytest.mark.parametrize("alpha, lr", [(1e-3, 0.5), (0.0, 1e-3), (2e-3, 1e-3)])
+    def test_plan_lr_must_be_the_optimizers_alpha(self, fixture_text, fixture_vocab, alpha, lr):
+        # the steps update at opt.alpha, so a plan with another lr would go unread
+        config = _small_config(fixture_vocab)
+        model = build_model(config, fixture_vocab)
+        batches = _batches(fixture_text, fixture_vocab, config)
+        before = {k: v.copy() for k, v in model.params().items()}
+        opt = RmspropState.for_params(model.params(), alpha=alpha)
+        with pytest.raises(ConfigError, match=re.escape(f"lr {lr!r} is not the optimizer's "
+                                                        f"alpha {alpha!r}")):
+            train_epoch(model, batches, TrainPlan(epochs=1, lr=lr), opt, Rng(5))
+        assert all(np.array_equal(before[k], model.params()[k]) for k in before)
+        assert not any(v.any() for v in opt.v.values())
 
     def test_fresh_init_loss_near_ln_v(self, fixture_text, fixture_vocab):
         config = _small_config(fixture_vocab)
@@ -103,9 +140,7 @@ class TestTrainEpoch:
         config = _small_config(fixture_vocab)
         model = build_model(config, fixture_vocab)
         model.params()["dense.w"][0, 0] = np.inf
-        bad = SequenceBatch(
-            np.zeros((8, 25), dtype=np.int64), np.zeros((8, 25), dtype=np.int64)
-        )
+        bad = np.zeros((8, 26), dtype=np.int64)
         opt = RmspropState.for_params(model.params())
         with pytest.raises(TrainingError, match="batch 0"):
             train_epoch(model, [bad], TrainPlan(), opt, Rng(0))
